@@ -49,9 +49,14 @@ def save_checkpoint(bundle: dict, path) -> None:
             f.write(arr.tobytes())
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        raw = f.read()
+def load_checkpoint(path, written_by: str = "") -> dict[str, np.ndarray]:
+    """Read a bundle; ``written_by`` names the command that writes ``path``."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        by = f"; `{written_by}` writes it" if written_by else ""
+        raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}{by}") from None
     off = 0
 
     def take(n: int) -> bytes:

@@ -147,7 +147,7 @@ def cmd_train(config: ExperimentConfig) -> int:
     out = Path(config.out_dir)
     pairs = _read_pairs(out / "train")
     psi = FeatureNetPsi(Rng(0))
-    psi.load_state_dict(load_checkpoint(out / "psi.dplc"))
+    psi.load_state_dict(load_checkpoint(out / "psi.dplc", "dpl pretrain"))
     psi.set_trainable(False)
     rng = Rng(config.seed)
     f = GeneratorF(rng.child(40))
@@ -165,13 +165,12 @@ def cmd_train(config: ExperimentConfig) -> int:
         save_image(x_gen, samples_dir / f"iter{it + 1:06d}_gen.ppm")
         save_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
 
-    history = []
     try:
         _, history = run_training(dpl_config, pairs, f, psi, phi, rng.child(42),
                                   sample_hook=sample_hook)
     except TrainingDiverged as e:
         print(f"numerical halt: {e}")
-        _write_history(out / "history.csv", history)
+        _write_history(out / "history.csv", e.history)
         return EXIT_NUMERIC_HALT
     _write_history(out / "history.csv", history)
     save_checkpoint(f.state_dict(), out / "f.dplc")
@@ -183,10 +182,10 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
     out = Path(config.out_dir)
     pairs = _read_pairs(out / "val")
     psi = FeatureNetPsi(Rng(0))
-    psi.load_state_dict(load_checkpoint(out / "psi.dplc"))
+    psi.load_state_dict(load_checkpoint(out / "psi.dplc", "dpl pretrain"))
     psi.set_trainable(False)
     f = GeneratorF(Rng(0))
-    f.load_state_dict(load_checkpoint(checkpoint_path or out / "f.dplc"))
+    f.load_state_dict(load_checkpoint(checkpoint_path or out / "f.dplc", "dpl train"))
     metric_names = config["metrics"]
     rows = []
     sums = {name: 0.0 for name in metric_names}

@@ -10,7 +10,6 @@ additively across backward calls until explicitly zeroed.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -505,20 +504,16 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 # -- spatial ops --------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _col2im_indices(h_out, w_out, kh, kw, stride, w_padded):
-    ii = np.arange(h_out)[:, None] * stride + np.arange(kh)[None, :]
-    jj = np.arange(w_out)[:, None] * stride + np.arange(kw)[None, :]
-    # (H', W', kh, kw) flat positions into the padded plane
-    pos = ii[:, None, :, None] * w_padded + jj[None, :, None, :]
-    return pos.ravel()
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over a [C,H,W] input with zero padding.
 
     Kernels may be rectangular ([O,I,kh,kw]); the public contract uses
     square kernels but the separable blur reuses the general form.
+
+    im2col is channel-major: row (c, i, j) of ``cols`` (C*kh*kw, H'*W') holds
+    channel c at kernel offset (i, j) for every output position. Forward,
+    weight gradient and input gradient are one matmul each; the input
+    gradient is folded back into the padded plane with kh*kw slice-adds.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -544,29 +539,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(h_out * w_out, c * kh * kw)
+    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c * kh * kw, h_out * w_out)
     wmat = weight.data.reshape(o, -1)
-    out = (cols @ wmat.T + bias.data).T.reshape(o, h_out, w_out)
+    out = (wmat @ cols + bias.data[:, None]).reshape(o, h_out, w_out)
 
     def rule(g):
-        gf = g.reshape(o, -1).T  # (H'W', O)
+        g2 = g.reshape(o, -1)  # (O, H'W')
         grads = []
         if weight.requires_grad:
-            grads.append((weight, (gf.T @ cols).reshape(weight.shape)))
+            grads.append((weight, (g2 @ cols.T).reshape(weight.shape)))
         if bias.requires_grad:
-            grads.append((bias, g.sum(axis=(1, 2))))
+            grads.append((bias, g2.sum(axis=1)))
         if x.requires_grad:
-            dcols = gf @ wmat  # (H'W', C*kh*kw)
-            dcols = dcols.reshape(h_out, w_out, c, kh, kw).transpose(2, 0, 1, 3, 4).reshape(c, -1)
-            pos = _col2im_indices(h_out, w_out, kh, kw, stride, wp)
-            dxp = np.zeros((c, hp * wp), dtype=g.dtype)
-            np.add.at(dxp, (np.arange(c)[:, None], pos[None, :]), dcols)
-            dxp = dxp.reshape(c, hp, wp)
-            dx = dxp[:, padding : padding + h, padding : padding + w] if padding else dxp
+            dcols = (wmat.T @ g2).reshape(c, kh, kw, h_out, w_out)
+            dxp = np.zeros((c, hp, wp), dtype=g.dtype)
+            for a in range(kh):
+                for b in range(kw):
+                    dxp[:, a::stride, b::stride][:, :h_out, :w_out] += dcols[:, a, b]
+            dx = dxp[:, padding : padding + h, padding : padding + w]
             grads.append((x, np.ascontiguousarray(dx)))
         return grads
 
-    return _make(np.ascontiguousarray(out), (x, weight, bias), rule)
+    return _make(out, (x, weight, bias), rule)
 
 
 def max_pool2(x: Tensor) -> Tensor:
@@ -607,13 +601,13 @@ def reflect_pad2d(x: Tensor, pad: int) -> Tensor:
     if pad == 0:
         return x
     c, h, w = x.shape
-    data = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
-    idx = np.pad(np.arange(h * w).reshape(h, w), pad, mode="reflect").ravel()
+    widths = ((0, 0), (pad, pad), (pad, pad))
+    data = np.pad(x.data, widths, mode="reflect")
+    idx = np.pad(np.arange(c * h * w).reshape(c, h, w), widths, mode="reflect").ravel()
 
     def rule(g):
-        dx = np.zeros((c, h * w), dtype=g.dtype)
-        np.add.at(dx, (np.arange(c)[:, None], idx[None, :]), g.reshape(c, -1))
-        return [(x, dx.reshape(c, h, w))]
+        dx = np.bincount(idx, weights=g.ravel(), minlength=c * h * w)
+        return [(x, dx.astype(g.dtype).reshape(c, h, w))]
 
     return _make(data, (x,), rule)
 

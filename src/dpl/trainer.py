@@ -35,9 +35,10 @@ class TrainerError(Exception):
 
 
 class TrainingDiverged(TrainerError):
-    def __init__(self, iteration: int, value: float):
-        super().__init__(f"non-finite loss {value} at iteration {iteration}")
-        self.iteration = iteration
+    def __init__(self, state: "TrainState", value: float):
+        super().__init__(f"non-finite loss {value} at iteration {state.iteration}")
+        self.iteration = state.iteration
+        self.history = state.history  # the rows of the iterations before the halt
 
 
 @dataclass
@@ -138,6 +139,7 @@ class TrainState:
     accum_count: int = 0
     gen_opt: Adam | None = None
     sel_opt: Adam | None = None
+    history: list[HistoryRow] = field(default_factory=list)
 
 
 @dataclass
@@ -174,19 +176,19 @@ def _features(psi: FeatureNetPsi, phi: SelectionPhi, x: Tensor, mode: str):
     return phi(taps) if mode == "feature_selection" else taps
 
 
-def generator_step(f: GeneratorF, psi: FeatureNetPsi, phi: SelectionPhi,
-                   x: Tensor, y: Tensor, config: DplConfig,
+def generator_step(tape: T.ComputationTape, x_gen: Tensor, y: Tensor,
+                   psi: FeatureNetPsi, phi: SelectionPhi, config: DplConfig,
                    state: TrainState) -> tuple[float, dict]:
     """One Adam step on the generator under the configured loss recipe.
 
-    The extractor and selector are frozen for the duration of the step.
+    ``x_gen`` is the generator's output on ``tape``, which also records the
+    loss. The extractor and selector are frozen for the duration of the step.
     """
     psi_was, phi_was = psi.trainable(), phi.trainable()
     psi.set_trainable(False)
     phi.set_trainable(False)
     try:
-        with T.ComputationTape() as tape:
-            x_gen = f(x)
+        with tape:
             components = {}
             total = None
             for name, weight in config.loss_weights.items():
@@ -210,7 +212,7 @@ def generator_step(f: GeneratorF, psi: FeatureNetPsi, phi: SelectionPhi,
                 total = weighted if total is None else total + weighted
             value = total.item()
             if not np.isfinite(value):
-                raise TrainingDiverged(state.iteration, value)
+                raise TrainingDiverged(state, value)
             T.backward(total, tape)
         state.gen_opt.step()
         state.gen_opt.zero_grad()
@@ -238,7 +240,7 @@ def selector_accumulate(psi: FeatureNetPsi, phi: SelectionPhi, triplet: Triplet,
         loss = triplet_loss(fa, fp, fn, margin)
         value = loss.item()
         if not np.isfinite(value):
-            raise TrainingDiverged(state.iteration, value)
+            raise TrainingDiverged(state, value)
         T.backward(loss, tape)
     state.accum_count += 1
     return value
@@ -274,7 +276,6 @@ def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
     data_rng = rng.child(1)
     aug_rng = rng.child(2)
     trip_rng = rng.child(3)
-    history: list[HistoryRow] = []
 
     for it in range(config.iterations):
         state.iteration = it
@@ -286,20 +287,21 @@ def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
         x_t = to_tensor(x_img)
         y_t = to_tensor(y_img)
 
+        with T.ComputationTape() as gen_tape:
+            x_gen = f(x_t)
         d_c = 0.0
         if config.mode != "frozen":
             # generator frozen: its output enters the triplet as plain data
-            x_gen_img = from_tensor(f(x_t).detach())
-            triplet = build_triplet(config.strategy, x_img, y_img, x_gen_img,
-                                    trip_rng)
+            triplet = build_triplet(config.strategy, x_img, y_img,
+                                    from_tensor(x_gen.detach()), trip_rng)
             d_c = selector_accumulate(psi, phi, triplet, config.margin, config, state)
 
-        gen_loss, components = generator_step(f, psi, phi, x_t, y_t, config, state)
+        gen_loss, components = generator_step(gen_tape, x_gen, y_t, psi, phi, config, state)
 
         if config.mode != "frozen" and state.accum_count >= config.interval:
             selector_apply(sel_params, state, config.interval)
 
-        history.append(HistoryRow(
+        state.history.append(HistoryRow(
             iteration=it,
             generator_loss=gen_loss,
             components=components,
@@ -309,4 +311,4 @@ def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
         ))
         if sample_hook is not None:
             sample_hook(it, f, x_img, y_img)
-    return f, history
+    return f, state.history

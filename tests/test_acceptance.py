@@ -186,14 +186,16 @@ def test_criterion_2_algorithm_mechanics(f64):
         state.iteration = it
         x, y = data[it % len(data)]
         x_t, y_t = to_tensor(x), to_tensor(y)
+        with T.ComputationTape() as gen_tape:
+            x_out = f(x_t)
         x_gen = Image.from_array(
-            np.clip(f(x_t).detach().data.transpose(1, 2, 0), 0.0, 1.0))
+            np.clip(x_out.detach().data.transpose(1, 2, 0), 0.0, 1.0))
         trip = build_triplet(config.strategy, x, y, x_gen, trip_rng)
 
         f_hash = param_hash(f.params())
         selector_accumulate(psi, phi, trip, config.margin, config, state)
         phi_hash = param_hash(phi.params())
-        generator_step(f, psi, phi, x_t, y_t, config, state)
+        generator_step(gen_tape, x_out, y_t, psi, phi, config, state)
         # selector untouched by the generator step
         assert param_hash(phi.params()) == phi_hash
         if state.accum_count >= config.interval:

@@ -158,8 +158,30 @@ def test_train_divergence_exit_three(prepared_run):
     code = main(["train", *_base_args(prepared_run), "--dpl.iterations", "20",
                  "--dpl.lr_generator", "1e15"])
     assert code == 3
-    assert (prepared_run / "history.csv").exists()
+    lines = (prepared_run / "history.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    # the rows before the halt are kept, numbered from 0, with finite losses;
+    # the last f_norm may already show the step that blew the generator up
+    assert 1 <= len(rows) < 20
+    assert [int(row[0]) for row in rows] == list(range(len(rows)))
+    assert all(np.isfinite(float(v)) for row in rows for v in row[1:8])
     assert not (prepared_run / "f.dplc").exists()
+
+
+@pytest.mark.parametrize("command, missing, writer", [
+    ("train", "psi.dplc", "dpl pretrain"),
+    ("eval", "f.dplc", "dpl train"),
+])
+def test_missing_checkpoint_is_usage_error(prepared_run, capsys, command, missing, writer):
+    (prepared_run / missing).unlink(missing_ok=True)
+    assert main([command, *_base_args(prepared_run)]) == 1
+    err = capsys.readouterr().err
+    assert missing in err and writer in err
+
+
+def test_checkpoint_path_that_is_a_directory_is_usage_error(prepared_run, capsys):
+    assert main(["eval", *_base_args(prepared_run), "--f-checkpoint", str(prepared_run)]) == 1
+    assert "cannot read checkpoint" in capsys.readouterr().err
 
 
 def test_eval_report_format(prepared_run):

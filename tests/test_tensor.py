@@ -202,6 +202,43 @@ def test_conv2d_gradients(f64):
     check_gradients(build, [x, w, b], rng, n_points=30, rtol=1e-5)
 
 
+def naive_conv2d_grads(x, w, g, stride, padding):
+    """Gradients of sum(conv2d(x, w, b) * g) by a loop over output positions."""
+    _, kh, kw = w.shape[1:]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for y in range(g.shape[1]):
+        for xx in range(g.shape[2]):
+            rows = slice(y * stride, y * stride + kh)
+            cols = slice(xx * stride, xx * stride + kw)
+            dw += g[:, y, xx, None, None, None] * xp[None, :, rows, cols]
+            dxp[:, rows, cols] += np.tensordot(g[:, y, xx], w, axes=1)
+    h, wd = x.shape[1:]
+    return dxp[:, padding : padding + h, padding : padding + wd], dw, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 1), (1, 5)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("extent", [(6, 6), (7, 9)])
+def test_conv2d_gradients_match_loop_oracle(f64, kernel, stride, padding, extent):
+    rng = np.random.default_rng([*kernel, stride, padding, *extent])
+    x = rng.normal(size=(2, *extent))
+    w = rng.normal(size=(3, 2, *kernel))
+    b = rng.normal(size=3)
+    with ComputationTape() as tape:
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = T.conv2d(xt, wt, bt, stride, padding)
+        g = rng.normal(size=out.shape)
+        T.backward((out * g).sum(), tape)
+    assert np.allclose(out.data, naive_conv2d(x, w, b, stride, padding), rtol=1e-12, atol=1e-12)
+    dx, dw, db = naive_conv2d_grads(x, w, g, stride, padding)
+    assert np.allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
+    assert np.allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
+
+
 # -- pooling / upsampling -------------------------------------------------------
 
 
@@ -264,6 +301,22 @@ def test_reflect_pad_gradient(f64):
                     n_points=15, rtol=1e-6)
 
 
+@pytest.mark.parametrize("pad", range(1, 7))
+def test_reflect_pad_gradient_matches_scatter_oracle(f64, pad):
+    rng = np.random.default_rng(90 + pad)
+    x = rng.normal(size=(2, 4, 6))
+    with ComputationTape() as tape:
+        xt = Tensor(x, requires_grad=True)
+        out = T.reflect_pad2d(xt, pad)
+        g = rng.normal(size=out.shape)
+        T.backward((out * g).sum(), tape)
+    src = np.pad(np.arange(x.size).reshape(x.shape), ((0, 0), (pad, pad), (pad, pad)),
+                 mode="reflect")
+    want = np.zeros(x.size)
+    np.add.at(want, src.ravel(), g.ravel())
+    assert np.allclose(xt.grad, want.reshape(x.shape), rtol=1e-12, atol=1e-12)
+
+
 def test_reduce_extremes_gradient(f64):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 5))
@@ -299,6 +352,31 @@ def test_determinism_bit_identical():
         runs.append((out.data.copy(), xt.grad.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
+
+
+def test_network_stack_gradients_bit_identical():
+    from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
+    from dpl.rng import Rng
+
+    x = np.random.default_rng(13).uniform(size=(3, 32, 32))
+    runs = []
+    for _ in range(2):
+        rng = Rng(14)
+        f, psi, phi = GeneratorF(rng.child(1)), FeatureNetPsi(rng.child(2)), SelectionPhi(rng.child(3))
+        # a non-zero head so that the gradient reaches every layer of F
+        f.dec2.weight.data = np.full_like(f.dec2.weight.data, 0.01)
+        with ComputationTape() as tape:
+            taps = phi(psi(f(Tensor(x))))
+            loss = taps[0].mean()
+            for tap in taps[1:]:
+                loss = loss + (tap * tap).mean()
+            T.backward(loss, tape)
+        # every parameter but psi's classification head, which no tap uses
+        params = f.params() + psi.params()[:-2] + phi.params()
+        assert all(p.dtype == np.float32 and p.grad is not None for p in params)
+        runs.append([p.grad.copy() for p in params])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+    assert all(np.any(g != 0) for g in runs[0])
 
 
 # -- Adam -----------------------------------------------------------------------

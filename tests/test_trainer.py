@@ -96,7 +96,9 @@ def test_generator_step_leaves_extractor_and_selector_untouched():
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
     before_f = param_hash(f.params())
-    generator_step(f, psi, phi, to_tensor(x), to_tensor(y), config, state)
+    with T.ComputationTape() as tape:
+        x_gen = f(to_tensor(x))
+    generator_step(tape, x_gen, to_tensor(y), psi, phi, config, state)
     assert param_hash(psi.params()) == before_psi
     assert param_hash(phi.params()) == before_phi
     assert param_hash(f.params()) != before_f
@@ -286,8 +288,10 @@ def test_divergence_is_reported_with_iteration():
     x, y = _pair(31)[0]
     state, _ = _state(f, psi, phi, config)
     state.iteration = 7
+    with T.ComputationTape() as tape:
+        x_gen = f(to_tensor(x))
     with pytest.raises(TrainingDiverged) as err:
-        generator_step(f, psi, phi, to_tensor(x), to_tensor(y), config, state)
+        generator_step(tape, x_gen, to_tensor(y), psi, phi, config, state)
     assert err.value.iteration == 7
 
 
