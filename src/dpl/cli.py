@@ -20,7 +20,7 @@ from .metrics import feature_distance, ms_ssim, psnr
 from .networks import FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi, pretrain_psi
 from .rng import Rng
 from .synth import generate_synthetic
-from .trainer import TrainingDiverged, run_training
+from .trainer import LOSSES, TrainingDiverged, run_training
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,30 +72,32 @@ def _read_pairs(directory: Path) -> list[tuple[Image, Image]]:
     if not manifest.exists():
         raise ConfigError(f"no manifest at {manifest}; run gen-data first")
     pairs = []
-    for line in manifest.read_text().splitlines()[1:]:
-        xname, yname = line.split()
-        pairs.append((load_image(directory / xname), load_image(directory / yname)))
+    for lineno, line in enumerate(manifest.read_text().splitlines()[1:], start=2):
+        names = line.split()
+        if len(names) != 2:
+            raise ConfigError(f"{manifest}:{lineno}: expected two image names, got {line!r}")
+        pairs.append(tuple(load_image(directory / name) for name in names))
     return pairs
 
 
 def cmd_gen_data(config: ExperimentConfig) -> int:
-    out = Path(config.out_dir)
-    rng = Rng(config.seed)
-    train = generate_synthetic(config.task, config["train_count"], config.size,
+    out = Path(config["out_dir"])
+    rng = Rng(config["seed"])
+    train = generate_synthetic(config["task"], config["train_count"], config["size"],
                                rng.child(10))
-    val = generate_synthetic(config.task, config["val_count"], config.size,
+    val = generate_synthetic(config["task"], config["val_count"], config["size"],
                              rng.child(20))
-    _write_pairs(out / "train", train, config.seed)
-    _write_pairs(out / "val", val, config.seed)
+    _write_pairs(out / "train", train, config["seed"])
+    _write_pairs(out / "val", val, config["seed"])
     print(f"wrote {len(train)} train and {len(val)} val pairs under {out}")
     return EXIT_OK
 
 
 def cmd_pretrain(config: ExperimentConfig) -> int:
-    out = Path(config.out_dir)
+    out = Path(config["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    rng = Rng(config.seed)
-    data = generate_synthetic("textures", config["pretrain.samples"], config.size,
+    rng = Rng(config["seed"])
+    data = generate_synthetic("textures", config["pretrain.samples"], config["size"],
                               rng.child(30))
     psi = FeatureNetPsi(rng.child(31))
     log_lines: list[str] = []
@@ -126,30 +128,24 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-HISTORY_COLUMNS = ("iteration", "generator_loss", "perceptual", "contextual",
-                   "pixel_l1", "color", "texture", "d_c", "f_norm", "phi_norm")
-
-
 def _write_history(path: Path, history) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(HISTORY_COLUMNS)
+        writer.writerow(["iteration", "generator_loss", *LOSSES, "d_c", "f_norm", "phi_norm"])
         for row in history:
             writer.writerow([
                 row.iteration, _fmt(row.generator_loss),
-                *(_fmt(row.components.get(name, 0.0))
-                  for name in ("perceptual", "contextual", "pixel_l1", "color", "texture")),
+                *(_fmt(row.components.get(name, 0.0)) for name in LOSSES),
                 _fmt(row.d_c), _fmt(row.f_norm), _fmt(row.phi_norm),
             ])
 
 
 def cmd_train(config: ExperimentConfig) -> int:
-    out = Path(config.out_dir)
+    out = Path(config["out_dir"])
     pairs = _read_pairs(out / "train")
     psi = FeatureNetPsi(Rng(0))
     psi.load_state_dict(load_checkpoint(out / "psi.dplc", "dpl pretrain"))
-    psi.set_trainable(False)
-    rng = Rng(config.seed)
+    rng = Rng(config["seed"])
     f = GeneratorF(rng.child(40))
     phi = SelectionPhi(rng.child(41))
     dpl_config = config.dpl_config()
@@ -179,11 +175,10 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 
 def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
-    out = Path(config.out_dir)
+    out = Path(config["out_dir"])
     pairs = _read_pairs(out / "val")
     psi = FeatureNetPsi(Rng(0))
     psi.load_state_dict(load_checkpoint(out / "psi.dplc", "dpl pretrain"))
-    psi.set_trainable(False)
     f = GeneratorF(Rng(0))
     f.load_state_dict(load_checkpoint(checkpoint_path or out / "f.dplc", "dpl train"))
     metric_names = config["metrics"]
@@ -216,7 +211,7 @@ def cmd_distort(config: ExperimentConfig, input_path, output_path) -> int:
     if spec is None:
         raise ConfigError("distort requires dpl.distortion != none")
     image = load_image(input_path)
-    save_image(spec.apply(image, Rng(config.seed)), output_path)
+    save_image(spec.apply(image, Rng(config["seed"])), output_path)
     print(f"wrote {output_path}")
     return EXIT_OK
 

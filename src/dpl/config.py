@@ -7,11 +7,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .losses import ContextualParams
-from .trainer import (DISTORTION_KINDS, MODES, STRATEGY_KINDS, DistortionSpec,
-                      DplConfig, TripletStrategy)
+from .losses import ContextualParams, LossError
+from .synth import PAIRED_TASKS
+from .trainer import (DISTORTION_KINDS, LOSSES, MODES, STRATEGY_KINDS, DistortionSpec,
+                      DplConfig, TrainerError, TripletStrategy)
 
-VALID_TASKS = ("darken", "colorcast", "blur")
 VALID_METRICS = ("psnr", "ms_ssim", "dfd")
 
 
@@ -75,7 +75,7 @@ def _size_check(v):
 
 
 SCHEMA: dict[str, _Key] = {
-    "task": _Key(_choice(VALID_TASKS), "colorcast", help="paired transformation task"),
+    "task": _Key(_choice(PAIRED_TASKS), "colorcast", help="paired transformation task"),
     "size": _Key(int, 32, _size_check, "image extent in pixels"),
     "train_count": _Key(int, 400, _positive("train_count"), "training pair count"),
     "val_count": _Key(int, 50, _positive("val_count"), "validation pair count"),
@@ -102,11 +102,8 @@ SCHEMA: dict[str, _Key] = {
     "dpl.iterations": _Key(int, 2000, _positive("dpl.iterations")),
     "dpl.lr_generator": _Key(float, 1e-4, _positive("dpl.lr_generator")),
     "dpl.lr_selector": _Key(float, 1e-4, _positive("dpl.lr_selector")),
-    "dpl.w_perceptual": _Key(float, 1.0, _non_negative("dpl.w_perceptual")),
-    "dpl.w_contextual": _Key(float, 0.0, _non_negative("dpl.w_contextual")),
-    "dpl.w_pixel_l1": _Key(float, 0.0, _non_negative("dpl.w_pixel_l1")),
-    "dpl.w_color": _Key(float, 0.0, _non_negative("dpl.w_color")),
-    "dpl.w_texture": _Key(float, 0.0, _non_negative("dpl.w_texture")),
+    **{f"dpl.w_{name}": _Key(float, weight, _non_negative(f"dpl.w_{name}"))
+       for name, (weight, _) in LOSSES.items()},
     "dpl.color_sigma": _Key(float, 3.0, _positive("dpl.color_sigma")),
     "dpl.contextual_bandwidth": _Key(float, 0.5, _positive("dpl.contextual_bandwidth")),
     "dpl.contextual_epsilon": _Key(float, 1e-5, _positive("dpl.contextual_epsilon")),
@@ -128,18 +125,6 @@ class ExperimentConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    @property
-    def task(self): return self.values["task"]
-
-    @property
-    def size(self): return self.values["size"]
-
-    @property
-    def seed(self): return self.values["seed"]
-
-    @property
-    def out_dir(self): return self.values["out_dir"]
-
     def distortion_spec(self) -> DistortionSpec | None:
         v = self.values
         if v["dpl.distortion"] == "none":
@@ -151,21 +136,13 @@ class ExperimentConfig:
             jitter_bias=(v["dpl.jitter_bias_min"], v["dpl.jitter_bias_max"]),
         )
 
-    def triplet_strategy(self) -> TripletStrategy:
+    def dpl_config(self) -> DplConfig:
         v = self.values
         kind = v["dpl.strategy"]
         distortion = self.distortion_spec() if kind == "task_oriented" else None
-        if kind == "task_oriented" and distortion is None:
-            raise ConfigError("dpl.strategy = task_oriented requires a distortion")
-        return TripletStrategy(kind=kind, crop=v["dpl.crop"], distortion=distortion)
-
-    def dpl_config(self) -> DplConfig:
-        v = self.values
-        weights = {name: v[f"dpl.w_{name}"] for name in
-                   ("perceptual", "contextual", "pixel_l1", "color", "texture")
-                   if v[f"dpl.w_{name}"] > 0}
+        weights = {name: v[f"dpl.w_{name}"] for name in LOSSES if v[f"dpl.w_{name}"] > 0}
         return DplConfig(
-            strategy=self.triplet_strategy(),
+            strategy=TripletStrategy(kind=kind, crop=v["dpl.crop"], distortion=distortion),
             interval=v["dpl.interval"],
             margin=v["dpl.margin"],
             mode=v["dpl.mode"],
@@ -195,7 +172,11 @@ def _set_value(values: dict, key: str, raw: str, where: str) -> None:
 
 def parse_config(path=None, overrides: dict | None = None,
                  use_env: bool = True) -> ExperimentConfig:
-    """Defaults, then file, then DPL_SEED, then command-line overrides."""
+    """Defaults, then file, then DPL_SEED, then command-line overrides.
+
+    The merged values must also make a valid trainer configuration and
+    distortion, so combinations the trainer rejects fail here.
+    """
     values: dict = {}
     if path is not None:
         try:
@@ -215,7 +196,13 @@ def parse_config(path=None, overrides: dict | None = None,
         _set_value(values, "seed", os.environ["DPL_SEED"], "env DPL_SEED")
     for key, raw in (overrides or {}).items():
         _set_value(values, key, raw, "command line")
-    return ExperimentConfig(values)
+    config = ExperimentConfig(values)
+    try:
+        config.dpl_config()
+        config.distortion_spec()
+    except (TrainerError, LossError) as e:
+        raise ConfigError(f"inconsistent dpl.* settings: {e}") from None
+    return config
 
 
 def _format_value(value) -> str:

@@ -42,10 +42,9 @@ class Image:
         return self.pixels.shape[1]
 
 
-def to_tensor(image: Image, requires_grad: bool = False) -> Tensor:
+def to_tensor(image: Image) -> Tensor:
     """Image -> Tensor[3,H,W] in the current default element type."""
-    return Tensor(image.pixels.transpose(2, 0, 1), requires_grad=requires_grad,
-                  dtype=get_default_dtype())
+    return Tensor(image.pixels.transpose(2, 0, 1), dtype=get_default_dtype())
 
 
 def from_tensor(t: Tensor) -> Image:
@@ -85,7 +84,11 @@ def _read_token(f) -> bytes:
 
 
 def load_image(path) -> Image:
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise ImageError(f"cannot read image {path}: {e.strerror}") from None
+    with f:
         magic = _read_token(f)
         if magic != b"P6":
             raise ImageError(f"unsupported PPM magic {magic!r} (only binary P6)")
@@ -163,11 +166,14 @@ def _blur_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def separable_filter(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Correlate the two leading axes of ``arr`` with ``kernel``, reflect-padded."""
+    return _blur_axis(_blur_axis(arr, kernel, 0), kernel, 1)
+
+
 def gaussian_blur(image: Image, sigma: float) -> Image:
     """Separable Gaussian blur with reflect padding."""
-    k = gaussian_kernel1d(sigma)
-    out = _blur_axis(_blur_axis(image.pixels, k, 0), k, 1)
-    return Image.from_array(out)
+    return Image.from_array(separable_filter(image.pixels, gaussian_kernel1d(sigma)))
 
 
 def color_jitter(image: Image, rng: Rng,

@@ -1,6 +1,6 @@
 """Training losses: feature-space perceptual and contextual distances, the
-triplet hinge, blurred color and grayscale texture distances, and pixel
-baselines. A feature set is the ordered list of per-tap tensors."""
+triplet hinge, blurred color and grayscale texture distances, and an L1
+pixel baseline. A feature set is the ordered list of per-tap tensors."""
 
 from __future__ import annotations
 
@@ -143,11 +143,8 @@ def texture_loss(a: Tensor, b: Tensor) -> Tensor:
     return ((luma_tensor(a) - luma_tensor(b)) ** 2).mean()
 
 
-def pixel_loss(kind: str, a: Tensor, b: Tensor) -> Tensor:
+def pixel_loss(a: Tensor, b: Tensor) -> Tensor:
+    """Mean absolute pixel difference (L1)."""
     if a.shape != b.shape:
         raise LossError(f"pixel_loss shape mismatch {a.shape} vs {b.shape}")
-    if kind == "l1":
-        return T.absolute(a - b).mean()
-    if kind == "mse":
-        return ((a - b) ** 2).mean()
-    raise LossError(f"unknown pixel loss kind {kind!r}")
+    return T.absolute(a - b).mean()

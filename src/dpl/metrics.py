@@ -8,11 +8,10 @@ values are comparable across runs of this artifact only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GRAY_WEIGHTS, Image, to_tensor
+from .image import GRAY_WEIGHTS, Image, gaussian_kernel1d, separable_filter, to_tensor
 from .networks import FeatureNetPsi
 
 MSSSIM_SCALES = 3
@@ -37,21 +36,6 @@ def psnr(a: Image, b: Image) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    xs = np.arange(size) - (size - 1) / 2.0
-    k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
-    return k / k.sum()
-
-
-def _filter2(img: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # separable reflect-padded correlation
-    r = len(k) // 2
-    out = np.pad(img, ((r, r), (0, 0)), mode="reflect")
-    out = sum(w * out[i : i + img.shape[0], :] for i, w in enumerate(k))
-    out = np.pad(out, ((0, 0), (r, r)), mode="reflect")
-    return sum(w * out[:, i : i + img.shape[1]] for i, w in enumerate(k))
-
-
 def _downsample2(img: np.ndarray) -> np.ndarray:
     h, w = (img.shape[0] // 2) * 2, (img.shape[1] // 2) * 2
     return img[:h, :w].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
@@ -65,13 +49,13 @@ def ms_ssim(a: Image, b: Image) -> float:
         raise MetricError(f"ms_ssim needs min extent >= 32, got {a.height}x{a.width}")
     x = a.pixels @ GRAY_WEIGHTS
     y = b.pixels @ GRAY_WEIGHTS
-    k = _gaussian_window()
+    k = gaussian_kernel1d(1.5)  # 11 taps
     value = 1.0
     for scale in range(MSSSIM_SCALES):
-        mu_x, mu_y = _filter2(x, k), _filter2(y, k)
-        sxx = _filter2(x * x, k) - mu_x * mu_x
-        syy = _filter2(y * y, k) - mu_y * mu_y
-        sxy = _filter2(x * y, k) - mu_x * mu_y
+        mu_x, mu_y = separable_filter(x, k), separable_filter(y, k)
+        sxx = separable_filter(x * x, k) - mu_x * mu_x
+        syy = separable_filter(y * y, k) - mu_y * mu_y
+        sxy = separable_filter(x * y, k) - mu_x * mu_y
         cs = float(np.mean((2 * sxy + _C2) / (sxx + syy + _C2)))
         cs = max(cs, 0.0)
         if scale == MSSSIM_SCALES - 1:
@@ -99,21 +83,3 @@ def feature_distance(a: Image, b: Image, psi: FeatureNetPsi) -> float:
         total += float(np.mean((na - nb) ** 2))
     return total / len(fa)
 
-
-@dataclass
-class MetricReport:
-    ids: list
-    psnr_values: list
-    ms_ssim_values: list
-    dfd_values: list
-
-    @property
-    def count(self) -> int:
-        return len(self.ids)
-
-    def means(self) -> dict[str, float]:
-        return {
-            "psnr": float(np.mean(self.psnr_values)),
-            "ms_ssim": float(np.mean(self.ms_ssim_values)),
-            "dfd": float(np.mean(self.dfd_values)),
-        }

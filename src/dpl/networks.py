@@ -25,8 +25,8 @@ class Conv2dLayer:
             w = np.zeros((c_out, c_in, k, k))
         else:
             w = rng.normal(0.0, np.sqrt(2.0 / (c_in * k * k)), size=(c_out, c_in, k, k))
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
+        self.weight = Tensor(w)
+        self.bias = Tensor(np.zeros(c_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -38,8 +38,8 @@ class Conv2dLayer:
 class LinearLayer:
     def __init__(self, n_in: int, n_out: int, rng: Rng):
         w = rng.normal(0.0, np.sqrt(1.0 / n_in), size=(n_in, n_out))
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(n_out), requires_grad=True)
+        self.weight = Tensor(w)
+        self.bias = Tensor(np.zeros(n_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return (x @ self.weight) + self.bias
@@ -81,13 +81,6 @@ class _Net:
                     )
                 param.data = arr.astype(T.get_default_dtype())
 
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.params():
-            p.requires_grad = flag
-
-    def trainable(self) -> bool:
-        return any(p.requires_grad for p in self.params())
-
 
 class GeneratorF(_Net):
     """Small encoder-decoder with a global additive skip.
@@ -122,9 +115,8 @@ class GeneratorF(_Net):
 class FeatureNetPsi(_Net):
     """3-block CNN pretrained on synthetic textures; taps after each block.
 
-    In transformation training all parameters are frozen and only the tap
-    activations are consumed; the classification head exists for
-    pretraining alone.
+    In transformation training only the tap activations are consumed; the
+    classification head exists for pretraining alone.
     """
 
     TAP_CHANNELS = (16, 32, 64)
@@ -229,7 +221,6 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
     """
     n_hold = max(1, int(len(dataset) * holdout_frac))
     heldout, train = dataset[:n_hold], dataset[n_hold:]
-    psi.set_trainable(True)
     opt = Adam(psi.params(), lr=lr)
     acc = accuracy(psi, heldout)
     if log is not None:
@@ -237,7 +228,7 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
     for epoch in range(1, epochs + 1):
         for idx in rng.permutation(len(train)):
             img, label = train[int(idx)]
-            with T.ComputationTape() as tape:
+            with T.ComputationTape(opt.params) as tape:
                 loss = cross_entropy(psi.logits(to_tensor(img)), label)
                 T.backward(loss, tape)
             opt.step()
@@ -252,6 +243,5 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
             f"pretraining reached only {acc:.2%} held-out accuracy; "
             "increase the epoch/sample budget or change the seed"
         )
-    psi.set_trainable(False)
     psi.final_accuracy = acc
     return psi

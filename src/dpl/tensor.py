@@ -2,10 +2,13 @@
 
 Values are contiguous numpy buffers; the element type is selectable at
 runtime (float32 for training, float64 for gradient-check suites).
-Operations executed while a ComputationTape is active record a backward
-rule; replaying the tape in reverse accumulates d(loss)/d(leaf) into the
-``grad`` buffer of every requires_grad leaf. Gradients accumulate
-additively across backward calls until explicitly zeroed.
+A ComputationTape is built with its parameter list, the set it
+differentiates with respect to. While it is active, an operation records a
+backward rule only when one of its inputs is one of those parameters or an
+output the tape recorded; everything else is a constant on that tape.
+Replaying the tape in reverse accumulates d(loss)/d(param) into the
+``grad`` buffer of each parameter. Gradients accumulate additively across
+backward calls until explicitly zeroed.
 """
 
 from __future__ import annotations
@@ -53,11 +56,10 @@ class AutodiffError(Exception):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, dtype=None):
         self.data = np.array(data, dtype=dtype or _DEFAULT_DTYPE)
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -76,12 +78,8 @@ class Tensor:
     def detach(self) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = self.data
-        out.requires_grad = False
         out.grad = None
         return out
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def ensure_grad(self) -> np.ndarray:
         if self.grad is None:
@@ -93,7 +91,7 @@ class Tensor:
             self.grad.fill(0.0)
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
     # -- operator sugar ----------------------------------------------------
 
@@ -140,35 +138,31 @@ class Tensor:
     def transpose(self, axes=None):
         return transpose(self, axes)
 
-    def backward(self, tape: "ComputationTape | None" = None) -> None:
-        backward(self, tape)
-
 
 class ComputationTape:
-    """Ordered record of operations; reverse replay drives backpropagation.
+    """Ordered record of the operations that depend on ``params``; reverse
+    replay drives backpropagation into those parameters and no others.
 
     Entries are (output, backward_rule) where the rule maps the output
-    gradient to (parent, contribution) pairs. Leaf contributions are
+    gradient to (parent, contribution) pairs. Parameter contributions are
     applied in ascending recording order so that gradient accumulation is
     bitwise reproducible and matches the "sum losses then backward once"
     formulation exactly.
     """
 
-    def __init__(self):
+    def __init__(self, params: Iterable[Tensor]):
+        self._params: dict[int, Tensor] = {id(p): p for p in params}
         self._entries: list[tuple[Tensor, Callable[[np.ndarray], list]]] = []
         self._produced: dict[int, int] = {}
         self._prev_active: "ComputationTape | None" = None
 
-    def __len__(self):
-        return len(self._entries)
+    def tracks(self, t: Tensor) -> bool:
+        """Whether ``t`` is a parameter of this tape or an output it recorded."""
+        return id(t) in self._params or id(t) in self._produced
 
     def record(self, out: Tensor, rule: Callable[[np.ndarray], list]) -> None:
         self._produced[id(out)] = len(self._entries)
         self._entries.append((out, rule))
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._produced.clear()
 
     def __enter__(self) -> "ComputationTape":
         global _ACTIVE_TAPE
@@ -191,7 +185,7 @@ def active_tape() -> ComputationTape | None:
 
 
 def backward(loss: Tensor, tape: ComputationTape | None = None) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf on the tape.
+    """Accumulate d(loss)/d(param) into every parameter of the tape.
 
     Repeated calls on the same tape accumulate (gradients add linearly).
     """
@@ -204,29 +198,27 @@ def backward(loss: Tensor, tape: ComputationTape | None = None) -> None:
         raise AutodiffError("loss tensor was not produced under this tape")
 
     flows: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    leaf_contribs: dict[int, tuple[Tensor, list[tuple[int, np.ndarray]]]] = {}
+    param_contribs: dict[int, tuple[Tensor, list[tuple[int, np.ndarray]]]] = {}
 
     entries = tape._entries
     produced = tape._produced
+    params = tape._params
     for idx in range(len(entries) - 1, -1, -1):
         out, rule = entries[idx]
         g = flows.pop(id(out), None)
         if g is None:
             continue
         for parent, contrib in rule(g):
-            if not parent.requires_grad:
-                continue
             pid = id(parent)
-            prod_idx = produced.get(pid)
-            if prod_idx is not None and prod_idx < idx:
+            if pid in produced:
                 prev = flows.get(pid)
                 flows[pid] = contrib if prev is None else prev + contrib
-            else:
-                bucket = leaf_contribs.setdefault(pid, (parent, []))
+            elif pid in params:
+                bucket = param_contribs.setdefault(pid, (parent, []))
                 bucket[1].append((idx, contrib))
 
-    for leaf, contribs in leaf_contribs.values():
-        buf = leaf.ensure_grad()
+    for param, contribs in param_contribs.values():
+        buf = param.ensure_grad()
         for _, contrib in sorted(contribs, key=lambda pair: pair[0]):
             buf += contrib
 
@@ -247,9 +239,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], rule) -> Tensor:
     out.data = data
     out.grad = None
     tape = _ACTIVE_TAPE
-    wants = tape is not None and any(p.requires_grad for p in parents)
-    out.requires_grad = wants
-    if wants:
+    if tape is not None and any(tape.tracks(p) for p in parents):
         tape.record(out, rule)
     return out
 
@@ -266,7 +256,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_elementwise_shapes(a: Tensor, b: Tensor, op: str) -> None:
+def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -275,12 +265,12 @@ def _check_elementwise_shapes(a: Tensor, b: Tensor, op: str) -> None:
         ) from None
 
 
-# -- elementwise arithmetic --------------------------------------------------
+# -- arithmetic ---------------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_elementwise_shapes(a, b, "add")
+    _check_broadcast(a, b, "add")
     data = a.data + b.data
 
     def rule(g):
@@ -291,7 +281,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_elementwise_shapes(a, b, "sub")
+    _check_broadcast(a, b, "sub")
     data = a.data - b.data
 
     def rule(g):
@@ -302,7 +292,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_elementwise_shapes(a, b, "mul")
+    _check_broadcast(a, b, "mul")
     data = a.data * b.data
 
     def rule(g):
@@ -316,7 +306,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_elementwise_shapes(a, b, "div")
+    _check_broadcast(a, b, "div")
     data = a.data / b.data
 
     def rule(g):
@@ -326,15 +316,6 @@ def div(a, b) -> Tensor:
         ]
 
     return _make(data, (a, b), rule)
-
-
-def elementwise(kind: str, a, b) -> Tensor:
-    """Dispatch table for the basic binary ops."""
-    try:
-        fn = {"add": add, "sub": sub, "mul": mul}[kind]
-    except KeyError:
-        raise AutodiffError(f"unknown elementwise kind {kind!r}") from None
-    return fn(a, b)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -514,6 +495,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     channel c at kernel offset (i, j) for every output position. Forward,
     weight gradient and input gradient are one matmul each; the input
     gradient is folded back into the padded plane with kh*kw slice-adds.
+    Only the gradients the active tape tracks are computed, so a frozen
+    weight costs no weight-gradient matmul.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -542,15 +525,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c * kh * kw, h_out * w_out)
     wmat = weight.data.reshape(o, -1)
     out = (wmat @ cols + bias.data[:, None]).reshape(o, h_out, w_out)
+    tape = _ACTIVE_TAPE
+    need_x, need_w, need_b = (tape is not None and tape.tracks(t) for t in (x, weight, bias))
 
     def rule(g):
         g2 = g.reshape(o, -1)  # (O, H'W')
         grads = []
-        if weight.requires_grad:
+        if need_w:
             grads.append((weight, (g2 @ cols.T).reshape(weight.shape)))
-        if bias.requires_grad:
+        if need_b:
             grads.append((bias, g2.sum(axis=1)))
-        if x.requires_grad:
+        if need_x:
             dcols = (wmat.T @ g2).reshape(c, kh, kw, h_out, w_out)
             dxp = np.zeros((c, hp, wp), dtype=g.dtype)
             for a in range(kh):
@@ -610,9 +595,3 @@ def reflect_pad2d(x: Tensor, pad: int) -> Tensor:
         return [(x, dx.astype(g.dtype).reshape(c, h, w))]
 
     return _make(data, (x,), rule)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    """Zero every gradient buffer in place (idempotent)."""
-    for p in params:
-        p.zero_grad()

@@ -3,9 +3,10 @@
 Each iteration: build a triplet from the current pair and the generator's
 own output, accumulate the selector gradient (without stepping), take one
 Adam step on the generator, and apply the accumulated selector update
-every N iterations. The extractor stays frozen throughout in
-feature-selection mode; the generator is frozen while the triplet
-gradient is computed.
+every N iterations. Each step differentiates only with respect to the
+parameter list of the optimizer it feeds: the generator step's tape holds
+F's parameters, the selector tape holds phi's (psi's in full mode), so
+everything else is a constant on that tape.
 """
 
 from __future__ import annotations
@@ -27,7 +28,20 @@ from .tensor import Tensor
 STRATEGY_KINDS = ("instance_self", "task_oriented", "source_anchored")
 MODES = ("feature_selection", "full", "frozen")
 DISTORTION_KINDS = ("gaussian_blur", "color_jitter", "grayscale")
-LOSS_NAMES = ("perceptual", "contextual", "pixel_l1", "color", "texture")
+
+# The generator's loss terms, in history.csv column order: name -> (default
+# weight, term(x_gen, y, features, config)), where ``features`` maps an image
+# tensor to the feature set of the configured mode. The terms look the loss
+# functions up in this module's globals when called, not when defined.
+LOSSES = {
+    "perceptual": (1.0, lambda x_gen, y, features, config:
+                   perceptual_loss(features(x_gen), features(y))),
+    "contextual": (0.0, lambda x_gen, y, features, config:
+                   contextual_loss(features(x_gen), features(y), config.contextual_params)),
+    "pixel_l1": (0.0, lambda x_gen, y, features, config: pixel_loss(x_gen, y)),
+    "color": (0.0, lambda x_gen, y, features, config: color_loss(x_gen, y, config.color_sigma)),
+    "texture": (0.0, lambda x_gen, y, features, config: texture_loss(x_gen, y)),
+}
 
 
 class TrainerError(Exception):
@@ -35,8 +49,8 @@ class TrainerError(Exception):
 
 
 class TrainingDiverged(TrainerError):
-    def __init__(self, state: "TrainState", value: float):
-        super().__init__(f"non-finite loss {value} at iteration {state.iteration}")
+    def __init__(self, state: "TrainState", what: str):
+        super().__init__(f"{what} at iteration {state.iteration}")
         self.iteration = state.iteration
         self.history = state.history  # the rows of the iterations before the halt
 
@@ -113,7 +127,8 @@ class DplConfig:
     iterations: int = 2000
     lr_generator: float = 1e-4
     lr_selector: float = 1e-4
-    loss_weights: dict = field(default_factory=lambda: {"perceptual": 1.0})
+    loss_weights: dict = field(default_factory=lambda: {
+        name: weight for name, (weight, _) in LOSSES.items() if weight > 0})
     contextual_params: ContextualParams = field(default_factory=ContextualParams)
     color_sigma: float = 3.0
     augment_pairs: bool = True
@@ -126,9 +141,9 @@ class DplConfig:
         if self.margin < 0:
             raise TrainerError(f"margin must be >= 0, got {self.margin}")
         for name in self.loss_weights:
-            if name not in LOSS_NAMES:
+            if name not in LOSSES:
                 raise TrainerError(f"unknown loss component {name!r}")
-        weights = [self.loss_weights.get(n, 0.0) for n in LOSS_NAMES]
+        weights = [self.loss_weights.get(n, 0.0) for n in LOSSES]
         if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
             raise TrainerError("loss weights must be >= 0 with at least one positive")
 
@@ -182,65 +197,45 @@ def generator_step(tape: T.ComputationTape, x_gen: Tensor, y: Tensor,
     """One Adam step on the generator under the configured loss recipe.
 
     ``x_gen`` is the generator's output on ``tape``, which also records the
-    loss. The extractor and selector are frozen for the duration of the step.
+    loss; the tape's parameters are the generator's, so the extractor and
+    selector enter the loss as constants.
     """
-    psi_was, phi_was = psi.trainable(), phi.trainable()
-    psi.set_trainable(False)
-    phi.set_trainable(False)
-    try:
-        with tape:
-            components = {}
-            total = None
-            for name, weight in config.loss_weights.items():
-                if weight <= 0:
-                    continue
-                if name == "perceptual":
-                    term = perceptual_loss(_features(psi, phi, x_gen, config.mode),
-                                           _features(psi, phi, y, config.mode))
-                elif name == "contextual":
-                    term = contextual_loss(_features(psi, phi, x_gen, config.mode),
-                                           _features(psi, phi, y, config.mode),
-                                           config.contextual_params)
-                elif name == "pixel_l1":
-                    term = pixel_loss("l1", x_gen, y)
-                elif name == "color":
-                    term = color_loss(x_gen, y, config.color_sigma)
-                else:
-                    term = texture_loss(x_gen, y)
-                components[name] = term.item()
-                weighted = term * weight
-                total = weighted if total is None else total + weighted
-            value = total.item()
-            if not np.isfinite(value):
-                raise TrainingDiverged(state, value)
-            T.backward(total, tape)
-        state.gen_opt.step()
-        state.gen_opt.zero_grad()
-    finally:
-        psi.set_trainable(psi_was)
-        phi.set_trainable(phi_was)
+    def features(t: Tensor):
+        return _features(psi, phi, t, config.mode)
+
+    with tape:
+        components = {}
+        total = None
+        for name, weight in config.loss_weights.items():
+            if weight <= 0:
+                continue
+            term = LOSSES[name][1](x_gen, y, features, config)
+            components[name] = term.item()
+            weighted = term * weight
+            total = weighted if total is None else total + weighted
+        value = total.item()
+        if not np.isfinite(value):
+            raise TrainingDiverged(state, f"non-finite loss {value}")
+        T.backward(total, tape)
+    state.gen_opt.step()
+    state.gen_opt.zero_grad()
     return value, components
 
 
 def selector_accumulate(psi: FeatureNetPsi, phi: SelectionPhi, triplet: Triplet,
                         margin: float, config: DplConfig, state: TrainState) -> float:
-    """Accumulate the triplet-loss gradient into the fine-tuned parameters
-    without stepping; the generator never appears on this tape."""
+    """Accumulate the triplet-loss gradient into the selector optimizer's
+    parameters without stepping; the generator never appears on this tape."""
     if config.mode == "frozen":
         raise TrainerError("selector_accumulate called in frozen mode")
-    if config.mode == "feature_selection":
-        psi.set_trainable(False)
-        phi.set_trainable(True)
-    else:
-        psi.set_trainable(True)
-    with T.ComputationTape() as tape:
+    with T.ComputationTape(state.sel_opt.params) as tape:
         fa = _features(psi, phi, to_tensor(triplet.anchor), config.mode)
         fp = _features(psi, phi, to_tensor(triplet.positive), config.mode)
         fn = _features(psi, phi, to_tensor(triplet.negative), config.mode)
         loss = triplet_loss(fa, fp, fn, margin)
         value = loss.item()
         if not np.isfinite(value):
-            raise TrainingDiverged(state, value)
+            raise TrainingDiverged(state, f"non-finite triplet loss {value}")
         T.backward(loss, tape)
     state.accum_count += 1
     return value
@@ -267,7 +262,6 @@ def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
     """
     if not dataset:
         raise TrainerError("empty dataset")
-    psi.set_trainable(False)
     state = TrainState()
     state.gen_opt = Adam(f.params(), lr=config.lr_generator)
     sel_params = _selector_params(psi, phi, config.mode)
@@ -287,7 +281,7 @@ def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
         x_t = to_tensor(x_img)
         y_t = to_tensor(y_img)
 
-        with T.ComputationTape() as gen_tape:
+        with T.ComputationTape(state.gen_opt.params) as gen_tape:
             x_gen = f(x_t)
         d_c = 0.0
         if config.mode != "frozen":
@@ -301,13 +295,17 @@ def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
         if config.mode != "frozen" and state.accum_count >= config.interval:
             selector_apply(sel_params, state, config.interval)
 
+        f_norm, phi_norm = param_norm(f.params()), param_norm(phi.params())
+        if not (np.isfinite(f_norm) and np.isfinite(phi_norm)):
+            raise TrainingDiverged(
+                state, f"non-finite parameters (f_norm {f_norm}, phi_norm {phi_norm})")
         state.history.append(HistoryRow(
             iteration=it,
             generator_loss=gen_loss,
             components=components,
             d_c=d_c,
-            f_norm=param_norm(f.params()),
-            phi_norm=param_norm(phi.params()),
+            f_norm=f_norm,
+            phi_norm=phi_norm,
         ))
         if sample_hook is not None:
             sample_hook(it, f, x_img, y_img)

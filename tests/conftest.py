@@ -52,13 +52,12 @@ def check_gradients(build, arrays, rng, n_points=20, rtol=1e-6, atol=1e-8,
                     step=1e-5):
     """Compare taped gradients against central finite differences.
 
-    ``build`` maps a list of numpy arrays to a scalar Tensor while
-    recording on the active tape; leaves are created inside so the caller
-    controls which arrays get gradients.
+    ``build`` maps a list of tensors, one per array, to a scalar Tensor
+    while recording on the active tape, whose parameters are those tensors.
     """
-    tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+    tensors = [T.Tensor(a) for a in arrays]
 
-    with T.ComputationTape() as tape:
+    with T.ComputationTape(tensors) as tape:
         loss = build(tensors)
         T.backward(loss, tape)
 

@@ -14,9 +14,9 @@ from dpl.image import load_image
 
 def test_defaults_without_file():
     cfg = parse_config(use_env=False)
-    assert cfg.task == "colorcast"
-    assert cfg.size == 32
-    assert cfg.seed == 0
+    assert cfg["task"] == "colorcast"
+    assert cfg["size"] == 32
+    assert cfg["seed"] == 0
     assert cfg["dpl.margin"] == 1.0
     assert cfg["dpl.interval"] == 4
     assert cfg["metrics"] == ("psnr", "ms_ssim", "dfd")
@@ -32,7 +32,7 @@ def test_file_parsing_with_comments(tmp_path):
         "metrics = psnr,dfd\n"
     )
     cfg = parse_config(path, use_env=False)
-    assert cfg.task == "darken"
+    assert cfg["task"] == "darken"
     assert cfg["dpl.margin"] == 0.5
     assert cfg["metrics"] == ("psnr", "dfd")
 
@@ -62,8 +62,8 @@ def test_env_seed_and_override_precedence(tmp_path, monkeypatch):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 5\n")
     monkeypatch.setenv("DPL_SEED", "9")
-    assert parse_config(path).seed == 9
-    assert parse_config(path, overrides={"seed": "11"}).seed == 11
+    assert parse_config(path)["seed"] == 9
+    assert parse_config(path, overrides={"seed": "11"})["seed"] == 11
 
 
 def test_emit_round_trip(tmp_path):
@@ -160,11 +160,11 @@ def test_train_divergence_exit_three(prepared_run):
     assert code == 3
     lines = (prepared_run / "history.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
-    # the rows before the halt are kept, numbered from 0, with finite losses;
-    # the last f_norm may already show the step that blew the generator up
+    # the rows before the halt are kept, numbered from 0, every value finite:
+    # the iteration whose step makes F non-finite halts before its row
     assert 1 <= len(rows) < 20
     assert [int(row[0]) for row in rows] == list(range(len(rows)))
-    assert all(np.isfinite(float(v)) for row in rows for v in row[1:8])
+    assert all(np.isfinite(float(v)) for row in rows for v in row[1:])
     assert not (prepared_run / "f.dplc").exists()
 
 
@@ -203,6 +203,32 @@ def test_eval_without_data_is_usage_error(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_malformed_manifest_line_is_usage_error(prepared_run, capsys):
+    manifest = prepared_run / "val" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines[2] = lines[2].split()[0]  # line 3 names only the input image
+    manifest.write_text("\n".join(lines) + "\n")
+    assert main(["eval", *_base_args(prepared_run)]) == 1
+    assert "manifest.txt:3" in capsys.readouterr().err
+
+
+def test_missing_dataset_image_is_usage_error(prepared_run, capsys):
+    (prepared_run / "train" / "0002_y.ppm").unlink()
+    assert main(["train", *_base_args(prepared_run)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read image" in err and "0002_y.ppm" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dpl.distortion", "gaussian_blur", "--dpl.blur_sigma_min", "3"], "blur sigma range"),
+    (["--dpl.w_perceptual", "0"], "loss weights"),
+])
+def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
+    # refused before any data is read: the output directory does not exist
+    assert main(["train", *_base_args(tmp_path / "nothing"), *flags]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_distort_command(prepared_run, tmp_path):
     src = prepared_run / "train" / "0001_y.ppm"
     dst = tmp_path / "distorted.ppm"
@@ -220,7 +246,7 @@ def test_show_config_round_trips(tmp_path, capsys):
     path = tmp_path / "shown.cfg"
     path.write_text(text)
     cfg = parse_config(path, use_env=False)
-    assert cfg.task == "blur"
+    assert cfg["task"] == "blur"
     assert cfg["dpl.margin"] == 0.25
 
 

@@ -230,22 +230,20 @@ def test_texture_symmetric():
 
 def test_pixel_identity_zero():
     a = _img_tensor(13)
-    for kind in ("l1", "mse"):
-        assert pixel_loss(kind, a, a).item() == pytest.approx(0.0, abs=1e-12)
+    assert pixel_loss(a, a).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pixel_arithmetic():
     a = Tensor(np.array([0.0, 1.0]))
     b = Tensor(np.array([1.0, 1.0]))
-    assert pixel_loss("l1", a, b).item() == pytest.approx(0.5)
-    assert pixel_loss("mse", a, b).item() == pytest.approx(0.5)
+    assert pixel_loss(a, b).item() == pytest.approx(0.5)
 
 
-def test_pixel_mse_gradient(f64):
+def test_pixel_l1_gradient(f64):
     rng = np.random.default_rng(14)
     a = rng.normal(size=(3, 5, 5))
-    b = rng.normal(size=(3, 5, 5))
-    check_gradients(lambda ts: pixel_loss("mse", ts[0], ts[1]), [a, b], rng,
+    b = a + rng.choice([-1.0, 1.0], size=a.shape) * rng.uniform(0.1, 1.0, size=a.shape)
+    check_gradients(lambda ts: pixel_loss(ts[0], ts[1]), [a, b], rng,
                     n_points=20, rtol=1e-6)
 
 
@@ -261,8 +259,7 @@ def test_all_losses_non_negative_1000_trials():
         c = Tensor(rng.normal(size=shape))
         assert perceptual_loss([a], [b]).item() >= 0.0
         assert triplet_loss([a], [b], [c], margin=1.0).item() >= 0.0
-        assert pixel_loss("l1", a, b).item() >= 0.0
-        assert pixel_loss("mse", a, b).item() >= 0.0
+        assert pixel_loss(a, b).item() >= 0.0
         if trial % 20 == 0:  # blur/contextual are heavier; sample them
             assert color_loss(a, b).item() >= 0.0
             assert texture_loss(a, b).item() >= 0.0
@@ -274,7 +271,5 @@ def test_symmetric_losses_are_symmetric():
     for _ in range(20):
         a = Tensor(rng.uniform(size=(3, 8, 8)))
         b = Tensor(rng.uniform(size=(3, 8, 8)))
-        for fn in (lambda u, v: pixel_loss("l1", u, v),
-                   lambda u, v: pixel_loss("mse", u, v),
-                   color_loss, texture_loss):
+        for fn in (pixel_loss, color_loss, texture_loss):
             assert fn(a, b).item() == pytest.approx(fn(b, a).item(), rel=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpl.image import Image, gaussian_blur
-from dpl.metrics import MetricError, MetricReport, feature_distance, ms_ssim, psnr
+from dpl.metrics import MetricError, feature_distance, ms_ssim, psnr
 from dpl.networks import FeatureNetPsi
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
@@ -119,10 +119,3 @@ def test_feature_distance_ranks_similarity(pretrained_psi):
     far = _scene(16, 32)
     assert feature_distance(a, near, psi) < feature_distance(a, far, psi)
 
-
-def test_metric_report_means():
-    r = MetricReport(ids=[0, 1], psnr_values=[20.0, 30.0],
-                     ms_ssim_values=[0.8, 1.0], dfd_values=[0.002, 0.004])
-    assert r.count == 2
-    m = r.means()
-    assert m == {"psnr": 25.0, "ms_ssim": 0.9, "dfd": 0.003}

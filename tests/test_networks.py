@@ -67,7 +67,7 @@ def test_psi_logits_shape_and_softmax():
 
 
 def test_cross_entropy_uniform_is_log_k():
-    logits = Tensor(np.zeros(10), requires_grad=True)
+    logits = Tensor(np.zeros(10))
     assert cross_entropy(logits, 3).item() == pytest.approx(math.log(10.0), rel=1e-6)
 
 
@@ -102,16 +102,6 @@ def test_phi_tap_count_and_channel_validation():
            Tensor(np.zeros((64, 4, 4)))]
     with pytest.raises(NetworkError, match="channel mismatch"):
         phi(bad)
-
-
-def test_set_trainable_round_trip():
-    phi = SelectionPhi(Rng(10))
-    assert phi.trainable()
-    phi.set_trainable(False)
-    assert not phi.trainable()
-    assert all(not p.requires_grad for p in phi.params())
-    phi.set_trainable(True)
-    assert phi.trainable()
 
 
 # -- checkpoints -----------------------------------------------------------------------
@@ -181,7 +171,6 @@ def test_pretrain_smoke_small():
     psi = FeatureNetPsi(rng.child(2))
     pretrain_psi(psi, data, epochs=3, rng=rng.child(3), target_accuracy=0.75)
     assert psi.final_accuracy >= 0.5
-    assert not psi.trainable()
 
 
 def test_classify_and_accuracy_consistent():

@@ -8,23 +8,23 @@ from dpl.tensor import AutodiffError, ComputationTape, Tensor
 
 
 def test_elementwise_add():
-    out = T.elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+    out = T.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     assert np.allclose(out.data, [4.0, 6.0])
 
 
 def test_elementwise_scalar_broadcast():
-    out = T.elementwise("mul", Tensor([2.0, 3.0]), 0.0)
+    out = T.mul(Tensor([2.0, 3.0]), 0.0)
     assert np.allclose(out.data, [0.0, 0.0])
 
 
 def test_elementwise_shape_mismatch_names_shapes():
     with pytest.raises(AutodiffError, match=r"\(2,\).*\(3,\)"):
-        T.elementwise("add", Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+        T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
 
 def test_sub_self_zero_gradient():
-    with ComputationTape() as tape:
-        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    x = Tensor([1.0, -2.0, 3.0])
+    with ComputationTape([x]) as tape:
         loss = (x - x).sum()
         assert np.allclose(loss.data, 0.0)
         T.backward(loss, tape)
@@ -32,15 +32,15 @@ def test_sub_self_zero_gradient():
 
 
 def test_backward_sum_gives_ones():
-    with ComputationTape() as tape:
-        x = Tensor([5.0, 6.0, 7.0], requires_grad=True)
+    x = Tensor([5.0, 6.0, 7.0])
+    with ComputationTape([x]) as tape:
         T.backward(x.sum(), tape)
     assert np.allclose(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_accumulates_on_repeat():
-    with ComputationTape() as tape:
-        x = Tensor([1.0, 2.0], requires_grad=True)
+    x = Tensor([1.0, 2.0])
+    with ComputationTape([x]) as tape:
         loss = (x * x).sum()
         T.backward(loss, tape)
         first = x.grad.copy()
@@ -50,8 +50,8 @@ def test_backward_accumulates_on_repeat():
 
 def test_backward_k_times_scales_linearly(f64):
     rng = np.random.default_rng(0)
-    with ComputationTape() as tape:
-        x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 4)))
+    with ComputationTape([x]) as tape:
         loss = T.relu(x * 2.0 - 0.5).mean()
         T.backward(loss, tape)
         once = x.grad.copy()
@@ -61,33 +61,45 @@ def test_backward_k_times_scales_linearly(f64):
 
 
 def test_backward_requires_rank0():
-    with ComputationTape() as tape:
-        x = Tensor([1.0, 2.0], requires_grad=True)
+    x = Tensor([1.0, 2.0])
+    with ComputationTape([x]) as tape:
         y = x * 2.0
         with pytest.raises(AutodiffError, match="rank-0"):
             T.backward(y, tape)
 
 
 def test_backward_loss_not_on_tape():
-    with ComputationTape() as tape1:
-        x = Tensor([1.0], requires_grad=True)
+    x = Tensor([1.0])
+    with ComputationTape([x]):
         loss = x.sum()
-    with ComputationTape() as tape2:
+    with ComputationTape([x]) as tape2:
         with pytest.raises(AutodiffError, match="not produced under this tape"):
             T.backward(loss, tape2)
+
+
+def test_leaf_outside_the_parameter_list_is_a_constant():
+    p, c = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+    with ComputationTape([p]) as tape:
+        frozen = c * c  # depends on no parameter: not recorded
+        loss = (p * frozen).sum()
+        T.backward(loss, tape)
+    assert tape.tracks(p) and tape.tracks(loss)
+    assert not tape.tracks(c) and not tape.tracks(frozen)
+    assert c.grad is None
+    assert np.allclose(p.grad, [9.0, 16.0])
 
 
 def test_zero_grads_and_rerun_matches_fresh(f64):
     rng = np.random.default_rng(1)
     data = rng.normal(size=(3, 3))
-    with ComputationTape() as tape:
-        x = Tensor(data, requires_grad=True)
+    x = Tensor(data)
+    with ComputationTape([x]) as tape:
         loss = (x * x * x).sum()
         T.backward(loss, tape)
         fresh = x.grad.copy()
-        T.zero_grads([x])
+        x.zero_grad()
         assert np.all(x.grad == 0.0)
-        T.zero_grads([x])  # idempotent
+        x.zero_grad()  # idempotent
         assert np.all(x.grad == 0.0)
         T.backward(loss, tape)
     assert np.array_equal(x.grad, fresh)
@@ -102,8 +114,8 @@ def test_relu_values():
 
 
 def test_relu_all_negative_zero_grad():
-    with ComputationTape() as tape:
-        x = Tensor([-1.0, -5.0], requires_grad=True)
+    x = Tensor([-1.0, -5.0])
+    with ComputationTape([x]) as tape:
         T.backward(T.relu(x).sum(), tape)
     assert np.allclose(x.grad, 0.0)
 
@@ -227,8 +239,8 @@ def test_conv2d_gradients_match_loop_oracle(f64, kernel, stride, padding, extent
     x = rng.normal(size=(2, *extent))
     w = rng.normal(size=(3, 2, *kernel))
     b = rng.normal(size=3)
-    with ComputationTape() as tape:
-        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    xt, wt, bt = (Tensor(a) for a in (x, w, b))
+    with ComputationTape([xt, wt, bt]) as tape:
         out = T.conv2d(xt, wt, bt, stride, padding)
         g = rng.normal(size=out.shape)
         T.backward((out * g).sum(), tape)
@@ -237,6 +249,18 @@ def test_conv2d_gradients_match_loop_oracle(f64, kernel, stride, padding, extent
     assert np.allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
     assert np.allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
     assert np.allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_untracked_weight_and_bias_get_no_gradient(f64):
+    rng = np.random.default_rng(70)
+    x, w, b = rng.normal(size=(2, 5, 5)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
+    xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+    with ComputationTape([xt]) as tape:
+        out = T.conv2d(xt, wt, bt, 1, 1)
+        g = rng.normal(size=out.shape)
+        T.backward((out * g).sum(), tape)
+    assert wt.grad is None and bt.grad is None
+    assert np.allclose(xt.grad, naive_conv2d_grads(x, w, g, 1, 1)[0], rtol=1e-12, atol=1e-12)
 
 
 # -- pooling / upsampling -------------------------------------------------------
@@ -259,8 +283,8 @@ def test_max_pool2_odd_extent_errors():
 
 
 def test_max_pool2_tie_routes_to_first_index():
-    with ComputationTape() as tape:
-        x = Tensor([[[2.0, 2.0], [2.0, 2.0]]], requires_grad=True)
+    x = Tensor([[[2.0, 2.0], [2.0, 2.0]]])
+    with ComputationTape([x]) as tape:
         T.backward(T.max_pool2(x).sum(), tape)
     assert np.allclose(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
 
@@ -305,8 +329,8 @@ def test_reflect_pad_gradient(f64):
 def test_reflect_pad_gradient_matches_scatter_oracle(f64, pad):
     rng = np.random.default_rng(90 + pad)
     x = rng.normal(size=(2, 4, 6))
-    with ComputationTape() as tape:
-        xt = Tensor(x, requires_grad=True)
+    xt = Tensor(x)
+    with ComputationTape([xt]) as tape:
         out = T.reflect_pad2d(xt, pad)
         g = rng.normal(size=out.shape)
         T.backward((out * g).sum(), tape)
@@ -345,9 +369,9 @@ def test_determinism_bit_identical():
     b = rng.normal(size=4).astype(np.float32)
     runs = []
     for _ in range(2):
-        with ComputationTape() as tape:
-            xt = Tensor(x, requires_grad=True)
-            out = T.relu(T.conv2d(xt, Tensor(w, requires_grad=True), Tensor(b), padding=1))
+        xt, wt = Tensor(x), Tensor(w)
+        with ComputationTape([xt, wt]) as tape:
+            out = T.relu(T.conv2d(xt, wt, Tensor(b), padding=1))
             T.backward(out.mean(), tape)
         runs.append((out.data.copy(), xt.grad.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -365,7 +389,7 @@ def test_network_stack_gradients_bit_identical():
         f, psi, phi = GeneratorF(rng.child(1)), FeatureNetPsi(rng.child(2)), SelectionPhi(rng.child(3))
         # a non-zero head so that the gradient reaches every layer of F
         f.dec2.weight.data = np.full_like(f.dec2.weight.data, 0.01)
-        with ComputationTape() as tape:
+        with ComputationTape(f.params() + psi.params() + phi.params()) as tape:
             taps = phi(psi(f(Tensor(x))))
             loss = taps[0].mean()
             for tap in taps[1:]:
@@ -383,7 +407,7 @@ def test_network_stack_gradients_bit_identical():
 
 
 def test_adam_first_step_bias_corrected():
-    p = Tensor([0.0], requires_grad=True)
+    p = Tensor([0.0])
     p.grad = np.ones(1, dtype=p.dtype)
     state = AdamState(lr=1e-4)
     adam_step(p, state)
@@ -393,7 +417,7 @@ def test_adam_first_step_bias_corrected():
 
 
 def test_adam_zero_grad_is_noop():
-    p = Tensor([1.5, -2.0], requires_grad=True)
+    p = Tensor([1.5, -2.0])
     p.grad = np.zeros(2, dtype=p.dtype)
     before = p.data.copy()
     state = AdamState(lr=0.1)
@@ -404,20 +428,19 @@ def test_adam_zero_grad_is_noop():
 
 def test_adam_missing_grad_errors():
     with pytest.raises(AutodiffError, match="no gradient"):
-        adam_step(Tensor([1.0], requires_grad=True), AdamState())
+        adam_step(Tensor([1.0]), AdamState())
 
 
 def test_adam_descends_quadratic(f64):
-    w = Tensor([1.0], requires_grad=True)
+    w = Tensor([1.0])
     opt = Adam([w], lr=0.05)
     values = []
     for _ in range(10):
-        with ComputationTape() as tape:
+        with ComputationTape(opt.params) as tape:
             loss = (w * w).sum()
             values.append(loss.item())
             T.backward(loss, tape)
         opt.step()
         opt.zero_grad()
-    with ComputationTape():
-        values.append((w * w).sum().item())
+    values.append((w * w).sum().item())
     assert all(b < a for a, b in zip(values, values[1:]))

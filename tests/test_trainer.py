@@ -7,7 +7,7 @@ from dpl.optim import Adam
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
-from dpl.trainer import (DistortionSpec, DplConfig, TrainState, TrainerError,
+from dpl.trainer import (MODES, DistortionSpec, DplConfig, TrainState, TrainerError,
                          TrainingDiverged, Triplet, TripletStrategy,
                          build_triplet, generator_step, param_hash, param_norm,
                          run_training, selector_accumulate, selector_apply)
@@ -89,27 +89,24 @@ def test_triplet_roles_per_strategy():
 
 def test_generator_step_leaves_extractor_and_selector_untouched():
     f, psi, phi = _nets(2)
-    psi.set_trainable(False)
     config = DplConfig(iterations=1)
     state, _ = _state(f, psi, phi, config)
     x, y = _pair(3)[0]
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
     before_f = param_hash(f.params())
-    with T.ComputationTape() as tape:
+    with T.ComputationTape(state.gen_opt.params) as tape:
         x_gen = f(to_tensor(x))
     generator_step(tape, x_gen, to_tensor(y), psi, phi, config, state)
     assert param_hash(psi.params()) == before_psi
     assert param_hash(phi.params()) == before_phi
     assert param_hash(f.params()) != before_f
-    # freeze state restored afterwards
-    assert not psi.trainable()
-    assert phi.trainable()
+    # the extractor and selector were constants on the generator's tape
+    assert all(p.grad is None for p in psi.params() + phi.params())
 
 
 def test_selector_accumulate_leaves_generator_and_extractor_untouched():
     f, psi, phi = _nets(4)
-    psi.set_trainable(False)
     config = DplConfig(interval=1)
     state, sel = _state(f, psi, phi, config)
     x, y = _pair(5)[0]
@@ -169,7 +166,6 @@ def test_accumulated_gradient_equals_summed_loss_gradient(f64):
 
     def grads_by_accumulation():
         _, psi, phi = _nets(12)
-        psi.set_trainable(False)
         config = DplConfig(interval=n)
         state, sel = _state(GeneratorF(Rng(13)), psi, phi, config)
         for trip in trips:
@@ -178,8 +174,7 @@ def test_accumulated_gradient_equals_summed_loss_gradient(f64):
 
     def grads_by_sum():
         _, psi, phi = _nets(12)
-        psi.set_trainable(False)
-        with T.ComputationTape() as tape:
+        with T.ComputationTape(phi.params()) as tape:
             total = None
             for trip in trips:
                 fa = _features(psi, phi, to_tensor(trip.anchor), "feature_selection")
@@ -199,7 +194,6 @@ def test_interval_one_degenerates_to_per_iteration_updates():
     results = {}
     for interval in (1, 1):
         f, psi, phi = _nets(15)
-        psi.set_trainable(False)
         config = DplConfig(interval=interval, iterations=6,
                            strategy=TripletStrategy(kind="instance_self"))
         _, history = run_training(config, data, f, psi, phi, Rng(16))
@@ -219,7 +213,6 @@ def test_run_training_deterministic():
     hashes, losses = [], []
     for _ in range(2):
         f, psi, phi = _nets(18)
-        psi.set_trainable(False)
         config = DplConfig(iterations=8, interval=2,
                            strategy=TripletStrategy(kind="instance_self"))
         f, history = run_training(config, data, f, psi, phi, Rng(19))
@@ -232,7 +225,6 @@ def test_run_training_deterministic():
 def test_frozen_mode_never_touches_selector_or_extractor():
     data = _pair(20)
     f, psi, phi = _nets(21)
-    psi.set_trainable(False)
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
     config = DplConfig(mode="frozen", iterations=6)
@@ -243,10 +235,25 @@ def test_frozen_mode_never_touches_selector_or_extractor():
     assert all(r.phi_norm == history[0].phi_norm for r in history)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_untrained_networks_get_no_gradient(mode):
+    # each tape differentiates only its optimizer's parameters: psi never gets
+    # a gradient unless it is fine-tuned (full), phi only when it is trained
+    data = _pair(32)
+    f, psi, phi = _nets(33)
+    config = DplConfig(mode=mode, iterations=3, interval=2,
+                       strategy=TripletStrategy(kind="instance_self"))
+    run_training(config, data, f, psi, phi, Rng(34))
+    assert all(p.grad is not None for p in f.params())
+    if mode != "full":
+        assert all(p.grad is None for p in psi.params())
+    if mode != "feature_selection":
+        assert all(p.grad is None for p in phi.params())
+
+
 def test_history_row_contents():
     data = _pair(23)
     f, psi, phi = _nets(24)
-    psi.set_trainable(False)
     config = DplConfig(iterations=3, interval=2,
                        strategy=TripletStrategy(kind="instance_self"),
                        loss_weights={"perceptual": 1.0, "pixel_l1": 0.5})
@@ -263,7 +270,6 @@ def test_single_pair_overfit_halves_loss():
     rng = Rng(26)
     data = generate_synthetic("darken", 1, 32, rng.child(1))
     f, psi, phi = _nets(27)
-    psi.set_trainable(False)
     config = DplConfig(iterations=200, interval=4, augment_pairs=False,
                        strategy=TripletStrategy(kind="instance_self"),
                        loss_weights={"perceptual": 1.0, "pixel_l1": 1.0})
@@ -281,14 +287,13 @@ def test_empty_dataset_rejected():
 
 def test_divergence_is_reported_with_iteration():
     f, psi, phi = _nets(30)
-    psi.set_trainable(False)
     # poison the generator so its output is NaN
     f.dec2.weight.data = np.full_like(f.dec2.weight.data, np.nan)
     config = DplConfig(iterations=1, mode="frozen")
     x, y = _pair(31)[0]
     state, _ = _state(f, psi, phi, config)
     state.iteration = 7
-    with T.ComputationTape() as tape:
+    with T.ComputationTape(state.gen_opt.params) as tape:
         x_gen = f(to_tensor(x))
     with pytest.raises(TrainingDiverged) as err:
         generator_step(tape, x_gen, to_tensor(y), psi, phi, config, state)
@@ -296,7 +301,7 @@ def test_divergence_is_reported_with_iteration():
 
 
 def test_param_norm_and_hash_basics():
-    t = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    t = Tensor(np.array([3.0, 4.0]))
     assert param_norm([t]) == pytest.approx(5.0)
     assert param_hash([t]) == param_hash([Tensor(np.array([3.0, 4.0]))])
     assert param_hash([t]) != param_hash([Tensor(np.array([3.0, 4.1]))])
