@@ -5,7 +5,7 @@ online contrastive selection layer, and evaluation metrics."""
 from .tensor import (ComputationTape, Tensor, backward, conv2d, default_dtype,
                      get_default_dtype, max_pool2, relu, set_default_dtype,
                      upsample_nearest2)
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .rng import Rng
 from .image import (Image, augment, color_jitter, from_tensor, gaussian_blur,
                     load_image, random_crop, save_image, to_grayscale, to_tensor)

@@ -12,8 +12,6 @@ import struct
 
 import numpy as np
 
-from .tensor import Tensor
-
 MAGIC = b"DPLC"
 VERSION = 1
 
@@ -23,8 +21,6 @@ class CheckpointError(Exception):
 
 
 def _as_array(value) -> np.ndarray:
-    if isinstance(value, Tensor):
-        value = value.data
     return np.ascontiguousarray(np.asarray(value, dtype=np.float64).astype("<f4"))
 
 

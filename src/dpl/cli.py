@@ -16,7 +16,7 @@ from pathlib import Path
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
 from .image import Image, ImageError, from_tensor, load_image, save_image, to_tensor
-from .metrics import feature_distance, ms_ssim, psnr
+from .metrics import MetricError, feature_distance, ms_ssim, psnr
 from .networks import FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi, pretrain_psi
 from .rng import Rng
 from .synth import generate_synthetic
@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRETRAIN_GATE = 2
 EXIT_NUMERIC_HALT = 3
+
+PRETRAIN_GATE = 0.80  # held-out accuracy psi must reach before it is saved
 
 
 class _UsageError(Exception):
@@ -109,15 +111,15 @@ def cmd_pretrain(config: ExperimentConfig) -> int:
     try:
         pretrain_psi(psi, data, config["pretrain.epochs"], rng.child(32),
                      lr=config["pretrain.lr"], log=log)
+        if psi.final_accuracy < PRETRAIN_GATE:
+            raise NetworkError(f"held-out accuracy {psi.final_accuracy:.2%} "
+                               f"< {PRETRAIN_GATE:.0%}; psi.dplc not written")
     except NetworkError as e:
         log(f"gate failed: {e}")
         (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
         return EXIT_PRETRAIN_GATE
     (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
     save_checkpoint(psi.state_dict(), out / "psi.dplc")
-    if psi.final_accuracy < 0.80:
-        print(f"accuracy gate unmet: {psi.final_accuracy:.2%} < 80%")
-        return EXIT_PRETRAIN_GATE
     print(f"saved extractor checkpoint, held-out accuracy {psi.final_accuracy:.2%}")
     return EXIT_OK
 
@@ -256,7 +258,8 @@ def main(argv=None) -> int:
         if args.command == "distort":
             return cmd_distort(config, args.input, args.output)
         return cmd_show_config(config)
-    except (_UsageError, ConfigError, CheckpointError, ImageError, NetworkError) as e:
+    except (_UsageError, ConfigError, CheckpointError, ImageError, MetricError,
+            NetworkError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from .image import ImageError
 from .losses import ContextualParams, LossError
+from .metrics import MS_SSIM_MIN_EXTENT
 from .synth import PAIRED_TASKS
 from .trainer import (DISTORTION_KINDS, LOSSES, MODES, STRATEGY_KINDS, DistortionSpec,
                       DplConfig, TrainerError, TripletStrategy)
@@ -175,7 +177,8 @@ def parse_config(path=None, overrides: dict | None = None,
     """Defaults, then file, then DPL_SEED, then command-line overrides.
 
     The merged values must also make a valid trainer configuration and
-    distortion, so combinations the trainer rejects fail here.
+    distortion, and an image size every listed metric accepts, so
+    combinations the runtime rejects fail here.
     """
     values: dict = {}
     if path is not None:
@@ -197,10 +200,13 @@ def parse_config(path=None, overrides: dict | None = None,
     for key, raw in (overrides or {}).items():
         _set_value(values, key, raw, "command line")
     config = ExperimentConfig(values)
+    if "ms_ssim" in config["metrics"] and config["size"] < MS_SSIM_MIN_EXTENT:
+        raise ConfigError(f"size {config['size']} is below {MS_SSIM_MIN_EXTENT}, the smallest "
+                          "extent ms_ssim accepts; raise size or drop ms_ssim from metrics")
     try:
         config.dpl_config()
         config.distortion_spec()
-    except (TrainerError, LossError) as e:
+    except (TrainerError, LossError, ImageError) as e:
         raise ConfigError(f"inconsistent dpl.* settings: {e}") from None
     return config
 

@@ -25,13 +25,11 @@ class Image:
     pixels: np.ndarray  # (H, W, 3) float64 in [0, 1]
 
     @staticmethod
-    def from_array(arr: np.ndarray, clamp: bool = True) -> "Image":
+    def from_array(arr: np.ndarray) -> "Image":
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ImageError(f"expected (H, W, 3) array, got {arr.shape}")
-        if clamp:
-            arr = np.clip(arr, 0.0, 1.0)
-        return Image(np.ascontiguousarray(arr))
+        return Image(np.ascontiguousarray(np.clip(arr, 0.0, 1.0)))
 
     @property
     def height(self) -> int:
@@ -84,29 +82,35 @@ def _read_token(f) -> bytes:
 
 
 def load_image(path) -> Image:
+    """Read a binary PPM; every error names ``path``."""
     try:
-        f = open(path, "rb")
+        with open(path, "rb") as f:
+            return _read_ppm(f)
     except OSError as e:
         raise ImageError(f"cannot read image {path}: {e.strerror}") from None
-    with f:
-        magic = _read_token(f)
-        if magic != b"P6":
-            raise ImageError(f"unsupported PPM magic {magic!r} (only binary P6)")
-        try:
-            w = int(_read_token(f))
-            h = int(_read_token(f))
-            maxval = int(_read_token(f))
-        except ValueError as e:
-            raise ImageError(f"malformed PPM header: {e}") from None
-        if w <= 0 or h <= 0:
-            raise ImageError(f"invalid PPM dimensions {w}x{h}")
-        if maxval != 255:
-            raise ImageError(f"unsupported PPM maxval {maxval} (only 255)")
-        payload = f.read(w * h * 3)
-        if len(payload) != w * h * 3:
-            raise ImageError(
-                f"truncated PPM payload: expected {w * h * 3} bytes, got {len(payload)}"
-            )
+    except ImageError as e:
+        raise ImageError(f"{path}: {e}") from None
+
+
+def _read_ppm(f) -> Image:
+    magic = _read_token(f)
+    if magic != b"P6":
+        raise ImageError(f"unsupported PPM magic {magic!r} (only binary P6)")
+    try:
+        w = int(_read_token(f))
+        h = int(_read_token(f))
+        maxval = int(_read_token(f))
+    except ValueError as e:
+        raise ImageError(f"malformed PPM header: {e}") from None
+    if w <= 0 or h <= 0:
+        raise ImageError(f"invalid PPM dimensions {w}x{h}")
+    if maxval != 255:
+        raise ImageError(f"unsupported PPM maxval {maxval} (only 255)")
+    payload = f.read(w * h * 3)
+    if len(payload) != w * h * 3:
+        raise ImageError(
+            f"truncated PPM payload: expected {w * h * 3} bytes, got {len(payload)}"
+        )
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
     return Image(arr.astype(np.float64) / 255.0)
 
@@ -176,18 +180,23 @@ def gaussian_blur(image: Image, sigma: float) -> Image:
     return Image.from_array(separable_filter(image.pixels, gaussian_kernel1d(sigma)))
 
 
+def check_jitter_ranges(scale_range: tuple[float, float],
+                        bias_range: tuple[float, float]) -> None:
+    """Raise ImageError unless both ranges are ordered and inside the bounds
+    ``color_jitter`` accepts: scale in [0, 1.5], bias in [-0.25, 0.25]."""
+    if not (0.0 <= scale_range[0] <= scale_range[1] <= 1.5):
+        raise ImageError(f"jitter scale range {scale_range} outside [0.0, 1.5]")
+    if not (-0.25 <= bias_range[0] <= bias_range[1] <= 0.25):
+        raise ImageError(f"jitter bias range {bias_range} outside [-0.25, 0.25]")
+
+
 def color_jitter(image: Image, rng: Rng,
                  scale_range: tuple[float, float] = (0.6, 1.4),
                  bias_range: tuple[float, float] = (-0.1, 0.1)) -> Image:
     """Per-channel affine jitter v' = clamp(s*v + b, 0, 1)."""
-    lo_s, hi_s = scale_range
-    lo_b, hi_b = bias_range
-    if not (0.0 <= lo_s <= hi_s <= 1.5):
-        raise ImageError(f"scale range {scale_range} outside [0.0, 1.5]")
-    if not (-0.25 <= lo_b <= hi_b <= 0.25):
-        raise ImageError(f"bias range {bias_range} outside [-0.25, 0.25]")
-    s = rng.uniform(lo_s, hi_s, size=3)
-    b = rng.uniform(lo_b, hi_b, size=3)
+    check_jitter_ranges(scale_range, bias_range)
+    s = rng.uniform(*scale_range, size=3)
+    b = rng.uniform(*bias_range, size=3)
     return Image.from_array(image.pixels * s + b)
 
 

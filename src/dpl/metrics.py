@@ -15,6 +15,7 @@ from .image import GRAY_WEIGHTS, Image, gaussian_kernel1d, separable_filter, to_
 from .networks import FeatureNetPsi
 
 MSSSIM_SCALES = 3
+MS_SSIM_MIN_EXTENT = 32  # smallest image height/width ms_ssim accepts
 # first three Wang et al. weights, renormalized to sum 1
 _W = np.array([0.0448, 0.2856, 0.3001])
 MSSSIM_WEIGHTS = _W / _W.sum()
@@ -45,8 +46,9 @@ def ms_ssim(a: Image, b: Image) -> float:
     """Luminance-channel multi-scale SSIM with 3 dyadic scales."""
     if a.pixels.shape != b.pixels.shape:
         raise MetricError(f"ms_ssim shape mismatch {a.pixels.shape} vs {b.pixels.shape}")
-    if min(a.height, a.width) < 32:
-        raise MetricError(f"ms_ssim needs min extent >= 32, got {a.height}x{a.width}")
+    if min(a.height, a.width) < MS_SSIM_MIN_EXTENT:
+        raise MetricError(f"ms_ssim needs min extent >= {MS_SSIM_MIN_EXTENT}, "
+                          f"got {a.height}x{a.width}")
     x = a.pixels @ GRAY_WEIGHTS
     y = b.pixels @ GRAY_WEIGHTS
     k = gaussian_kernel1d(1.5)  # 11 taps

@@ -1,55 +1,37 @@
-"""Adam optimizer with bias correction, one state per parameter."""
+"""Adam optimizer with bias correction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .tensor import AutodiffError, Tensor
-
-
-@dataclass
-class AdamState:
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    t: int = 0
-    m: np.ndarray | None = field(default=None, repr=False)
-    v: np.ndarray | None = field(default=None, repr=False)
-
-
-def adam_step(param: Tensor, state: AdamState) -> None:
-    """Apply one bias-corrected Adam update in place; the grad is left intact."""
-    if param.grad is None:
-        raise AutodiffError("adam_step: parameter has no gradient buffer")
-    if state.m is None:
-        state.m = np.zeros_like(param.data)
-        state.v = np.zeros_like(param.data)
-    g = param.grad
-    state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    param.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+from .tensor import Tensor
 
 
 class Adam:
-    """Convenience wrapper managing AdamState for a fixed parameter list."""
+    """Adam over a fixed parameter list: the hyperparameters and the step
+    count are held once, the moments m and v once per parameter."""
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
         self.params = list(params)
-        self.states = [AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
-                       for _ in self.params]
+        self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        for p, s in zip(self.params, self.states):
-            p.ensure_grad()
-            adam_step(p, s)
+        """One bias-corrected update of every parameter in place. A parameter
+        without a gradient gets a zero one; gradients are left intact."""
+        self.t += 1
+        for i, p in enumerate(self.params):
+            g = p.ensure_grad()
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
+            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     def zero_grad(self) -> None:
         for p in self.params:

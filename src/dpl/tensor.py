@@ -184,14 +184,11 @@ def active_tape() -> ComputationTape | None:
     return _ACTIVE_TAPE
 
 
-def backward(loss: Tensor, tape: ComputationTape | None = None) -> None:
+def backward(loss: Tensor, tape: ComputationTape) -> None:
     """Accumulate d(loss)/d(param) into every parameter of the tape.
 
     Repeated calls on the same tape accumulate (gradients add linearly).
     """
-    tape = tape or _ACTIVE_TAPE
-    if tape is None:
-        raise AutodiffError("backward requires an active ComputationTape")
     if loss.data.ndim != 0:
         raise AutodiffError(f"loss must be rank-0, got shape {loss.shape}")
     if id(loss) not in tape._produced:
@@ -415,7 +412,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), rule)
 
 
-def _extreme(a: Tensor, axis, keepdims: bool, is_max: bool) -> Tensor:
+def _extreme(a: Tensor, axis: int, keepdims: bool, is_max: bool) -> Tensor:
     a = _as_tensor(a)
     npfn = np.max if is_max else np.min
     argfn = np.argmax if is_max else np.argmin
@@ -423,10 +420,6 @@ def _extreme(a: Tensor, axis, keepdims: bool, is_max: bool) -> Tensor:
 
     def rule(g):
         # route gradient to the first extremal element (ties break low index)
-        if axis is None:
-            mask = np.zeros(a.data.size, dtype=a.dtype)
-            mask[argfn(a.data)] = 1.0
-            return [(a, (g * mask).reshape(a.shape))]
         am = np.expand_dims(argfn(a.data, axis=axis), axis)
         mask = np.zeros_like(a.data)
         np.put_along_axis(mask, am, 1.0, axis=axis)
@@ -436,11 +429,11 @@ def _extreme(a: Tensor, axis, keepdims: bool, is_max: bool) -> Tensor:
     return _make(data, (a,), rule)
 
 
-def reduce_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return _extreme(a, axis, keepdims, True)
 
 
-def reduce_min(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_min(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return _extreme(a, axis, keepdims, False)
 
 
@@ -583,8 +576,6 @@ def upsample_nearest2(x: Tensor) -> Tensor:
 def reflect_pad2d(x: Tensor, pad: int) -> Tensor:
     """Reflect-pad the spatial axes of a [C,H,W] tensor."""
     x = _as_tensor(x)
-    if pad == 0:
-        return x
     c, h, w = x.shape
     widths = ((0, 0), (pad, pad), (pad, pad))
     data = np.pad(x.data, widths, mode="reflect")

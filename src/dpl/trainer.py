@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .image import Image, augment, color_jitter, from_tensor, gaussian_blur, random_crop, to_grayscale, to_tensor
+from .image import (Image, augment, check_jitter_ranges, color_jitter, from_tensor,
+                    gaussian_blur, random_crop, to_grayscale, to_tensor)
 from .losses import (ContextualParams, color_loss, contextual_loss, perceptual_loss,
                      pixel_loss, texture_loss, triplet_loss)
 from .networks import FeatureNetPsi, GeneratorF, SelectionPhi
@@ -67,6 +68,7 @@ class DistortionSpec:
             raise TrainerError(f"unknown distortion kind {self.kind!r}")
         if self.blur_sigma[0] > self.blur_sigma[1] or self.blur_sigma[0] <= 0:
             raise TrainerError(f"bad blur sigma range {self.blur_sigma}")
+        check_jitter_ranges(self.jitter_scale, self.jitter_bias)
 
     def apply(self, image: Image, rng: Rng) -> Image:
         if self.kind == "gaussian_blur":
@@ -96,7 +98,6 @@ class Triplet:
     anchor: Image
     positive: Image
     negative: Image
-    provenance: tuple[str, str, str]
 
 
 def build_triplet(strategy: TripletStrategy, x: Image, y: Image, x_gen: Image,
@@ -105,23 +106,20 @@ def build_triplet(strategy: TripletStrategy, x: Image, y: Image, x_gen: Image,
     size = strategy.crop
     if strategy.kind == "instance_self":
         return Triplet(random_crop(y, size, rng), random_crop(y, size, rng),
-                       random_crop(x_gen, size, rng),
-                       ("crop(Y)", "crop(Y)", "crop(gen)"))
+                       random_crop(x_gen, size, rng))
     if strategy.kind == "source_anchored":
         return Triplet(random_crop(x, size, rng), random_crop(x, size, rng),
-                       random_crop(x_gen, size, rng),
-                       ("crop(X)", "crop(X)", "crop(gen)"))
+                       random_crop(x_gen, size, rng))
     distorted = strategy.distortion.apply(y, rng)
     return Triplet(random_crop(distorted, size, rng), random_crop(x_gen, size, rng),
-                   random_crop(y, size, rng),
-                   ("crop(distort(Y))", "crop(gen)", "crop(Y)"))
+                   random_crop(y, size, rng))
 
 
 @dataclass
 class DplConfig:
     strategy: TripletStrategy = field(default_factory=lambda: TripletStrategy(
         kind="task_oriented", distortion=DistortionSpec("color_jitter")))
-    interval: int = 4  # selector applies once per N accumulations
+    interval: int = 4  # the selector steps once every N iterations
     margin: float = 1.0
     mode: str = "feature_selection"
     iterations: int = 2000
@@ -150,10 +148,9 @@ class DplConfig:
 
 @dataclass
 class TrainState:
+    gen_opt: Adam
+    sel_opt: Adam | None  # None in frozen mode
     iteration: int = 0
-    accum_count: int = 0
-    gen_opt: Adam | None = None
-    sel_opt: Adam | None = None
     history: list[HistoryRow] = field(default_factory=list)
 
 
@@ -178,12 +175,14 @@ def param_hash(params) -> str:
     return digest.hexdigest()
 
 
-def _selector_params(psi: FeatureNetPsi, phi: SelectionPhi, mode: str):
-    if mode == "feature_selection":
-        return phi.params()
-    if mode == "full":
-        return psi.params()
-    return []
+def start_state(config: DplConfig, f: GeneratorF, psi: FeatureNetPsi,
+                phi: SelectionPhi) -> TrainState:
+    """The two optimizers of Algorithm 1: one on the generator, and one on the
+    network the selector trains (phi, or psi in full mode; none when frozen)."""
+    selector = {"feature_selection": phi, "full": psi}.get(config.mode)
+    return TrainState(
+        gen_opt=Adam(f.params(), lr=config.lr_generator),
+        sel_opt=None if selector is None else Adam(selector.params(), lr=config.lr_selector))
 
 
 def _features(psi: FeatureNetPsi, phi: SelectionPhi, x: Tensor, mode: str):
@@ -223,33 +222,27 @@ def generator_step(tape: T.ComputationTape, x_gen: Tensor, y: Tensor,
 
 
 def selector_accumulate(psi: FeatureNetPsi, phi: SelectionPhi, triplet: Triplet,
-                        margin: float, config: DplConfig, state: TrainState) -> float:
+                        config: DplConfig, state: TrainState) -> float:
     """Accumulate the triplet-loss gradient into the selector optimizer's
     parameters without stepping; the generator never appears on this tape."""
-    if config.mode == "frozen":
+    if state.sel_opt is None:
         raise TrainerError("selector_accumulate called in frozen mode")
     with T.ComputationTape(state.sel_opt.params) as tape:
         fa = _features(psi, phi, to_tensor(triplet.anchor), config.mode)
         fp = _features(psi, phi, to_tensor(triplet.positive), config.mode)
         fn = _features(psi, phi, to_tensor(triplet.negative), config.mode)
-        loss = triplet_loss(fa, fp, fn, margin)
+        loss = triplet_loss(fa, fp, fn, config.margin)
         value = loss.item()
         if not np.isfinite(value):
             raise TrainingDiverged(state, f"non-finite triplet loss {value}")
         T.backward(loss, tape)
-    state.accum_count += 1
     return value
 
 
-def selector_apply(params, state: TrainState, interval: int) -> None:
-    """One Adam step on the accumulated selector gradient, then reset."""
-    if state.accum_count < interval:
-        raise TrainerError(
-            f"selector_apply before interval: {state.accum_count} < {interval}"
-        )
+def selector_apply(state: TrainState) -> None:
+    """One Adam step on the accumulated selector gradient, then reset it."""
     state.sel_opt.step()
     state.sel_opt.zero_grad()
-    state.accum_count = 0
 
 
 def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
@@ -262,11 +255,7 @@ def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
     """
     if not dataset:
         raise TrainerError("empty dataset")
-    state = TrainState()
-    state.gen_opt = Adam(f.params(), lr=config.lr_generator)
-    sel_params = _selector_params(psi, phi, config.mode)
-    if sel_params:
-        state.sel_opt = Adam(sel_params, lr=config.lr_selector)
+    state = start_state(config, f, psi, phi)
     data_rng = rng.child(1)
     aug_rng = rng.child(2)
     trip_rng = rng.child(3)
@@ -284,16 +273,16 @@ def run_training(config: DplConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
         with T.ComputationTape(state.gen_opt.params) as gen_tape:
             x_gen = f(x_t)
         d_c = 0.0
-        if config.mode != "frozen":
+        if state.sel_opt is not None:
             # generator frozen: its output enters the triplet as plain data
             triplet = build_triplet(config.strategy, x_img, y_img,
                                     from_tensor(x_gen.detach()), trip_rng)
-            d_c = selector_accumulate(psi, phi, triplet, config.margin, config, state)
+            d_c = selector_accumulate(psi, phi, triplet, config, state)
 
         gen_loss, components = generator_step(gen_tape, x_gen, y_t, psi, phi, config, state)
 
-        if config.mode != "frozen" and state.accum_count >= config.interval:
-            selector_apply(sel_params, state, config.interval)
+        if state.sel_opt is not None and (it + 1) % config.interval == 0:
+            selector_apply(state)
 
         f_norm, phi_norm = param_norm(f.params()), param_norm(phi.params())
         if not (np.isfinite(f_norm) and np.isfinite(phi_norm)):

@@ -20,14 +20,12 @@ from dpl.image import Image, load_image, save_image, to_tensor
 from dpl.losses import contextual_loss, perceptual_loss, pixel_loss, triplet_loss
 from dpl.metrics import feature_distance, ms_ssim, psnr
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
-from dpl.optim import Adam
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
-from dpl.trainer import (DistortionSpec, DplConfig, TrainState, TripletStrategy,
+from dpl.trainer import (DistortionSpec, DplConfig, TripletStrategy,
                          build_triplet, generator_step, param_hash, run_training,
-                         selector_accumulate, selector_apply, _features,
-                         _selector_params)
+                         selector_accumulate, selector_apply, start_state, _features)
 
 from test_losses import _vectors_to_tap, contextual_oracle
 
@@ -174,10 +172,7 @@ def test_criterion_2_algorithm_mechanics(f64):
     phi = SelectionPhi(rng.child(4))
     config = DplConfig(interval=4, iterations=200,
                        strategy=TripletStrategy(kind="instance_self"))
-    state = TrainState()
-    state.gen_opt = Adam(f.params(), lr=config.lr_generator)
-    sel = _selector_params(psi, phi, config.mode)
-    state.sel_opt = Adam(sel, lr=config.lr_selector)
+    state = start_state(config, f, psi, phi)
     psi_hash = param_hash(psi.params())
     trip_rng = rng.child(5)
 
@@ -192,13 +187,13 @@ def test_criterion_2_algorithm_mechanics(f64):
         trip = build_triplet(config.strategy, x, y, x_gen, trip_rng)
 
         f_hash = param_hash(f.params())
-        selector_accumulate(psi, phi, trip, config.margin, config, state)
+        selector_accumulate(psi, phi, trip, config, state)
         phi_hash = param_hash(phi.params())
         generator_step(gen_tape, x_out, y_t, psi, phi, config, state)
         # selector untouched by the generator step
         assert param_hash(phi.params()) == phi_hash
-        if state.accum_count >= config.interval:
-            selector_apply(sel, state, config.interval)
+        if (it + 1) % config.interval == 0:
+            selector_apply(state)
         # generator untouched by any selector work this iteration
         # (its own step is the only change, verified by hashing around it)
         assert param_hash(f.params()) != f_hash
@@ -210,11 +205,10 @@ def test_criterion_2_algorithm_mechanics(f64):
 
     def by_accumulation():
         p = SelectionPhi(Rng(2001))
-        st = TrainState()
-        st.sel_opt = Adam(p.params())
         cfg = DplConfig(interval=4, strategy=TripletStrategy(kind="instance_self"))
+        st = start_state(cfg, f, psi, p)
         for tr in trips:
-            selector_accumulate(psi, p, tr, 1.0, cfg, st)
+            selector_accumulate(psi, p, tr, cfg, st)
         return [q.grad.copy() for q in p.params()]
 
     def by_sum():

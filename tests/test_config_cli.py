@@ -6,7 +6,8 @@ import pytest
 from dpl.checkpoint import save_checkpoint
 from dpl.cli import main
 from dpl.config import ConfigError, emit_config, parse_config
-from dpl.image import load_image
+from dpl.image import Image, gaussian_blur, load_image, save_image
+from dpl.rng import Rng
 
 
 # -- config parsing ----------------------------------------------------------------
@@ -56,6 +57,11 @@ def test_bad_value_names_key_and_location(tmp_path):
 def test_negative_margin_message():
     with pytest.raises(ConfigError, match="margin must be >= 0"):
         parse_config(overrides={"dpl.margin": "-1"}, use_env=False)
+
+
+def test_size_16_is_accepted_without_ms_ssim():
+    cfg = parse_config(overrides={"size": "16", "metrics": "psnr,dfd"}, use_env=False)
+    assert cfg["size"] == 16
 
 
 def test_env_seed_and_override_precedence(tmp_path, monkeypatch):
@@ -129,6 +135,18 @@ def test_pretrain_gate_exit_two(tmp_path, capsys):
     assert (out / "pretrain_accuracy.log").exists()
 
 
+def test_pretrain_gate_miss_writes_no_checkpoint(tmp_path):
+    # one epoch on 600 samples at seed 1 reaches 68% held-out accuracy: above
+    # the 50% floor of pretrain_psi, below the 80% gate of the command
+    out = tmp_path / "gate"
+    code = main(["pretrain", *_base_args(out, seed=1), "--pretrain.samples", "600",
+                 "--pretrain.epochs", "1"])
+    assert code == 2
+    assert not (out / "psi.dplc").exists()
+    last = (out / "pretrain_accuracy.log").read_text().splitlines()[-1]
+    assert last.startswith("gate failed: held-out accuracy") and "< 80%" in last
+
+
 def test_train_outputs_and_determinism(prepared_run, tmp_path, pretrained_psi):
     args = _base_args(prepared_run) + ["--dpl.iterations", "6", "--dpl.interval", "2",
                                        "--train.sample_every", "3"]
@@ -198,6 +216,14 @@ def test_eval_report_format(prepared_run):
     assert np.allclose(mean, per.mean(axis=0), rtol=1e-9)
 
 
+def test_metric_error_is_usage_error(prepared_run, capsys):
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "1"]) == 0
+    # a 16x16 target beside a 32x32 input: no metric can compare the pair
+    save_image(Image.from_array(np.zeros((16, 16, 3))), prepared_run / "val" / "0002_y.ppm")
+    assert main(["eval", *_base_args(prepared_run)]) == 1
+    assert "shape mismatch" in capsys.readouterr().err
+
+
 def test_eval_without_data_is_usage_error(tmp_path, capsys):
     assert main(["eval", *_base_args(tmp_path / "nothing")]) == 1
     assert "manifest" in capsys.readouterr().err
@@ -222,6 +248,8 @@ def test_missing_dataset_image_is_usage_error(prepared_run, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--dpl.distortion", "gaussian_blur", "--dpl.blur_sigma_min", "3"], "blur sigma range"),
     (["--dpl.w_perceptual", "0"], "loss weights"),
+    (["--dpl.jitter_scale_max", "3"], "jitter scale range (0.6, 3.0) outside"),
+    (["--size", "16"], "size 16 is below 32, the smallest extent ms_ssim accepts"),
 ])
 def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
     # refused before any data is read: the output directory does not exist
@@ -229,15 +257,22 @@ def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, f
     assert message in capsys.readouterr().err
 
 
-def test_distort_command(prepared_run, tmp_path):
+@pytest.mark.parametrize("kind", ["grayscale", "gaussian_blur"])
+def test_distort_command(prepared_run, tmp_path, kind):
     src = prepared_run / "train" / "0001_y.ppm"
     dst = tmp_path / "distorted.ppm"
     code = main(["distort", *_base_args(prepared_run),
-                 "--dpl.distortion", "grayscale",
+                 "--dpl.distortion", kind,
                  "--input", str(src), "--output", str(dst)])
     assert code == 0
     img = load_image(dst)
-    assert np.array_equal(img.pixels[..., 0], img.pixels[..., 1])
+    if kind == "grayscale":
+        assert np.array_equal(img.pixels[..., 0], img.pixels[..., 1])
+    else:
+        # sigma is one draw from Rng(seed) over the default range [1, 2]
+        want = tmp_path / "want.ppm"
+        save_image(gaussian_blur(load_image(src), Rng(3).uniform(1.0, 2.0)), want)
+        assert dst.read_bytes() == want.read_bytes()
 
 
 def test_show_config_round_trips(tmp_path, capsys):

@@ -44,8 +44,9 @@ def test_ppm_single_red_pixel(tmp_path):
 def test_ppm_truncated_payload(tmp_path):
     path = tmp_path / "short.ppm"
     path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))
-    with pytest.raises(ImageError, match="truncated"):
+    with pytest.raises(ImageError, match="truncated") as err:
         load_image(path)
+    assert str(path) in str(err.value)  # a bad image in a dataset can be found
 
 
 def test_ppm_bad_maxval(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import check_gradients
 from dpl import tensor as T
-from dpl.optim import Adam, AdamState, adam_step
+from dpl.optim import Adam
 from dpl.tensor import AutodiffError, ComputationTape, Tensor
 
 
@@ -409,26 +409,23 @@ def test_network_stack_gradients_bit_identical():
 def test_adam_first_step_bias_corrected():
     p = Tensor([0.0])
     p.grad = np.ones(1, dtype=p.dtype)
-    state = AdamState(lr=1e-4)
-    adam_step(p, state)
+    opt = Adam([p], lr=1e-4)
+    opt.step()
     assert p.data[0] == pytest.approx(-1e-4, rel=1e-6)
-    assert state.t == 1
+    assert opt.t == 1
     assert np.allclose(p.grad, 1.0)  # grad untouched
 
 
 def test_adam_zero_grad_is_noop():
-    p = Tensor([1.5, -2.0])
+    # a zero gradient and a missing one (filled with zeros) leave the value as is
+    p, q = Tensor([1.5, -2.0]), Tensor([0.5])
     p.grad = np.zeros(2, dtype=p.dtype)
-    before = p.data.copy()
-    state = AdamState(lr=0.1)
+    before = [p.data.copy(), q.data.copy()]
+    opt = Adam([p, q], lr=0.1)
     for _ in range(5):
-        adam_step(p, state)
-    assert np.array_equal(p.data, before)
-
-
-def test_adam_missing_grad_errors():
-    with pytest.raises(AutodiffError, match="no gradient"):
-        adam_step(Tensor([1.0]), AdamState())
+        opt.step()
+    assert np.array_equal(p.data, before[0]) and np.array_equal(q.data, before[1])
+    assert np.array_equal(q.grad, [0.0])
 
 
 def test_adam_descends_quadratic(f64):

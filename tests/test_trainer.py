@@ -3,15 +3,14 @@ import pytest
 
 from dpl import tensor as T
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
-from dpl.optim import Adam
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
-from dpl.trainer import (MODES, DistortionSpec, DplConfig, TrainState, TrainerError,
-                         TrainingDiverged, Triplet, TripletStrategy,
+from dpl.trainer import (MODES, DistortionSpec, DplConfig, TrainerError,
+                         TrainingDiverged, TripletStrategy,
                          build_triplet, generator_step, param_hash, param_norm,
-                         run_training, selector_accumulate, selector_apply)
-from dpl.image import Image, to_tensor
+                         run_training, selector_accumulate, selector_apply, start_state)
+from dpl.image import Image, to_grayscale, to_tensor
 
 
 def _nets(seed):
@@ -22,17 +21,6 @@ def _nets(seed):
 def _pair(seed, size=32):
     rng = Rng(seed)
     return generate_synthetic("colorcast", 4, size, rng)
-
-
-def _state(f, psi, phi, config):
-    from dpl.trainer import _selector_params
-
-    state = TrainState()
-    state.gen_opt = Adam(f.params(), lr=config.lr_generator)
-    sel = _selector_params(psi, phi, config.mode)
-    if sel:
-        state.sel_opt = Adam(sel, lr=config.lr_selector)
-    return state, sel
 
 
 # -- configuration validation ---------------------------------------------------------
@@ -63,25 +51,26 @@ def test_strategy_distortion_invariants():
 
 
 def test_triplet_roles_per_strategy():
-    rng = Rng(0)
-    data = _pair(1)
-    x, y = data[0]
-    x_gen = x
-    cases = {
-        "instance_self": ("crop(Y)", "crop(Y)", "crop(gen)"),
-        "source_anchored": ("crop(X)", "crop(X)", "crop(gen)"),
-    }
-    for kind, want in cases.items():
-        strat = TripletStrategy(kind=kind)
-        trip = build_triplet(strat, x, y, x_gen, rng.child(hash(kind) % 100))
-        assert trip.provenance == want
-        assert trip.anchor.pixels.shape == (16, 16, 3)
-    strat = TripletStrategy(kind="task_oriented", distortion=DistortionSpec("grayscale"))
-    trip = build_triplet(strat, x, y, x_gen, rng.child(99))
-    assert trip.provenance == ("crop(distort(Y))", "crop(gen)", "crop(Y)")
-    # grayscale anchor: all channels equal
-    a = trip.anchor.pixels
-    assert np.allclose(a[..., 0], a[..., 1]) and np.allclose(a[..., 1], a[..., 2])
+    # constant X and x_gen and a Y with one value per channel: every crop shows
+    # its source, and grayscale(Y) differs from all three
+    def fill(rgb):
+        return Image.from_array(np.broadcast_to(np.array(rgb, dtype=np.float64), (32, 32, 3)))
+
+    x, x_gen, y = fill([0.1] * 3), fill([0.9] * 3), fill([0.2, 0.5, 0.8])
+    sources = {"X": x, "gen": x_gen, "Y": y, "gray(Y)": to_grayscale(y)}
+
+    def source(crop):
+        return [name for name, img in sources.items()
+                if np.array_equal(crop.pixels, img.pixels[:16, :16])]
+
+    cases = [(TripletStrategy(kind="instance_self"), ("Y", "Y", "gen")),
+             (TripletStrategy(kind="source_anchored"), ("X", "X", "gen")),
+             (TripletStrategy(kind="task_oriented", distortion=DistortionSpec("grayscale")),
+              ("gray(Y)", "gen", "Y"))]
+    for strategy, roles in cases:
+        trip = build_triplet(strategy, x, y, x_gen, Rng(0))
+        got = [source(crop) for crop in (trip.anchor, trip.positive, trip.negative)]
+        assert got == [[name] for name in roles], strategy.kind
 
 
 # -- freeze discipline ------------------------------------------------------------------
@@ -90,7 +79,7 @@ def test_triplet_roles_per_strategy():
 def test_generator_step_leaves_extractor_and_selector_untouched():
     f, psi, phi = _nets(2)
     config = DplConfig(iterations=1)
-    state, _ = _state(f, psi, phi, config)
+    state = start_state(config, f, psi, phi)
     x, y = _pair(3)[0]
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
@@ -108,16 +97,16 @@ def test_generator_step_leaves_extractor_and_selector_untouched():
 def test_selector_accumulate_leaves_generator_and_extractor_untouched():
     f, psi, phi = _nets(4)
     config = DplConfig(interval=1)
-    state, sel = _state(f, psi, phi, config)
+    state = start_state(config, f, psi, phi)
     x, y = _pair(5)[0]
     trip = build_triplet(TripletStrategy(kind="instance_self"), x, y, x, Rng(6))
     before_f = param_hash(f.params())
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
-    selector_accumulate(psi, phi, trip, 1.0, config, state)
+    selector_accumulate(psi, phi, trip, config, state)
     # accumulation alone changes no parameters
     assert param_hash(phi.params()) == before_phi
-    selector_apply(sel, state, config.interval)
+    selector_apply(state)
     assert param_hash(f.params()) == before_f
     assert param_hash(psi.params()) == before_psi
     assert param_hash(phi.params()) != before_phi
@@ -126,20 +115,34 @@ def test_selector_accumulate_leaves_generator_and_extractor_untouched():
 def test_selector_accumulate_rejected_in_frozen_mode():
     f, psi, phi = _nets(7)
     config = DplConfig(mode="frozen")
-    state, _ = _state(f, psi, phi, config)
+    state = start_state(config, f, psi, phi)
+    assert state.sel_opt is None
     x, y = _pair(8)[0]
     trip = build_triplet(TripletStrategy(kind="instance_self"), x, y, x, Rng(9))
     with pytest.raises(TrainerError, match="frozen"):
-        selector_accumulate(psi, phi, trip, 1.0, config, state)
+        selector_accumulate(psi, phi, trip, config, state)
 
 
-def test_selector_apply_before_interval_rejected():
+@pytest.mark.parametrize("mode", ["feature_selection", "full"])
+def test_start_state_optimizes_the_network_the_mode_trains(mode):
     f, psi, phi = _nets(10)
-    config = DplConfig(interval=4)
-    state, sel = _state(f, psi, phi, config)
-    state.accum_count = 3
-    with pytest.raises(TrainerError, match="interval"):
-        selector_apply(sel, state, 4)
+    state = start_state(DplConfig(mode=mode, lr_generator=3e-4, lr_selector=2e-4), f, psi, phi)
+    trained = phi if mode == "feature_selection" else psi
+    for opt, net, lr in [(state.gen_opt, f, 3e-4), (state.sel_opt, trained, 2e-4)]:
+        assert [id(p) for p in opt.params] == [id(p) for p in net.params()]
+        assert opt.lr == lr
+
+
+def test_selector_steps_every_interval_iterations():
+    # phi accumulates every iteration and steps at the end of iterations N-1, 2N-1, ...
+    data = _pair(10)
+    f, psi, phi = _nets(11)
+    norms = [param_norm(phi.params())]
+    config = DplConfig(interval=3, iterations=8,
+                       strategy=TripletStrategy(kind="instance_self"))
+    _, history = run_training(config, data, f, psi, phi, Rng(12))
+    norms += [r.phi_norm for r in history]
+    assert [it for it in range(8) if norms[it + 1] != norms[it]] == [2, 5]
 
 
 # -- accumulation equivalence -----------------------------------------------------------
@@ -167,10 +170,10 @@ def test_accumulated_gradient_equals_summed_loss_gradient(f64):
     def grads_by_accumulation():
         _, psi, phi = _nets(12)
         config = DplConfig(interval=n)
-        state, sel = _state(GeneratorF(Rng(13)), psi, phi, config)
+        state = start_state(config, GeneratorF(Rng(13)), psi, phi)
         for trip in trips:
-            selector_accumulate(psi, phi, trip, 1.0, config, state)
-        return [p.grad.copy() for p in sel]
+            selector_accumulate(psi, phi, trip, config, state)
+        return [p.grad.copy() for p in phi.params()]
 
     def grads_by_sum():
         _, psi, phi = _nets(12)
@@ -291,7 +294,7 @@ def test_divergence_is_reported_with_iteration():
     f.dec2.weight.data = np.full_like(f.dec2.weight.data, np.nan)
     config = DplConfig(iterations=1, mode="frozen")
     x, y = _pair(31)[0]
-    state, _ = _state(f, psi, phi, config)
+    state = start_state(config, f, psi, phi)
     state.iteration = 7
     with T.ComputationTape(state.gen_opt.params) as tape:
         x_gen = f(to_tensor(x))
