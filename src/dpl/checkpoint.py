@@ -3,12 +3,16 @@
 Layout: magic (4 bytes) | version u32 | tensor count u32, then per tensor
 name length u16 + UTF-8 name | rank u8 | dims u32 each | payload as
 little-endian float32. Names are written in lexicographic order so the
-byte output is a pure function of the bundle.
+byte output is a pure function of the bundle. A checkpoint is written to a
+temporary file beside it and renamed into place, so an interrupted write
+leaves the previous file (or none), never a truncated one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -31,18 +35,24 @@ def save_checkpoint(bundle: dict, path) -> None:
     for name in names:
         if not name:
             raise CheckpointError("empty tensor name")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(names)))
-        for name in names:
-            arr = _as_array(bundle[name])
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
-            f.write(arr.tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(names)))
+            for name in names:
+                arr = _as_array(bundle[name])
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", arr.ndim))
+                for d in arr.shape:
+                    f.write(struct.pack("<I", d))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path, written_by: str = "") -> dict[str, np.ndarray]:

@@ -117,6 +117,8 @@ def cmd_pretrain(config: ExperimentConfig) -> int:
     except NetworkError as e:
         log(f"gate failed: {e}")
         (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
+        # an older psi.dplc is not the extractor this log describes
+        (out / "psi.dplc").unlink(missing_ok=True)
         return EXIT_PRETRAIN_GATE
     (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
     save_checkpoint(psi.state_dict(), out / "psi.dplc")
@@ -169,6 +171,8 @@ def cmd_train(config: ExperimentConfig) -> int:
     except TrainingDiverged as e:
         print(f"numerical halt: {e}")
         _write_history(out / "history.csv", e.history)
+        # an older f.dplc is not the generator this history describes
+        (out / "f.dplc").unlink(missing_ok=True)
         return EXIT_NUMERIC_HALT
     _write_history(out / "history.csv", history)
     save_checkpoint(f.state_dict(), out / "f.dplc")

@@ -76,6 +76,11 @@ def _size_check(v):
         raise ValueError("size must be >= 16 and divisible by 4")
 
 
+def _crop_check(v):
+    if v <= 0 or v % 4:
+        raise ValueError("dpl.crop must be > 0 and divisible by 4")
+
+
 SCHEMA: dict[str, _Key] = {
     "task": _Key(_choice(PAIRED_TASKS), "colorcast", help="paired transformation task"),
     "size": _Key(int, 32, _size_check, "image extent in pixels"),
@@ -96,7 +101,7 @@ SCHEMA: dict[str, _Key] = {
     "dpl.jitter_scale_max": _Key(float, 1.4, _non_negative("dpl.jitter_scale_max")),
     "dpl.jitter_bias_min": _Key(float, -0.1),
     "dpl.jitter_bias_max": _Key(float, 0.1),
-    "dpl.crop": _Key(int, 16, _positive("dpl.crop"), "triplet crop size"),
+    "dpl.crop": _Key(int, 16, _crop_check, "triplet crop size"),
     "dpl.interval": _Key(int, 4, _positive("dpl.interval"),
                          "iterations between selector updates"),
     "dpl.margin": _Key(float, 1.0, _non_negative("margin"), "triplet margin"),
@@ -177,8 +182,9 @@ def parse_config(path=None, overrides: dict | None = None,
     """Defaults, then file, then DPL_SEED, then command-line overrides.
 
     The merged values must also make a valid trainer configuration and
-    distortion, and an image size every listed metric accepts, so
-    combinations the runtime rejects fail here.
+    distortion, an image size every listed metric accepts, and a triplet
+    crop that fits in the image, so combinations the runtime rejects fail
+    here.
     """
     values: dict = {}
     if path is not None:
@@ -203,6 +209,9 @@ def parse_config(path=None, overrides: dict | None = None,
     if "ms_ssim" in config["metrics"] and config["size"] < MS_SSIM_MIN_EXTENT:
         raise ConfigError(f"size {config['size']} is below {MS_SSIM_MIN_EXTENT}, the smallest "
                           "extent ms_ssim accepts; raise size or drop ms_ssim from metrics")
+    if config["dpl.crop"] > config["size"]:
+        raise ConfigError(f"dpl.crop {config['dpl.crop']} exceeds size {config['size']}; "
+                          "triplet crops are cut from the images")
     try:
         config.dpl_config()
         config.distortion_spec()

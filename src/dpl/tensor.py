@@ -9,6 +9,12 @@ output the tape recorded; everything else is a constant on that tape.
 Replaying the tape in reverse accumulates d(loss)/d(param) into the
 ``grad`` buffer of each parameter. Gradients accumulate additively across
 backward calls until explicitly zeroed.
+
+The ops do only the work a call needs: conv2d's im2col is one strided view
+of a zero-padded buffer, the backward of a sum or mean is a broadcast view
+of the upstream gradient (so a backward rule never writes into its ``g``),
+and the backward of a max or min scatters ``g`` into zeros at the argmax;
+max_pool2's forward takes the maximum of four strided views.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
 
@@ -390,10 +396,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def rule(g):
-        if axis is None:
-            return [(a, np.broadcast_to(g, a.shape).copy())]
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(gg, a.shape).copy())]
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return [(a, np.broadcast_to(gg, a.shape))]
 
     return _make(data, (a,), rule)
 
@@ -404,10 +408,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
 
     def rule(g):
-        if axis is None:
-            return [(a, np.broadcast_to(g / count, a.shape).copy())]
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(gg / count, a.shape).copy())]
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return [(a, np.broadcast_to(gg / count, a.shape))]
 
     return _make(data, (a,), rule)
 
@@ -421,10 +423,9 @@ def _extreme(a: Tensor, axis: int, keepdims: bool, is_max: bool) -> Tensor:
     def rule(g):
         # route gradient to the first extremal element (ties break low index)
         am = np.expand_dims(argfn(a.data, axis=axis), axis)
-        mask = np.zeros_like(a.data)
-        np.put_along_axis(mask, am, 1.0, axis=axis)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return [(a, mask * gg)]
+        da = np.zeros_like(a.data)
+        np.put_along_axis(da, am, g if keepdims else np.expand_dims(g, axis), axis=axis)
+        return [(a, da)]
 
     return _make(data, (a,), rule)
 
@@ -485,9 +486,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     square kernels but the separable blur reuses the general form.
 
     im2col is channel-major: row (c, i, j) of ``cols`` (C*kh*kw, H'*W') holds
-    channel c at kernel offset (i, j) for every output position. Forward,
-    weight gradient and input gradient are one matmul each; the input
-    gradient is folded back into the padded plane with kh*kw slice-adds.
+    channel c at kernel offset (i, j) for every output position. It is one
+    copy of a strided view of shape (C, kh, kw, H', W') over the input, or
+    over a zero-filled buffer holding the input at offset ``padding``.
+    Forward, weight gradient and input gradient are one matmul each; the
+    input gradient is folded back into the padded plane with kh*kw
+    slice-adds.
     Only the gradients the active tape tracks are computed, so a frozen
     weight costs no weight-gradient matmul.
     """
@@ -513,9 +517,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             f"stride {stride}, padding {padding}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(c * kh * kw, h_out * w_out)
+    xp = x.data
+    if padding:
+        xp = np.zeros((c, hp, wp), dtype=x.data.dtype)
+        xp[:, padding : padding + h, padding : padding + w] = x.data
+    sc, sh, sw = xp.strides
+    win = as_strided(xp, (c, kh, kw, h_out, w_out), (sc, sh, sw, sh * stride, sw * stride),
+                     writeable=False)
+    cols = win.reshape(c * kh * kw, h_out * w_out)
     wmat = weight.data.reshape(o, -1)
     out = (wmat @ cols + bias.data[:, None]).reshape(o, h_out, w_out)
     tape = _ACTIVE_TAPE
@@ -542,19 +551,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
 
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling over [C,H,W]; gradient routes to the first argmax."""
+    """2x2 max pooling over [C,H,W]; gradient routes to the first argmax.
+
+    The forward is the elementwise maximum of the four strided quarter
+    planes; only the backward gathers the windows, to find each argmax.
+    """
     x = _as_tensor(x)
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise AutodiffError(f"max_pool2 needs even extents, got {h}x{w}")
-    win = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-    data = win.max(axis=-1)
+    xd = x.data
+    data = np.maximum(np.maximum(xd[:, ::2, ::2], xd[:, ::2, 1::2]),
+                      np.maximum(xd[:, 1::2, ::2], xd[:, 1::2, 1::2]))
 
     def rule(g):
+        win = xd.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
         am = win.argmax(axis=-1)  # first index on ties (row-major window order)
-        mask = np.zeros_like(win)
-        np.put_along_axis(mask, am[..., None], 1.0, axis=-1)
-        dwin = mask * g[..., None]
+        dwin = np.zeros_like(win)
+        np.put_along_axis(dwin, am[..., None], g[..., None], axis=-1)
         dx = dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
         return [(x, np.ascontiguousarray(dx))]
 

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -171,11 +172,15 @@ def test_train_outputs_and_determinism(prepared_run, tmp_path, pretrained_psi):
     assert (out2 / "history.csv").read_bytes() == history
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-def test_train_divergence_exit_three(prepared_run):
-    code = main(["train", *_base_args(prepared_run), "--dpl.iterations", "20",
-                 "--dpl.lr_generator", "1e15"])
+def test_train_divergence_exit_three(prepared_run, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", *_base_args(prepared_run), "--dpl.iterations", "20",
+                     "--dpl.lr_generator", "1e15"])
     assert code == 3
+    # the halt is reported once, by the finiteness check, not by numpy
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
     lines = (prepared_run / "history.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     # the rows before the halt are kept, numbered from 0, every value finite:
@@ -184,6 +189,34 @@ def test_train_divergence_exit_three(prepared_run):
     assert [int(row[0]) for row in rows] == list(range(len(rows)))
     assert all(np.isfinite(float(v)) for row in rows for v in row[1:])
     assert not (prepared_run / "f.dplc").exists()
+
+
+def test_diverging_train_removes_older_generator(prepared_run, capsys):
+    args = [*_base_args(prepared_run), "--dpl.iterations", "2"]
+    assert main(["train", *args]) == 0
+    assert (prepared_run / "f.dplc").exists()
+    assert main(["train", *args, "--dpl.lr_generator", "1e15", "--dpl.iterations", "20"]) == 3
+    assert not (prepared_run / "f.dplc").exists()
+    capsys.readouterr()
+    assert main(["eval", *_base_args(prepared_run)]) == 1
+    err = capsys.readouterr().err
+    assert "f.dplc" in err and "dpl train" in err
+
+
+def test_missed_pretrain_gate_removes_older_extractor(tmp_path, capsys):
+    # seed 3 passes the gate in 3 epochs; seed 1 misses it in one (68%)
+    out = tmp_path / "run"
+    assert main(["gen-data", *_base_args(out)]) == 0
+    assert main(["pretrain", *_base_args(out), "--pretrain.samples", "600",
+                 "--pretrain.epochs", "3"]) == 0
+    assert (out / "psi.dplc").exists()
+    assert main(["pretrain", *_base_args(out, seed=1), "--pretrain.samples", "600",
+                 "--pretrain.epochs", "1"]) == 2
+    assert not (out / "psi.dplc").exists()
+    capsys.readouterr()
+    assert main(["train", *_base_args(out), "--dpl.iterations", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "psi.dplc" in err and "dpl pretrain" in err
 
 
 @pytest.mark.parametrize("command, missing, writer", [
@@ -250,6 +283,8 @@ def test_missing_dataset_image_is_usage_error(prepared_run, capsys):
     (["--dpl.w_perceptual", "0"], "loss weights"),
     (["--dpl.jitter_scale_max", "3"], "jitter scale range (0.6, 3.0) outside"),
     (["--size", "16"], "size 16 is below 32, the smallest extent ms_ssim accepts"),
+    (["--dpl.crop", "64"], "dpl.crop 64 exceeds size 32"),
+    (["--dpl.crop", "6"], "dpl.crop must be > 0 and divisible by 4"),
 ])
 def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
     # refused before any data is read: the output directory does not exist

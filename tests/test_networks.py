@@ -141,6 +141,25 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
+def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "f.dplc"
+    save_checkpoint(GeneratorF(Rng(15)).state_dict(), path)
+    before = path.read_bytes()
+
+    class Interrupt(Exception):
+        pass
+
+    class Unwritable:
+        def __array__(self, *args, **kwargs):
+            raise Interrupt()
+
+    # "z" sorts last: the header and tensor "a" are written before the failure
+    with pytest.raises(Interrupt):
+        save_checkpoint({"a": np.ones(4), "z": Unwritable()}, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.dplc"]
+
+
 def test_checkpoint_shape_mismatch_on_load(tmp_path):
     f = GeneratorF(Rng(16))
     state = f.state_dict()

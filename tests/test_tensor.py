@@ -251,6 +251,29 @@ def test_conv2d_gradients_match_loop_oracle(f64, kernel, stride, padding, extent
     assert np.allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv2d_non_contiguous_input_matches_loop_oracle(f64, stride, padding):
+    # the input is a transposed view, as the [3,H,W] tensor of an image is
+    rng = np.random.default_rng([stride, padding, 71])
+    x = rng.normal(size=(2, 7, 6))
+    w = rng.normal(size=(3, 2, 3, 3))
+    b = rng.normal(size=3)
+    xt, wt, bt = (Tensor(a) for a in (x, w, b))
+    with ComputationTape([xt, wt, bt]) as tape:
+        xv = T.transpose(xt, (0, 2, 1))
+        assert not xv.data.flags.c_contiguous
+        out = T.conv2d(xv, wt, bt, stride, padding)
+        g = rng.normal(size=out.shape)
+        T.backward((out * g).sum(), tape)
+    xs = x.transpose(0, 2, 1)
+    assert np.allclose(out.data, naive_conv2d(xs, w, b, stride, padding), rtol=1e-12, atol=1e-12)
+    dx, dw, db = naive_conv2d_grads(xs, w, g, stride, padding)
+    assert np.allclose(xt.grad, dx.transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
+    assert np.allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
+    assert np.allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
+
+
 def test_conv2d_untracked_weight_and_bias_get_no_gradient(f64):
     rng = np.random.default_rng(70)
     x, w, b = rng.normal(size=(2, 5, 5)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
@@ -287,6 +310,21 @@ def test_max_pool2_tie_routes_to_first_index():
     with ComputationTape([x]) as tape:
         T.backward(T.max_pool2(x).sum(), tape)
     assert np.allclose(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+
+
+def test_max_pool2_tie_routes_weighted_gradient_to_first_index():
+    # windows: all tied; tie on the bottom row; tie on the right column; unique
+    x = Tensor([[[2.0, 2.0, 1.0, 3.0],
+                 [2.0, 2.0, 0.0, 3.0],
+                 [0.0, 1.0, 5.0, 4.0],
+                 [4.0, 4.0, 1.0, 2.0]]])
+    w = np.array([[[1.5, -2.0], [0.25, 3.0]]])
+    with ComputationTape([x]) as tape:
+        T.backward((T.max_pool2(x) * w).sum(), tape)
+    assert np.array_equal(x.grad, [[[1.5, 0.0, 0.0, -2.0],
+                                    [0.0, 0.0, 0.0, 0.0],
+                                    [0.0, 0.0, 3.0, 0.0],
+                                    [0.25, 0.0, 0.0, 0.0]]])
 
 
 def test_max_pool2_gradient(f64):
@@ -349,6 +387,48 @@ def test_reduce_extremes_gradient(f64):
         return T.reduce_max(ts[0], axis=1).sum() - T.reduce_min(ts[0], axis=0).sum()
 
     check_gradients(build, [x], rng, n_points=15, rtol=1e-6)
+
+
+@pytest.mark.parametrize("keepdims", [False, True])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("is_max", [True, False])
+def test_reduce_extreme_ties_route_weighted_gradient_to_first_index(is_max, axis, keepdims):
+    x = np.array([[1.0, 3.0, 3.0, 0.0],
+                  [2.0, 2.0, 2.0, 2.0],
+                  [3.0, 0.0, 3.0, 0.0]])
+    if axis == 0:
+        x = np.ascontiguousarray(x.T)
+    if not is_max:
+        x = -x
+    # row r's extremes sit at the same indices in every case: its first one is
+    # at column first[r] along the reduced axis
+    first = [1, 0, 0]
+    w = np.array([1.5, -2.0, 0.25])
+    xt = Tensor(x)
+    reduce = T.reduce_max if is_max else T.reduce_min
+    with ComputationTape([xt]) as tape:
+        out = reduce(xt, axis=axis, keepdims=keepdims)
+        T.backward((out * w.reshape(out.shape)).sum(), tape)
+    want = np.zeros((3, 4))
+    want[np.arange(3), first] = w
+    assert np.array_equal(xt.grad, want if axis == 1 else want.T)
+
+
+def test_one_tensor_feeding_two_reductions_accumulates(f64):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, 4))
+    w0, w1 = rng.normal(size=4), rng.normal(size=(3, 1))
+    xt = Tensor(x)
+    with ComputationTape([xt]) as tape:
+        y = xt * 2.0  # recorded, so its gradient is a flow of two broadcast views
+        loss = ((y.sum(axis=0) * w0).sum() + (y.mean(axis=1, keepdims=True) * w1).sum()
+                + y.sum() + T.tmean(xt) + T.tsum(xt, axis=1).sum())
+        T.backward(loss, tape)
+    want = 2.0 * (w0[None, :] + w1 / 4.0 + 1.0) + 1.0 / 12.0 + 1.0
+    assert np.allclose(xt.grad, want, rtol=1e-12, atol=1e-12)
+    # a second backward accumulates the same amount again
+    T.backward(loss, tape)
+    assert np.allclose(xt.grad, 2.0 * want, rtol=1e-12, atol=1e-12)
 
 
 def test_matmul_and_transpose_gradient(f64):
