@@ -3,15 +3,15 @@
 Layout: magic (4 bytes) | version u32 | tensor count u32, then per tensor
 name length u16 + UTF-8 name | rank u8 | dims u32 each | payload as
 little-endian float32. Names are written in lexicographic order so the
-byte output is a pure function of the bundle. A checkpoint is written to a
-temporary file beside it and renamed into place, so an interrupted write
-leaves the previous file (or none), never a truncated one.
+byte output is a pure function of the bundle. A checkpoint is written with
+``atomic_write``, as are the CLI's ``history.csv`` and ``report.csv``.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,23 @@ def _as_array(value) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(value, dtype=np.float64).astype("<f4"))
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside ``path`` for writing and rename it over
+    ``path`` when the block ends without an exception. An interrupted write
+    leaves the previous file (or none), never a truncated one, and no
+    temporary file. There is no fsync: this covers an interrupted process,
+    not a power loss."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(bundle: dict, path) -> None:
     names = sorted(bundle)
     if len(names) != len(bundle):
@@ -35,24 +52,18 @@ def save_checkpoint(bundle: dict, path) -> None:
     for name in names:
         if not name:
             raise CheckpointError("empty tensor name")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<II", VERSION, len(names)))
-            for name in names:
-                arr = _as_array(bundle[name])
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<H", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<B", arr.ndim))
-                for d in arr.shape:
-                    f.write(struct.pack("<I", d))
-                f.write(arr.tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<II", VERSION, len(names)))
+        for name in names:
+            arr = _as_array(bundle[name])
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<H", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<B", arr.ndim))
+            for d in arr.shape:
+                f.write(struct.pack("<I", d))
+            f.write(arr.tobytes())
 
 
 def load_checkpoint(path, written_by: str = "") -> dict[str, np.ndarray]:

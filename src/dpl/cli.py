@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from .config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
 from .image import Image, ImageError, from_tensor, load_image, save_image, to_tensor
 from .metrics import MetricError, feature_distance, ms_ssim, psnr
@@ -133,7 +133,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_history(path: Path, history) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["iteration", "generator_loss", *LOSSES, "d_c", "f_norm", "phi_norm"])
         for row in history:
@@ -202,7 +202,7 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
                 row[name] = feature_distance(x_gen, y, psi)
             sums[name] += row[name]
         rows.append(row)
-    with open(out / "report.csv", "w", newline="") as fh:
+    with atomic_write(out / "report.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", *metric_names])
         for row in rows:

@@ -4,6 +4,7 @@ are rejected; every value is validated at parse time."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -28,6 +29,13 @@ def _parse_bool(text: str) -> bool:
     if t in ("false", "0", "no"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_metrics(text: str) -> tuple:
@@ -92,28 +100,28 @@ SCHEMA: dict[str, _Key] = {
                     help="comma-separated metric list"),
     "pretrain.epochs": _Key(int, 5, _positive("pretrain.epochs")),
     "pretrain.samples": _Key(int, 2000, _positive("pretrain.samples")),
-    "pretrain.lr": _Key(float, 1e-3, _positive("pretrain.lr")),
+    "pretrain.lr": _Key(_float, 1e-3, _positive("pretrain.lr")),
     "dpl.strategy": _Key(_choice(STRATEGY_KINDS), "task_oriented"),
     "dpl.distortion": _Key(_choice(DISTORTION_KINDS + ("none",)), "color_jitter"),
-    "dpl.blur_sigma_min": _Key(float, 1.0, _positive("dpl.blur_sigma_min")),
-    "dpl.blur_sigma_max": _Key(float, 2.0, _positive("dpl.blur_sigma_max")),
-    "dpl.jitter_scale_min": _Key(float, 0.6, _non_negative("dpl.jitter_scale_min")),
-    "dpl.jitter_scale_max": _Key(float, 1.4, _non_negative("dpl.jitter_scale_max")),
-    "dpl.jitter_bias_min": _Key(float, -0.1),
-    "dpl.jitter_bias_max": _Key(float, 0.1),
+    "dpl.blur_sigma_min": _Key(_float, 1.0, _positive("dpl.blur_sigma_min")),
+    "dpl.blur_sigma_max": _Key(_float, 2.0, _positive("dpl.blur_sigma_max")),
+    "dpl.jitter_scale_min": _Key(_float, 0.6, _non_negative("dpl.jitter_scale_min")),
+    "dpl.jitter_scale_max": _Key(_float, 1.4, _non_negative("dpl.jitter_scale_max")),
+    "dpl.jitter_bias_min": _Key(_float, -0.1),
+    "dpl.jitter_bias_max": _Key(_float, 0.1),
     "dpl.crop": _Key(int, 16, _crop_check, "triplet crop size"),
     "dpl.interval": _Key(int, 4, _positive("dpl.interval"),
                          "iterations between selector updates"),
-    "dpl.margin": _Key(float, 1.0, _non_negative("margin"), "triplet margin"),
+    "dpl.margin": _Key(_float, 1.0, _non_negative("margin"), "triplet margin"),
     "dpl.mode": _Key(_choice(MODES), "feature_selection"),
     "dpl.iterations": _Key(int, 2000, _positive("dpl.iterations")),
-    "dpl.lr_generator": _Key(float, 1e-4, _positive("dpl.lr_generator")),
-    "dpl.lr_selector": _Key(float, 1e-4, _positive("dpl.lr_selector")),
-    **{f"dpl.w_{name}": _Key(float, weight, _non_negative(f"dpl.w_{name}"))
+    "dpl.lr_generator": _Key(_float, 1e-4, _positive("dpl.lr_generator")),
+    "dpl.lr_selector": _Key(_float, 1e-4, _positive("dpl.lr_selector")),
+    **{f"dpl.w_{name}": _Key(_float, weight, _non_negative(f"dpl.w_{name}"))
        for name, (weight, _) in LOSSES.items()},
-    "dpl.color_sigma": _Key(float, 3.0, _positive("dpl.color_sigma")),
-    "dpl.contextual_bandwidth": _Key(float, 0.5, _positive("dpl.contextual_bandwidth")),
-    "dpl.contextual_epsilon": _Key(float, 1e-5, _positive("dpl.contextual_epsilon")),
+    "dpl.color_sigma": _Key(_float, 3.0, _positive("dpl.color_sigma")),
+    "dpl.contextual_bandwidth": _Key(_float, 0.5, _positive("dpl.contextual_bandwidth")),
+    "dpl.contextual_epsilon": _Key(_float, 1e-5, _positive("dpl.contextual_epsilon")),
     "dpl.augment": _Key(_parse_bool, True, help="joint pair augmentation"),
     "train.sample_every": _Key(int, 500, _positive("train.sample_every"),
                                "iterations between sample triptychs"),
@@ -183,8 +191,8 @@ def parse_config(path=None, overrides: dict | None = None,
 
     The merged values must also make a valid trainer configuration and
     distortion, an image size every listed metric accepts, and a triplet
-    crop that fits in the image, so combinations the runtime rejects fail
-    here.
+    crop and blur widths that fit in the image, so combinations the runtime
+    rejects fail here. Floats must be finite.
     """
     values: dict = {}
     if path is not None:
@@ -212,6 +220,10 @@ def parse_config(path=None, overrides: dict | None = None,
     if config["dpl.crop"] > config["size"]:
         raise ConfigError(f"dpl.crop {config['dpl.crop']} exceeds size {config['size']}; "
                           "triplet crops are cut from the images")
+    for key in ("dpl.blur_sigma_max", "dpl.color_sigma"):
+        if config[key] > config["size"]:
+            raise ConfigError(f"{key} {config[key]:g} exceeds size {config['size']}; "
+                              "a blur is at most as wide as the image")
     try:
         config.dpl_config()
         config.distortion_spec()

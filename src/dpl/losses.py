@@ -1,6 +1,11 @@
 """Training losses: feature-space perceptual and contextual distances, the
 triplet hinge, blurred color and grayscale texture distances, and an L1
-pixel baseline. A feature set is the ordered list of per-tap tensors."""
+pixel baseline. A feature set is the ordered list of per-tap tensors.
+
+Every loss is a composition of tensor ops except the contextual loss,
+which records one op per tap: its (Na, Nb) affinity chain has a
+backward written by hand that never forms the chain's intermediate
+gradients."""
 
 from __future__ import annotations
 
@@ -47,44 +52,95 @@ def perceptual_loss(fa: FeatureSet, fb: FeatureSet) -> Tensor:
     return total * (1.0 / len(fa))
 
 
-def _positions(feat: Tensor) -> Tensor:
-    """[C,H,W] -> (H*W, C): one feature vector per spatial position."""
-    c = feat.shape[0]
-    return feat.reshape((c, -1)).transpose()
+def _positions(data: np.ndarray) -> np.ndarray:
+    """[C,H,W] -> (H*W, C): one feature vector per spatial position (a view)."""
+    return data.reshape(data.shape[0], -1).T
+
+
+def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
+    """One tap of the contextual loss as a single tape op.
+
+    The forward evaluates the affinity chain on the position vectors and
+    keeps two (Na, Nb) arrays for the backward: the cosine distances ``d``
+    and the row-normalised affinities ``cx``. With ``q = min_j d + eps``
+    and the loss ``-log mean_j max_i cx``:
+
+    - every column max has the same gradient ``c = -g / (m * Nb)``, where
+      ``m`` is the mean of the column maxima;
+    - through ``cx = w / rowsum(w)`` and ``w = exp((1 - d / q) / h)`` this
+      gives ``dd = cx * (r / (h q))[:, None]``, where ``r_i`` is ``c`` times
+      the sum of the column maxima first attained in row i, less
+      ``c * cx / (h q)`` at each column's first argmax;
+    - the row min adds ``-rowsum(dd * d) / q`` at each row's first argmin;
+    - ``d an = -dd @ bn`` (and ``d bn = -dd.T @ an`` when ``b`` is
+      tracked), followed by the normalisation and centering backward.
+    """
+    av, bv = _positions(a.data), _positions(b.data)  # (Na, C), (Nb, C)
+    mu = bv.mean(axis=0, keepdims=True)
+    ac, bc = av - mu, bv - mu
+    na = np.sqrt((ac * ac).sum(axis=1, keepdims=True) + eps * eps)
+    nb = np.sqrt((bc * bc).sum(axis=1, keepdims=True) + eps * eps)
+    an, bn = ac / na, bc / nb
+    d = an @ bn.T
+    np.subtract(1.0, d, out=d)  # (Na, Nb) cosine distances
+    q = d.min(axis=1, keepdims=True) + eps
+    cx = d / q
+    np.subtract(1.0, cx, out=cx)
+    np.multiply(cx, 1.0 / h, out=cx)
+    np.exp(cx, out=cx)
+    cx /= cx.sum(axis=1, keepdims=True)
+    colmax = cx.max(axis=0)
+    m = colmax.mean()
+    tape = T.active_tape()
+    need_a, need_b = (tape is not None and tape.tracks(t) for t in (a, b))
+
+    def rule(g):
+        n_rows, n_cols = cx.shape
+        c = -g / (m * n_cols)
+        first = (cx == colmax).argmax(axis=0)  # the row of each column's max
+        r = np.bincount(first, weights=colmax, minlength=n_rows).astype(cx.dtype) * c
+        dd = cx * (r / (h * q[:, 0]))[:, None]
+        dd[first, np.arange(n_cols)] -= colmax * c / (h * q[first, 0])
+        dq = -np.einsum("ij,ij->i", dd, d) / q[:, 0]  # via d / q: before the argmin entries
+        dd[np.arange(n_rows), d.argmin(axis=1)] += dq
+        dan = -(dd @ bn)
+        dac = (dan - an * (dan * an).sum(axis=1, keepdims=True)) / na
+        grads = []
+        if need_a:
+            grads.append((a, dac.T.reshape(a.shape)))
+        if need_b:
+            dbn = -(dd.T @ an)
+            dbc = (dbn - bn * (dbn * bn).sum(axis=1, keepdims=True)) / nb
+            dmu = -(dac.sum(axis=0) + dbc.sum(axis=0))
+            grads.append((b, (dbc + dmu / len(bc)).T.reshape(b.shape)))
+        return grads
+
+    return T._make(-np.log(m), (a, b), rule)
 
 
 def contextual_loss(fa: FeatureSet, fb: FeatureSet,
                     params: ContextualParams | None = None) -> Tensor:
-    """Set-matching loss over per-position feature vectors.
+    """Set-matching loss over per-position feature vectors (Mechrez et al.,
+    arXiv:1803.02077), one tape op per tap.
 
     Per tap: mean-center both sets by the second set's mean, convert
     cosine distances to row-normalized affinities, and score how well
     every target vector is matched by its best candidate. Spatial extents
     may differ between the two sets; channel widths must agree.
     Zero-norm vectors are handled by the epsilon inside the norm, not by
-    raising.
+    raising. Each tap's gradient is written by hand (``_contextual_tap``);
+    the second set gets one only when the active tape tracks it.
     """
     params = params or ContextualParams()
     if len(fa) != len(fb):
         raise LossError(f"contextual_loss: tap count mismatch {len(fa)} vs {len(fb)}")
-    h, eps = params.bandwidth, params.epsilon
     total = None
     for i, (a, b) in enumerate(zip(fa, fb)):
         if a.shape[0] != b.shape[0]:
             raise LossError(
                 f"contextual_loss: tap {i} channel mismatch {a.shape[0]} vs {b.shape[0]}"
             )
-        av = _positions(a)  # (Na, C)
-        bv = _positions(b)  # (Nb, C)
-        mu = bv.mean(axis=0, keepdims=True)
-        ac, bc = av - mu, bv - mu
-        an = ac / T.sqrt((ac * ac).sum(axis=1, keepdims=True) + eps * eps)
-        bn = bc / T.sqrt((bc * bc).sum(axis=1, keepdims=True) + eps * eps)
-        d = 1.0 - (an @ bn.transpose())  # (Na, Nb) cosine distances
-        d_tilde = d / (T.reduce_min(d, axis=1, keepdims=True) + eps)
-        w = T.exp((1.0 - d_tilde) * (1.0 / h))
-        cx = w / w.sum(axis=1, keepdims=True)
-        tap = -T.log(T.reduce_max(cx, axis=0).mean())
+        tap = _contextual_tap(a, b, params.bandwidth, params.epsilon)
         total = tap if total is None else total + tap
     return total * (1.0 / len(fa))
 

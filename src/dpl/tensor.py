@@ -14,7 +14,8 @@ The ops do only the work a call needs: conv2d's im2col is one strided view
 of a zero-padded buffer, the backward of a sum or mean is a broadcast view
 of the upstream gradient (so a backward rule never writes into its ``g``),
 and the backward of a max or min scatters ``g`` into zeros at the argmax;
-max_pool2's forward takes the maximum of four strided views.
+max_pool2's forward takes the maximum of four strided views, and its
+backward compares each view with that maximum.
 """
 
 from __future__ import annotations
@@ -554,7 +555,8 @@ def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling over [C,H,W]; gradient routes to the first argmax.
 
     The forward is the elementwise maximum of the four strided quarter
-    planes; only the backward gathers the windows, to find each argmax.
+    planes. The backward visits the window offsets in row-major order and
+    gives ``g`` to the first offset whose value equals the window's max.
     """
     x = _as_tensor(x)
     c, h, w = x.shape
@@ -565,12 +567,13 @@ def max_pool2(x: Tensor) -> Tensor:
                       np.maximum(xd[:, 1::2, ::2], xd[:, 1::2, 1::2]))
 
     def rule(g):
-        win = xd.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-        am = win.argmax(axis=-1)  # first index on ties (row-major window order)
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, am[..., None], g[..., None], axis=-1)
-        dx = dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
-        return [(x, np.ascontiguousarray(dx))]
+        dx = np.zeros_like(xd)
+        free = np.ones(data.shape, dtype=bool)  # windows whose max is not yet routed
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            hit = xd[:, a::2, b::2] == data
+            np.copyto(dx[:, a::2, b::2], g, where=hit & free)
+            free &= ~hit
+        return [(x, dx)]
 
     return _make(np.ascontiguousarray(data), (x,), rule)
 

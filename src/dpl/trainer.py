@@ -11,6 +11,7 @@ everything else is a constant on that tape.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -32,8 +33,9 @@ DISTORTION_KINDS = ("gaussian_blur", "color_jitter", "grayscale")
 
 # The generator's loss terms, in history.csv column order: name -> (default
 # weight, term(x_gen, y, features, config)), where ``features`` maps an image
-# tensor to the feature set of the configured mode. The terms look the loss
-# functions up in this module's globals when called, not when defined.
+# tensor to the feature set of the configured mode, built once per step. The
+# terms look the loss functions up in this module's globals when called, not
+# when defined.
 LOSSES = {
     "perceptual": (1.0, lambda x_gen, y, features, config:
                    perceptual_loss(features(x_gen), features(y))),
@@ -198,7 +200,10 @@ def generator_step(tape: T.ComputationTape, x_gen: Tensor, y: Tensor,
     ``x_gen`` is the generator's output on ``tape``, which also records the
     loss; the tape's parameters are the generator's, so the extractor and
     selector enter the loss as constants.
+    Each image's feature set is built at most once, on first use, and shared
+    by every term that needs it.
     """
+    @functools.cache
     def features(t: Tensor):
         return _features(psi, phi, t, config.mode)
 

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpl import cli
 from dpl.checkpoint import save_checkpoint
 from dpl.cli import main
-from dpl.config import ConfigError, emit_config, parse_config
+from dpl.config import SCHEMA, ConfigError, emit_config, parse_config
 from dpl.image import Image, gaussian_blur, load_image, save_image
+from dpl.networks import FeatureNetPsi
 from dpl.rng import Rng
 
 
@@ -249,6 +255,32 @@ def test_eval_report_format(prepared_run):
     assert np.allclose(mean, per.mean(axis=0), rtol=1e-9)
 
 
+@pytest.mark.parametrize("command, name", [("train", "history.csv"), ("eval", "report.csv")])
+def test_interrupted_csv_write_keeps_previous_file(prepared_run, monkeypatch, command, name):
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "2"]) == 0
+    assert main(["eval", *_base_args(prepared_run)]) == 0
+    before = (prepared_run / name).read_bytes()
+    if command == "eval":  # a new generator: a finished eval would write other numbers
+        assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "3"]) == 0
+
+    class Interrupt(Exception):
+        pass
+
+    fmt, formatted = cli._fmt, []
+
+    def interrupted(value):  # fails on the third value, after some rows are written
+        formatted.append(value)
+        if len(formatted) == 3:
+            raise Interrupt()
+        return fmt(value)
+
+    monkeypatch.setattr(cli, "_fmt", interrupted)
+    with pytest.raises(Interrupt):
+        main([command, *_base_args(prepared_run), "--dpl.iterations", "3"])
+    assert (prepared_run / name).read_bytes() == before
+    assert [p.name for p in prepared_run.iterdir() if p.name.endswith(".tmp")] == []
+
+
 def test_metric_error_is_usage_error(prepared_run, capsys):
     assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "1"]) == 0
     # a 16x16 target beside a 32x32 input: no metric can compare the pair
@@ -285,6 +317,12 @@ def test_missing_dataset_image_is_usage_error(prepared_run, capsys):
     (["--size", "16"], "size 16 is below 32, the smallest extent ms_ssim accepts"),
     (["--dpl.crop", "64"], "dpl.crop 64 exceeds size 32"),
     (["--dpl.crop", "6"], "dpl.crop must be > 0 and divisible by 4"),
+    (["--dpl.distortion", "gaussian_blur", "--dpl.blur_sigma_max", "nan"],
+     "not a finite number: 'nan'"),
+    (["--dpl.lr_generator", "inf"], "not a finite number: 'inf'"),
+    (["--dpl.distortion", "gaussian_blur", "--dpl.blur_sigma_max", "1e15"],
+     "dpl.blur_sigma_max 1e+15 exceeds size 32"),
+    (["--dpl.w_color", "1", "--dpl.color_sigma", "33"], "dpl.color_sigma 33 exceeds size 32"),
 ])
 def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
     # refused before any data is read: the output directory does not exist
@@ -325,3 +363,59 @@ def test_usage_errors_exit_one(capsys):
     assert "size" in capsys.readouterr().err
     assert main(["no-such-command"]) == 1
     assert main(["gen-data", "--task", "sharpen"]) == 1
+
+
+# -- config fuzz ------------------------------------------------------------------------
+
+# values drawn for every key: valid and invalid numbers, special floats,
+# booleans, and the words of every choice-valued key
+FUZZ_VALUES = ("0", "1", "2", "-1", "0.5", "1e-12", "1e15", "nan", "inf", "-inf", "", "x",
+               "16", "32", "64", "true", "none", "psnr", "dfd,psnr", "ms_ssim",
+               "darken", "blur", "grayscale", "gaussian_blur", "color_jitter",
+               "feature_selection", "full", "frozen", "instance_self", "task_oriented",
+               "source_anchored")
+FUZZ_KEYS = sorted(key for key in SCHEMA if key not in ("out_dir", "dpl.iterations"))
+
+
+def _accepted(key, raw):
+    try:
+        parse_config(None, {key: raw}, use_env=False)
+    except ConfigError:
+        return False
+    return True
+
+
+# each example sets up to four keys to values they accept alone, and at most
+# one key to any value, so that most examples get past parsing
+FUZZ_ACCEPTED = {key: [v for v in FUZZ_VALUES if _accepted(key, v)] for key in FUZZ_KEYS}
+FUZZ_OVERRIDES = st.lists(st.sampled_from(FUZZ_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(FUZZ_ACCEPTED[key]))), max_size=4)
+FUZZ_ANY = st.none() | st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES))
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen-data", "--out_dir", str(out), "--size", "32", "--train_count", "2",
+                 "--val_count", "2", "--seed", "3"]) == 0
+    save_checkpoint(FeatureNetPsi(Rng(0)).state_dict(), out / "psi.dplc")
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["show-config", "train", "eval", "distort"]),
+       overrides=FUZZ_OVERRIDES, extra=FUZZ_ANY,
+       iterations=st.sampled_from(["1", "2"]))  # bounded: one example stays fast
+def test_config_fuzz_exits_with_a_documented_code(fuzz_run, command, overrides, extra,
+                                                  iterations):
+    argv = [command, "--out_dir", str(fuzz_run), "--dpl.iterations", iterations]
+    for key, value in overrides + ([extra] if extra else []):
+        argv += [f"--{key}", value]
+    if command == "distort":
+        argv += ["--input", str(fuzz_run / "val" / "0001_y.ppm"),
+                 "--output", str(fuzz_run / "distorted.ppm")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -123,6 +123,119 @@ def test_contextual_bad_params():
         ContextualParams(bandwidth=0.0)
 
 
+def contextual_chain(fa, fb, h=0.5, eps=1e-5):
+    """The contextual loss composed from generic tape ops, one op per step of
+    the affinity chain: the reference for the hand-written backward."""
+    total = None
+    for a, b in zip(fa, fb):
+        av = a.reshape((a.shape[0], -1)).transpose()
+        bv = b.reshape((b.shape[0], -1)).transpose()
+        mu = bv.mean(axis=0, keepdims=True)
+        ac, bc = av - mu, bv - mu
+        an = ac / T.sqrt((ac * ac).sum(axis=1, keepdims=True) + eps * eps)
+        bn = bc / T.sqrt((bc * bc).sum(axis=1, keepdims=True) + eps * eps)
+        d = 1.0 - (an @ bn.transpose())
+        d_tilde = d / (T.reduce_min(d, axis=1, keepdims=True) + eps)
+        w = T.exp((1.0 - d_tilde) * (1.0 / h))
+        cx = w / w.sum(axis=1, keepdims=True)
+        tap = -T.log(T.reduce_max(cx, axis=0).mean())
+        total = tap if total is None else total + tap
+    return total * (1.0 / len(fa))
+
+
+def _value_and_grads(fn, arrays_a, arrays_b):
+    fa, fb = _featset(*arrays_a), _featset(*arrays_b)
+    with ComputationTape(fa + fb) as tape:
+        loss = fn(fa, fb)
+        T.backward(loss, tape)
+    return loss.item(), [t.grad for t in fa + fb]
+
+
+# the extractor's tap shapes at 32x32
+TAP_SHAPES = [(16, 32, 32), (32, 16, 16), (64, 8, 8)]
+
+
+def test_contextual_matches_taped_chain_at_tap_shapes(f64):
+    rng = np.random.default_rng(17)
+    a = [rng.normal(size=s) for s in TAP_SHAPES]
+    b = [x + rng.normal(scale=2.0, size=x.shape) for x in a]
+    want, want_grads = _value_and_grads(contextual_chain, a, b)
+    got, got_grads = _value_and_grads(contextual_loss, a, b)
+    assert got == want  # the forward runs the chain's expressions
+    for g, w in zip(got_grads, want_grads):
+        assert np.allclose(g, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
+
+
+def test_contextual_value_bitwise_equals_taped_chain_in_float32():
+    rng = np.random.default_rng(18)
+    a = _featset(*(rng.normal(size=s) for s in TAP_SHAPES))
+    b = _featset(*(rng.normal(size=s) for s in TAP_SHAPES))
+    got = contextual_loss(a, b)
+    assert got.dtype == np.float32
+    assert got.item() == contextual_chain(a, b).item()
+
+
+def test_contextual_gradient_with_duplicate_vectors(f64):
+    # rows 0 and 3 of each set are equal, and x0 lies near y0: rows 0 and 3
+    # take their min distance at the tied columns 0 and 3, and columns 0 and
+    # 3 their max affinity at the tied rows 0 and 3. At a tied copy the
+    # derivative exists only for both copies moved together.
+    rng = np.random.default_rng(19)
+    ys = rng.normal(size=(5, 3))
+    xs = rng.normal(size=(6, 3))
+    ys[3] = ys[0]
+    xs[0] = xs[3] = ys[0] + rng.normal(scale=0.3, size=3)
+    arrays = [_vectors_to_tap(xs), _vectors_to_tap(ys)]
+    mu = ys.mean(axis=0)
+    an = (xs - mu) / np.linalg.norm(xs - mu, axis=1, keepdims=True)
+    bn = (ys - mu) / np.linalg.norm(ys - mu, axis=1, keepdims=True)
+    d = 1.0 - an @ bn.T
+    w = np.exp((1.0 - d / d.min(axis=1, keepdims=True)) / 0.5)
+    cx = w / w.sum(axis=1, keepdims=True)
+    assert list(d.argmin(axis=1)[[0, 3]]) == [0, 0]
+    assert list(cx.argmax(axis=0)[[0, 3]]) == [0, 0]
+
+    def build(ts):
+        return contextual_loss([ts[0]], [ts[1]])
+
+    value, grads = _value_and_grads(contextual_loss, arrays[:1], arrays[1:])
+    _, chain_grads = _value_and_grads(contextual_chain, arrays[:1], arrays[1:])
+    assert np.isfinite(value)
+    for g, w in zip(grads, chain_grads):
+        assert np.all(np.isfinite(g))
+        assert np.allclose(g, w, rtol=1e-9, atol=1e-13)
+
+    def moved_together(which, indices, step=1e-5):
+        """Central difference when every element in ``indices`` moves by ``step``."""
+        plain = [x.copy() for x in arrays]
+        values = []
+        for delta in (step, -step):
+            for index in indices:
+                plain[which][index] = arrays[which][index] + delta
+            values.append(build([Tensor(x) for x in plain]).item())
+        return (values[0] - values[1]) / (2 * step)
+
+    for which, grad in enumerate(grads):
+        for c in range(grad.shape[0]):
+            for pos in range(grad.shape[2]):
+                if pos == 3:
+                    continue  # moves with its copy at position 0
+                group = [(c, 0, 0), (c, 0, 3)] if pos == 0 else [(c, 0, pos)]
+                got = sum(grad[index] for index in group)
+                assert got == pytest.approx(moved_together(which, group), rel=1e-5, abs=1e-7), (
+                    f"set {which}, channel {c}, position {pos}")
+
+
+def test_contextual_untracked_second_set_gets_no_gradient():
+    rng = np.random.default_rng(20)
+    fa = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
+    fb = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
+    with ComputationTape(fa) as tape:
+        T.backward(contextual_loss(fa, fb), tape)
+    assert all(t.grad is not None and np.all(np.isfinite(t.grad)) for t in fa)
+    assert all(t.grad is None for t in fb)
+
+
 # -- triplet ----------------------------------------------------------------------
 
 

@@ -94,6 +94,32 @@ def test_generator_step_leaves_extractor_and_selector_untouched():
     assert all(p.grad is None for p in psi.params() + phi.params())
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("weights, psi_calls", [
+    ({"perceptual": 1.0, "contextual": 1.0}, 2),
+    ({"contextual": 1.0}, 2),
+    ({"pixel_l1": 1.0, "color": 1.0, "texture": 1.0}, 0),
+])
+def test_generator_step_builds_each_feature_set_once(monkeypatch, mode, weights, psi_calls):
+    calls = []
+    psi_call = FeatureNetPsi.__call__
+
+    def counted(net, x):
+        calls.append(x)
+        return psi_call(net, x)
+
+    monkeypatch.setattr(FeatureNetPsi, "__call__", counted)
+    f, psi, phi = _nets(2)
+    config = DplConfig(mode=mode, loss_weights=weights)
+    state = start_state(config, f, psi, phi)
+    x, y = _pair(3)[0]
+    with T.ComputationTape(state.gen_opt.params) as tape:
+        x_gen = f(to_tensor(x))
+    generator_step(tape, x_gen, to_tensor(y), psi, phi, config, state)
+    assert len(calls) == psi_calls
+    assert len({id(t) for t in calls}) == psi_calls
+
+
 def test_selector_accumulate_leaves_generator_and_extractor_untouched():
     f, psi, phi = _nets(4)
     config = DplConfig(interval=1)
