@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 from dataclasses import dataclass, field
 
 from .image import ImageError
@@ -185,6 +186,13 @@ def _set_value(values: dict, key: str, raw: str, where: str) -> None:
     values[key] = value
 
 
+def _memory_bytes() -> int:
+    """Physical memory, or the address-space limit (``ulimit -v``) if lower."""
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return total if limit == resource.RLIM_INFINITY else min(total, limit)
+
+
 def parse_config(path=None, overrides: dict | None = None,
                  use_env: bool = True) -> ExperimentConfig:
     """Defaults, then file, then DPL_SEED, then command-line overrides.
@@ -192,7 +200,8 @@ def parse_config(path=None, overrides: dict | None = None,
     The merged values must also make a valid trainer configuration and
     distortion, an image size every listed metric accepts, and a triplet
     crop and blur widths that fit in the image, so combinations the runtime
-    rejects fail here. Floats must be finite.
+    rejects fail here. Floats must be finite, and the images gen-data and
+    pretrain hold must fit in the memory the process may use.
     """
     values: dict = {}
     if path is not None:
@@ -224,6 +233,18 @@ def parse_config(path=None, overrides: dict | None = None,
         if config[key] > config["size"]:
             raise ConfigError(f"{key} {config[key]:g} exceeds size {config['size']}; "
                               "a blur is at most as wide as the image")
+    # gen-data holds every pair and pretrain every sample at once, each image
+    # 3 x size x size float64 values; a dataset that fits can still fail to
+    # allocate when that memory is in use elsewhere
+    memory = _memory_bytes()
+    for keys, images in (("train_count and val_count",
+                          2 * (config["train_count"] + config["val_count"])),
+                         ("pretrain.samples", config["pretrain.samples"])):
+        need = images * 24 * config["size"] ** 2
+        if need > memory:
+            raise ConfigError(f"{keys} at size {config['size']} need {need / 2**30:.3g} GiB "
+                              f"of images, more than the {memory / 2**30:.3g} GiB of memory "
+                              "this process may use")
     try:
         config.dpl_config()
         config.distortion_spec()

@@ -54,10 +54,11 @@ def ms_ssim(a: Image, b: Image) -> float:
     k = gaussian_kernel1d(1.5)  # 11 taps
     value = 1.0
     for scale in range(MSSSIM_SCALES):
-        mu_x, mu_y = separable_filter(x, k), separable_filter(y, k)
-        sxx = separable_filter(x * x, k) - mu_x * mu_x
-        syy = separable_filter(y * y, k) - mu_y * mu_y
-        sxy = separable_filter(x * y, k) - mu_x * mu_y
+        mu_x, mu_y, mxx, myy, mxy = np.moveaxis(
+            separable_filter(np.stack([x, y, x * x, y * y, x * y], axis=-1), k), -1, 0)
+        sxx = mxx - mu_x * mu_x
+        syy = myy - mu_y * mu_y
+        sxy = mxy - mu_x * mu_y
         cs = float(np.mean((2 * sxy + _C2) / (sxx + syy + _C2)))
         cs = max(cs, 0.0)
         if scale == MSSSIM_SCALES - 1:

@@ -10,12 +10,13 @@ Replaying the tape in reverse accumulates d(loss)/d(param) into the
 ``grad`` buffer of each parameter. Gradients accumulate additively across
 backward calls until explicitly zeroed.
 
-The ops do only the work a call needs: conv2d's im2col is one strided view
-of a zero-padded buffer, the backward of a sum or mean is a broadcast view
-of the upstream gradient (so a backward rule never writes into its ``g``),
-and the backward of a max or min scatters ``g`` into zeros at the argmax;
-max_pool2's forward takes the maximum of four strided views, and its
-backward compares each view with that maximum.
+The ops do only the work a call needs: conv2d's im2col is one strided view,
+copied once, and its input gradient one matmul (a transposed convolution);
+the backward of a sum or mean is a broadcast view of the upstream gradient
+(so a backward rule never writes into its ``g``), and the backward of a max
+or min scatters ``g`` into zeros at the argmax; max_pool2's forward takes
+the maximum of four strided views, and its backward compares each view
+with that maximum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
 
@@ -480,19 +480,31 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 # -- spatial ops --------------------------------------------------------------
 
 
+def _im2col(buf: np.ndarray, kh: int, kw: int, stride: int, origin: int,
+            h_out: int, w_out: int) -> np.ndarray:
+    """(C*kh*kw, h_out*w_out) matrix of a C-contiguous [C,H,W] buffer whose row
+    (c, i, j) holds buf[c, origin + i + stride*y, origin + j + stride*x] at
+    column (y, x): one copy of a strided view, none when that is contiguous."""
+    c = buf.shape[0]
+    sc, sh, sw = buf.strides
+    win = np.ndarray((c, kh, kw, h_out, w_out), buf.dtype, buf, origin * (sh + sw),
+                     (sc, sh, sw, sh * stride, sw * stride))
+    return win.reshape(c * kh * kw, h_out * w_out)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over a [C,H,W] input with zero padding.
 
     Kernels may be rectangular ([O,I,kh,kw]); the public contract uses
     square kernels but the separable blur reuses the general form.
 
-    im2col is channel-major: row (c, i, j) of ``cols`` (C*kh*kw, H'*W') holds
-    channel c at kernel offset (i, j) for every output position. It is one
-    copy of a strided view of shape (C, kh, kw, H', W') over the input, or
-    over a zero-filled buffer holding the input at offset ``padding``.
-    Forward, weight gradient and input gradient are one matmul each; the
-    input gradient is folded back into the padded plane with kh*kw
-    slice-adds.
+    The forward and the weight gradient are one matmul each over the
+    channel-major im2col (``_im2col``) of the input, zero-padded by ``p``;
+    a 1x1 conv at stride 1 without padding uses the [C,H*W] input as is.
+    The input gradient is the transposed convolution, also one matmul:
+    the flipped, channel-swapped kernel over the kh x kw windows, at offset
+    (p, p), of ``g`` written with step ``stride`` at (kh-1, kw-1) into
+    zeros of extent (H+2p+kh-1, W+2p+kw-1).
     Only the gradients the active tape tracks are computed, so a frozen
     weight costs no weight-gradient matmul.
     """
@@ -518,14 +530,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             f"stride {stride}, padding {padding}"
         )
 
-    xp = x.data
     if padding:
         xp = np.zeros((c, hp, wp), dtype=x.data.dtype)
         xp[:, padding : padding + h, padding : padding + w] = x.data
-    sc, sh, sw = xp.strides
-    win = as_strided(xp, (c, kh, kw, h_out, w_out), (sc, sh, sw, sh * stride, sw * stride),
-                     writeable=False)
-    cols = win.reshape(c * kh * kw, h_out * w_out)
+    else:
+        xp = np.ascontiguousarray(x.data)
+    cols = _im2col(xp, kh, kw, stride, 0, h_out, w_out)
     wmat = weight.data.reshape(o, -1)
     out = (wmat @ cols + bias.data[:, None]).reshape(o, h_out, w_out)
     tape = _ACTIVE_TAPE
@@ -539,13 +549,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         if need_b:
             grads.append((bias, g2.sum(axis=1)))
         if need_x:
-            dcols = (wmat.T @ g2).reshape(c, kh, kw, h_out, w_out)
-            dxp = np.zeros((c, hp, wp), dtype=g.dtype)
-            for a in range(kh):
-                for b in range(kw):
-                    dxp[:, a::stride, b::stride][:, :h_out, :w_out] += dcols[:, a, b]
-            dx = dxp[:, padding : padding + h, padding : padding + w]
-            grads.append((x, np.ascontiguousarray(dx)))
+            gp = np.zeros((o, hp + kh - 1, wp + kw - 1), dtype=g.dtype)
+            gp[:, kh - 1 :: stride, kw - 1 :: stride][:, :h_out, :w_out] = g
+            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            dx = wflip @ _im2col(gp, kh, kw, 1, padding, h, w)
+            grads.append((x, dx.reshape(c, h, w)))
         return grads
 
     return _make(out, (x, weight, bias), rule)
@@ -596,9 +604,9 @@ def reflect_pad2d(x: Tensor, pad: int) -> Tensor:
     c, h, w = x.shape
     widths = ((0, 0), (pad, pad), (pad, pad))
     data = np.pad(x.data, widths, mode="reflect")
-    idx = np.pad(np.arange(c * h * w).reshape(c, h, w), widths, mode="reflect").ravel()
 
     def rule(g):
+        idx = np.pad(np.arange(c * h * w).reshape(c, h, w), widths, mode="reflect").ravel()
         dx = np.bincount(idx, weights=g.ravel(), minlength=c * h * w)
         return [(x, dx.astype(g.dtype).reshape(c, h, w))]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpl import cli
+from dpl import config as config_module
 from dpl.checkpoint import save_checkpoint
 from dpl.cli import main
 from dpl.config import SCHEMA, ConfigError, emit_config, parse_config
@@ -330,6 +331,47 @@ def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, f
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    # was a numpy _ArrayMemoryError traceback
+    ("gen-data", ["--size", "1000000"], "train_count and val_count at size 1000000"),
+    # each key is fine alone; the 20,100 images of 256 x 256 need ~30 GiB
+    ("gen-data", ["--size", "256", "--train_count", "10000"],
+     "train_count and val_count at size 256"),
+    ("gen-data", ["--val_count", "10000000000"], "train_count and val_count at size 32"),
+    ("pretrain", ["--size", "128", "--pretrain.samples", "100000"],
+     "pretrain.samples at size 128"),
+])
+def test_datasets_larger_than_memory_fail_at_parse_time(tmp_path, capsys, monkeypatch,
+                                                         command, flags, message):
+    monkeypatch.setattr(config_module, "_memory_bytes", lambda: 2**30)
+    assert main([command, "--out_dir", str(tmp_path / "out")] + flags) == 1
+    err = capsys.readouterr().err
+    assert message in err and "more than the 1 GiB" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_dataset_memory_bound_is_the_images_held(monkeypatch):
+    # 2 pairs, or 4 pretraining samples, of 3 x 32 x 32 float64 values: 98,304 bytes
+    monkeypatch.setattr(config_module, "_memory_bytes", lambda: 98_304)
+    fits = {"train_count": "1", "val_count": "1", "pretrain.samples": "4"}
+    parse_config(None, fits, use_env=False)
+    with pytest.raises(ConfigError, match="train_count and val_count at size 32"):
+        parse_config(None, dict(fits, val_count="2"), use_env=False)
+    with pytest.raises(ConfigError, match="pretrain.samples at size 32"):
+        parse_config(None, dict(fits, **{"pretrain.samples": "5"}), use_env=False)
+
+
+def test_dataset_memory_bound_follows_an_address_space_limit(monkeypatch):
+    resource = config_module.resource
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (resource.RLIM_INFINITY,) * 2)
+    assert config_module._memory_bytes() == physical
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (2**20, resource.RLIM_INFINITY))
+    assert config_module._memory_bytes() == 2**20
+    with pytest.raises(ConfigError, match="more than the 0.000977 GiB"):
+        parse_config(None, {"train_count": "10", "val_count": "10"}, use_env=False)
+
+
 @pytest.mark.parametrize("kind", ["grayscale", "gaussian_blur"])
 def test_distort_command(prepared_run, tmp_path, kind):
     src = prepared_run / "train" / "0001_y.ppm"
@@ -402,14 +444,24 @@ def fuzz_run(tmp_path_factory):
     return out
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(command=st.sampled_from(["show-config", "train", "eval", "distort"]),
+@settings(max_examples=225, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["show-config", "gen-data", "pretrain", "train", "eval",
+                                 "distort"]),
        overrides=FUZZ_OVERRIDES, extra=FUZZ_ANY,
        iterations=st.sampled_from(["1", "2"]))  # bounded: one example stays fast
 def test_config_fuzz_exits_with_a_documented_code(fuzz_run, command, overrides, extra,
                                                   iterations):
     argv = [command, "--out_dir", str(fuzz_run), "--dpl.iterations", iterations]
+    if command in ("gen-data", "pretrain"):
+        # they write into their own directory, so that the data and extractor the
+        # other commands read stay in place, and start from small datasets that
+        # the overrides after them may raise
+        argv[2] = str(fuzz_run / command)
+        argv += ["--train_count", "2", "--val_count", "2", "--pretrain.samples", "20",
+                 "--pretrain.epochs", iterations]
     for key, value in overrides + ([extra] if extra else []):
+        if command == "pretrain" and key == "pretrain.epochs" and value.isdigit():
+            value = min(value, iterations, key=int)  # each epoch is a pass over the samples
         argv += [f"--{key}", value]
     if command == "distort":
         argv += ["--input", str(fuzz_run / "val" / "0001_y.ppm"),

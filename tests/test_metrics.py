@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dpl.image import Image, gaussian_blur
+from dpl import metrics
+from dpl.image import GRAY_WEIGHTS, Image, gaussian_blur, gaussian_kernel1d, separable_filter
 from dpl.metrics import MetricError, feature_distance, ms_ssim, psnr
 from dpl.networks import FeatureNetPsi
 from dpl.rng import Rng
@@ -91,6 +92,42 @@ def test_ms_ssim_bounded():
         b = Image.from_array(rng.uniform(size=(32, 32, 3)))
         s = ms_ssim(a, b)
         assert 0.0 <= s <= 1.0
+
+
+def ms_ssim_oracle(a, b):
+    """ms_ssim with each of the five moment maps filtered on its own."""
+    x, y = a.pixels @ GRAY_WEIGHTS, b.pixels @ GRAY_WEIGHTS
+    k = gaussian_kernel1d(1.5)
+    value = 1.0
+    for scale in range(metrics.MSSSIM_SCALES):
+        mu_x, mu_y = separable_filter(x, k), separable_filter(y, k)
+        sxx = separable_filter(x * x, k) - mu_x * mu_x
+        syy = separable_filter(y * y, k) - mu_y * mu_y
+        sxy = separable_filter(x * y, k) - mu_x * mu_y
+        cs = max(float(np.mean((2 * sxy + metrics._C2) / (sxx + syy + metrics._C2))), 0.0)
+        weight = metrics.MSSSIM_WEIGHTS[scale]
+        if scale == metrics.MSSSIM_SCALES - 1:
+            lum = float(np.mean((2 * mu_x * mu_y + metrics._C1)
+                                / (mu_x**2 + mu_y**2 + metrics._C1)))
+            lum = max(lum, 0.0)
+            value *= (lum * cs) ** weight if lum * cs > 0 else 0.0
+        else:
+            value *= cs**weight if cs > 0 else 0.0
+            x, y = metrics._downsample2(x), metrics._downsample2(y)
+    return min(max(value, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 47), (64, 64)])
+def test_ms_ssim_stacked_filter_is_bitwise_the_oracle(shape):
+    rng = np.random.default_rng(list(shape))
+    for trial in range(20):
+        a = Image.from_array(rng.uniform(size=(*shape, 3)))
+        if trial % 2:
+            b = Image.from_array(rng.uniform(size=(*shape, 3)))
+        else:
+            b = gaussian_blur(Image.from_array(a.pixels * rng.uniform(0.3, 1.0)),
+                              rng.uniform(0.5, 2.0))
+        assert ms_ssim(a, b).hex() == ms_ssim_oracle(a, b).hex()
 
 
 # -- feature distance -------------------------------------------------------------------

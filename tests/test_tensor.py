@@ -230,10 +230,12 @@ def naive_conv2d_grads(x, w, g, stride, padding):
     return dxp[:, padding : padding + h, padding : padding + wd], dw, g.sum(axis=(1, 2))
 
 
+# stride 3, and extents such as (8, 5) at kernel 3, stride 2, padding 0, leave
+# trailing input rows or columns that no output window reads
 @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 1), (1, 5)])
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
-@pytest.mark.parametrize("extent", [(6, 6), (7, 9)])
+@pytest.mark.parametrize("extent", [(6, 6), (7, 9), (8, 5)])
 def test_conv2d_gradients_match_loop_oracle(f64, kernel, stride, padding, extent):
     rng = np.random.default_rng([*kernel, stride, padding, *extent])
     x = rng.normal(size=(2, *extent))
@@ -252,26 +254,28 @@ def test_conv2d_gradients_match_loop_oracle(f64, kernel, stride, padding, extent
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("padding", [0, 1, 2])
 def test_conv2d_non_contiguous_input_matches_loop_oracle(f64, stride, padding):
     # the input is a transposed view, as the [3,H,W] tensor of an image is
     rng = np.random.default_rng([stride, padding, 71])
-    x = rng.normal(size=(2, 7, 6))
-    w = rng.normal(size=(3, 2, 3, 3))
-    b = rng.normal(size=3)
-    xt, wt, bt = (Tensor(a) for a in (x, w, b))
-    with ComputationTape([xt, wt, bt]) as tape:
-        xv = T.transpose(xt, (0, 2, 1))
-        assert not xv.data.flags.c_contiguous
-        out = T.conv2d(xv, wt, bt, stride, padding)
-        g = rng.normal(size=out.shape)
-        T.backward((out * g).sum(), tape)
-    xs = x.transpose(0, 2, 1)
-    assert np.allclose(out.data, naive_conv2d(xs, w, b, stride, padding), rtol=1e-12, atol=1e-12)
-    dx, dw, db = naive_conv2d_grads(xs, w, g, stride, padding)
-    assert np.allclose(xt.grad, dx.transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
-    assert np.allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
-    assert np.allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
+    for k in (3, 1):
+        x = rng.normal(size=(2, 7, 6))
+        w = rng.normal(size=(3, 2, k, k))
+        b = rng.normal(size=3)
+        xt, wt, bt = (Tensor(a) for a in (x, w, b))
+        with ComputationTape([xt, wt, bt]) as tape:
+            xv = T.transpose(xt, (0, 2, 1))
+            assert not xv.data.flags.c_contiguous
+            out = T.conv2d(xv, wt, bt, stride, padding)
+            g = rng.normal(size=out.shape)
+            T.backward((out * g).sum(), tape)
+        xs = x.transpose(0, 2, 1)
+        assert np.allclose(out.data, naive_conv2d(xs, w, b, stride, padding),
+                           rtol=1e-12, atol=1e-12)
+        dx, dw, db = naive_conv2d_grads(xs, w, g, stride, padding)
+        assert np.allclose(xt.grad, dx.transpose(0, 2, 1), rtol=1e-12, atol=1e-12)
+        assert np.allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
+        assert np.allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_untracked_weight_and_bias_get_no_gradient(f64):
