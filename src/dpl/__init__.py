@@ -12,10 +12,9 @@ from .image import (Image, augment, color_jitter, from_tensor, gaussian_blur,
 from .synth import generate_synthetic
 from .networks import FeatureNetPsi, GeneratorF, SelectionPhi, pretrain_psi
 from .checkpoint import load_checkpoint, save_checkpoint
-from .losses import (ContextualParams, color_loss, contextual_loss,
-                     perceptual_loss, pixel_loss, texture_loss, triplet_loss)
-from .trainer import (DistortionSpec, DplConfig, Triplet, TripletStrategy,
-                      build_triplet, run_training)
+from .losses import (color_loss, contextual_loss, perceptual_loss, pixel_loss,
+                     texture_loss, triplet_loss)
+from .trainer import Triplet, build_triplet, distort, run_training
 from .metrics import feature_distance, ms_ssim, psnr
 from .config import ExperimentConfig, emit_config, parse_config
 

@@ -1,8 +1,8 @@
 """Command-line harness: dataset generation, extractor pretraining,
 transformation training, evaluation, and standalone distortion.
 
-Exit codes: 0 success, 1 usage/config error, 2 pretraining accuracy gate,
-3 numerical halt during training.
+Exit codes: 0 success, 1 usage/config error or out of memory, 2 pretraining
+accuracy gate, 3 numerical halt during training.
 """
 
 from __future__ import annotations
@@ -17,17 +17,16 @@ from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_che
 from .config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
 from .image import Image, ImageError, from_tensor, load_image, save_image, to_tensor
 from .metrics import MetricError, feature_distance, ms_ssim, psnr
-from .networks import FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi, pretrain_psi
+from .networks import (PRETRAIN_GATE, FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi,
+                       pretrain_psi)
 from .rng import Rng
 from .synth import generate_synthetic
-from .trainer import LOSSES, TrainingDiverged, run_training
+from .trainer import LOSSES, TrainingDiverged, distort, run_training
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRETRAIN_GATE = 2
 EXIT_NUMERIC_HALT = 3
-
-PRETRAIN_GATE = 0.80  # held-out accuracy psi must reach before it is saved
 
 
 class _UsageError(Exception):
@@ -78,7 +77,11 @@ def _read_pairs(directory: Path) -> list[tuple[Image, Image]]:
         names = line.split()
         if len(names) != 2:
             raise ConfigError(f"{manifest}:{lineno}: expected two image names, got {line!r}")
-        pairs.append(tuple(load_image(directory / name) for name in names))
+        x, y = (load_image(directory / name) for name in names)
+        if x.pixels.shape != y.pixels.shape:
+            raise ConfigError(f"{manifest}:{lineno}: shape mismatch, {names[0]} is "
+                              f"{x.height}x{x.width} but {names[1]} is {y.height}x{y.width}")
+        pairs.append((x, y))
     return pairs
 
 
@@ -108,21 +111,18 @@ def cmd_pretrain(config: ExperimentConfig) -> int:
         log_lines.append(msg)
         print(msg)
 
-    try:
-        pretrain_psi(psi, data, config["pretrain.epochs"], rng.child(32),
-                     lr=config["pretrain.lr"], log=log)
-        if psi.final_accuracy < PRETRAIN_GATE:
-            raise NetworkError(f"held-out accuracy {psi.final_accuracy:.2%} "
-                               f"< {PRETRAIN_GATE:.0%}; psi.dplc not written")
-    except NetworkError as e:
-        log(f"gate failed: {e}")
+    accuracy = pretrain_psi(psi, data, config["pretrain.epochs"], rng.child(32),
+                            lr=config["pretrain.lr"], log=log)
+    if accuracy < PRETRAIN_GATE:
+        log(f"gate failed: held-out accuracy {accuracy:.2%} < {PRETRAIN_GATE:.0%}; "
+            "psi.dplc not written")
         (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
         # an older psi.dplc is not the extractor this log describes
         (out / "psi.dplc").unlink(missing_ok=True)
         return EXIT_PRETRAIN_GATE
     (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
     save_checkpoint(psi.state_dict(), out / "psi.dplc")
-    print(f"saved extractor checkpoint, held-out accuracy {psi.final_accuracy:.2%}")
+    print(f"saved extractor checkpoint, held-out accuracy {accuracy:.2%}")
     return EXIT_OK
 
 
@@ -152,7 +152,6 @@ def cmd_train(config: ExperimentConfig) -> int:
     rng = Rng(config["seed"])
     f = GeneratorF(rng.child(40))
     phi = SelectionPhi(rng.child(41))
-    dpl_config = config.dpl_config()
     samples_dir = out / "samples"
     sample_every = config["train.sample_every"]
 
@@ -166,7 +165,7 @@ def cmd_train(config: ExperimentConfig) -> int:
         save_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
 
     try:
-        _, history = run_training(dpl_config, pairs, f, psi, phi, rng.child(42),
+        _, history = run_training(config, pairs, f, psi, phi, rng.child(42),
                                   sample_hook=sample_hook)
     except TrainingDiverged as e:
         print(f"numerical halt: {e}")
@@ -176,7 +175,7 @@ def cmd_train(config: ExperimentConfig) -> int:
         return EXIT_NUMERIC_HALT
     _write_history(out / "history.csv", history)
     save_checkpoint(f.state_dict(), out / "f.dplc")
-    print(f"trained {dpl_config.iterations} iterations; wrote f.dplc and history.csv")
+    print(f"trained {config['dpl.iterations']} iterations; wrote f.dplc and history.csv")
     return EXIT_OK
 
 
@@ -213,11 +212,10 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
 
 
 def cmd_distort(config: ExperimentConfig, input_path, output_path) -> int:
-    spec = config.distortion_spec()
-    if spec is None:
+    if config["dpl.distortion"] == "none":
         raise ConfigError("distort requires dpl.distortion != none")
     image = load_image(input_path)
-    save_image(spec.apply(image, Rng(config["seed"])), output_path)
+    save_image(distort(image, config, Rng(config["seed"])), output_path)
     print(f"wrote {output_path}")
     return EXIT_OK
 
@@ -265,6 +263,9 @@ def main(argv=None) -> int:
     except (_UsageError, ConfigError, CheckpointError, ImageError, MetricError,
             NetworkError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

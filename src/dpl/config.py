@@ -9,12 +9,10 @@ import os
 import resource
 from dataclasses import dataclass, field
 
-from .image import ImageError
-from .losses import ContextualParams, LossError
+from .image import ImageError, check_jitter_ranges
 from .metrics import MS_SSIM_MIN_EXTENT
 from .synth import PAIRED_TASKS
-from .trainer import (DISTORTION_KINDS, LOSSES, MODES, STRATEGY_KINDS, DistortionSpec,
-                      DplConfig, TrainerError, TripletStrategy)
+from .trainer import DISTORTION_KINDS, LOSSES, MODES, STRATEGY_KINDS
 
 VALID_METRICS = ("psnr", "ms_ssim", "dfd")
 
@@ -141,37 +139,6 @@ class ExperimentConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def distortion_spec(self) -> DistortionSpec | None:
-        v = self.values
-        if v["dpl.distortion"] == "none":
-            return None
-        return DistortionSpec(
-            kind=v["dpl.distortion"],
-            blur_sigma=(v["dpl.blur_sigma_min"], v["dpl.blur_sigma_max"]),
-            jitter_scale=(v["dpl.jitter_scale_min"], v["dpl.jitter_scale_max"]),
-            jitter_bias=(v["dpl.jitter_bias_min"], v["dpl.jitter_bias_max"]),
-        )
-
-    def dpl_config(self) -> DplConfig:
-        v = self.values
-        kind = v["dpl.strategy"]
-        distortion = self.distortion_spec() if kind == "task_oriented" else None
-        weights = {name: v[f"dpl.w_{name}"] for name in LOSSES if v[f"dpl.w_{name}"] > 0}
-        return DplConfig(
-            strategy=TripletStrategy(kind=kind, crop=v["dpl.crop"], distortion=distortion),
-            interval=v["dpl.interval"],
-            margin=v["dpl.margin"],
-            mode=v["dpl.mode"],
-            iterations=v["dpl.iterations"],
-            lr_generator=v["dpl.lr_generator"],
-            lr_selector=v["dpl.lr_selector"],
-            loss_weights=weights,
-            contextual_params=ContextualParams(v["dpl.contextual_bandwidth"],
-                                               v["dpl.contextual_epsilon"]),
-            color_sigma=v["dpl.color_sigma"],
-            augment_pairs=v["dpl.augment"],
-        )
-
 
 def _set_value(values: dict, key: str, raw: str, where: str) -> None:
     if key not in SCHEMA:
@@ -193,15 +160,16 @@ def _memory_bytes() -> int:
     return total if limit == resource.RLIM_INFINITY else min(total, limit)
 
 
-def parse_config(path=None, overrides: dict | None = None,
-                 use_env: bool = True) -> ExperimentConfig:
+def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Defaults, then file, then DPL_SEED, then command-line overrides.
 
-    The merged values must also make a valid trainer configuration and
-    distortion, an image size every listed metric accepts, and a triplet
-    crop and blur widths that fit in the image, so combinations the runtime
-    rejects fail here. Floats must be finite, and the images gen-data and
-    pretrain hold must fit in the memory the process may use.
+    The merged values must also make a consistent training recipe (a
+    distortion for task_oriented triplets, some loss weight above 0, and
+    ordered distortion ranges), an image size every listed metric accepts,
+    and a triplet crop and blur widths that fit in the image, so
+    combinations the runtime rejects fail here. Floats must be finite, and
+    the images gen-data and pretrain hold must fit in the memory the
+    process may use.
     """
     values: dict = {}
     if path is not None:
@@ -218,7 +186,7 @@ def parse_config(path=None, overrides: dict | None = None,
                 raise ConfigError(f"missing '=' at {path}:{lineno}: {line.strip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
             _set_value(values, key, raw, f"{path}:{lineno}")
-    if use_env and os.environ.get("DPL_SEED"):
+    if os.environ.get("DPL_SEED"):
         _set_value(values, "seed", os.environ["DPL_SEED"], "env DPL_SEED")
     for key, raw in (overrides or {}).items():
         _set_value(values, key, raw, "command line")
@@ -245,11 +213,19 @@ def parse_config(path=None, overrides: dict | None = None,
             raise ConfigError(f"{keys} at size {config['size']} need {need / 2**30:.3g} GiB "
                               f"of images, more than the {memory / 2**30:.3g} GiB of memory "
                               "this process may use")
-    try:
-        config.dpl_config()
-        config.distortion_spec()
-    except (TrainerError, LossError, ImageError) as e:
-        raise ConfigError(f"inconsistent dpl.* settings: {e}") from None
+    if config["dpl.strategy"] == "task_oriented" and config["dpl.distortion"] == "none":
+        raise ConfigError("task_oriented triplets require a distortion; set dpl.distortion")
+    if not any(config[f"dpl.w_{name}"] > 0 for name in LOSSES):
+        raise ConfigError("loss weights are all 0; set some dpl.w_* above 0")
+    if config["dpl.distortion"] != "none":
+        blur = (config["dpl.blur_sigma_min"], config["dpl.blur_sigma_max"])
+        if blur[0] > blur[1]:
+            raise ConfigError(f"bad blur sigma range {blur}: dpl.blur_sigma_min > max")
+        try:
+            check_jitter_ranges((config["dpl.jitter_scale_min"], config["dpl.jitter_scale_max"]),
+                                (config["dpl.jitter_bias_min"], config["dpl.jitter_bias_max"]))
+        except ImageError as e:
+            raise ConfigError(f"bad dpl.jitter_* settings: {e}") from None
     return config
 
 

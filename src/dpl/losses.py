@@ -9,8 +9,6 @@ gradients."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -22,16 +20,6 @@ FeatureSet = list
 
 class LossError(Exception):
     pass
-
-
-@dataclass
-class ContextualParams:
-    bandwidth: float = 0.5
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        if self.bandwidth <= 0 or self.epsilon <= 0:
-            raise LossError("contextual bandwidth and epsilon must be positive")
 
 
 def _check_same_shapes(fa: FeatureSet, fb: FeatureSet, op: str) -> None:
@@ -118,8 +106,8 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
     return T._make(-np.log(m), (a, b), rule)
 
 
-def contextual_loss(fa: FeatureSet, fb: FeatureSet,
-                    params: ContextualParams | None = None) -> Tensor:
+def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float = 0.5,
+                    epsilon: float = 1e-5) -> Tensor:
     """Set-matching loss over per-position feature vectors (Mechrez et al.,
     arXiv:1803.02077), one tape op per tap.
 
@@ -131,7 +119,8 @@ def contextual_loss(fa: FeatureSet, fb: FeatureSet,
     raising. Each tap's gradient is written by hand (``_contextual_tap``);
     the second set gets one only when the active tape tracks it.
     """
-    params = params or ContextualParams()
+    if bandwidth <= 0 or epsilon <= 0:
+        raise LossError("contextual bandwidth and epsilon must be positive")
     if len(fa) != len(fb):
         raise LossError(f"contextual_loss: tap count mismatch {len(fa)} vs {len(fb)}")
     total = None
@@ -140,7 +129,7 @@ def contextual_loss(fa: FeatureSet, fb: FeatureSet,
             raise LossError(
                 f"contextual_loss: tap {i} channel mismatch {a.shape[0]} vs {b.shape[0]}"
             )
-        tap = _contextual_tap(a, b, params.bandwidth, params.epsilon)
+        tap = _contextual_tap(a, b, bandwidth, epsilon)
         total = tap if total is None else total + tap
     return total * (1.0 / len(fa))
 

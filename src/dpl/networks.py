@@ -12,6 +12,9 @@ from .rng import Rng
 from .tensor import Tensor
 
 
+PRETRAIN_GATE = 0.80  # held-out accuracy psi must reach before it is saved
+
+
 class NetworkError(Exception):
     pass
 
@@ -154,10 +157,10 @@ class SelectionPhi(_Net):
     slice onto the first C/2 channels plus small noise.
     """
 
-    def __init__(self, rng: Rng, channels=(16, 32, 64), noise: float = 0.01):
-        self._channels = tuple(channels)
+    def __init__(self, rng: Rng):
         self._convs = {}
-        for i, c in enumerate(self._channels):
+        noise = 0.01
+        for i, c in enumerate(FeatureNetPsi.TAP_CHANNELS):
             first = Conv2dLayer(c, c, 1, rng.child(100 + i))
             first.weight.data = (
                 np.eye(c).reshape(c, c, 1, 1)
@@ -175,12 +178,11 @@ class SelectionPhi(_Net):
         return self._convs
 
     def __call__(self, features: list[Tensor]) -> list[Tensor]:
-        if len(features) != len(self._channels):
-            raise NetworkError(
-                f"expected {len(self._channels)} taps, got {len(features)}"
-            )
+        channels = FeatureNetPsi.TAP_CHANNELS
+        if len(features) != len(channels):
+            raise NetworkError(f"expected {len(channels)} taps, got {len(features)}")
         out = []
-        for i, (feat, c) in enumerate(zip(features, self._channels)):
+        for i, (feat, c) in enumerate(zip(features, channels)):
             if feat.shape[0] != c:
                 raise NetworkError(
                     f"tap {i}: channel mismatch, feature has {feat.shape[0]}, selector expects {c}"
@@ -212,14 +214,11 @@ def accuracy(psi: FeatureNetPsi, dataset) -> float:
 
 
 def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
-                 lr: float = 1e-3, holdout_frac: float = 0.1,
-                 target_accuracy: float = 0.80, log=None) -> FeatureNetPsi:
-    """Train the texture classifier until held-out accuracy meets the gate.
-
-    Raises NetworkError if accuracy stays below 50% after the full epoch
-    budget (bad seed or budget too small).
-    """
-    n_hold = max(1, int(len(dataset) * holdout_frac))
+                 lr: float = 1e-3, log=None) -> float:
+    """Train the texture classifier on all but the first tenth of ``dataset``
+    until the accuracy on that tenth reaches ``PRETRAIN_GATE`` or the epochs
+    run out; returns the last held-out accuracy."""
+    n_hold = max(1, int(len(dataset) * 0.1))
     heldout, train = dataset[:n_hold], dataset[n_hold:]
     opt = Adam(psi.params(), lr=lr)
     acc = accuracy(psi, heldout)
@@ -236,12 +235,6 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
         acc = accuracy(psi, heldout)
         if log is not None:
             log(f"epoch {epoch} heldout_accuracy {acc:.4f}")
-        if acc >= target_accuracy:
+        if acc >= PRETRAIN_GATE:
             break
-    if acc < 0.50:
-        raise NetworkError(
-            f"pretraining reached only {acc:.2%} held-out accuracy; "
-            "increase the epoch/sample budget or change the seed"
-        )
-    psi.final_accuracy = acc
-    return psi
+    return acc

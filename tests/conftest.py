@@ -3,6 +3,18 @@ import pytest
 
 import dpl
 from dpl import tensor as T
+from dpl.config import ExperimentConfig
+
+
+@pytest.fixture(autouse=True)
+def _no_env_seed(monkeypatch):
+    """parse_config reads DPL_SEED; the tests see only the seeds they set."""
+    monkeypatch.delenv("DPL_SEED", raising=False)
+
+
+def train_config(**settings):
+    """The defaults with ``dpl.<key>`` set for each keyword, as the trainer reads them."""
+    return ExperimentConfig({f"dpl.{key}": value for key, value in settings.items()})
 
 
 @pytest.fixture
@@ -28,8 +40,8 @@ def pretrained_psi_full():
         data = dpl.generate_synthetic("textures", 2000, 32, rng.child(1))
         psi = dpl.FeatureNetPsi(rng.child(2))
         t0 = time.time()
-        dpl.pretrain_psi(psi, data, 5, rng.child(3))
-        _PRETRAIN_CACHE["psi"] = (psi, psi.final_accuracy, time.time() - t0)
+        accuracy = dpl.pretrain_psi(psi, data, 5, rng.child(3))
+        _PRETRAIN_CACHE["psi"] = (psi, accuracy, time.time() - t0)
     return _PRETRAIN_CACHE["psi"]
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_gradients, pretrained_psi_full
+from conftest import check_gradients, pretrained_psi_full, train_config
 from dpl import tensor as T
 from dpl.checkpoint import load_checkpoint, save_checkpoint
 from dpl.cli import main
@@ -23,8 +23,7 @@ from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
-from dpl.trainer import (DistortionSpec, DplConfig, TripletStrategy,
-                         build_triplet, generator_step, param_hash, run_training,
+from dpl.trainer import (build_triplet, generator_step, param_hash, run_training,
                          selector_accumulate, selector_apply, start_state, _features)
 
 from test_losses import _vectors_to_tap, contextual_oracle
@@ -170,8 +169,7 @@ def test_criterion_2_algorithm_mechanics(f64):
     f = GeneratorF(rng.child(2))
     psi = FeatureNetPsi(rng.child(3))
     phi = SelectionPhi(rng.child(4))
-    config = DplConfig(interval=4, iterations=200,
-                       strategy=TripletStrategy(kind="instance_self"))
+    config = train_config(interval=4, iterations=200, strategy="instance_self")
     state = start_state(config, f, psi, phi)
     psi_hash = param_hash(psi.params())
     trip_rng = rng.child(5)
@@ -184,7 +182,7 @@ def test_criterion_2_algorithm_mechanics(f64):
             x_out = f(x_t)
         x_gen = Image.from_array(
             np.clip(x_out.detach().data.transpose(1, 2, 0), 0.0, 1.0))
-        trip = build_triplet(config.strategy, x, y, x_gen, trip_rng)
+        trip = build_triplet(config, x, y, x_gen, trip_rng)
 
         f_hash = param_hash(f.params())
         selector_accumulate(psi, phi, trip, config, state)
@@ -192,7 +190,7 @@ def test_criterion_2_algorithm_mechanics(f64):
         generator_step(gen_tape, x_out, y_t, psi, phi, config, state)
         # selector untouched by the generator step
         assert param_hash(phi.params()) == phi_hash
-        if (it + 1) % config.interval == 0:
+        if (it + 1) % config["dpl.interval"] == 0:
             selector_apply(state)
         # generator untouched by any selector work this iteration
         # (its own step is the only change, verified by hashing around it)
@@ -200,12 +198,12 @@ def test_criterion_2_algorithm_mechanics(f64):
         assert param_hash(psi.params()) == psi_hash
 
     # accumulation equivalence, bitwise: N backwards vs one summed backward
-    trips = [build_triplet(config.strategy, *data[i], data[i][0], rng.child(50 + i))
+    trips = [build_triplet(config, *data[i], data[i][0], rng.child(50 + i))
              for i in range(4)]
 
     def by_accumulation():
         p = SelectionPhi(Rng(2001))
-        cfg = DplConfig(interval=4, strategy=TripletStrategy(kind="instance_self"))
+        cfg = train_config(interval=4, strategy="instance_self")
         st = start_state(cfg, f, psi, p)
         for tr in trips:
             selector_accumulate(psi, p, tr, cfg, st)
@@ -296,11 +294,8 @@ def _protocol_run(task: str, mode: str, seed: int, psi: FeatureNetPsi):
     val = generate_synthetic(task, 50, 32, r.child(20))
     f = GeneratorF(r.child(40))
     phi = SelectionPhi(r.child(41))
-    strategy = TripletStrategy(kind="task_oriented",
-                               distortion=DistortionSpec("color_jitter"))
-    config = DplConfig(strategy=strategy, mode=mode, iterations=2000,
-                       interval=4, margin=1.0,
-                       loss_weights={"perceptual": 1.0})
+    config = train_config(strategy="task_oriented", distortion="color_jitter", mode=mode,
+                          iterations=2000, interval=4, margin=1.0, w_perceptual=1.0)
     f, _ = run_training(config, train, f, psi, phi, r.child(42))
     dfd = cerr = ps = 0.0
     for x, y in val:
@@ -388,9 +383,8 @@ def test_criterion_8_determinism_and_formats(tmp_path, pretrained_psi):
     assert (tmp_path / "rt.ppm").read_bytes() == (tmp_path / "rt2.ppm").read_bytes()
 
     # config round trip equality
-    cfg = parse_config(overrides={"task": "darken", "dpl.margin": "0.75"},
-                       use_env=False)
+    cfg = parse_config(overrides={"task": "darken", "dpl.margin": "0.75"})
     (tmp_path / "cfg").write_text(emit_config(cfg))
-    assert parse_config(tmp_path / "cfg", use_env=False).values == cfg.values
+    assert parse_config(tmp_path / "cfg").values == cfg.values
 
     _report(8, "bit-identical reruns; checkpoint/PPM/config round trips exact")

@@ -22,7 +22,7 @@ from dpl.rng import Rng
 
 
 def test_defaults_without_file():
-    cfg = parse_config(use_env=False)
+    cfg = parse_config()
     assert cfg["task"] == "colorcast"
     assert cfg["size"] == 32
     assert cfg["seed"] == 0
@@ -40,7 +40,7 @@ def test_file_parsing_with_comments(tmp_path):
         "dpl.margin = 0.5\n"
         "metrics = psnr,dfd\n"
     )
-    cfg = parse_config(path, use_env=False)
+    cfg = parse_config(path)
     assert cfg["task"] == "darken"
     assert cfg["dpl.margin"] == 0.5
     assert cfg["metrics"] == ("psnr", "dfd")
@@ -50,25 +50,25 @@ def test_unknown_key_names_it(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("dpl.margain = 1.0\n")
     with pytest.raises(ConfigError, match="dpl.margain"):
-        parse_config(path, use_env=False)
+        parse_config(path)
 
 
 def test_bad_value_names_key_and_location(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("task = colorcast\nsize = tiny\n")
     with pytest.raises(ConfigError) as err:
-        parse_config(path, use_env=False)
+        parse_config(path)
     assert "size" in str(err.value)
     assert ":2" in str(err.value)
 
 
 def test_negative_margin_message():
     with pytest.raises(ConfigError, match="margin must be >= 0"):
-        parse_config(overrides={"dpl.margin": "-1"}, use_env=False)
+        parse_config(overrides={"dpl.margin": "-1"})
 
 
 def test_size_16_is_accepted_without_ms_ssim():
-    cfg = parse_config(overrides={"size": "16", "metrics": "psnr,dfd"}, use_env=False)
+    cfg = parse_config(overrides={"size": "16", "metrics": "psnr,dfd"})
     assert cfg["size"] == 16
 
 
@@ -82,23 +82,21 @@ def test_env_seed_and_override_precedence(tmp_path, monkeypatch):
 
 def test_emit_round_trip(tmp_path):
     cfg = parse_config(overrides={"task": "blur", "dpl.lr_generator": "3e-05",
-                                  "dpl.augment": "false"}, use_env=False)
+                                  "dpl.augment": "false"})
     path = tmp_path / "emitted.cfg"
     path.write_text(emit_config(cfg))
-    again = parse_config(path, use_env=False)
+    again = parse_config(path)
     assert again.values == cfg.values
 
 
 def test_trainer_config_construction():
     cfg = parse_config(overrides={"dpl.strategy": "instance_self",
-                                  "dpl.distortion": "none"}, use_env=False)
-    dc = cfg.dpl_config()
-    assert dc.strategy.kind == "instance_self"
-    assert dc.strategy.distortion is None
+                                  "dpl.distortion": "none"})
+    assert cfg["dpl.strategy"] == "instance_self"
+    assert cfg["dpl.distortion"] == "none"
     with pytest.raises(ConfigError, match="distortion"):
         parse_config(overrides={"dpl.strategy": "task_oriented",
-                                "dpl.distortion": "none"},
-                     use_env=False).dpl_config()
+                                "dpl.distortion": "none"})
 
 
 # -- CLI -----------------------------------------------------------------------------
@@ -290,6 +288,28 @@ def test_metric_error_is_usage_error(prepared_run, capsys):
     assert "shape mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, part", [("train", "train"), ("eval", "val")])
+def test_pair_of_unequal_images_is_usage_error(prepared_run, capsys, command, part):
+    # was a LossError traceback from the first perceptual loss of train
+    save_image(Image.from_array(np.zeros((40, 40, 3))), prepared_run / part / "0002_y.ppm")
+    assert main([command, *_base_args(prepared_run), "--dpl.iterations", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.txt:3" in err and "32x32" in err and "40x40" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a dataset that fits the parse-time bound but not the memory that is free
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 24.0 KiB for an array with shape (32, 32, 3)")
+
+    monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+    assert main(["gen-data", *_base_args(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err
+
+
 def test_eval_without_data_is_usage_error(tmp_path, capsys):
     assert main(["eval", *_base_args(tmp_path / "nothing")]) == 1
     assert "manifest" in capsys.readouterr().err
@@ -324,6 +344,7 @@ def test_missing_dataset_image_is_usage_error(prepared_run, capsys):
     (["--dpl.distortion", "gaussian_blur", "--dpl.blur_sigma_max", "1e15"],
      "dpl.blur_sigma_max 1e+15 exceeds size 32"),
     (["--dpl.w_color", "1", "--dpl.color_sigma", "33"], "dpl.color_sigma 33 exceeds size 32"),
+    (["--dpl.distortion", "none"], "task_oriented triplets require a distortion"),
 ])
 def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
     # refused before any data is read: the output directory does not exist
@@ -354,11 +375,11 @@ def test_dataset_memory_bound_is_the_images_held(monkeypatch):
     # 2 pairs, or 4 pretraining samples, of 3 x 32 x 32 float64 values: 98,304 bytes
     monkeypatch.setattr(config_module, "_memory_bytes", lambda: 98_304)
     fits = {"train_count": "1", "val_count": "1", "pretrain.samples": "4"}
-    parse_config(None, fits, use_env=False)
+    parse_config(None, fits)
     with pytest.raises(ConfigError, match="train_count and val_count at size 32"):
-        parse_config(None, dict(fits, val_count="2"), use_env=False)
+        parse_config(None, dict(fits, val_count="2"))
     with pytest.raises(ConfigError, match="pretrain.samples at size 32"):
-        parse_config(None, dict(fits, **{"pretrain.samples": "5"}), use_env=False)
+        parse_config(None, dict(fits, **{"pretrain.samples": "5"}))
 
 
 def test_dataset_memory_bound_follows_an_address_space_limit(monkeypatch):
@@ -369,7 +390,7 @@ def test_dataset_memory_bound_follows_an_address_space_limit(monkeypatch):
     monkeypatch.setattr(resource, "getrlimit", lambda _: (2**20, resource.RLIM_INFINITY))
     assert config_module._memory_bytes() == 2**20
     with pytest.raises(ConfigError, match="more than the 0.000977 GiB"):
-        parse_config(None, {"train_count": "10", "val_count": "10"}, use_env=False)
+        parse_config(None, {"train_count": "10", "val_count": "10"})
 
 
 @pytest.mark.parametrize("kind", ["grayscale", "gaussian_blur"])
@@ -395,7 +416,7 @@ def test_show_config_round_trips(tmp_path, capsys):
     text = capsys.readouterr().out
     path = tmp_path / "shown.cfg"
     path.write_text(text)
-    cfg = parse_config(path, use_env=False)
+    cfg = parse_config(path)
     assert cfg["task"] == "blur"
     assert cfg["dpl.margin"] == 0.25
 
@@ -421,7 +442,7 @@ FUZZ_KEYS = sorted(key for key in SCHEMA if key not in ("out_dir", "dpl.iteratio
 
 def _accepted(key, raw):
     try:
-        parse_config(None, {key: raw}, use_env=False)
+        parse_config(None, {key: raw})
     except ConfigError:
         return False
     return True

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import check_gradients
 from dpl import tensor as T
-from dpl.losses import (ContextualParams, LossError, blur_tensor, color_loss,
+from dpl.losses import (LossError, blur_tensor, color_loss,
                         contextual_loss, perceptual_loss, pixel_loss,
                         texture_loss, triplet_loss)
 from dpl.tensor import ComputationTape, Tensor
@@ -119,8 +119,9 @@ def test_contextual_gradient(f64):
 
 
 def test_contextual_bad_params():
+    feats = _featset(np.ones((2, 2, 2)))
     with pytest.raises(LossError):
-        ContextualParams(bandwidth=0.0)
+        contextual_loss(feats, feats, bandwidth=0.0)
 
 
 def contextual_chain(fa, fb, h=0.5, eps=1e-5):

@@ -184,12 +184,11 @@ def test_checkpoint_missing_tensor(tmp_path):
 
 
 def test_pretrain_smoke_small():
-    # tiny run: enough data that the net beats the 50% floor but cheap
+    # tiny run: enough data that the net is well above chance (10%) but cheap
     rng = Rng(20)
     data = generate_synthetic("textures", 400, 16, rng.child(1))
     psi = FeatureNetPsi(rng.child(2))
-    pretrain_psi(psi, data, epochs=3, rng=rng.child(3), target_accuracy=0.75)
-    assert psi.final_accuracy >= 0.5
+    assert pretrain_psi(psi, data, epochs=3, rng=rng.child(3)) >= 0.5
 
 
 def test_classify_and_accuracy_consistent():

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import train_config
 from dpl import tensor as T
+from dpl.config import ConfigError, parse_config
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
-from dpl.trainer import (MODES, DistortionSpec, DplConfig, TrainerError,
-                         TrainingDiverged, TripletStrategy,
-                         build_triplet, generator_step, param_hash, param_norm,
-                         run_training, selector_accumulate, selector_apply, start_state)
+from dpl.trainer import (MODES, TrainerError, TrainingDiverged, build_triplet,
+                         generator_step, param_hash, param_norm, run_training,
+                         selector_accumulate, selector_apply, start_state)
 from dpl.image import Image, to_grayscale, to_tensor
 
 
@@ -27,24 +28,21 @@ def _pair(seed, size=32):
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(TrainerError, match="margin"):
-        DplConfig(margin=-0.5)
-    with pytest.raises(TrainerError, match="interval"):
-        DplConfig(interval=0)
-    with pytest.raises(TrainerError, match="mode"):
-        DplConfig(mode="nonsense")
-    with pytest.raises(TrainerError, match="loss"):
-        DplConfig(loss_weights={"perceptual": 0.0})
-    with pytest.raises(TrainerError, match="loss"):
-        DplConfig(loss_weights={"bogus": 1.0})
+    # the trainer reads the parsed config: every rule is checked at parse time
+    for key, raw, message in [("dpl.margin", "-0.5", "margin"),
+                              ("dpl.interval", "0", "interval"),
+                              ("dpl.mode", "nonsense", "mode"),
+                              ("dpl.w_perceptual", "0", "loss"),
+                              ("dpl.w_bogus", "1", "w_bogus")]:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(overrides={key: raw})
 
 
 def test_strategy_distortion_invariants():
-    with pytest.raises(TrainerError, match="require a distortion"):
-        TripletStrategy(kind="task_oriented", distortion=None)
-    with pytest.raises(TrainerError, match="must not carry"):
-        TripletStrategy(kind="instance_self", distortion=DistortionSpec())
-    TripletStrategy(kind="source_anchored")  # fine without distortion
+    with pytest.raises(ConfigError, match="require a distortion"):
+        parse_config(overrides={"dpl.strategy": "task_oriented", "dpl.distortion": "none"})
+    # fine without distortion
+    parse_config(overrides={"dpl.strategy": "source_anchored", "dpl.distortion": "none"})
 
 
 # -- triplet construction --------------------------------------------------------------
@@ -63,14 +61,14 @@ def test_triplet_roles_per_strategy():
         return [name for name, img in sources.items()
                 if np.array_equal(crop.pixels, img.pixels[:16, :16])]
 
-    cases = [(TripletStrategy(kind="instance_self"), ("Y", "Y", "gen")),
-             (TripletStrategy(kind="source_anchored"), ("X", "X", "gen")),
-             (TripletStrategy(kind="task_oriented", distortion=DistortionSpec("grayscale")),
+    cases = [(train_config(strategy="instance_self"), ("Y", "Y", "gen")),
+             (train_config(strategy="source_anchored"), ("X", "X", "gen")),
+             (train_config(strategy="task_oriented", distortion="grayscale"),
               ("gray(Y)", "gen", "Y"))]
-    for strategy, roles in cases:
-        trip = build_triplet(strategy, x, y, x_gen, Rng(0))
+    for config, roles in cases:
+        trip = build_triplet(config, x, y, x_gen, Rng(0))
         got = [source(crop) for crop in (trip.anchor, trip.positive, trip.negative)]
-        assert got == [[name] for name in roles], strategy.kind
+        assert got == [[name] for name in roles], config["dpl.strategy"]
 
 
 # -- freeze discipline ------------------------------------------------------------------
@@ -78,7 +76,7 @@ def test_triplet_roles_per_strategy():
 
 def test_generator_step_leaves_extractor_and_selector_untouched():
     f, psi, phi = _nets(2)
-    config = DplConfig(iterations=1)
+    config = train_config(iterations=1)
     state = start_state(config, f, psi, phi)
     x, y = _pair(3)[0]
     before_psi = param_hash(psi.params())
@@ -97,8 +95,8 @@ def test_generator_step_leaves_extractor_and_selector_untouched():
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("weights, psi_calls", [
     ({"perceptual": 1.0, "contextual": 1.0}, 2),
-    ({"contextual": 1.0}, 2),
-    ({"pixel_l1": 1.0, "color": 1.0, "texture": 1.0}, 0),
+    ({"perceptual": 0.0, "contextual": 1.0}, 2),
+    ({"perceptual": 0.0, "pixel_l1": 1.0, "color": 1.0, "texture": 1.0}, 0),
 ])
 def test_generator_step_builds_each_feature_set_once(monkeypatch, mode, weights, psi_calls):
     calls = []
@@ -110,7 +108,7 @@ def test_generator_step_builds_each_feature_set_once(monkeypatch, mode, weights,
 
     monkeypatch.setattr(FeatureNetPsi, "__call__", counted)
     f, psi, phi = _nets(2)
-    config = DplConfig(mode=mode, loss_weights=weights)
+    config = train_config(mode=mode, **{f"w_{name}": w for name, w in weights.items()})
     state = start_state(config, f, psi, phi)
     x, y = _pair(3)[0]
     with T.ComputationTape(state.gen_opt.params) as tape:
@@ -122,10 +120,10 @@ def test_generator_step_builds_each_feature_set_once(monkeypatch, mode, weights,
 
 def test_selector_accumulate_leaves_generator_and_extractor_untouched():
     f, psi, phi = _nets(4)
-    config = DplConfig(interval=1)
+    config = train_config(interval=1, strategy="instance_self")
     state = start_state(config, f, psi, phi)
     x, y = _pair(5)[0]
-    trip = build_triplet(TripletStrategy(kind="instance_self"), x, y, x, Rng(6))
+    trip = build_triplet(config, x, y, x, Rng(6))
     before_f = param_hash(f.params())
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
@@ -140,11 +138,11 @@ def test_selector_accumulate_leaves_generator_and_extractor_untouched():
 
 def test_selector_accumulate_rejected_in_frozen_mode():
     f, psi, phi = _nets(7)
-    config = DplConfig(mode="frozen")
+    config = train_config(mode="frozen", strategy="instance_self")
     state = start_state(config, f, psi, phi)
     assert state.sel_opt is None
     x, y = _pair(8)[0]
-    trip = build_triplet(TripletStrategy(kind="instance_self"), x, y, x, Rng(9))
+    trip = build_triplet(config, x, y, x, Rng(9))
     with pytest.raises(TrainerError, match="frozen"):
         selector_accumulate(psi, phi, trip, config, state)
 
@@ -152,7 +150,8 @@ def test_selector_accumulate_rejected_in_frozen_mode():
 @pytest.mark.parametrize("mode", ["feature_selection", "full"])
 def test_start_state_optimizes_the_network_the_mode_trains(mode):
     f, psi, phi = _nets(10)
-    state = start_state(DplConfig(mode=mode, lr_generator=3e-4, lr_selector=2e-4), f, psi, phi)
+    state = start_state(train_config(mode=mode, lr_generator=3e-4, lr_selector=2e-4),
+                        f, psi, phi)
     trained = phi if mode == "feature_selection" else psi
     for opt, net, lr in [(state.gen_opt, f, 3e-4), (state.sel_opt, trained, 2e-4)]:
         assert [id(p) for p in opt.params] == [id(p) for p in net.params()]
@@ -164,8 +163,7 @@ def test_selector_steps_every_interval_iterations():
     data = _pair(10)
     f, psi, phi = _nets(11)
     norms = [param_norm(phi.params())]
-    config = DplConfig(interval=3, iterations=8,
-                       strategy=TripletStrategy(kind="instance_self"))
+    config = train_config(interval=3, iterations=8, strategy="instance_self")
     _, history = run_training(config, data, f, psi, phi, Rng(12))
     norms += [r.phi_norm for r in history]
     assert [it for it in range(8) if norms[it + 1] != norms[it]] == [2, 5]
@@ -180,7 +178,7 @@ def _triplets(seed, n):
     out = []
     for i in range(n):
         x, y = data[i % len(data)]
-        out.append(build_triplet(TripletStrategy(kind="instance_self"),
+        out.append(build_triplet(train_config(strategy="instance_self"),
                                  x, y, x, rng.child(i)))
     return out
 
@@ -195,7 +193,7 @@ def test_accumulated_gradient_equals_summed_loss_gradient(f64):
 
     def grads_by_accumulation():
         _, psi, phi = _nets(12)
-        config = DplConfig(interval=n)
+        config = train_config(interval=n)
         state = start_state(config, GeneratorF(Rng(13)), psi, phi)
         for trip in trips:
             selector_accumulate(psi, phi, trip, config, state)
@@ -223,8 +221,7 @@ def test_interval_one_degenerates_to_per_iteration_updates():
     results = {}
     for interval in (1, 1):
         f, psi, phi = _nets(15)
-        config = DplConfig(interval=interval, iterations=6,
-                           strategy=TripletStrategy(kind="instance_self"))
+        config = train_config(interval=interval, iterations=6, strategy="instance_self")
         _, history = run_training(config, data, f, psi, phi, Rng(16))
         results[len(results)] = (param_hash(phi.params()),
                                  [r.generator_loss for r in history])
@@ -242,8 +239,7 @@ def test_run_training_deterministic():
     hashes, losses = [], []
     for _ in range(2):
         f, psi, phi = _nets(18)
-        config = DplConfig(iterations=8, interval=2,
-                           strategy=TripletStrategy(kind="instance_self"))
+        config = train_config(iterations=8, interval=2, strategy="instance_self")
         f, history = run_training(config, data, f, psi, phi, Rng(19))
         hashes.append(param_hash(f.params()) + param_hash(phi.params()))
         losses.append([r.generator_loss for r in history])
@@ -256,7 +252,7 @@ def test_frozen_mode_never_touches_selector_or_extractor():
     f, psi, phi = _nets(21)
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
-    config = DplConfig(mode="frozen", iterations=6)
+    config = train_config(mode="frozen", iterations=6)
     f, history = run_training(config, data, f, psi, phi, Rng(22))
     assert param_hash(psi.params()) == before_psi
     assert param_hash(phi.params()) == before_phi
@@ -270,8 +266,7 @@ def test_untrained_networks_get_no_gradient(mode):
     # a gradient unless it is fine-tuned (full), phi only when it is trained
     data = _pair(32)
     f, psi, phi = _nets(33)
-    config = DplConfig(mode=mode, iterations=3, interval=2,
-                       strategy=TripletStrategy(kind="instance_self"))
+    config = train_config(mode=mode, iterations=3, interval=2, strategy="instance_self")
     run_training(config, data, f, psi, phi, Rng(34))
     assert all(p.grad is not None for p in f.params())
     if mode != "full":
@@ -283,9 +278,8 @@ def test_untrained_networks_get_no_gradient(mode):
 def test_history_row_contents():
     data = _pair(23)
     f, psi, phi = _nets(24)
-    config = DplConfig(iterations=3, interval=2,
-                       strategy=TripletStrategy(kind="instance_self"),
-                       loss_weights={"perceptual": 1.0, "pixel_l1": 0.5})
+    config = train_config(iterations=3, interval=2, strategy="instance_self",
+                          w_perceptual=1.0, w_pixel_l1=0.5)
     _, history = run_training(config, data, f, psi, phi, Rng(25))
     assert [r.iteration for r in history] == [0, 1, 2]
     for row in history:
@@ -299,9 +293,8 @@ def test_single_pair_overfit_halves_loss():
     rng = Rng(26)
     data = generate_synthetic("darken", 1, 32, rng.child(1))
     f, psi, phi = _nets(27)
-    config = DplConfig(iterations=200, interval=4, augment_pairs=False,
-                       strategy=TripletStrategy(kind="instance_self"),
-                       loss_weights={"perceptual": 1.0, "pixel_l1": 1.0})
+    config = train_config(iterations=200, interval=4, augment=False, strategy="instance_self",
+                          w_perceptual=1.0, w_pixel_l1=1.0)
     _, history = run_training(config, data, f, psi, phi, rng.child(2))
     first = np.mean([r.generator_loss for r in history[:10]])
     last = np.mean([r.generator_loss for r in history[-10:]])
@@ -311,14 +304,14 @@ def test_single_pair_overfit_halves_loss():
 def test_empty_dataset_rejected():
     f, psi, phi = _nets(28)
     with pytest.raises(TrainerError, match="empty"):
-        run_training(DplConfig(iterations=1), [], f, psi, phi, Rng(29))
+        run_training(train_config(iterations=1), [], f, psi, phi, Rng(29))
 
 
 def test_divergence_is_reported_with_iteration():
     f, psi, phi = _nets(30)
     # poison the generator so its output is NaN
     f.dec2.weight.data = np.full_like(f.dec2.weight.data, np.nan)
-    config = DplConfig(iterations=1, mode="frozen")
+    config = train_config(iterations=1, mode="frozen")
     x, y = _pair(31)[0]
     state = start_state(config, f, psi, phi)
     state.iteration = 7

@@ -1,10 +1,12 @@
-"""Print a sha256 for every output of a fixed five-mode pipeline.
+"""Print a sha256 for every output of a fixed six-mode pipeline.
 
 Runs gen-data, pretrain, train and eval through ``dpl.cli.main`` at seed 3
 (6 train and 3 val pairs at 32 px, 600 pretraining samples for 3 epochs,
-60 training iterations) in five training modes, each in its own directory
-under OUT_DIR, and prints ``<sha256>  <path>`` for every file written,
-paths relative to OUT_DIR. A change that claims to keep outputs
+60 training iterations) in six training modes, each in its own directory
+under OUT_DIR, then ``dpl distort`` once per distortion kind on a generated
+image, and prints ``<sha256>  <path>`` for every file written, paths
+relative to OUT_DIR. Between them the modes set every ``dpl.*`` training
+key to a value other than its default. A change that claims to keep outputs
 byte-identical shows it with one ``diff`` of this script's output on the
 parent and on the change:
 
@@ -42,22 +44,39 @@ MODES = {
     "fs_gaussian_blur_interval3": ("--dpl.mode", "feature_selection",
                                    "--dpl.strategy", "task_oriented",
                                    "--dpl.distortion", "gaussian_blur", "--dpl.interval", "3"),
+    "fs_source_anchored_tuned": ("--dpl.mode", "feature_selection",
+                                 "--dpl.strategy", "source_anchored", "--dpl.augment", "false",
+                                 "--dpl.margin", "0.5", "--dpl.crop", "8",
+                                 "--dpl.lr_generator", "3e-4", "--dpl.lr_selector", "2e-4",
+                                 "--dpl.w_contextual", "1", "--dpl.contextual_bandwidth", "0.3",
+                                 "--dpl.contextual_epsilon", "1e-4",
+                                 "--dpl.w_color", "0.5", "--dpl.color_sigma", "2"),
+}
+# dpl distort, one run per kind, with ranges other than the defaults
+DISTORT = {
+    "gaussian_blur": ("--dpl.blur_sigma_min", "0.5", "--dpl.blur_sigma_max", "1.5"),
+    "color_jitter": ("--dpl.jitter_scale_min", "0.8", "--dpl.jitter_scale_max", "1.2",
+                     "--dpl.jitter_bias_min", "-0.05", "--dpl.jitter_bias_max", "0.05"),
+    "grayscale": (),
 }
 
 
+def run(main, out: Path, command: str, *args) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--out_dir", str(out), *COMMON, *args])
+    if code != 0:
+        sys.exit(f"byte_oracle: `dpl {command}` exited {code} in {out}")
+
+
 def run_mode(main, out: Path, flags) -> None:
-    base = ("--out_dir", str(out), *COMMON)
     for command, extra in [("gen-data", ()), ("pretrain", PRETRAIN),
                            ("train", (*TRAIN, *flags)), ("eval", ())]:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, *base, *extra])
-        if code != 0:
-            sys.exit(f"byte_oracle: `dpl {command}` exited {code} in {out}")
+        run(main, out, command, *extra)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", type=Path, help="directory for the five runs")
+    parser.add_argument("out_dir", type=Path, help="directory for the runs")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the dpl package (default: this repo's src)")
     args = parser.parse_args()
@@ -68,6 +87,12 @@ def main() -> None:
 
     for mode, flags in MODES.items():
         run_mode(dpl_main, args.out_dir / mode, flags)
+    image = args.out_dir / next(iter(MODES)) / "train" / "0001_y.ppm"
+    out = args.out_dir / "distort"
+    out.mkdir(parents=True, exist_ok=True)
+    for kind, flags in DISTORT.items():
+        run(dpl_main, out, "distort", "--dpl.distortion", kind, *flags,
+            "--input", str(image), "--output", str(out / f"{kind}.ppm"))
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")
