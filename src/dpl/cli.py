@@ -17,8 +17,8 @@ from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_che
 from .config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
 from .image import Image, ImageError, from_tensor, load_image, save_image, to_tensor
 from .metrics import MetricError, feature_distance, ms_ssim, psnr
-from .networks import (PRETRAIN_GATE, FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi,
-                       pretrain_psi)
+from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, NetworkError,
+                       SelectionPhi, pretrain_psi, takes_extents)
 from .rng import Rng
 from .synth import generate_synthetic
 from .trainer import LOSSES, TrainingDiverged, distort, run_training
@@ -81,6 +81,9 @@ def _read_pairs(directory: Path) -> list[tuple[Image, Image]]:
         if x.pixels.shape != y.pixels.shape:
             raise ConfigError(f"{manifest}:{lineno}: shape mismatch, {names[0]} is "
                               f"{x.height}x{x.width} but {names[1]} is {y.height}x{y.width}")
+        if not takes_extents(x.height, x.width):
+            raise ConfigError(f"{manifest}:{lineno}: {names[0]} and {names[1]} are "
+                              f"{x.height}x{x.width}, but the networks need {EXTENTS_RULE}")
         pairs.append((x, y))
     return pairs
 

@@ -45,23 +45,51 @@ def _positions(data: np.ndarray) -> np.ndarray:
     return data.reshape(data.shape[0], -1).T
 
 
+# Exponents of the affinities are floored here before exp. A row's largest
+# exponent is eps / (q h) >= 0, so its largest affinity is >= 1 and a
+# floored one, e^-60 ~ 8.8e-27, is far below float32 and float64
+# resolution of the row sum; the floor keeps exp and every later product
+# out of the subnormal range, where they run ~10x slower.
+_EXP_FLOOR = -60.0
+# Elements in one row block of the (Na, Nb) distances: 512 KB in float32,
+# so one block of ``d`` and one of ``cx`` stay in cache.
+_BLOCK = 2 ** 17
+
+
 def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
     """One tap of the contextual loss as a single tape op.
 
-    The forward evaluates the affinity chain on the position vectors and
-    keeps two (Na, Nb) arrays for the backward: the cosine distances ``d``
-    and the row-normalised affinities ``cx``. With ``q = min_j d + eps``
-    and the loss ``-log mean_j max_i cx``:
+    The forward builds the row-normalised affinities ``cx`` (Na, Nb) in
+    blocks of rows, each from one scratch block of cosine distances ``d``,
+    with the chain's elementwise ops in the chain's order, so the loss is
+    the chain's to the bit. From each block it keeps, per row, ``q = min_j d
+    + eps``, the argmin ``n`` and ``rowdot = sum_j cx * d``; per column, the
+    running max of ``cx``, its first row ``f`` (only a strictly greater
+    value moves it, so a tie keeps the earliest row) and ``d`` there.
+    ``cx`` is the only (Na, Nb) array the backward holds. With the loss
+    ``-log mean_j max_i cx``:
 
     - every column max has the same gradient ``c = -g / (m * Nb)``, where
       ``m`` is the mean of the column maxima;
-    - through ``cx = w / rowsum(w)`` and ``w = exp((1 - d / q) / h)`` this
-      gives ``dd = cx * (r / (h q))[:, None]``, where ``r_i`` is ``c`` times
-      the sum of the column maxima first attained in row i, less
-      ``c * cx / (h q)`` at each column's first argmax;
-    - the row min adds ``-rowsum(dd * d) / q`` at each row's first argmin;
-    - ``d an = -dd @ bn`` (and ``d bn = -dd.T @ an`` when ``b`` is
-      tracked), followed by the normalisation and centering backward.
+    - through ``cx = w / rowsum(w)`` and ``w = exp((1 - d / q) / h)`` the
+      gradient on ``d`` is ``dd = v[:, None] * cx + S + dq at (i, n_i)``,
+      where ``v_i = c r_i / (h q_i)`` with ``r_i`` the sum of the column
+      maxima first attained in row i, ``S`` holds ``s1_j = -c max_j /
+      (h q_{f_j})`` at each ``(f_j, j)``, and the row min adds
+      ``dq_i = -(v_i rowdot_i + sum_{f_j = i} s1_j d_{f_j j}) / q_i``;
+    - ``d an = -dd @ bn = -(v * (cx @ bn) + sum_{f_j = i} s1_j bn_j +
+      dq * bn[n])``, one GEMM, and when ``b`` is tracked ``d bn =
+      -(cx.T @ (v * an) + s1 * an[f] + dq * an added at the columns n)``;
+      then the normalisation and centering backward. ``v_{f_j} max_j`` and
+      ``s1_j`` nearly cancel where a row's affinity is all on its column
+      maxima, so the backward's ``cx`` holds 0 at each ``(f_j, j)`` and
+      ``s1_j`` takes ``v_{f_j} max_j`` in: summed inside the GEMM, the
+      rounding error of the large term would swamp the small result.
+
+    Floored exponents have a zero derivative. The affinities they stand
+    for are below 1e-26 of their row's largest, under what float32 or
+    float64 resolves in a row sum, so the floor changes neither the loss
+    nor its gradient by a visible amount.
     """
     av, bv = _positions(a.data), _positions(b.data)  # (Na, C), (Nb, C)
     mu = bv.mean(axis=0, keepdims=True)
@@ -69,36 +97,71 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
     na = np.sqrt((ac * ac).sum(axis=1, keepdims=True) + eps * eps)
     nb = np.sqrt((bc * bc).sum(axis=1, keepdims=True) + eps * eps)
     an, bn = ac / na, bc / nb
-    d = an @ bn.T
-    np.subtract(1.0, d, out=d)  # (Na, Nb) cosine distances
-    q = d.min(axis=1, keepdims=True) + eps
-    cx = d / q
-    np.subtract(1.0, cx, out=cx)
-    np.multiply(cx, 1.0 / h, out=cx)
-    np.exp(cx, out=cx)
-    cx /= cx.sum(axis=1, keepdims=True)
-    colmax = cx.max(axis=0)
+    n_rows, n_cols = len(an), len(bn)
+    step = max(1, _BLOCK // n_cols)
+    dtype = an.dtype
+    cx = np.empty((n_rows, n_cols), dtype)
+    scratch = np.empty((min(step, n_rows), n_cols), dtype)
+    hits = np.empty(scratch.shape, bool)
+    rank = np.arange(len(scratch), 0, -1, dtype=np.min_scalar_type(len(scratch)))[:, None]
+    ranks = np.empty(scratch.shape, rank.dtype)
+    q = np.empty(n_rows, dtype)
+    nearest = np.empty(n_rows, np.intp)
+    rowdot = np.empty(n_rows, dtype)
+    colmax = np.full(n_cols, -np.inf, dtype)
+    first = np.zeros(n_cols, np.intp)
+    d_first = np.zeros(n_cols, dtype)
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        d, w = scratch[: rows.stop - start], cx[rows]
+        np.matmul(an[rows], bn.T, out=d)
+        np.subtract(1.0, d, out=d)  # cosine distances
+        nearest[rows] = d.argmin(axis=1)
+        q[rows] = d[np.arange(len(d)), nearest[rows]] + eps
+        np.divide(d, q[rows, None], out=w)
+        np.subtract(1.0, w, out=w)
+        np.multiply(w, 1.0 / h, out=w)
+        np.maximum(w, _EXP_FLOOR, out=w)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        rowdot[rows] = np.einsum("ij,ij->i", w, d)
+        top = w.max(axis=0)
+        gain = top > colmax
+        np.maximum(colmax, top, out=colmax)
+        # the first row of each gained column's max: the largest rank among
+        # its hits, as a column max over the block, which is cheaper than a
+        # column argmax
+        hit, hit_rank = hits[: len(d)], ranks[: len(d)]
+        np.equal(w, np.where(gain, top, np.inf), out=hit)
+        np.multiply(hit, rank[: len(d)], out=hit_rank)
+        col = np.flatnonzero(gain)
+        row = len(scratch) - hit_rank.max(axis=0)[col].astype(np.intp)
+        first[col], d_first[col] = start + row, d[row, col]
     m = colmax.mean()
+    cx[first, np.arange(n_cols)] = 0  # the column maxima enter the backward through s1
     tape = T.active_tape()
     need_a, need_b = (tape is not None and tape.tracks(t) for t in (a, b))
 
     def rule(g):
-        n_rows, n_cols = cx.shape
         c = -g / (m * n_cols)
-        first = (cx == colmax).argmax(axis=0)  # the row of each column's max
-        r = np.bincount(first, weights=colmax, minlength=n_rows).astype(cx.dtype) * c
-        dd = cx * (r / (h * q[:, 0]))[:, None]
-        dd[first, np.arange(n_cols)] -= colmax * c / (h * q[first, 0])
-        dq = -np.einsum("ij,ij->i", dd, d) / q[:, 0]  # via d / q: before the argmin entries
-        dd[np.arange(n_rows), d.argmin(axis=1)] += dq
-        dan = -(dd @ bn)
-        dac = (dan - an * (dan * an).sum(axis=1, keepdims=True)) / na
+        v = np.bincount(first, weights=colmax, minlength=n_rows).astype(dtype) * c / (h * q)
+        s1 = -c * colmax / (h * q[first])
+        dq = -(v * rowdot + np.bincount(first, weights=s1 * d_first,
+                                        minlength=n_rows).astype(dtype)) / q
+        s1 += v[first] * colmax  # all of dd at (f_j, j), where cx holds 0
+        dan = cx @ bn
+        dan *= v[:, None]
+        np.add.at(dan, first, s1[:, None] * bn)
+        dan += dq[:, None] * bn[nearest]
+        dac = (an * (dan * an).sum(axis=1, keepdims=True) - dan) / na
         grads = []
         if need_a:
             grads.append((a, dac.T.reshape(a.shape)))
         if need_b:
-            dbn = -(dd.T @ an)
-            dbc = (dbn - bn * (dbn * bn).sum(axis=1, keepdims=True)) / nb
+            dbn = cx.T @ (v[:, None] * an)
+            dbn += s1[:, None] * an[first]
+            np.add.at(dbn, nearest, dq[:, None] * an)
+            dbc = (bn * (dbn * bn).sum(axis=1, keepdims=True) - dbn) / nb
             dmu = -(dac.sum(axis=0) + dbc.sum(axis=0))
             grads.append((b, (dbc + dmu / len(bc)).T.reshape(b.shape)))
         return grads

@@ -19,6 +19,16 @@ class NetworkError(Exception):
     pass
 
 
+# The image extents F and the extractor both take: F needs them even and at
+# least 8, the extractor's two 2x2 poolings divisible by 4.
+EXTENTS_RULE = "extents divisible by 4 and at least 8"
+
+
+def takes_extents(h: int, w: int) -> bool:
+    """True if both networks take an h x w image (``EXTENTS_RULE``)."""
+    return h % 4 == 0 and w % 4 == 0 and min(h, w) >= 8
+
+
 class Conv2dLayer:
     def __init__(self, c_in: int, c_out: int, k: int, rng: Rng,
                  stride: int = 1, padding: int = 0, zero_init: bool = False):

@@ -298,6 +298,19 @@ def test_pair_of_unequal_images_is_usage_error(prepared_run, capsys, command, pa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("size", [42, 33])
+def test_dataset_image_the_networks_cannot_take_is_usage_error(prepared_run, capsys, size):
+    # was an exit 1 from the first extractor or generator call, naming no file
+    for side in "xy":
+        save_image(Image.from_array(np.zeros((size, size, 3))),
+                   prepared_run / "train" / f"0002_{side}.ppm")
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "30"]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.txt:3" in err and "0002_x.ppm" in err and f"{size}x{size}" in err
+    assert "divisible by 4 and at least 8" in err
+    assert not (prepared_run / "history.csv").exists()
+
+
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     # a dataset that fits the parse-time bound but not the memory that is free
     def exhausted(*args):

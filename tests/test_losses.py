@@ -227,6 +227,72 @@ def test_contextual_gradient_with_duplicate_vectors(f64):
                     f"set {which}, channel {c}, position {pos}")
 
 
+def _exponents(a, b, h=0.5, eps=1e-5):
+    """The affinity exponents (1 - d / q) / h of two [C,H,W] sets, in numpy."""
+    av, bv = a.reshape(a.shape[0], -1).T, b.reshape(b.shape[0], -1).T
+    mu = bv.mean(axis=0)
+    an = (av - mu) / np.sqrt(((av - mu) ** 2).sum(axis=1, keepdims=True) + eps * eps)
+    bn = (bv - mu) / np.sqrt(((bv - mu) ** 2).sum(axis=1, keepdims=True) + eps * eps)
+    d = 1.0 - an @ bn.T
+    return (1.0 - d / (d.min(axis=1, keepdims=True) + eps)) / h
+
+
+def test_contextual_exponent_floor_binds_and_changes_nothing_visible():
+    # a quarter of the first set's positions copy the second set's exactly,
+    # so q = eps on their rows and most of their exponents are far below
+    # the floor, where exp would otherwise be subnormal or zero
+    rng = np.random.default_rng(21)
+    c, hgt, wid = TAP_SHAPES[0]
+    a = rng.normal(size=(c, hgt * wid))
+    b = rng.normal(size=(c, hgt * wid))
+    a[:, ::4] = b[:, ::4]
+    a, b = a.reshape(c, hgt, wid), b.reshape(c, hgt, wid)
+    assert (_exponents(a, b) < -60.0).any()
+
+    fa, fb = _featset(a), _featset(b)
+    got = contextual_loss(fa, fb)
+    assert got.dtype == np.float32
+    assert got.item() == contextual_chain(fa, fb).item()
+    with T.default_dtype(np.float64):
+        want, want_grads = _value_and_grads(contextual_chain, [a], [b])
+        got, got_grads = _value_and_grads(contextual_loss, [a], [b])
+    assert got == pytest.approx(want, rel=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        assert np.allclose(g, w, rtol=1e-9, atol=1e-13)
+
+
+def _tied_rows_sets(rng):
+    """Tap-0 sets whose first set repeats row 3 as row 700, in another row
+    block."""
+    c, hgt, wid = TAP_SHAPES[0]
+    a = rng.normal(size=(c, hgt * wid))
+    a[:, 700] = a[:, 3]
+    return a.reshape(c, hgt, wid), rng.normal(size=(c, hgt, wid))
+
+
+def _constant_first_set(rng):
+    c, hgt, wid = TAP_SHAPES[0]
+    a = np.broadcast_to(rng.normal(size=(c, 1, 1)), (c, hgt, wid)).copy()
+    return a, rng.normal(size=(c, hgt, wid))
+
+
+@pytest.mark.parametrize("build", [_tied_rows_sets, _constant_first_set])
+def test_contextual_ties_across_row_blocks_keep_the_earliest_row(f64, build):
+    # a column max attained by equal rows in two row blocks routes its
+    # gradient to the earliest row, as reduce_max's first match does
+    a, b = build(np.random.default_rng(22))
+    t = _exponents(a, b)
+    cx = np.exp(t) / np.exp(t).sum(axis=1, keepdims=True)
+    top = cx.max(axis=0)
+    assert ((cx[3] == top) & (cx[700] == top)).any()
+
+    want, want_grads = _value_and_grads(contextual_chain, [a], [b])
+    got, got_grads = _value_and_grads(contextual_loss, [a], [b])
+    assert got == want
+    for g, w in zip(got_grads, want_grads):
+        assert np.allclose(g, w, rtol=1e-9, atol=1e-13)
+
+
 def test_contextual_untracked_second_set_gets_no_gradient():
     rng = np.random.default_rng(20)
     fa = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
