@@ -9,6 +9,7 @@ byte output is a pure function of the bundle. A checkpoint is written with
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -67,13 +68,21 @@ def save_checkpoint(bundle: dict, path) -> None:
 
 
 def load_checkpoint(path, written_by: str = "") -> dict[str, np.ndarray]:
-    """Read a bundle; ``written_by`` names the command that writes ``path``."""
+    """Read a bundle; every error names ``path``, and ``written_by`` names the
+    command that writes it."""
     try:
         with open(path, "rb") as f:
             raw = f.read()
     except OSError as e:
         by = f"; `{written_by}` writes it" if written_by else ""
         raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}{by}") from None
+    try:
+        return _parse(raw)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+
+
+def _parse(raw: bytes) -> dict[str, np.ndarray]:
     off = 0
 
     def take(n: int) -> bytes:
@@ -92,13 +101,15 @@ def load_checkpoint(path, written_by: str = "") -> dict[str, np.ndarray]:
     bundle: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor name at offset {off - nlen} is not UTF-8") from None
         if name in bundle:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         (rank,) = struct.unpack("<B", take(1))
         dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
-        size = int(np.prod(dims)) if dims else 1
-        payload = take(4 * size)
+        payload = take(4 * math.prod(dims))
         bundle[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if off != len(raw):
         raise CheckpointError(f"{len(raw) - off} trailing bytes after checkpoint payload")

@@ -21,7 +21,7 @@ from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, N
                        SelectionPhi, pretrain_psi, takes_extents)
 from .rng import Rng
 from .synth import generate_synthetic
-from .trainer import LOSSES, TrainingDiverged, distort, run_training
+from .trainer import LOSSES, TrainingDiverged, distort, run_training, triplet_crop
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,7 +68,10 @@ def _write_pairs(directory: Path, pairs, seed: int) -> None:
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _read_pairs(directory: Path) -> list[tuple[Image, Image]]:
+def _read_pairs(directory: Path, square: bool = False,
+                min_extent: int = 0) -> list[tuple[Image, Image]]:
+    """The pairs of ``directory/manifest.txt``; a pair the caller cannot use
+    is refused naming its line."""
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise ConfigError(f"no manifest at {manifest}; run gen-data first")
@@ -81,9 +84,14 @@ def _read_pairs(directory: Path) -> list[tuple[Image, Image]]:
         if x.pixels.shape != y.pixels.shape:
             raise ConfigError(f"{manifest}:{lineno}: shape mismatch, {names[0]} is "
                               f"{x.height}x{x.width} but {names[1]} is {y.height}x{y.width}")
+        where = f"{manifest}:{lineno}: {names[0]} and {names[1]} are {x.height}x{x.width}"
         if not takes_extents(x.height, x.width):
-            raise ConfigError(f"{manifest}:{lineno}: {names[0]} and {names[1]} are "
-                              f"{x.height}x{x.width}, but the networks need {EXTENTS_RULE}")
+            raise ConfigError(f"{where}, but the networks need {EXTENTS_RULE}")
+        if square and x.height != x.width:
+            raise ConfigError(f"{where}, but dpl.augment rotates pairs, which needs square "
+                              "images; set dpl.augment false")
+        if min(x.height, x.width) < min_extent:
+            raise ConfigError(f"{where}, smaller than the triplet crop dpl.crop {min_extent}")
         pairs.append((x, y))
     return pairs
 
@@ -149,7 +157,8 @@ def _write_history(path: Path, history) -> None:
 
 def cmd_train(config: ExperimentConfig) -> int:
     out = Path(config["out_dir"])
-    pairs = _read_pairs(out / "train")
+    pairs = _read_pairs(out / "train", square=config["dpl.augment"],
+                        min_extent=triplet_crop(config))
     psi = FeatureNetPsi(Rng(0))
     psi.load_state_dict(load_checkpoint(out / "psi.dplc", "dpl pretrain"))
     rng = Rng(config["seed"])

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import Rng
 from .tensor import Tensor, get_default_dtype
@@ -157,27 +158,73 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _blur_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    radius = len(kernel) // 2
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (radius, radius)
-    padded = np.pad(arr, pad, mode="reflect")
-    out = np.zeros_like(arr)
-    sl = [slice(None)] * arr.ndim
-    for i, wgt in enumerate(kernel):
-        sl[axis] = slice(i, i + arr.shape[axis])
-        out += wgt * padded[tuple(sl)]
+# output rows per product with the banded matrix: bounds the matrix and the
+# work per element for any extent (128 ran faster than 64 at 64-256 px)
+_TILE = 128
+
+
+def _reflect_index(n: int, radius: int) -> np.ndarray:
+    """Source of each position of an axis of extent ``n`` reflect-padded by
+    ``radius``, reflecting repeatedly when the radius is at least ``n``."""
+    return np.pad(np.arange(n), radius, mode="reflect")
+
+
+def _correlate(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid correlation down axis -2, in blocks of up to ``_TILE`` output
+    rows, each one product with the same banded (tile, tile + taps - 1)
+    matrix: O(tile + taps) work per element."""
+    taps = len(kernel)
+    n = padded.shape[-2] - taps + 1
+    tile = min(n, _TILE)
+    blocks = -(-n // tile)
+    if blocks * tile > n:
+        padded = np.pad(padded, [(0, 0)] * (padded.ndim - 2) + [(0, blocks * tile - n), (0, 0)])
+    band = np.zeros((tile, tile + taps - 1), padded.dtype)
+    rows = np.arange(tile)[:, None]
+    band[rows, rows + np.arange(taps)] = kernel
+    windows = sliding_window_view(padded, tile + taps - 1, axis=-2)[..., ::tile, :, :]
+    out = band @ windows.swapaxes(-1, -2)
+    return out.reshape(*out.shape[:-3], blocks * tile, out.shape[-1])[..., :n, :]
+
+
+def _filter_axis(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    index = _reflect_index(arr.shape[-2], len(kernel) // 2)
+    return _correlate(np.take(arr, index, axis=-2), kernel)
+
+
+def _filter_axis_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # the padded rows' gradient is the full correlation with the flipped
+    # kernel; each pad row then folds back onto the row it reflects
+    n, taps, radius = g.shape[-2], len(kernel), len(kernel) // 2
+    zero_padded = np.zeros((*g.shape[:-2], n + 2 * taps - 2, g.shape[-1]), g.dtype)
+    zero_padded[..., taps - 1 : taps - 1 + n, :] = g
+    padded = _correlate(zero_padded, kernel[::-1])
+    index = _reflect_index(n, radius)
+    out = padded[..., radius : radius + n, :].copy()
+    for p in (*range(radius), *range(radius + n, len(index))):
+        out[..., index[p], :] += padded[..., p, :]
     return out
 
 
+def _separable(arr: np.ndarray, kernel: np.ndarray, along) -> np.ndarray:
+    return along(along(arr, kernel).swapaxes(-1, -2), kernel).swapaxes(-1, -2)
+
+
 def separable_filter(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Correlate the two leading axes of ``arr`` with ``kernel``, reflect-padded."""
-    return _blur_axis(_blur_axis(arr, kernel, 0), kernel, 1)
+    """Correlate the two trailing axes of ``arr`` with ``kernel``,
+    reflect-padded."""
+    return _separable(arr, kernel, _filter_axis)
+
+
+def separable_filter_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The transpose of ``separable_filter``: the gradient of its input."""
+    return _separable(g, kernel, _filter_axis_adjoint)
 
 
 def gaussian_blur(image: Image, sigma: float) -> Image:
     """Separable Gaussian blur with reflect padding."""
-    return Image.from_array(separable_filter(image.pixels, gaussian_kernel1d(sigma)))
+    planes = separable_filter(image.pixels.transpose(2, 0, 1), gaussian_kernel1d(sigma))
+    return Image.from_array(planes.transpose(1, 2, 0))
 
 
 def check_jitter_ranges(scale_range: tuple[float, float],

@@ -2,17 +2,16 @@
 triplet hinge, blurred color and grayscale texture distances, and an L1
 pixel baseline. A feature set is the ordered list of per-tap tensors.
 
-Every loss is a composition of tensor ops except the contextual loss,
-which records one op per tap: its (Na, Nb) affinity chain has a
-backward written by hand that never forms the chain's intermediate
-gradients."""
+Every loss is a composition of tensor ops except the contextual loss, one
+op per tap whose (Na, Nb) affinity chain has a hand-written backward, and
+the color loss's blur, one op over ``image.separable_filter``."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import tensor as T
-from .image import GRAY_WEIGHTS, gaussian_kernel1d
+from .image import GRAY_WEIGHTS, gaussian_kernel1d, separable_filter, separable_filter_adjoint
 from .tensor import Tensor
 
 FeatureSet = list
@@ -212,24 +211,13 @@ def triplet_loss(anchor: FeatureSet, positive: FeatureSet, negative: FeatureSet,
     return T.relu(d_ap - d_an + margin)
 
 
-def _blur_weights(sigma: float, dtype):
-    k = gaussian_kernel1d(sigma)
-    n = len(k)
-    wv = np.zeros((3, 3, n, 1))
-    wh = np.zeros((3, 3, 1, n))
-    for c in range(3):
-        wv[c, c, :, 0] = k
-        wh[c, c, 0, :] = k
-    zero = np.zeros(3)
-    return (T.constant(wv, dtype), T.constant(wh, dtype),
-            T.constant(zero, dtype), n // 2)
-
-
 def blur_tensor(x: Tensor, sigma: float) -> Tensor:
-    """Differentiable separable Gaussian blur of [3,H,W] with reflect padding."""
-    wv, wh, zero, radius = _blur_weights(sigma, x.dtype)
-    padded = T.reflect_pad2d(x, radius)
-    return T.conv2d(T.conv2d(padded, wv, zero), wh, zero)
+    """Differentiable Gaussian blur of the two trailing axes of ``x`` with
+    reflect padding, as one tape op over ``image.separable_filter`` in
+    ``x``'s element type."""
+    k = gaussian_kernel1d(sigma).astype(x.dtype)
+    return T._make(separable_filter(x.data, k), (x,),
+                   lambda g: [(x, separable_filter_adjoint(g, k))])
 
 
 def color_loss(a: Tensor, b: Tensor, sigma: float = 3.0) -> Tensor:

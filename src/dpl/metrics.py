@@ -54,8 +54,7 @@ def ms_ssim(a: Image, b: Image) -> float:
     k = gaussian_kernel1d(1.5)  # 11 taps
     value = 1.0
     for scale in range(MSSSIM_SCALES):
-        mu_x, mu_y, mxx, myy, mxy = np.moveaxis(
-            separable_filter(np.stack([x, y, x * x, y * y, x * y], axis=-1), k), -1, 0)
+        mu_x, mu_y, mxx, myy, mxy = separable_filter(np.stack([x, y, x * x, y * y, x * y]), k)
         sxx = mxx - mu_x * mu_x
         syy = myy - mu_y * mu_y
         sxy = mxy - mu_x * mu_y

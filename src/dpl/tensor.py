@@ -16,7 +16,8 @@ the backward of a sum or mean is a broadcast view of the upstream gradient
 (so a backward rule never writes into its ``g``), and the backward of a max
 or min scatters ``g`` into zeros at the argmax; max_pool2's forward takes
 the maximum of four strided views, and its backward compares each view
-with that maximum.
+with that maximum. Ops that serve one loss (the contextual affinities, the
+color loss's Gaussian blur) are recorded by ``losses`` through ``_make``.
 """
 
 from __future__ import annotations
@@ -495,9 +496,6 @@ def _im2col(buf: np.ndarray, kh: int, kw: int, stride: int, origin: int,
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over a [C,H,W] input with zero padding.
 
-    Kernels may be rectangular ([O,I,kh,kw]); the public contract uses
-    square kernels but the separable blur reuses the general form.
-
     The forward and the weight gradient are one matmul each over the
     channel-major im2col (``_im2col``) of the input, zero-padded by ``p``;
     a 1x1 conv at stride 1 without padding uses the [C,H*W] input as is.
@@ -597,17 +595,3 @@ def upsample_nearest2(x: Tensor) -> Tensor:
 
     return _make(data, (x,), rule)
 
-
-def reflect_pad2d(x: Tensor, pad: int) -> Tensor:
-    """Reflect-pad the spatial axes of a [C,H,W] tensor."""
-    x = _as_tensor(x)
-    c, h, w = x.shape
-    widths = ((0, 0), (pad, pad), (pad, pad))
-    data = np.pad(x.data, widths, mode="reflect")
-
-    def rule(g):
-        idx = np.pad(np.arange(c * h * w).reshape(c, h, w), widths, mode="reflect").ravel()
-        dx = np.bincount(idx, weights=g.ravel(), minlength=c * h * w)
-        return [(x, dx.astype(g.dtype).reshape(c, h, w))]
-
-    return _make(data, (x,), rule)

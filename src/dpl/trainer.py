@@ -130,15 +130,21 @@ def param_hash(params) -> str:
     return digest.hexdigest()
 
 
+def triplet_crop(config: ExperimentConfig) -> int:
+    """Extent of the triplet crops a run cuts: ``dpl.crop`` when a selector
+    trains, 0 in frozen mode, which trains none and cuts no triplets."""
+    return 0 if config["dpl.mode"] == "frozen" else config["dpl.crop"]
+
+
 def start_state(config: ExperimentConfig, f: GeneratorF, psi: FeatureNetPsi,
                 phi: SelectionPhi) -> TrainState:
     """The two optimizers of Algorithm 1: one on the generator, and one on the
     network the selector trains (phi, or psi in full mode; none when frozen)."""
-    selector = {"feature_selection": phi, "full": psi}.get(config["dpl.mode"])
-    return TrainState(
-        gen_opt=Adam(f.params(), lr=config["dpl.lr_generator"]),
-        sel_opt=None if selector is None else Adam(selector.params(),
-                                                   lr=config["dpl.lr_selector"]))
+    sel_opt = None
+    if triplet_crop(config):  # the selector trains on the triplets
+        selector = phi if config["dpl.mode"] == "feature_selection" else psi
+        sel_opt = Adam(selector.params(), lr=config["dpl.lr_selector"])
+    return TrainState(gen_opt=Adam(f.params(), lr=config["dpl.lr_generator"]), sel_opt=sel_opt)
 
 
 def _features(psi: FeatureNetPsi, phi: SelectionPhi, x: Tensor, mode: str):

@@ -17,7 +17,7 @@ from dpl.checkpoint import load_checkpoint, save_checkpoint
 from dpl.cli import main
 from dpl.config import parse_config, emit_config
 from dpl.image import Image, load_image, save_image, to_tensor
-from dpl.losses import contextual_loss, perceptual_loss, pixel_loss, triplet_loss
+from dpl.losses import blur_tensor, contextual_loss, perceptual_loss, pixel_loss, triplet_loss
 from dpl.metrics import feature_distance, ms_ssim, psnr
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from dpl.rng import Rng
@@ -68,8 +68,7 @@ def _op_cases(rng):
         ("max_pool2", lambda t: T.max_pool2(t[0]).sum(), [distinct.copy()]),
         ("upsample_nearest2", lambda t: (T.upsample_nearest2(t[0]) ** 2).sum(),
          [n(2, 3, 3)]),
-        ("reflect_pad2d", lambda t: (T.reflect_pad2d(t[0], 2) ** 2).sum(),
-         [n(2, 4, 4)]),
+        ("blur_tensor", lambda t: (blur_tensor(t[0], 1.0) ** 2).sum(), [n(2, 4, 5)]),
     ]
 
 

@@ -14,7 +14,7 @@ from dpl.checkpoint import save_checkpoint
 from dpl.cli import main
 from dpl.config import SCHEMA, ConfigError, emit_config, parse_config
 from dpl.image import Image, gaussian_blur, load_image, save_image
-from dpl.networks import FeatureNetPsi
+from dpl.networks import FeatureNetPsi, GeneratorF
 from dpl.rng import Rng
 
 
@@ -240,6 +240,16 @@ def test_checkpoint_path_that_is_a_directory_is_usage_error(prepared_run, capsys
     assert "cannot read checkpoint" in capsys.readouterr().err
 
 
+def test_checkpoint_format_error_names_the_file(prepared_run, capsys):
+    # was "error: truncated checkpoint: wanted 64 bytes at offset 28": eval reads
+    # two checkpoints, and the message named neither
+    head = prepared_run / "head.dplc"
+    save_checkpoint(GeneratorF(Rng(0)).state_dict(), head)
+    head.write_bytes(head.read_bytes()[:50])
+    assert main(["eval", *_base_args(prepared_run), "--f-checkpoint", str(head)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {head}: truncated checkpoint")
+
+
 def test_eval_report_format(prepared_run):
     args = _base_args(prepared_run) + ["--dpl.iterations", "4"]
     assert main(["train", *args]) == 0
@@ -309,6 +319,39 @@ def test_dataset_image_the_networks_cannot_take_is_usage_error(prepared_run, cap
     assert "manifest.txt:3" in err and "0002_x.ppm" in err and f"{size}x{size}" in err
     assert "divisible by 4 and at least 8" in err
     assert not (prepared_run / "history.csv").exists()
+
+
+def _replace_pair(run, part, index, shape):
+    for side in "xy":
+        save_image(Image.from_array(np.zeros((*shape, 3))), run / part / f"{index:04d}_{side}.ppm")
+
+
+def test_pair_below_the_triplet_crop_is_refused_when_a_selector_trains(prepared_run, capsys):
+    # was "error: crop size 16 exceeds image extent 12x12", naming no file
+    _replace_pair(prepared_run, "train", 2, (12, 12))
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "30"]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.txt:3" in err and "0002_x.ppm" in err and "12x12" in err
+    assert "dpl.crop 16" in err
+    assert not (prepared_run / "history.csv").exists()
+    # frozen mode cuts no triplet crops
+    args = [*_base_args(prepared_run), "--dpl.mode", "frozen", "--dpl.iterations", "2"]
+    assert main(["train", *args]) == 0
+
+
+def test_non_square_pair_is_refused_under_augment(prepared_run, capsys):
+    # was "error: augment requires a square image (rotations)", naming no file
+    for index in (1, 2, 3, 4):
+        _replace_pair(prepared_run, "train", index, (32, 48))
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "30"]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.txt:2" in err and "0001_x.ppm" in err and "32x48" in err
+    assert "dpl.augment" in err
+    args = [*_base_args(prepared_run), "--dpl.augment", "false", "--dpl.iterations", "2"]
+    assert main(["train", *args]) == 0
+    # eval neither crops nor rotates
+    _replace_pair(prepared_run, "val", 1, (32, 48))
+    assert main(["eval", *_base_args(prepared_run)]) == 0
 
 
 def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):

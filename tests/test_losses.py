@@ -389,6 +389,21 @@ def test_blur_tensor_matches_image_blur(f64):
     assert np.allclose(got, want, atol=1e-9)
 
 
+def test_blur_tensor_gradient(f64):
+    rng = np.random.default_rng(12)
+    for shape, sigma in (((3, 6, 9), 1.2), ((2, 5, 4), 2.5)):  # radius above the extent
+        check_gradients(lambda ts: (blur_tensor(ts[0], sigma) ** 2).sum(),
+                        [rng.normal(size=shape)], rng, n_points=20)
+
+
+def test_blur_tensor_keeps_float32():
+    x = Tensor(np.random.default_rng(13).uniform(size=(3, 8, 8)), dtype=np.float32)
+    with ComputationTape([x]) as tape:
+        out = blur_tensor(x, 2.0)
+        T.backward((out * out).sum(), tape)
+    assert out.dtype == np.float32 and x.grad.dtype == np.float32
+
+
 def test_texture_identity_zero():
     a = _img_tensor(10)
     assert texture_loss(a, a).item() == pytest.approx(0.0, abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -139,6 +140,33 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def _record(name: bytes, dims=(2,), payload=b"\0" * 8) -> bytes:
+    """One tensor record of the checkpoint format, payload as given."""
+    head = struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+    return head + struct.pack(f"<{len(dims)}I", *dims) + payload
+
+
+_HEAD = b"DPLC" + struct.pack("<I", 1)
+
+
+@pytest.mark.parametrize("raw, what", [
+    (_HEAD + struct.pack("<I", 1) + _record(b"a")[:-3], "truncated"),
+    (b"XXXX" + struct.pack("<II", 1, 0), "bad magic"),
+    (b"DPLC" + struct.pack("<II", 2, 0), "version 2"),
+    (_HEAD + struct.pack("<I", 2) + 2 * _record(b"a"), "duplicate tensor name"),
+    (_HEAD + struct.pack("<I", 0) + b"\0", "1 trailing bytes"),
+    # were a UnicodeDecodeError and a reshape ValueError, not a CheckpointError
+    (_HEAD + struct.pack("<I", 1) + _record(b"\xff"), "not UTF-8"),
+    (_HEAD + struct.pack("<I", 1) + _record(b"a", (2**16,) * 4, b""), "truncated"),
+], ids=["truncated", "magic", "version", "duplicate", "trailing", "name", "size"])
+def test_checkpoint_format_errors_name_the_file(tmp_path, raw, what):
+    path = tmp_path / "bad.dplc"
+    path.write_bytes(raw)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ") and what in str(info.value)
 
 
 def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path):

@@ -360,29 +360,6 @@ def test_upsample_gradient(f64):
                     n_points=15, rtol=1e-6)
 
 
-def test_reflect_pad_gradient(f64):
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(2, 5, 5))
-    check_gradients(lambda ts: (T.reflect_pad2d(ts[0], 2) ** 2).mean(), [x], rng,
-                    n_points=15, rtol=1e-6)
-
-
-@pytest.mark.parametrize("pad", range(1, 7))
-def test_reflect_pad_gradient_matches_scatter_oracle(f64, pad):
-    rng = np.random.default_rng(90 + pad)
-    x = rng.normal(size=(2, 4, 6))
-    xt = Tensor(x)
-    with ComputationTape([xt]) as tape:
-        out = T.reflect_pad2d(xt, pad)
-        g = rng.normal(size=out.shape)
-        T.backward((out * g).sum(), tape)
-    src = np.pad(np.arange(x.size).reshape(x.shape), ((0, 0), (pad, pad), (pad, pad)),
-                 mode="reflect")
-    want = np.zeros(x.size)
-    np.add.at(want, src.ravel(), g.ravel())
-    assert np.allclose(xt.grad, want.reshape(x.shape), rtol=1e-12, atol=1e-12)
-
-
 def test_reduce_extremes_gradient(f64):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 5))

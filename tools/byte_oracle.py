@@ -4,11 +4,12 @@ Runs gen-data, pretrain, train and eval through ``dpl.cli.main`` at seed 3
 (6 train and 3 val pairs at 32 px, 600 pretraining samples for 3 epochs,
 60 training iterations) in six training modes, each in its own directory
 under OUT_DIR, then ``dpl distort`` once per distortion kind on a generated
-image, and prints ``<sha256>  <path>`` for every file written, paths
-relative to OUT_DIR. Between them the modes set every ``dpl.*`` training
-key to a value other than its default. A change that claims to keep outputs
-byte-identical shows it with one ``diff`` of this script's output on the
-parent and on the change:
+image and ``dpl gen-data`` once for the synthetic blur task, and prints
+``<sha256>  <path>`` for every file written, paths relative to OUT_DIR.
+Between them the modes set every ``dpl.*`` training key to a value other
+than its default, and the runs reach every user of the Gaussian filter.
+A change that claims to keep outputs byte-identical shows it with one
+``diff`` of this script's output on the parent and on the change:
 
     python3 tools/byte_oracle.py /tmp/before --src ../parent/src > before.txt
     python3 tools/byte_oracle.py /tmp/after > after.txt
@@ -93,6 +94,7 @@ def main() -> None:
     for kind, flags in DISTORT.items():
         run(dpl_main, out, "distort", "--dpl.distortion", kind, *flags,
             "--input", str(image), "--output", str(out / f"{kind}.ppm"))
+    run(dpl_main, args.out_dir / "gen_blur", "gen-data", "--task", "blur")
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")
