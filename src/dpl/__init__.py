@@ -2,9 +2,7 @@
 core, synthetic image-transformation tasks, feature-space losses with an
 online contrastive selection layer, and evaluation metrics."""
 
-from .tensor import (ComputationTape, Tensor, backward, conv2d, default_dtype,
-                     get_default_dtype, max_pool2, relu, set_default_dtype,
-                     upsample_nearest2)
+from .tensor import ComputationTape, Tensor, backward, conv2d, max_pool2, relu, upsample_nearest2
 from .optim import Adam
 from .rng import Rng
 from .image import (Image, augment, color_jitter, from_tensor, gaussian_blur,

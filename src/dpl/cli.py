@@ -93,7 +93,18 @@ def _read_pairs(directory: Path, square: bool = False,
         if min(x.height, x.width) < min_extent:
             raise ConfigError(f"{where}, smaller than the triplet crop dpl.crop {min_extent}")
         pairs.append((x, y))
+    if not pairs:
+        raise ConfigError(f"{manifest} lists no pairs; run gen-data first")
     return pairs
+
+
+def _load_net(net, path, written_by: str) -> None:
+    """Load ``net`` from the checkpoint at ``path``; a checkpoint of another
+    network is refused naming the file and the command that writes it."""
+    try:
+        net.load_state_dict(load_checkpoint(path, written_by))
+    except NetworkError as e:
+        raise CheckpointError(f"{path}: {e}; `{written_by}` writes it") from None
 
 
 def cmd_gen_data(config: ExperimentConfig) -> int:
@@ -160,7 +171,7 @@ def cmd_train(config: ExperimentConfig) -> int:
     pairs = _read_pairs(out / "train", square=config["dpl.augment"],
                         min_extent=triplet_crop(config))
     psi = FeatureNetPsi(Rng(0))
-    psi.load_state_dict(load_checkpoint(out / "psi.dplc", "dpl pretrain"))
+    _load_net(psi, out / "psi.dplc", "dpl pretrain")
     rng = Rng(config["seed"])
     f = GeneratorF(rng.child(40))
     phi = SelectionPhi(rng.child(41))
@@ -195,9 +206,9 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
     out = Path(config["out_dir"])
     pairs = _read_pairs(out / "val")
     psi = FeatureNetPsi(Rng(0))
-    psi.load_state_dict(load_checkpoint(out / "psi.dplc", "dpl pretrain"))
+    _load_net(psi, out / "psi.dplc", "dpl pretrain")
     f = GeneratorF(Rng(0))
-    f.load_state_dict(load_checkpoint(checkpoint_path or out / "f.dplc", "dpl train"))
+    _load_net(f, checkpoint_path or out / "f.dplc", "dpl train")
     metric_names = config["metrics"]
     rows = []
     sums = {name: 0.0 for name in metric_names}

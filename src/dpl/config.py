@@ -64,66 +64,60 @@ class _Key:
     help: str = ""
 
 
-def _positive(name):
-    def check(v):
-        if v <= 0:
-            raise ValueError(f"{name} must be > 0")
-    return check
+def _positive(v):
+    if v <= 0:
+        raise ValueError("must be > 0")
 
 
-def _non_negative(name):
-    def check(v):
-        if v < 0:
-            raise ValueError(f"{name} must be >= 0")
-    return check
+def _non_negative(v):
+    if v < 0:
+        raise ValueError("must be >= 0")
 
 
 def _size_check(v):
     if v < 16 or v % 4:
-        raise ValueError("size must be >= 16 and divisible by 4")
+        raise ValueError("must be >= 16 and divisible by 4")
 
 
 def _crop_check(v):
     if v <= 0 or v % 4:
-        raise ValueError("dpl.crop must be > 0 and divisible by 4")
+        raise ValueError("must be > 0 and divisible by 4")
 
 
 SCHEMA: dict[str, _Key] = {
     "task": _Key(_choice(PAIRED_TASKS), "colorcast", help="paired transformation task"),
     "size": _Key(int, 32, _size_check, "image extent in pixels"),
-    "train_count": _Key(int, 400, _positive("train_count"), "training pair count"),
-    "val_count": _Key(int, 50, _positive("val_count"), "validation pair count"),
+    "train_count": _Key(int, 400, _positive, "training pair count"),
+    "val_count": _Key(int, 50, _positive, "validation pair count"),
     "seed": _Key(int, 0, help="master seed for every stream"),
     "out_dir": _Key(str, "runs/default", help="output directory"),
     "metrics": _Key(_parse_metrics, ("psnr", "ms_ssim", "dfd"),
                     help="comma-separated metric list"),
-    "pretrain.epochs": _Key(int, 5, _positive("pretrain.epochs")),
-    "pretrain.samples": _Key(int, 2000, _positive("pretrain.samples")),
-    "pretrain.lr": _Key(_float, 1e-3, _positive("pretrain.lr")),
+    "pretrain.epochs": _Key(int, 5, _positive),
+    "pretrain.samples": _Key(int, 2000, _positive),
+    "pretrain.lr": _Key(_float, 1e-3, _positive),
     "dpl.strategy": _Key(_choice(STRATEGY_KINDS), "task_oriented"),
     "dpl.distortion": _Key(_choice(DISTORTION_KINDS + ("none",)), "color_jitter"),
-    "dpl.blur_sigma_min": _Key(_float, 1.0, _positive("dpl.blur_sigma_min")),
-    "dpl.blur_sigma_max": _Key(_float, 2.0, _positive("dpl.blur_sigma_max")),
-    "dpl.jitter_scale_min": _Key(_float, 0.6, _non_negative("dpl.jitter_scale_min")),
-    "dpl.jitter_scale_max": _Key(_float, 1.4, _non_negative("dpl.jitter_scale_max")),
+    "dpl.blur_sigma_min": _Key(_float, 1.0, _positive),
+    "dpl.blur_sigma_max": _Key(_float, 2.0, _positive),
+    "dpl.jitter_scale_min": _Key(_float, 0.6, _non_negative),
+    "dpl.jitter_scale_max": _Key(_float, 1.4, _non_negative),
     "dpl.jitter_bias_min": _Key(_float, -0.1),
     "dpl.jitter_bias_max": _Key(_float, 0.1),
     "dpl.crop": _Key(int, 16, _crop_check, "triplet crop size"),
-    "dpl.interval": _Key(int, 4, _positive("dpl.interval"),
-                         "iterations between selector updates"),
-    "dpl.margin": _Key(_float, 1.0, _non_negative("margin"), "triplet margin"),
+    "dpl.interval": _Key(int, 4, _positive, "iterations between selector updates"),
+    "dpl.margin": _Key(_float, 1.0, _non_negative, "triplet margin"),
     "dpl.mode": _Key(_choice(MODES), "feature_selection"),
-    "dpl.iterations": _Key(int, 2000, _positive("dpl.iterations")),
-    "dpl.lr_generator": _Key(_float, 1e-4, _positive("dpl.lr_generator")),
-    "dpl.lr_selector": _Key(_float, 1e-4, _positive("dpl.lr_selector")),
-    **{f"dpl.w_{name}": _Key(_float, weight, _non_negative(f"dpl.w_{name}"))
+    "dpl.iterations": _Key(int, 2000, _positive),
+    "dpl.lr_generator": _Key(_float, 1e-4, _positive),
+    "dpl.lr_selector": _Key(_float, 1e-4, _positive),
+    **{f"dpl.w_{name}": _Key(_float, weight, _non_negative)
        for name, (weight, _) in LOSSES.items()},
-    "dpl.color_sigma": _Key(_float, 3.0, _positive("dpl.color_sigma")),
-    "dpl.contextual_bandwidth": _Key(_float, 0.5, _positive("dpl.contextual_bandwidth")),
-    "dpl.contextual_epsilon": _Key(_float, 1e-5, _positive("dpl.contextual_epsilon")),
+    "dpl.color_sigma": _Key(_float, 3.0, _positive),
+    "dpl.contextual_bandwidth": _Key(_float, 0.5, _positive),
+    "dpl.contextual_epsilon": _Key(_float, 1e-5, _positive),
     "dpl.augment": _Key(_parse_bool, True, help="joint pair augmentation"),
-    "train.sample_every": _Key(int, 500, _positive("train.sample_every"),
-                               "iterations between sample triptychs"),
+    "train.sample_every": _Key(int, 500, _positive, "iterations between sample triptychs"),
 }
 
 

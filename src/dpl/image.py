@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import Rng
-from .tensor import Tensor, get_default_dtype
+from .tensor import Tensor
 
 
 class ImageError(Exception):
@@ -42,8 +42,8 @@ class Image:
 
 
 def to_tensor(image: Image) -> Tensor:
-    """Image -> Tensor[3,H,W] in the current default element type."""
-    return Tensor(image.pixels.transpose(2, 0, 1), dtype=get_default_dtype())
+    """Image -> Tensor[3,H,W] in float32, the element type of every network."""
+    return Tensor(image.pixels.transpose(2, 0, 1), np.float32)
 
 
 def from_tensor(t: Tensor) -> Image:

@@ -38,8 +38,8 @@ class Conv2dLayer:
             w = np.zeros((c_out, c_in, k, k))
         else:
             w = rng.normal(0.0, np.sqrt(2.0 / (c_in * k * k)), size=(c_out, c_in, k, k))
-        self.weight = Tensor(w)
-        self.bias = Tensor(np.zeros(c_out))
+        self.weight = Tensor(w, np.float32)
+        self.bias = Tensor(np.zeros(c_out), np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -51,8 +51,8 @@ class Conv2dLayer:
 class LinearLayer:
     def __init__(self, n_in: int, n_out: int, rng: Rng):
         w = rng.normal(0.0, np.sqrt(1.0 / n_in), size=(n_in, n_out))
-        self.weight = Tensor(w)
-        self.bias = Tensor(np.zeros(n_out))
+        self.weight = Tensor(w, np.float32)
+        self.bias = Tensor(np.zeros(n_out), np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
         return (x @ self.weight) + self.bias
@@ -92,7 +92,7 @@ class _Net:
                     raise NetworkError(
                         f"checkpoint tensor {key!r} has shape {arr.shape}, expected {param.shape}"
                     )
-                param.data = arr.astype(T.get_default_dtype())
+                param.data = arr.astype(param.dtype)
 
 
 class GeneratorF(_Net):

@@ -1,7 +1,10 @@
 """Dense tensors with taped reverse-mode automatic differentiation.
 
-Values are contiguous numpy buffers; the element type is selectable at
-runtime (float32 for training, float64 for gradient-check suites).
+Values are contiguous numpy buffers. A tensor keeps the element type of
+the float data it is built from (anything else becomes float32); the
+library's images and weights enter as float32, and gradient checks build
+float64 tensors. An op on two tensors refuses operands whose element types
+differ, rather than let numpy promote one of them.
 A ComputationTape is built with its parameter list, the set it
 differentiates with respect to. While it is active, an operation records a
 backward rule only when one of its inputs is one of those parameters or an
@@ -26,38 +29,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.dtype(np.float32)
-
-
-def set_default_dtype(dtype) -> None:
-    """Select the element type for newly created tensors (float32/float64)."""
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported element type {dt}; use float32 or float64")
-    _DEFAULT_DTYPE = dt
-
-
-def get_default_dtype() -> np.dtype:
-    return _DEFAULT_DTYPE
-
-
-class default_dtype:
-    """Context manager that temporarily switches the default element type."""
-
-    def __init__(self, dtype):
-        self._dtype = dtype
-        self._saved = None
-
-    def __enter__(self):
-        self._saved = get_default_dtype()
-        set_default_dtype(self._dtype)
-        return self
-
-    def __exit__(self, *exc):
-        set_default_dtype(self._saved)
-        return False
-
 
 class AutodiffError(Exception):
     """Raised on misuse of the tape or on shape/contract violations."""
@@ -67,7 +38,10 @@ class Tensor:
     __slots__ = ("data", "grad")
 
     def __init__(self, data, dtype=None):
-        self.data = np.array(data, dtype=dtype or _DEFAULT_DTYPE)
+        data = np.asarray(data)
+        if dtype is None:
+            dtype = data.dtype if data.dtype.kind == "f" else np.float32
+        self.data = np.array(data, dtype=dtype)
         self.grad: np.ndarray | None = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -231,7 +205,7 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
 def _as_tensor(value, dtype=None) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value), dtype=dtype or _DEFAULT_DTYPE)
+    return Tensor(value, dtype)
 
 
 def constant(value, dtype=None) -> Tensor:
@@ -261,7 +235,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+def _check_dtypes(op: str, *operands: Tensor) -> None:
+    first = operands[0].dtype
+    for t in operands[1:]:
+        if t.dtype != first:
+            raise AutodiffError(f"{op}: element types differ: {first} vs {t.dtype}")
+
+
+def _check_operands(a: Tensor, b: Tensor, op: str) -> None:
+    """Same element type, and shapes that broadcast."""
+    _check_dtypes(op, a, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -275,7 +258,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_broadcast(a, b, "add")
+    _check_operands(a, b, "add")
     data = a.data + b.data
 
     def rule(g):
@@ -286,7 +269,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_broadcast(a, b, "sub")
+    _check_operands(a, b, "sub")
     data = a.data - b.data
 
     def rule(g):
@@ -297,7 +280,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_broadcast(a, b, "mul")
+    _check_operands(a, b, "mul")
     data = a.data * b.data
 
     def rule(g):
@@ -311,7 +294,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_broadcast(a, b, "div")
+    _check_operands(a, b, "div")
     data = a.data / b.data
 
     def rule(g):
@@ -449,6 +432,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise AutodiffError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise AutodiffError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    _check_dtypes("matmul", a, b)
     data = a.data @ b.data
 
     def rule(g):
@@ -519,6 +503,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise AutodiffError(f"conv2d bias shape {bias.shape} != ({o},)")
     if stride < 1 or padding < 0:
         raise AutodiffError(f"conv2d: bad stride {stride} or padding {padding}")
+    _check_dtypes("conv2d", x, weight, bias)
     hp, wp = h + 2 * padding, w + 2 * padding
     h_out = (hp - kh) // stride + 1
     w_out = (wp - kw) // stride + 1

@@ -12,7 +12,6 @@ everything else is a constant on that tape.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -121,13 +120,6 @@ class HistoryRow:
 
 def param_norm(params) -> float:
     return float(np.sqrt(sum(float((p.data**2).sum()) for p in params)))
-
-
-def param_hash(params) -> str:
-    digest = hashlib.sha256()
-    for p in params:
-        digest.update(np.ascontiguousarray(p.data).tobytes())
-    return digest.hexdigest()
 
 
 def triplet_crop(config: ExperimentConfig) -> int:

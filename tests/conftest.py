@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,19 @@ def train_config(**settings):
     return ExperimentConfig({f"dpl.{key}": value for key, value in settings.items()})
 
 
-@pytest.fixture
-def f64():
-    """Run a test in 64-bit mode (finite differences need the precision)."""
-    with T.default_dtype(np.float64):
-        yield
+def as_float64(*nets):
+    """Cast every parameter of ``nets`` to float64, the element type a
+    finite-difference check of a network needs."""
+    for net in nets:
+        for p in net.params():
+            p.data = p.data.astype(np.float64)
+
+
+def param_hash(params) -> str:
+    digest = hashlib.sha256()
+    for p in params:
+        digest.update(np.ascontiguousarray(p.data).tobytes())
+    return digest.hexdigest()
 
 
 _PRETRAIN_CACHE = {}

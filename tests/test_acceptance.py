@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_gradients, pretrained_psi_full, train_config
+from conftest import as_float64, check_gradients, param_hash, pretrained_psi_full, train_config
 from dpl import tensor as T
 from dpl.checkpoint import load_checkpoint, save_checkpoint
 from dpl.cli import main
@@ -23,8 +23,8 @@ from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
-from dpl.trainer import (build_triplet, generator_step, param_hash, run_training,
-                         selector_accumulate, selector_apply, start_state, _features)
+from dpl.trainer import (build_triplet, generator_step, run_training, selector_accumulate,
+                         selector_apply, start_state, _features)
 
 from test_losses import _vectors_to_tap, contextual_oracle
 
@@ -112,7 +112,7 @@ def _check_gradients_smooth(build, arrays, rng, n_points, rtol=1e-5, atol=1e-7):
     assert checked == n_points, "could not find enough smooth points"
 
 
-def test_criterion_1_gradient_integrity(f64):
+def test_criterion_1_gradient_integrity():
     t0 = time.time()
     rng = np.random.default_rng(1000)
     for name, build, arrays in _op_cases(rng):
@@ -122,10 +122,12 @@ def test_criterion_1_gradient_integrity(f64):
     # through both inputs and the selector parameters
     psi = FeatureNetPsi(Rng(1001))
     phi = SelectionPhi(Rng(1002))
+    as_float64(psi, phi)
     slots = [(layer, attr) for layer in phi._layers().values()
              for attr in ("weight", "bias")]
     imgs = [rng.uniform(0.2, 0.8, size=(3, 8, 8)) for _ in range(3)]
     param_arrays = [getattr(layer, attr).data.copy() for layer, attr in slots]
+    assert all(a.dtype == np.float64 for a in param_arrays)
 
     def build_triplet_pipe(ts):
         for (layer, attr), t in zip(slots, ts[3:]):
@@ -139,11 +141,13 @@ def test_criterion_1_gradient_integrity(f64):
     # composed pipeline B: generator . extractor . perceptual loss; gradients
     # flow through the input and the generator parameters
     f = GeneratorF(Rng(1003))
+    as_float64(f)
     fslots = [(layer, attr) for layer in f._layers().values()
               for attr in ("weight", "bias")]
     x = rng.uniform(0.2, 0.8, size=(3, 8, 8))
     y = rng.uniform(0.2, 0.8, size=(3, 8, 8))
     fparams = [getattr(layer, attr).data.copy() for layer, attr in fslots]
+    assert all(a.dtype == np.float64 for a in fparams)
 
     def build_perceptual_pipe(ts):
         for (layer, attr), t in zip(fslots, ts[1:]):
@@ -161,7 +165,7 @@ def test_criterion_1_gradient_integrity(f64):
 # -- 2. Algorithm 1 mechanics --------------------------------------------------------
 
 
-def test_criterion_2_algorithm_mechanics(f64):
+def test_criterion_2_algorithm_mechanics():
     t0 = time.time()
     rng = Rng(2000)
     data = generate_synthetic("colorcast", 8, 32, rng.child(1))
@@ -232,7 +236,7 @@ def test_criterion_2_algorithm_mechanics(f64):
 # -- 3. loss properties ----------------------------------------------------------------
 
 
-def test_criterion_3_loss_properties(f64):
+def test_criterion_3_loss_properties():
     t0 = time.time()
     rng = np.random.default_rng(3000)
     for _ in range(1000):
@@ -338,15 +342,16 @@ def test_criterion_6_darken_direction(pretrained_psi):
 # -- 7. metric sanity ----------------------------------------------------------------------
 
 
-def test_criterion_7_metric_sanity(f64):
+def test_criterion_7_metric_sanity():
     a = Image.from_array(np.full((32, 32, 3), 0.4))
     b = Image.from_array(np.full((32, 32, 3), 0.5))
     assert psnr(a, b) == pytest.approx(20.0, abs=1e-6)
     scene = generate_synthetic("darken", 1, 32, Rng(7000))[0][1]
     assert ms_ssim(scene, scene) == 1.0
     f = GeneratorF(Rng(7001))
-    out = Image.from_array(
-        np.clip(f(to_tensor(scene)).detach().data.transpose(1, 2, 0), 0.0, 1.0))
+    as_float64(f)  # float32 would round the pixels on their way through F
+    x = Tensor(scene.pixels.transpose(2, 0, 1))
+    out = Image.from_array(np.clip(f(x).detach().data.transpose(1, 2, 0), 0.0, 1.0))
     assert psnr(out, scene) == float("inf")
     _report(7, "PSNR offset = 20 dB, ms_ssim identity = 1.0, identity F PSNR = inf")
 

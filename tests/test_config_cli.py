@@ -63,7 +63,7 @@ def test_bad_value_names_key_and_location(tmp_path):
 
 
 def test_negative_margin_message():
-    with pytest.raises(ConfigError, match="margin must be >= 0"):
+    with pytest.raises(ConfigError, match=r"'dpl\.margin' \(command line\): must be >= 0"):
         parse_config(overrides={"dpl.margin": "-1"})
 
 
@@ -250,6 +250,21 @@ def test_checkpoint_format_error_names_the_file(prepared_run, capsys):
     assert capsys.readouterr().err.startswith(f"error: {head}: truncated checkpoint")
 
 
+def test_checkpoint_of_another_network_names_the_file(prepared_run, capsys):
+    # was "error: checkpoint missing tensor 'enc1.weight'", naming no file
+    psi = prepared_run / "psi.dplc"
+    assert main(["eval", *_base_args(prepared_run), "--f-checkpoint", str(psi)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {psi}: checkpoint missing tensor 'enc1.weight'; `dpl train` writes it\n")
+    state = FeatureNetPsi(Rng(0)).state_dict()
+    state["block1.weight"] = np.zeros((2, 2))
+    save_checkpoint(state, psi)
+    assert main(["train", *_base_args(prepared_run)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {psi}: checkpoint tensor 'block1.weight' has shape (2, 2)")
+    assert err.endswith("; `dpl pretrain` writes it\n")
+
+
 def test_eval_report_format(prepared_run):
     args = _base_args(prepared_run) + ["--dpl.iterations", "4"]
     assert main(["train", *args]) == 0
@@ -387,13 +402,25 @@ def test_missing_dataset_image_is_usage_error(prepared_run, capsys):
     assert "cannot read image" in err and "0002_y.ppm" in err
 
 
+@pytest.mark.parametrize("command, part", [("train", "train"), ("eval", "val")])
+def test_manifest_without_pairs_is_usage_error(prepared_run, capsys, command, part):
+    # was a TrainerError traceback (train) and a ZeroDivisionError at report.csv's
+    # mean row (eval)
+    if command == "eval":
+        assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "1"]) == 0
+    manifest = prepared_run / part / "manifest.txt"
+    manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+    assert main([command, *_base_args(prepared_run)]) == 1
+    assert capsys.readouterr().err == f"error: {manifest} lists no pairs; run gen-data first\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--dpl.distortion", "gaussian_blur", "--dpl.blur_sigma_min", "3"], "blur sigma range"),
     (["--dpl.w_perceptual", "0"], "loss weights"),
     (["--dpl.jitter_scale_max", "3"], "jitter scale range (0.6, 3.0) outside"),
     (["--size", "16"], "size 16 is below 32, the smallest extent ms_ssim accepts"),
     (["--dpl.crop", "64"], "dpl.crop 64 exceeds size 32"),
-    (["--dpl.crop", "6"], "dpl.crop must be > 0 and divisible by 4"),
+    (["--dpl.crop", "6"], "'dpl.crop' (command line): must be > 0 and divisible by 4"),
     (["--dpl.distortion", "gaussian_blur", "--dpl.blur_sigma_max", "nan"],
      "not a finite number: 'nan'"),
     (["--dpl.lr_generator", "inf"], "not a finite number: 'inf'"),

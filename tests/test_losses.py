@@ -37,7 +37,7 @@ def test_perceptual_shape_mismatch():
         perceptual_loss(_featset(np.zeros((2, 2, 2))), _featset(np.zeros((2, 3, 3))))
 
 
-def test_perceptual_gradient(f64):
+def test_perceptual_gradient():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 4, 4))
     b = rng.normal(size=(3, 4, 4))
@@ -86,7 +86,7 @@ def test_contextual_permutation_invariant_in_first_set():
     assert base.item() == pytest.approx(perm.item(), rel=1e-9)
 
 
-def test_contextual_matches_oracle_on_random_sets(f64):
+def test_contextual_matches_oracle_on_random_sets():
     rng = np.random.default_rng(3)
     for _ in range(50):
         na, nb = int(rng.integers(2, 8)), int(rng.integers(2, 8))
@@ -110,7 +110,7 @@ def test_contextual_channel_mismatch():
         contextual_loss(_featset(np.zeros((2, 2, 2))), _featset(np.zeros((4, 2, 2))))
 
 
-def test_contextual_gradient(f64):
+def test_contextual_gradient():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 2, 2))
     b = rng.normal(size=(3, 2, 2))
@@ -156,7 +156,7 @@ def _value_and_grads(fn, arrays_a, arrays_b):
 TAP_SHAPES = [(16, 32, 32), (32, 16, 16), (64, 8, 8)]
 
 
-def test_contextual_matches_taped_chain_at_tap_shapes(f64):
+def test_contextual_matches_taped_chain_at_tap_shapes():
     rng = np.random.default_rng(17)
     a = [rng.normal(size=s) for s in TAP_SHAPES]
     b = [x + rng.normal(scale=2.0, size=x.shape) for x in a]
@@ -169,14 +169,14 @@ def test_contextual_matches_taped_chain_at_tap_shapes(f64):
 
 def test_contextual_value_bitwise_equals_taped_chain_in_float32():
     rng = np.random.default_rng(18)
-    a = _featset(*(rng.normal(size=s) for s in TAP_SHAPES))
-    b = _featset(*(rng.normal(size=s) for s in TAP_SHAPES))
+    a = _featset(*(rng.normal(size=s).astype(np.float32) for s in TAP_SHAPES))
+    b = _featset(*(rng.normal(size=s).astype(np.float32) for s in TAP_SHAPES))
     got = contextual_loss(a, b)
     assert got.dtype == np.float32
     assert got.item() == contextual_chain(a, b).item()
 
 
-def test_contextual_gradient_with_duplicate_vectors(f64):
+def test_contextual_gradient_with_duplicate_vectors():
     # rows 0 and 3 of each set are equal, and x0 lies near y0: rows 0 and 3
     # take their min distance at the tied columns 0 and 3, and columns 0 and
     # 3 their max affinity at the tied rows 0 and 3. At a tied copy the
@@ -249,13 +249,12 @@ def test_contextual_exponent_floor_binds_and_changes_nothing_visible():
     a, b = a.reshape(c, hgt, wid), b.reshape(c, hgt, wid)
     assert (_exponents(a, b) < -60.0).any()
 
-    fa, fb = _featset(a), _featset(b)
+    fa, fb = _featset(a.astype(np.float32)), _featset(b.astype(np.float32))
     got = contextual_loss(fa, fb)
     assert got.dtype == np.float32
     assert got.item() == contextual_chain(fa, fb).item()
-    with T.default_dtype(np.float64):
-        want, want_grads = _value_and_grads(contextual_chain, [a], [b])
-        got, got_grads = _value_and_grads(contextual_loss, [a], [b])
+    want, want_grads = _value_and_grads(contextual_chain, [a], [b])
+    got, got_grads = _value_and_grads(contextual_loss, [a], [b])
     assert got == pytest.approx(want, rel=1e-12)
     for g, w in zip(got_grads, want_grads):
         assert np.allclose(g, w, rtol=1e-9, atol=1e-13)
@@ -277,7 +276,7 @@ def _constant_first_set(rng):
 
 
 @pytest.mark.parametrize("build", [_tied_rows_sets, _constant_first_set])
-def test_contextual_ties_across_row_blocks_keep_the_earliest_row(f64, build):
+def test_contextual_ties_across_row_blocks_keep_the_earliest_row(build):
     # a column max attained by equal rows in two row blocks routes its
     # gradient to the earliest row, as reduce_max's first match does
     a, b = build(np.random.default_rng(22))
@@ -329,7 +328,7 @@ def test_triplet_violated_margin():
     assert triplet_loss(a, p, n, margin=1.0).item() == pytest.approx(1.2, rel=1e-5)
 
 
-def test_triplet_zero_when_negative_far(f64):
+def test_triplet_zero_when_negative_far():
     rng = np.random.default_rng(5)
     for _ in range(100):
         a = rng.normal(size=(2, 2, 2))
@@ -339,7 +338,7 @@ def test_triplet_zero_when_negative_far(f64):
         assert loss.item() == 0.0
 
 
-def test_triplet_gradient_active_hinge(f64):
+def test_triplet_gradient_active_hinge():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(2, 3, 3))
     p = a + rng.normal(scale=2.0, size=a.shape)
@@ -369,7 +368,7 @@ def test_color_constant_offset():
     assert color_loss(a, b).item() == pytest.approx(0.04, rel=1e-6)
 
 
-def test_color_ignores_shared_high_frequency(f64):
+def test_color_ignores_shared_high_frequency():
     rng = np.random.default_rng(8)
     a = rng.uniform(0.2, 0.8, size=(3, 32, 32))
     b = rng.uniform(0.2, 0.8, size=(3, 32, 32))
@@ -379,7 +378,7 @@ def test_color_ignores_shared_high_frequency(f64):
     assert shifted == pytest.approx(base, abs=1e-4)
 
 
-def test_blur_tensor_matches_image_blur(f64):
+def test_blur_tensor_matches_image_blur():
     from dpl.image import Image, gaussian_blur
 
     rng = np.random.default_rng(9)
@@ -389,7 +388,7 @@ def test_blur_tensor_matches_image_blur(f64):
     assert np.allclose(got, want, atol=1e-9)
 
 
-def test_blur_tensor_gradient(f64):
+def test_blur_tensor_gradient():
     rng = np.random.default_rng(12)
     for shape, sigma in (((3, 6, 9), 1.2), ((2, 5, 4), 2.5)):  # radius above the extent
         check_gradients(lambda ts: (blur_tensor(ts[0], sigma) ** 2).sum(),
@@ -434,7 +433,7 @@ def test_pixel_arithmetic():
     assert pixel_loss(a, b).item() == pytest.approx(0.5)
 
 
-def test_pixel_l1_gradient(f64):
+def test_pixel_l1_gradient():
     rng = np.random.default_rng(14)
     a = rng.normal(size=(3, 5, 5))
     b = a + rng.choice([-1.0, 1.0], size=a.shape) * rng.uniform(0.1, 1.0, size=a.shape)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dpl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from dpl.image import Image, to_tensor
 from dpl.networks import (FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi,
                           accuracy, classify, cross_entropy, log_softmax,
                           pretrain_psi)
@@ -13,12 +14,17 @@ from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
 
 
+def _f32(arr) -> Tensor:
+    """A float32 tensor, the element type of the networks' weights."""
+    return Tensor(arr, np.float32)
+
+
 # -- generator ---------------------------------------------------------------------
 
 
 def test_generator_identity_at_init():
     f = GeneratorF(Rng(0))
-    x = Tensor(np.random.default_rng(0).uniform(size=(3, 16, 16)))
+    x = _f32(np.random.default_rng(0).uniform(size=(3, 16, 16)))
     out = f(x)
     assert np.array_equal(out.data, x.data)
 
@@ -26,7 +32,7 @@ def test_generator_identity_at_init():
 def test_generator_shape_preserved():
     f = GeneratorF(Rng(1))
     for size in (8, 16, 32):
-        x = Tensor(np.zeros((3, size, size)))
+        x = _f32(np.zeros((3, size, size)))
         assert f(x).shape == (3, size, size)
 
 
@@ -34,7 +40,7 @@ def test_generator_rejects_odd_or_small():
     f = GeneratorF(Rng(2))
     for h, w in ((7, 8), (8, 9), (6, 6)):
         with pytest.raises(NetworkError, match="even extents"):
-            f(Tensor(np.zeros((3, h, w))))
+            f(_f32(np.zeros((3, h, w))))
 
 
 def test_generator_deterministic_init():
@@ -49,22 +55,32 @@ def test_generator_deterministic_init():
 
 def test_psi_tap_shapes():
     psi = FeatureNetPsi(Rng(4))
-    taps = psi(Tensor(np.zeros((3, 32, 32))))
+    taps = psi(_f32(np.zeros((3, 32, 32))))
     assert [t.shape for t in taps] == [(16, 32, 32), (32, 16, 16), (64, 8, 8)]
 
 
 def test_psi_rejects_indivisible_extent():
     psi = FeatureNetPsi(Rng(5))
     with pytest.raises(NetworkError, match="divisible by 4"):
-        psi(Tensor(np.zeros((3, 30, 32))))
+        psi(_f32(np.zeros((3, 30, 32))))
 
 
 def test_psi_logits_shape_and_softmax():
     psi = FeatureNetPsi(Rng(6))
-    logits = psi.logits(Tensor(np.random.default_rng(1).uniform(size=(3, 16, 16))))
+    logits = psi.logits(_f32(np.random.default_rng(1).uniform(size=(3, 16, 16))))
     assert logits.shape == (10,)
     probs = np.exp(log_softmax(logits).data)
     assert probs.sum() == pytest.approx(1.0, rel=1e-5)
+
+
+def test_networks_and_images_enter_as_float32():
+    rng = Rng(10)
+    nets = GeneratorF(rng.child(1)), FeatureNetPsi(rng.child(2)), SelectionPhi(rng.child(3))
+    for net in nets:
+        assert all(p.dtype == np.float32 for p in net.params())
+        net.load_state_dict({k: v.astype(np.float64) for k, v in net.state_dict().items()})
+        assert all(p.dtype == np.float32 for p in net.params())
+    assert to_tensor(Image.from_array(np.zeros((8, 8, 3)))).dtype == np.float32
 
 
 def test_cross_entropy_uniform_is_log_k():
@@ -77,7 +93,7 @@ def test_cross_entropy_uniform_is_log_k():
 
 def test_phi_output_shapes():
     phi = SelectionPhi(Rng(7))
-    feats = [Tensor(np.random.default_rng(2).uniform(size=(c, 8, 8)))
+    feats = [_f32(np.random.default_rng(2).uniform(size=(c, 8, 8)))
              for c in (16, 32, 64)]
     out = phi(feats)
     assert [t.shape for t in out] == [(8, 8, 8), (16, 8, 8), (32, 8, 8)]
@@ -87,10 +103,10 @@ def test_phi_init_near_slice_of_input():
     # identity-plus-noise first conv and slice-plus-noise second conv should
     # keep the initial selector close to "first half of the relu'd features"
     phi = SelectionPhi(Rng(8))
-    feat = Tensor(np.abs(np.random.default_rng(3).normal(size=(16, 6, 6))))
+    feat = _f32(np.abs(np.random.default_rng(3).normal(size=(16, 6, 6))))
     out = phi([feat,
-               Tensor(np.zeros((32, 6, 6))),
-               Tensor(np.zeros((64, 6, 6)))])[0]
+               _f32(np.zeros((32, 6, 6))),
+               _f32(np.zeros((64, 6, 6)))])[0]
     assert np.max(np.abs(out.data - feat.data[:8])) < 0.5
     assert np.mean(np.abs(out.data - feat.data[:8])) < 0.1
 
@@ -98,9 +114,9 @@ def test_phi_init_near_slice_of_input():
 def test_phi_tap_count_and_channel_validation():
     phi = SelectionPhi(Rng(9))
     with pytest.raises(NetworkError, match="taps"):
-        phi([Tensor(np.zeros((16, 4, 4)))])
-    bad = [Tensor(np.zeros((16, 4, 4))), Tensor(np.zeros((16, 4, 4))),
-           Tensor(np.zeros((64, 4, 4)))]
+        phi([_f32(np.zeros((16, 4, 4)))])
+    bad = [_f32(np.zeros((16, 4, 4))), _f32(np.zeros((16, 4, 4))),
+           _f32(np.zeros((64, 4, 4)))]
     with pytest.raises(NetworkError, match="channel mismatch"):
         phi(bad)
 

@@ -22,6 +22,36 @@ def test_elementwise_shape_mismatch_names_shapes():
         T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
 
+def test_tensor_keeps_the_element_type_of_float_data():
+    assert Tensor(np.zeros(2)).dtype == np.float64
+    assert Tensor(np.zeros(2, np.float32)).dtype == np.float32
+    assert Tensor([1, 2]).dtype == np.float32
+    assert Tensor(np.zeros(2), np.float32).dtype == np.float32
+
+
+# the operand shapes of each op that takes two or more tensors
+_OPERAND_SHAPES = {
+    "add": [(2, 2), (2, 2)],
+    "sub": [(2, 2), (2, 2)],
+    "mul": [(2, 2), (2, 2)],
+    "div": [(2, 2), (2, 2)],
+    "matmul": [(2, 2), (2, 2)],
+    "conv2d": [(1, 3, 3), (1, 1, 1, 1), (1,)],
+}
+
+
+@pytest.mark.parametrize("name", _OPERAND_SHAPES)
+def test_two_operand_ops_refuse_mixed_element_types(name):
+    # numpy would promote the float32 operands to float64 without a word
+    shapes = _OPERAND_SHAPES[name]
+    for wide in range(len(shapes)):
+        operands = [Tensor(np.ones(s), np.float64 if i == wide else np.float32)
+                    for i, s in enumerate(shapes)]
+        pair = "float64 vs float32" if wide == 0 else "float32 vs float64"
+        with pytest.raises(AutodiffError, match=f"{name}: element types differ: {pair}"):
+            getattr(T, name)(*operands)
+
+
 def test_sub_self_zero_gradient():
     x = Tensor([1.0, -2.0, 3.0])
     with ComputationTape([x]) as tape:
@@ -48,7 +78,7 @@ def test_backward_accumulates_on_repeat():
     assert np.allclose(x.grad, 2 * first)
 
 
-def test_backward_k_times_scales_linearly(f64):
+def test_backward_k_times_scales_linearly():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(4, 4)))
     with ComputationTape([x]) as tape:
@@ -89,7 +119,7 @@ def test_leaf_outside_the_parameter_list_is_a_constant():
     assert np.allclose(p.grad, [9.0, 16.0])
 
 
-def test_zero_grads_and_rerun_matches_fresh(f64):
+def test_zero_grads_and_rerun_matches_fresh():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(3, 3))
     x = Tensor(data)
@@ -120,7 +150,7 @@ def test_relu_all_negative_zero_grad():
     assert np.allclose(x.grad, 0.0)
 
 
-def test_relu_gradient_finite_difference(f64):
+def test_relu_gradient_finite_difference():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 5))
     x[np.abs(x) < 0.1] += 0.5  # stay away from the kink
@@ -163,7 +193,7 @@ def test_conv2d_identity_kernel():
     assert np.allclose(out.data, x, atol=1e-6)
 
 
-def test_conv2d_matches_naive_oracle(f64):
+def test_conv2d_matches_naive_oracle():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
@@ -174,7 +204,7 @@ def test_conv2d_matches_naive_oracle(f64):
 
 
 @pytest.mark.parametrize("trial", range(10))
-def test_conv2d_random_shapes_vs_oracle(f64, trial):
+def test_conv2d_random_shapes_vs_oracle(trial):
     rng = np.random.default_rng(1000 + trial)
     c = int(rng.integers(1, 4))
     o = int(rng.integers(1, 4))
@@ -202,7 +232,7 @@ def test_conv2d_empty_output():
                  Tensor(np.zeros(1)))
 
 
-def test_conv2d_gradients(f64):
+def test_conv2d_gradients():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 6, 6))
     w = rng.normal(size=(3, 2, 3, 3))
@@ -236,7 +266,7 @@ def naive_conv2d_grads(x, w, g, stride, padding):
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("extent", [(6, 6), (7, 9), (8, 5)])
-def test_conv2d_gradients_match_loop_oracle(f64, kernel, stride, padding, extent):
+def test_conv2d_gradients_match_loop_oracle(kernel, stride, padding, extent):
     rng = np.random.default_rng([*kernel, stride, padding, *extent])
     x = rng.normal(size=(2, *extent))
     w = rng.normal(size=(3, 2, *kernel))
@@ -255,7 +285,7 @@ def test_conv2d_gradients_match_loop_oracle(f64, kernel, stride, padding, extent
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1, 2])
-def test_conv2d_non_contiguous_input_matches_loop_oracle(f64, stride, padding):
+def test_conv2d_non_contiguous_input_matches_loop_oracle(stride, padding):
     # the input is a transposed view, as the [3,H,W] tensor of an image is
     rng = np.random.default_rng([stride, padding, 71])
     for k in (3, 1):
@@ -278,7 +308,7 @@ def test_conv2d_non_contiguous_input_matches_loop_oracle(f64, stride, padding):
         assert np.allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
 
 
-def test_conv2d_untracked_weight_and_bias_get_no_gradient(f64):
+def test_conv2d_untracked_weight_and_bias_get_no_gradient():
     rng = np.random.default_rng(70)
     x, w, b = rng.normal(size=(2, 5, 5)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)
     xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
@@ -331,7 +361,7 @@ def test_max_pool2_tie_routes_weighted_gradient_to_first_index():
                                     [0.25, 0.0, 0.0, 0.0]]])
 
 
-def test_max_pool2_gradient(f64):
+def test_max_pool2_gradient():
     rng = np.random.default_rng(6)
     # unique window maxima with clear margins
     x = rng.permutation(64).astype(float).reshape(1, 8, 8)
@@ -353,14 +383,14 @@ def test_upsample_then_mean_downsample_is_identity():
     assert np.allclose(down, x, atol=1e-6)
 
 
-def test_upsample_gradient(f64):
+def test_upsample_gradient():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 3, 3))
     check_gradients(lambda ts: (T.upsample_nearest2(ts[0]) ** 2).mean(), [x], rng,
                     n_points=15, rtol=1e-6)
 
 
-def test_reduce_extremes_gradient(f64):
+def test_reduce_extremes_gradient():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 5))
 
@@ -395,7 +425,7 @@ def test_reduce_extreme_ties_route_weighted_gradient_to_first_index(is_max, axis
     assert np.array_equal(xt.grad, want if axis == 1 else want.T)
 
 
-def test_one_tensor_feeding_two_reductions_accumulates(f64):
+def test_one_tensor_feeding_two_reductions_accumulates():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(3, 4))
     w0, w1 = rng.normal(size=4), rng.normal(size=(3, 1))
@@ -412,7 +442,7 @@ def test_one_tensor_feeding_two_reductions_accumulates(f64):
     assert np.allclose(xt.grad, 2.0 * want, rtol=1e-12, atol=1e-12)
 
 
-def test_matmul_and_transpose_gradient(f64):
+def test_matmul_and_transpose_gradient():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(5, 4))
@@ -451,7 +481,7 @@ def test_network_stack_gradients_bit_identical():
         # a non-zero head so that the gradient reaches every layer of F
         f.dec2.weight.data = np.full_like(f.dec2.weight.data, 0.01)
         with ComputationTape(f.params() + psi.params() + phi.params()) as tape:
-            taps = phi(psi(f(Tensor(x))))
+            taps = phi(psi(f(Tensor(x, np.float32))))
             loss = taps[0].mean()
             for tap in taps[1:]:
                 loss = loss + (tap * tap).mean()
@@ -489,7 +519,7 @@ def test_adam_zero_grad_is_noop():
     assert np.array_equal(q.grad, [0.0])
 
 
-def test_adam_descends_quadratic(f64):
+def test_adam_descends_quadratic():
     w = Tensor([1.0])
     opt = Adam([w], lr=0.05)
     values = []

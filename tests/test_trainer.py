@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import train_config
+from conftest import param_hash, train_config
 from dpl import tensor as T
 from dpl.config import ConfigError, parse_config
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
@@ -9,7 +9,7 @@ from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
 from dpl.trainer import (MODES, TrainerError, TrainingDiverged, build_triplet,
-                         generator_step, param_hash, param_norm, run_training,
+                         generator_step, param_norm, run_training,
                          selector_accumulate, selector_apply, start_state)
 from dpl.image import Image, to_grayscale, to_tensor
 
@@ -183,7 +183,7 @@ def _triplets(seed, n):
     return out
 
 
-def test_accumulated_gradient_equals_summed_loss_gradient(f64):
+def test_accumulated_gradient_equals_summed_loss_gradient():
     """N accumulations must equal a single backward of the summed loss, bitwise."""
     from dpl.losses import triplet_loss
     from dpl.trainer import _features
