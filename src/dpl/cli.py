@@ -2,15 +2,19 @@
 transformation training, evaluation, and standalone distortion.
 
 Exit codes: 0 success, 1 usage/config error or out of memory, 2 pretraining
-accuracy gate, 3 numerical halt during training.
+accuracy gate, 3 numerical halt during training, 130 interrupted (Ctrl-C, or
+SIGTERM while ``main`` runs in the main thread).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
@@ -21,12 +25,14 @@ from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, N
                        SelectionPhi, pretrain_psi, takes_extents)
 from .rng import Rng
 from .synth import generate_synthetic
-from .trainer import LOSSES, TrainingDiverged, distort, run_training, triplet_crop
+from .trainer import (LOSSES, TrainingHalted, TrainingInterrupted, distort, run_training,
+                      triplet_crop)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRETRAIN_GATE = 2
 EXIT_NUMERIC_HALT = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a run ended by SIGINT
 
 
 class _UsageError(Exception):
@@ -124,24 +130,31 @@ def cmd_pretrain(config: ExperimentConfig) -> int:
     out = Path(config["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(config["seed"])
-    data = generate_synthetic("textures", config["pretrain.samples"], config["size"],
-                              rng.child(30))
-    psi = FeatureNetPsi(rng.child(31))
     log_lines: list[str] = []
 
     def log(msg):
         log_lines.append(msg)
         print(msg)
 
-    accuracy = pretrain_psi(psi, data, config["pretrain.epochs"], rng.child(32),
-                            lr=config["pretrain.lr"], log=log)
-    if accuracy < PRETRAIN_GATE:
-        log(f"gate failed: held-out accuracy {accuracy:.2%} < {PRETRAIN_GATE:.0%}; "
-            "psi.dplc not written")
+    def no_extractor(reason: str, code: int, stream) -> int:
+        log_lines.append(f"{reason}; psi.dplc not written")
         (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
         # an older psi.dplc is not the extractor this log describes
         (out / "psi.dplc").unlink(missing_ok=True)
-        return EXIT_PRETRAIN_GATE
+        print(log_lines[-1], file=stream)
+        return code
+
+    try:
+        data = generate_synthetic("textures", config["pretrain.samples"], config["size"],
+                                  rng.child(30))
+        psi = FeatureNetPsi(rng.child(31))
+        accuracy = pretrain_psi(psi, data, config["pretrain.epochs"], rng.child(32),
+                                lr=config["pretrain.lr"], log=log)
+    except KeyboardInterrupt:
+        return no_extractor("interrupted", EXIT_INTERRUPTED, sys.stderr)
+    if accuracy < PRETRAIN_GATE:
+        return no_extractor(f"gate failed: held-out accuracy {accuracy:.2%} < "
+                            f"{PRETRAIN_GATE:.0%}", EXIT_PRETRAIN_GATE, sys.stdout)
     (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
     save_checkpoint(psi.state_dict(), out / "psi.dplc")
     print(f"saved extractor checkpoint, held-out accuracy {accuracy:.2%}")
@@ -190,11 +203,15 @@ def cmd_train(config: ExperimentConfig) -> int:
     try:
         _, history = run_training(config, pairs, f, psi, phi, rng.child(42),
                                   sample_hook=sample_hook)
-    except TrainingDiverged as e:
-        print(f"numerical halt: {e}")
+    except TrainingHalted as e:
         _write_history(out / "history.csv", e.history)
         # an older f.dplc is not the generator this history describes
         (out / "f.dplc").unlink(missing_ok=True)
+        if isinstance(e, TrainingInterrupted):
+            print(f"{e}; history.csv holds the {len(e.history)} iterations before it, "
+                  "f.dplc not written", file=sys.stderr)
+            return EXIT_INTERRUPTED
+        print(f"numerical halt: {e}")
         return EXIT_NUMERIC_HALT
     _write_history(out / "history.csv", history)
     save_checkpoint(f.state_dict(), out / "f.dplc")
@@ -248,6 +265,22 @@ def cmd_show_config(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _sigterm_interrupts():
+    """Within the block, SIGTERM raises KeyboardInterrupt as Ctrl-C does; the
+    caller's handler is restored after it. Only the main thread handles
+    signals, so elsewhere this does nothing."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        # None: the caller's handler was not set from Python
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="dpl", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -272,17 +305,18 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args)
-        if args.command == "gen-data":
-            return cmd_gen_data(config)
-        if args.command == "pretrain":
-            return cmd_pretrain(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "eval":
-            return cmd_eval(config, args.f_checkpoint)
-        if args.command == "distort":
-            return cmd_distort(config, args.input, args.output)
-        return cmd_show_config(config)
+        with _sigterm_interrupts():
+            if args.command == "gen-data":
+                return cmd_gen_data(config)
+            if args.command == "pretrain":
+                return cmd_pretrain(config)
+            if args.command == "train":
+                return cmd_train(config)
+            if args.command == "eval":
+                return cmd_eval(config, args.f_checkpoint)
+            if args.command == "distort":
+                return cmd_distort(config, args.input, args.output)
+            return cmd_show_config(config)
     except (_UsageError, ConfigError, CheckpointError, ImageError, MetricError,
             NetworkError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -290,6 +324,9 @@ def main(argv=None) -> int:
     except MemoryError as e:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # train and pretrain report their own
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -55,6 +55,15 @@ _EXP_FLOOR = -60.0
 _BLOCK = 2 ** 17
 
 
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, C) sums of ``rows[j]`` onto row ``index[j]``, as one bincount over
+    the flat indices, in ``rows``' element type."""
+    c = rows.shape[1]
+    flat = (index[:, None] * c + np.arange(c)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=n * c)
+    return sums.reshape(n, c).astype(rows.dtype)
+
+
 def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
     """One tap of the contextual loss as a single tape op.
 
@@ -150,7 +159,7 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
         s1 += v[first] * colmax  # all of dd at (f_j, j), where cx holds 0
         dan = cx @ bn
         dan *= v[:, None]
-        np.add.at(dan, first, s1[:, None] * bn)
+        dan += _scatter_rows(first, s1[:, None] * bn, n_rows)
         dan += dq[:, None] * bn[nearest]
         dac = (an * (dan * an).sum(axis=1, keepdims=True) - dan) / na
         grads = []
@@ -159,7 +168,7 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
         if need_b:
             dbn = cx.T @ (v[:, None] * an)
             dbn += s1[:, None] * an[first]
-            np.add.at(dbn, nearest, dq[:, None] * an)
+            dbn += _scatter_rows(nearest, dq[:, None] * an, n_cols)
             dbc = (bn * (dbn * bn).sum(axis=1, keepdims=True) - dbn) / nb
             dmu = -(dac.sum(axis=0) + dbc.sum(axis=0))
             grads.append((b, (dbc + dmu / len(bc)).T.reshape(b.shape)))

@@ -30,10 +30,15 @@ def takes_extents(h: int, w: int) -> bool:
 
 
 class Conv2dLayer:
+    """A conv2d with its weight and bias; with ``upsample`` a 3x3 conv,
+    padding 1, of the nearest 2x upsampled input (``T.upsample_conv3x3``)."""
+
     def __init__(self, c_in: int, c_out: int, k: int, rng: Rng,
-                 stride: int = 1, padding: int = 0, zero_init: bool = False):
+                 stride: int = 1, padding: int = 0, zero_init: bool = False,
+                 upsample: bool = False):
         self.stride = stride
         self.padding = padding
+        self.upsample = upsample
         if zero_init:
             w = np.zeros((c_out, c_in, k, k))
         else:
@@ -42,6 +47,8 @@ class Conv2dLayer:
         self.bias = Tensor(np.zeros(c_out), np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
+        if self.upsample:
+            return T.upsample_conv3x3(x, self.weight, self.bias)
         return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
     def params(self):
@@ -106,7 +113,7 @@ class GeneratorF(_Net):
         self.enc1 = Conv2dLayer(3, 16, 3, rng.child(1), padding=1)
         self.enc2 = Conv2dLayer(16, 32, 3, rng.child(2), stride=2, padding=1)
         self.mid = Conv2dLayer(32, 32, 3, rng.child(3), padding=1)
-        self.dec1 = Conv2dLayer(32, 16, 3, rng.child(4), padding=1)
+        self.dec1 = Conv2dLayer(32, 16, 3, rng.child(4), upsample=True)
         self.dec2 = Conv2dLayer(16, 3, 3, rng.child(5), padding=1, zero_init=True)
 
     def _layers(self):
@@ -120,8 +127,7 @@ class GeneratorF(_Net):
         z = T.relu(self.enc1(x))
         z = T.relu(self.enc2(z))
         z = T.relu(self.mid(z))
-        z = T.upsample_nearest2(z)
-        z = T.relu(self.dec1(z))
+        z = T.relu(self.dec1(z))  # nearest 2x upsample, then a 3x3 conv
         return x + self.dec2(z)
 
 

@@ -14,7 +14,11 @@ Replaying the tape in reverse accumulates d(loss)/d(param) into the
 backward calls until explicitly zeroed.
 
 The ops do only the work a call needs: conv2d's im2col is one strided view,
-copied once, and its input gradient one matmul (a transposed convolution);
+copied once, and its input gradient one matmul (a transposed convolution,
+in phase form at stride 2: one 2x2 convolution per output phase, over the
+unstuffed gradient); upsample_conv3x3 runs the generator's resize-convolution
+(nearest 2x upsample, then a 3x3 conv) as four such phase convolutions at
+the input's resolution, so its matmuls never see the upsampled map;
 the backward of a sum or mean is a broadcast view of the upstream gradient
 (so a backward rule never writes into its ``g``), and the backward of a max
 or min scatters ``g`` into zeros at the argmax; max_pool2's forward takes
@@ -245,6 +249,8 @@ def _check_dtypes(op: str, *operands: Tensor) -> None:
 def _check_operands(a: Tensor, b: Tensor, op: str) -> None:
     """Same element type, and shapes that broadcast."""
     _check_dtypes(op, a, b)
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -477,6 +483,42 @@ def _im2col(buf: np.ndarray, kh: int, kw: int, stride: int, origin: int,
     return win.reshape(c * kh * kw, h_out * w_out)
 
 
+# The 2x2 phase form of a 3x3 kernel. Row (phase, t) of a per-axis tap
+# matrix names the kernel taps that act at offset t of a 2x2 window for that
+# output phase; the Kronecker product of two rows gives the 2-D taps.
+# conv3x3 of a nearest-2x upsampled map, padding 1: phase 0 reads input rows
+# (m-1, m) with taps (W0, W1+W2), phase 1 rows (m, m+1) with (W0+W1, W2).
+_UPSAMPLE_PHASES = np.kron(*[np.array([[1, 0, 0], [0, 1, 1], [1, 1, 0], [0, 0, 1]])] * 2)
+# input gradient of a stride-2 conv3x3, padding 1: phase 0 reads g rows
+# (m, m+1) with taps (W1, 0), phase 1 with (W2, W0)
+_STRIDE2_PHASES = np.kron(*[np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1], [1, 0, 0]])] * 2)
+
+
+def _phase_kernel(w: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The (4P, 4Q) kernel of the four 2x2 phases of a (P,Q,3,3) kernel ``w``:
+    row (a, b, p) for output phase (a, b), column (q, dy, dx)."""
+    p, q = w.shape[:2]
+    k = (w.reshape(p * q, 9) @ phases.T.astype(w.dtype)).reshape(p, q, 2, 2, 2, 2)
+    return k.transpose(2, 4, 0, 1, 3, 5).reshape(4 * p, 4 * q)
+
+
+def _phase_fold(dk: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The (P,Q,3,3) kernel gradient from the gradient ``dk`` of its phase kernel."""
+    p, q = dk.shape[0] // 4, dk.shape[1] // 4
+    d = dk.reshape(2, 2, p, q, 2, 2).transpose(2, 3, 0, 4, 1, 5).reshape(p * q, 16)
+    return (d @ phases.astype(dk.dtype)).reshape(p, q, 3, 3)
+
+
+def _phase_view(buf: np.ndarray, shift: int) -> np.ndarray:
+    """(P, H, 2, W, 2) view of a C-contiguous (2, 2, P, H+s, W+s) buffer of
+    phase planes whose element (p, m, a, n, b) is buf[a, b, p, m+s*a, n+s*b]:
+    reshaped to (P, 2H, 2W) it interleaves the phases."""
+    _, _, p, hs, ws = buf.shape
+    sa, sb, sp, sh, sw = buf.strides
+    return np.ndarray((p, hs - shift, 2, ws - shift, 2), buf.dtype, buf, 0,
+                      (sp, sh, sa + shift * sh, sw, sb + shift * sw))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation over a [C,H,W] input with zero padding.
 
@@ -486,7 +528,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     The input gradient is the transposed convolution, also one matmul:
     the flipped, channel-swapped kernel over the kh x kw windows, at offset
     (p, p), of ``g`` written with step ``stride`` at (kh-1, kw-1) into
-    zeros of extent (H+2p+kh-1, W+2p+kw-1).
+    zeros of extent (H+2p+kh-1, W+2p+kw-1). At stride 2 with a 3x3 kernel,
+    padding 1 and input extents twice the output's (the generator's
+    downsampling layer) it is in phase form instead: each of the four 2x2
+    phases of the input gradient selects kernel taps (``_STRIDE2_PHASES``)
+    over 2x2 windows of ``g`` itself, one matmul for all four, so no
+    multiply meets a stuffed zero. Every other shape keeps the general form.
     Only the gradients the active tape tracks are computed, so a frozen
     weight costs no weight-gradient matmul.
     """
@@ -523,6 +570,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     out = (wmat @ cols + bias.data[:, None]).reshape(o, h_out, w_out)
     tape = _ACTIVE_TAPE
     need_x, need_w, need_b = (tape is not None and tape.tracks(t) for t in (x, weight, bias))
+    # the one strided layer of the networks: its input gradient in phase form
+    phased = (stride, kh, kw, padding, h, w) == (2, 3, 3, 1, 2 * h_out, 2 * w_out)
 
     def rule(g):
         g2 = g.reshape(o, -1)  # (O, H'W')
@@ -531,7 +580,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             grads.append((weight, (g2 @ cols.T).reshape(weight.shape)))
         if need_b:
             grads.append((bias, g2.sum(axis=1)))
-        if need_x:
+        if need_x and phased:
+            gp = np.zeros((o, h_out + 1, w_out + 1), dtype=g.dtype)
+            gp[:, :h_out, :w_out] = g
+            k = _phase_kernel(weight.data.transpose(1, 0, 2, 3), _STRIDE2_PHASES)
+            dx = (k @ _im2col(gp, 2, 2, 1, 0, h_out, w_out)).reshape(2, 2, c, h_out, w_out)
+            grads.append((x, _phase_view(dx, 0).reshape(c, h, w)))
+        elif need_x:
             gp = np.zeros((o, hp + kh - 1, wp + kw - 1), dtype=g.dtype)
             gp[:, kh - 1 :: stride, kw - 1 :: stride][:, :h_out, :w_out] = g
             wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
@@ -570,7 +625,9 @@ def max_pool2(x: Tensor) -> Tensor:
 
 
 def upsample_nearest2(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling of [C,H,W]."""
+    """Nearest-neighbour 2x upsampling of [C,H,W]; the generator fuses it with
+    the conv after it (``upsample_conv3x3``), and the tests use the pair as
+    that op's reference."""
     x = _as_tensor(x)
     c, h, w = x.shape
     data = x.data.repeat(2, axis=1).repeat(2, axis=2)
@@ -580,3 +637,54 @@ def upsample_nearest2(x: Tensor) -> Tensor:
 
     return _make(data, (x,), rule)
 
+
+def upsample_conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``conv2d(upsample_nearest2(x), weight, bias, padding=1)`` for a 3x3
+    kernel, computed at x's resolution.
+
+    Each 2x2 phase of the upsampled output is a 2x2 convolution of ``x``
+    zero-padded by 1, whose taps are sums of the kernel's (``_UPSAMPLE_PHASES``).
+    The forward is one matmul of the (4O, 4C) phase kernel by the 2x2
+    windows at the (H+1) x (W+1) positions, then an interleave of the
+    phases. The weight gradient is the phase kernel's, folded back through
+    the same sums; the input gradient is the transposed product,
+    overlap-added over the 2x2 windows.
+    """
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.data.ndim != 3 or weight.data.shape[1:] != (x.shape[0], 3, 3):
+        raise AutodiffError(
+            f"upsample_conv3x3 expects [C,H,W] input and [O,C,3,3] weight, "
+            f"got {x.shape}, {weight.shape}"
+        )
+    c, h, w = x.shape
+    o = weight.shape[0]
+    if bias.shape != (o,):
+        raise AutodiffError(f"upsample_conv3x3 bias shape {bias.shape} != ({o},)")
+    _check_dtypes("upsample_conv3x3", x, weight, bias)
+    xp = np.zeros((c, h + 2, w + 2), dtype=x.data.dtype)
+    xp[:, 1 : h + 1, 1 : w + 1] = x.data
+    cols = _im2col(xp, 2, 2, 1, 0, h + 1, w + 1)
+    k = _phase_kernel(weight.data, _UPSAMPLE_PHASES)
+    phases = (k @ cols).reshape(2, 2, o, h + 1, w + 1)
+    out = (_phase_view(phases, 1) + bias.data[:, None, None, None, None]).reshape(o, 2 * h, 2 * w)
+    tape = _ACTIVE_TAPE
+    need_x, need_w, need_b = (tape is not None and tape.tracks(t) for t in (x, weight, bias))
+
+    def rule(g):
+        gp = np.zeros((2, 2, o, h + 1, w + 1), dtype=g.dtype)
+        _phase_view(gp, 1)[...] = g.reshape(o, h, 2, w, 2)
+        gp = gp.reshape(4 * o, -1)
+        grads = []
+        if need_w:
+            grads.append((weight, _phase_fold(gp @ cols.T, _UPSAMPLE_PHASES)))
+        if need_b:
+            grads.append((bias, g.reshape(o, -1).sum(axis=1)))
+        if need_x:
+            d = (k.T @ gp).reshape(c, 2, 2, h + 1, w + 1)
+            dx = d[:, 0, 0, 1:, 1:] + d[:, 0, 1, 1:, :-1]
+            dx += d[:, 1, 0, :-1, 1:]
+            dx += d[:, 1, 1, :-1, :-1]
+            grads.append((x, dx))
+        return grads
+
+    return _make(out, (x, weight, bias), rule)

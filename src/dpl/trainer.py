@@ -57,11 +57,21 @@ class TrainerError(Exception):
     pass
 
 
-class TrainingDiverged(TrainerError):
+class TrainingHalted(TrainerError):
+    """Training stopped before its last iteration."""
+
     def __init__(self, state: "TrainState", what: str):
         super().__init__(f"{what} at iteration {state.iteration}")
         self.iteration = state.iteration
         self.history = state.history  # the rows of the iterations before the halt
+
+
+class TrainingDiverged(TrainingHalted):
+    """A non-finite loss or parameter."""
+
+
+class TrainingInterrupted(TrainingHalted):
+    """A KeyboardInterrupt during an iteration."""
 
 
 def distort(image: Image, config: ExperimentConfig, rng: Rng) -> Image:
@@ -220,42 +230,45 @@ def run_training(config: ExperimentConfig, dataset, f: GeneratorF, psi: FeatureN
     aug_rng = rng.child(2)
     trip_rng = rng.child(3)
 
-    for it in range(config["dpl.iterations"]):
-        state.iteration = it
-        x_img, y_img = dataset[data_rng.integers(0, len(dataset))]
-        if config["dpl.augment"]:
-            # identical child seed -> identical draws for both halves of the pair
-            x_img = augment(x_img, aug_rng.child(it))
-            y_img = augment(y_img, aug_rng.child(it))
-        x_t = to_tensor(x_img)
-        y_t = to_tensor(y_img)
+    try:
+        for it in range(config["dpl.iterations"]):
+            state.iteration = it
+            x_img, y_img = dataset[data_rng.integers(0, len(dataset))]
+            if config["dpl.augment"]:
+                # identical child seed -> identical draws for both halves of the pair
+                x_img = augment(x_img, aug_rng.child(it))
+                y_img = augment(y_img, aug_rng.child(it))
+            x_t = to_tensor(x_img)
+            y_t = to_tensor(y_img)
 
-        with T.ComputationTape(state.gen_opt.params) as gen_tape:
-            x_gen = f(x_t)
-        d_c = 0.0
-        if state.sel_opt is not None:
-            # generator frozen: its output enters the triplet as plain data
-            triplet = build_triplet(config, x_img, y_img,
-                                    from_tensor(x_gen.detach()), trip_rng)
-            d_c = selector_accumulate(psi, phi, triplet, config, state)
+            with T.ComputationTape(state.gen_opt.params) as gen_tape:
+                x_gen = f(x_t)
+            d_c = 0.0
+            if state.sel_opt is not None:
+                # generator frozen: its output enters the triplet as plain data
+                triplet = build_triplet(config, x_img, y_img,
+                                        from_tensor(x_gen.detach()), trip_rng)
+                d_c = selector_accumulate(psi, phi, triplet, config, state)
 
-        gen_loss, components = generator_step(gen_tape, x_gen, y_t, psi, phi, config, state)
+            gen_loss, components = generator_step(gen_tape, x_gen, y_t, psi, phi, config, state)
 
-        if state.sel_opt is not None and (it + 1) % config["dpl.interval"] == 0:
-            selector_apply(state)
+            if state.sel_opt is not None and (it + 1) % config["dpl.interval"] == 0:
+                selector_apply(state)
 
-        f_norm, phi_norm = param_norm(f.params()), param_norm(phi.params())
-        if not (np.isfinite(f_norm) and np.isfinite(phi_norm)):
-            raise TrainingDiverged(
-                state, f"non-finite parameters (f_norm {f_norm}, phi_norm {phi_norm})")
-        state.history.append(HistoryRow(
-            iteration=it,
-            generator_loss=gen_loss,
-            components=components,
-            d_c=d_c,
-            f_norm=f_norm,
-            phi_norm=phi_norm,
-        ))
-        if sample_hook is not None:
-            sample_hook(it, f, x_img, y_img)
+            f_norm, phi_norm = param_norm(f.params()), param_norm(phi.params())
+            if not (np.isfinite(f_norm) and np.isfinite(phi_norm)):
+                raise TrainingDiverged(
+                    state, f"non-finite parameters (f_norm {f_norm}, phi_norm {phi_norm})")
+            state.history.append(HistoryRow(
+                iteration=it,
+                generator_loss=gen_loss,
+                components=components,
+                d_c=d_c,
+                f_norm=f_norm,
+                phi_norm=phi_norm,
+            ))
+            if sample_hook is not None:
+                sample_hook(it, f, x_img, y_img)
+    except KeyboardInterrupt:
+        raise TrainingInterrupted(state, "interrupted") from None
     return f, state.history

@@ -68,6 +68,8 @@ def _op_cases(rng):
         ("max_pool2", lambda t: T.max_pool2(t[0]).sum(), [distinct.copy()]),
         ("upsample_nearest2", lambda t: (T.upsample_nearest2(t[0]) ** 2).sum(),
          [n(2, 3, 3)]),
+        ("upsample_conv3x3", lambda t: (T.upsample_conv3x3(t[0], t[1], t[2]) ** 2).sum(),
+         [n(2, 3, 4), n(3, 2, 3, 3), n(3)]),
         ("blur_tensor", lambda t: (blur_tensor(t[0], 1.0) ** 2).sum(), [n(2, 4, 5)]),
     ]
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import signal
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dpl import cli
 from dpl import config as config_module
+from dpl import networks, trainer
 from dpl.checkpoint import save_checkpoint
 from dpl.cli import main
 from dpl.config import SCHEMA, ConfigError, emit_config, parse_config
@@ -379,6 +381,92 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
     assert "Traceback" not in err
+
+
+class _TermReachedCaller(Exception):
+    pass
+
+
+def _caller_sigterm(signum, frame):
+    raise _TermReachedCaller()
+
+
+def _interrupting(fn, calls: int, how: str):
+    """``fn`` that, on its ``calls``-th call, is interrupted by Ctrl-C
+    (KeyboardInterrupt) or by a SIGTERM sent to this process."""
+    count = [0]
+
+    def wrapper(*args, **kwargs):
+        count[0] += 1
+        if count[0] == calls:
+            if how == "sigterm":
+                os.kill(os.getpid(), signal.SIGTERM)  # the handler runs before this returns
+                pytest.fail("SIGTERM did not interrupt the command")
+            raise KeyboardInterrupt
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def _main_interrupted(argv) -> int:
+    """``main(argv)`` with a SIGTERM handler of the caller's, which must be in
+    place again after it; a SIGTERM that reaches it, or an interrupt that
+    escapes ``main``, fails the test."""
+    previous = signal.signal(signal.SIGTERM, _caller_sigterm)
+    try:
+        code = main(argv)
+        assert signal.getsignal(signal.SIGTERM) is _caller_sigterm
+        return code
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped dpl.cli.main")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+@pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])
+def test_interrupted_train_keeps_its_rows_and_removes_older_generator(prepared_run, capsys,
+                                                                     monkeypatch, how):
+    args = [*_base_args(prepared_run), "--dpl.iterations", "2"]
+    assert main(["train", *args]) == 0
+    capsys.readouterr()
+    # the fourth generator step, iteration 3, is interrupted
+    monkeypatch.setattr(trainer, "generator_step",
+                        _interrupting(trainer.generator_step, 4, how))
+    assert _main_interrupted(["train", *args, "--dpl.iterations", "6"]) == 130
+    out, err = capsys.readouterr()
+    assert err == ("interrupted at iteration 3; history.csv holds the 3 iterations "
+                   "before it, f.dplc not written\n")
+    lines = (prepared_run / "history.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+    assert not (prepared_run / "f.dplc").exists()
+    assert main(["eval", *_base_args(prepared_run)]) == 1
+    assert "dpl train" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])
+def test_interrupted_pretrain_keeps_its_log_and_removes_older_extractor(tmp_path, capsys,
+                                                                        monkeypatch, how):
+    out = tmp_path / "run"
+    out.mkdir()
+    save_checkpoint(FeatureNetPsi(Rng(0)).state_dict(), out / "psi.dplc")
+    # 27 training samples per epoch: the interrupt comes in the second epoch
+    monkeypatch.setattr(networks, "cross_entropy",
+                        _interrupting(networks.cross_entropy, 30, how))
+    code = _main_interrupted(["pretrain", *_base_args(out), "--pretrain.samples", "30",
+                              "--pretrain.epochs", "3"])
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted; psi.dplc not written\n"
+    log = (out / "pretrain_accuracy.log").read_text().splitlines()
+    assert [line.split()[:2] for line in log[:2]] == [["epoch", "0"], ["epoch", "1"]]
+    assert log[2:] == ["interrupted; psi.dplc not written"]
+    assert not (out / "psi.dplc").exists()
+
+
+def test_interrupted_gen_data_exits_130(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_synthetic",
+                        _interrupting(cli.generate_synthetic, 1, "ctrl_c"))
+    assert _main_interrupted(["gen-data", *_base_args(tmp_path / "out")]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
 
 
 def test_eval_without_data_is_usage_error(tmp_path, capsys):

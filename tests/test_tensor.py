@@ -37,6 +37,7 @@ _OPERAND_SHAPES = {
     "div": [(2, 2), (2, 2)],
     "matmul": [(2, 2), (2, 2)],
     "conv2d": [(1, 3, 3), (1, 1, 1, 1), (1,)],
+    "upsample_conv3x3": [(1, 2, 2), (1, 1, 3, 3), (1,)],
 }
 
 
@@ -261,11 +262,13 @@ def naive_conv2d_grads(x, w, g, stride, padding):
 
 
 # stride 3, and extents such as (8, 5) at kernel 3, stride 2, padding 0, leave
-# trailing input rows or columns that no output window reads
+# trailing input rows or columns that no output window reads; at kernel 3,
+# stride 2, padding 1, the even extents (6, 6) and (6, 10) take the phase form
+# of the input gradient
 @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 1), (1, 5)])
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("padding", [0, 1, 2])
-@pytest.mark.parametrize("extent", [(6, 6), (7, 9), (8, 5)])
+@pytest.mark.parametrize("extent", [(6, 6), (7, 9), (8, 5), (6, 10)])
 def test_conv2d_gradients_match_loop_oracle(kernel, stride, padding, extent):
     rng = np.random.default_rng([*kernel, stride, padding, *extent])
     x = rng.normal(size=(2, *extent))
@@ -388,6 +391,35 @@ def test_upsample_gradient():
     x = rng.normal(size=(2, 3, 3))
     check_gradients(lambda ts: (T.upsample_nearest2(ts[0]) ** 2).mean(), [x], rng,
                     n_points=15, rtol=1e-6)
+
+
+# square, non-square, odd and 1x1 extents of the low-resolution input
+@pytest.mark.parametrize("extent", [(4, 4), (2, 6), (3, 5), (1, 1)])
+def test_upsample_conv3x3_matches_loop_oracle(extent):
+    # conv2d(upsample_nearest2(x), padding=1) by loops over output positions;
+    # x's gradient is the upsampled input's, summed over each 2x2 block
+    rng = np.random.default_rng([*extent, 72])
+    x = rng.normal(size=(2, *extent))
+    w = rng.normal(size=(3, 2, 3, 3))
+    b = rng.normal(size=3)
+    xt, wt, bt = (Tensor(a) for a in (x, w, b))
+    with ComputationTape([xt, wt, bt]) as tape:
+        out = T.upsample_conv3x3(xt, wt, bt)
+        g = rng.normal(size=out.shape)
+        T.backward((out * g).sum(), tape)
+    up = x.repeat(2, axis=1).repeat(2, axis=2)
+    assert np.allclose(out.data, naive_conv2d(up, w, b, 1, 1), rtol=1e-12, atol=1e-12)
+    dup, dw, db = naive_conv2d_grads(up, w, g, 1, 1)
+    dx = dup.reshape(2, extent[0], 2, extent[1], 2).sum(axis=(2, 4))
+    assert np.allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(wt.grad, dw, rtol=1e-12, atol=1e-12)
+    assert np.allclose(bt.grad, db, rtol=1e-12, atol=1e-12)
+
+
+def test_upsample_conv3x3_refuses_other_kernels():
+    with pytest.raises(AutodiffError, match="upsample_conv3x3 expects"):
+        T.upsample_conv3x3(Tensor(np.ones((2, 3, 3))), Tensor(np.ones((1, 2, 1, 1))),
+                           Tensor(np.zeros(1)))
 
 
 def test_reduce_extremes_gradient():
