@@ -181,13 +181,6 @@ def _write_history(path: Path, history) -> None:
 
 def cmd_train(config: ExperimentConfig) -> int:
     out = Path(config["out_dir"])
-    pairs = _read_pairs(out / "train", square=config["dpl.augment"],
-                        min_extent=triplet_crop(config))
-    psi = FeatureNetPsi(Rng(0))
-    _load_net(psi, out / "psi.dplc", "dpl pretrain")
-    rng = Rng(config["seed"])
-    f = GeneratorF(rng.child(40))
-    phi = SelectionPhi(rng.child(41))
     samples_dir = out / "samples"
     sample_every = config["train.sample_every"]
 
@@ -200,27 +193,47 @@ def cmd_train(config: ExperimentConfig) -> int:
         save_image(x_gen, samples_dir / f"iter{it + 1:06d}_gen.ppm")
         save_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
 
-    try:
-        _, history = run_training(config, pairs, f, psi, phi, rng.child(42),
-                                  sample_hook=sample_hook)
-    except TrainingHalted as e:
-        _write_history(out / "history.csv", e.history)
+    def no_generator(history, message: str, code: int, stream) -> int:
+        if out.is_dir():  # an interrupt can come before a missing out_dir is reported
+            _write_history(out / "history.csv", history)
         # an older f.dplc is not the generator this history describes
         (out / "f.dplc").unlink(missing_ok=True)
-        if isinstance(e, TrainingInterrupted):
-            print(f"{e}; history.csv holds the {len(e.history)} iterations before it, "
-                  "f.dplc not written", file=sys.stderr)
-            return EXIT_INTERRUPTED
-        print(f"numerical halt: {e}")
-        return EXIT_NUMERIC_HALT
-    _write_history(out / "history.csv", history)
-    save_checkpoint(f.state_dict(), out / "f.dplc")
+        print(message, file=stream)
+        return code
+
+    history = None  # the rows of a finished run
+    try:
+        pairs = _read_pairs(out / "train", square=config["dpl.augment"],
+                            min_extent=triplet_crop(config))
+        psi = FeatureNetPsi(Rng(0))
+        _load_net(psi, out / "psi.dplc", "dpl pretrain")
+        rng = Rng(config["seed"])
+        f = GeneratorF(rng.child(40))
+        phi = SelectionPhi(rng.child(41))
+        _, history = run_training(config, pairs, f, psi, phi, rng.child(42),
+                                  sample_hook=sample_hook)
+        _write_history(out / "history.csv", history)
+        save_checkpoint(f.state_dict(), out / "f.dplc")
+    except TrainingInterrupted as e:
+        return no_generator(e.history, f"{e}; history.csv holds the {len(e.history)} "
+                            "iterations before it, f.dplc not written",
+                            EXIT_INTERRUPTED, sys.stderr)
+    except TrainingHalted as e:
+        return no_generator(e.history, f"numerical halt: {e}", EXIT_NUMERIC_HALT, sys.stdout)
+    except KeyboardInterrupt:  # before the first iteration or after the last
+        if history is None:
+            where, history = "before iteration 0", []
+        else:
+            where = f"after iteration {len(history) - 1}"
+        return no_generator(history, f"interrupted {where}; history.csv holds {len(history)} "
+                            "iterations, f.dplc not written", EXIT_INTERRUPTED, sys.stderr)
     print(f"trained {config['dpl.iterations']} iterations; wrote f.dplc and history.csv")
     return EXIT_OK
 
 
-def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
-    out = Path(config["out_dir"])
+def _evaluate(config: ExperimentConfig, out: Path, checkpoint_path) -> int:
+    """Score the generator on every validation pair into report.csv;
+    returns the number of pairs."""
     pairs = _read_pairs(out / "val")
     psi = FeatureNetPsi(Rng(0))
     _load_net(psi, out / "psi.dplc", "dpl pretrain")
@@ -247,7 +260,19 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
         for row in rows:
             writer.writerow([row["id"], *(_fmt(row[name]) for name in metric_names)])
         writer.writerow(["mean", *(_fmt(sums[name] / len(rows)) for name in metric_names)])
-    print(f"evaluated {len(rows)} pairs; wrote report.csv")
+    return len(rows)
+
+
+def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
+    out = Path(config["out_dir"])
+    try:
+        count = _evaluate(config, out, checkpoint_path)
+    except KeyboardInterrupt:
+        # an older report.csv does not score the generator this run was given
+        (out / "report.csv").unlink(missing_ok=True)
+        print("interrupted; report.csv not written", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    print(f"evaluated {count} pairs; wrote report.csv")
     return EXIT_OK
 
 
@@ -324,7 +349,7 @@ def main(argv=None) -> int:
     except MemoryError as e:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except KeyboardInterrupt:  # train and pretrain report their own
+    except KeyboardInterrupt:  # train, pretrain and eval report their own
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
 

@@ -3,8 +3,10 @@ triplet hinge, blurred color and grayscale texture distances, and an L1
 pixel baseline. A feature set is the ordered list of per-tap tensors.
 
 Every loss is a composition of tensor ops except the contextual loss, one
-op per tap whose (Na, Nb) affinity chain has a hand-written backward, and
-the color loss's blur, one op over ``image.separable_filter``."""
+op per tap that builds its (Na, Nb) affinities from cosine similarities
+and whose hand-written backward touches only the rows holding a column
+maximum, and the color loss's blur, one op over
+``image.separable_filter``."""
 
 from __future__ import annotations
 
@@ -45,13 +47,13 @@ def _positions(data: np.ndarray) -> np.ndarray:
 
 
 # Exponents of the affinities are floored here before exp. A row's largest
-# exponent is eps / (q h) >= 0, so its largest affinity is >= 1 and a
-# floored one, e^-60 ~ 8.8e-27, is far below float32 and float64
+# exponent is 0 up to rounding, at its nearest column, so a floored
+# affinity, e^-60 ~ 8.8e-27 of the largest, is far below float32 and float64
 # resolution of the row sum; the floor keeps exp and every later product
 # out of the subnormal range, where they run ~10x slower.
 _EXP_FLOOR = -60.0
-# Elements in one row block of the (Na, Nb) distances: 512 KB in float32,
-# so one block of ``d`` and one of ``cx`` stay in cache.
+# Elements in one row block of the (Na, Nb) affinities: 512 KB in float32,
+# so a block stays in cache from its first GEMM to its column maxima.
 _BLOCK = 2 ** 17
 
 
@@ -67,15 +69,19 @@ def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
     """One tap of the contextual loss as a single tape op.
 
-    The forward builds the row-normalised affinities ``cx`` (Na, Nb) in
-    blocks of rows, each from one scratch block of cosine distances ``d``,
-    with the chain's elementwise ops in the chain's order, so the loss is
-    the chain's to the bit. From each block it keeps, per row, ``q = min_j d
-    + eps``, the argmin ``n`` and ``rowdot = sum_j cx * d``; per column, the
-    running max of ``cx``, its first row ``f`` (only a strictly greater
-    value moves it, so a tie keeps the earliest row) and ``d`` there.
-    ``cx`` is the only (Na, Nb) array the backward holds. With the loss
-    ``-log mean_j max_i cx``:
+    The forward works in similarity form. With ``s = an @ bn.T`` the cosine
+    similarities, ``smax_i`` a row's largest (at its nearest column
+    ``n_i``), ``q_i = (1 - smax_i) + eps`` (bitwise the chain's ``min_j d +
+    eps`` of the distances ``d = 1 - s``) and ``alpha_i = 1 / (h q_i)``,
+    the chain's exponent ``(1 - d / q) / h`` is ``alpha_i (s_ij - smax_i) +
+    eps alpha_i``, and the row normalisation cancels ``eps alpha_i``. A
+    block of rows of ``cx`` (Na, Nb), the only (Na, Nb) array, takes one
+    GEMM for ``s`` and its row argmax, a second GEMM ``[alpha an, alpha
+    smax] @ [bn, -1].T`` over it for the exponents, the floor, ``exp``, the
+    row sums as one GEMV and a reciprocal multiply, and keeps its column
+    maxima. After the blocks, each column's max is found once: its first
+    block, then its first row ``f`` there, so a tie keeps the earliest row.
+    With the loss ``-log mean_j max_i cx``:
 
     - every column max has the same gradient ``c = -g / (m * Nb)``, where
       ``m`` is the mean of the column maxima;
@@ -83,16 +89,24 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
       gradient on ``d`` is ``dd = v[:, None] * cx + S + dq at (i, n_i)``,
       where ``v_i = c r_i / (h q_i)`` with ``r_i`` the sum of the column
       maxima first attained in row i, ``S`` holds ``s1_j = -c max_j /
-      (h q_{f_j})`` at each ``(f_j, j)``, and the row min adds
-      ``dq_i = -(v_i rowdot_i + sum_{f_j = i} s1_j d_{f_j j}) / q_i``;
-    - ``d an = -dd @ bn = -(v * (cx @ bn) + sum_{f_j = i} s1_j bn_j +
-      dq * bn[n])``, one GEMM, and when ``b`` is tracked ``d bn =
-      -(cx.T @ (v * an) + s1 * an[f] + dq * an added at the columns n)``;
-      then the normalisation and centering backward. ``v_{f_j} max_j`` and
-      ``s1_j`` nearly cancel where a row's affinity is all on its column
-      maxima, so the backward's ``cx`` holds 0 at each ``(f_j, j)`` and
-      ``s1_j`` takes ``v_{f_j} max_j`` in: summed inside the GEMM, the
-      rounding error of the large term would swamp the small result.
+      (h q_{f_j}) = -v_{f_j} max_j / r_{f_j}`` at each ``(f_j, j)``, and
+      the row min adds ``dq_i = -(v_i rowdot_i + sum_{f_j = i} s1_j
+      d_{f_j j}) / q_i`` with ``rowdot_i = sum_j cx_ij d_ij``;
+    - so, with ``cx'`` the affinities holding ``e_j = max_j (1 - 1 /
+      r_{f_j})`` in place of each column max, ``dd = v[:, None] * cx' + dq
+      at (i, n_i)`` and ``dq_i = -v_i (sum_j cx_ij - 1 - an_i . (cx' @
+      bn)_i) / q_i``;
+    - ``d an = -dd @ bn = -(v * (cx' @ bn) + dq * bn[n])``, and when ``b``
+      is tracked ``d bn = -(cx'.T @ (v * an) + dq * an added at the columns
+      n)``; then the normalisation and centering backward.
+
+    All of it is zero on a row that holds no column max, so the backward
+    gathers only the rows that do, a block at a time through one buffer,
+    and writes ``e`` into the gathered copy. ``v_{f_j} max_j`` and ``s1_j``
+    nearly cancel where a row's affinity is all on its column maxima
+    (``r ~ 1``), so ``e`` is their sum over ``v``, taken before the GEMM:
+    summed inside it, the rounding error of the two large terms would
+    swamp the small result.
 
     Floored exponents have a zero derivative. The affinities they stand
     for are below 1e-26 of their row's largest, under what float32 or
@@ -107,68 +121,69 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
     an, bn = ac / na, bc / nb
     n_rows, n_cols = len(an), len(bn)
     step = max(1, _BLOCK // n_cols)
+    starts = range(0, n_rows, step)
     dtype = an.dtype
+    ones = np.ones(n_cols, dtype)
     cx = np.empty((n_rows, n_cols), dtype)
-    scratch = np.empty((min(step, n_rows), n_cols), dtype)
-    hits = np.empty(scratch.shape, bool)
-    rank = np.arange(len(scratch), 0, -1, dtype=np.min_scalar_type(len(scratch)))[:, None]
-    ranks = np.empty(scratch.shape, rank.dtype)
     q = np.empty(n_rows, dtype)
     nearest = np.empty(n_rows, np.intp)
-    rowdot = np.empty(n_rows, dtype)
-    colmax = np.full(n_cols, -np.inf, dtype)
-    first = np.zeros(n_cols, np.intp)
-    d_first = np.zeros(n_cols, dtype)
-    for start in range(0, n_rows, step):
+    tops = np.empty((len(starts), n_cols), dtype)
+    bn_ext = np.hstack([bn, np.full((n_cols, 1), -1.0, dtype)])
+    for k, start in enumerate(starts):
         rows = slice(start, min(start + step, n_rows))
-        d, w = scratch[: rows.stop - start], cx[rows]
-        np.matmul(an[rows], bn.T, out=d)
-        np.subtract(1.0, d, out=d)  # cosine distances
-        nearest[rows] = d.argmin(axis=1)
-        q[rows] = d[np.arange(len(d)), nearest[rows]] + eps
-        np.divide(d, q[rows, None], out=w)
-        np.subtract(1.0, w, out=w)
-        np.multiply(w, 1.0 / h, out=w)
+        w = cx[rows]
+        np.matmul(an[rows], bn.T, out=w)  # cosine similarities, then the exponents
+        n = nearest[rows] = w.argmax(axis=1)
+        smax = w[np.arange(len(w)), n]
+        q[rows] = (1.0 - smax) + eps
+        alpha = 1.0 / (h * q[rows, None])
+        np.matmul(np.hstack([an[rows], smax[:, None]]) * alpha, bn_ext.T, out=w)
         np.maximum(w, _EXP_FLOOR, out=w)
         np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
-        rowdot[rows] = np.einsum("ij,ij->i", w, d)
-        top = w.max(axis=0)
-        gain = top > colmax
-        np.maximum(colmax, top, out=colmax)
-        # the first row of each gained column's max: the largest rank among
-        # its hits, as a column max over the block, which is cheaper than a
-        # column argmax
-        hit, hit_rank = hits[: len(d)], ranks[: len(d)]
-        np.equal(w, np.where(gain, top, np.inf), out=hit)
-        np.multiply(hit, rank[: len(d)], out=hit_rank)
-        col = np.flatnonzero(gain)
-        row = len(scratch) - hit_rank.max(axis=0)[col].astype(np.intp)
-        first[col], d_first[col] = start + row, d[row, col]
+        w *= (1.0 / (w @ ones))[:, None]
+        w.max(axis=0, out=tops[k])
+    colmax = tops.max(axis=0)
+    block = (tops == colmax).argmax(axis=0)  # the first block holding each column max
+    first = np.empty(n_cols, np.intp)
+    for k, start in enumerate(starts):
+        col = np.flatnonzero(block == k)
+        top = cx[start: start + step]
+        if len(col) < n_cols:  # "clip": the indices are in range, and "raise" is slower
+            top = np.take(top, col, axis=1, mode="clip")
+        first[col] = start + top.argmax(axis=0)
     m = colmax.mean()
-    cx[first, np.arange(n_cols)] = 0  # the column maxima enter the backward through s1
     tape = T.active_tape()
     need_a, need_b = (tape is not None and tape.tracks(t) for t in (a, b))
 
     def rule(g):
         c = -g / (m * n_cols)
-        v = np.bincount(first, weights=colmax, minlength=n_rows).astype(dtype) * c / (h * q)
-        s1 = -c * colmax / (h * q[first])
-        dq = -(v * rowdot + np.bincount(first, weights=s1 * d_first,
-                                        minlength=n_rows).astype(dtype)) / q
-        s1 += v[first] * colmax  # all of dd at (f_j, j), where cx holds 0
-        dan = cx @ bn
-        dan *= v[:, None]
-        dan += _scatter_rows(first, s1[:, None] * bn, n_rows)
-        dan += dq[:, None] * bn[nearest]
-        dac = (an * (dan * an).sum(axis=1, keepdims=True) - dan) / na
+        rows, slot = np.unique(first, return_inverse=True)  # F, and f_j's place in it
+        an_f, q_f = an[rows], q[rows]
+        r = np.bincount(slot, weights=colmax).astype(dtype)
+        v = r * c / (h * q_f)
+        e = colmax - colmax / r[slot]  # cx' at the column maxima
+        v_an = v[:, None] * an_f
+        rowsum, cb = np.empty(len(rows), dtype), np.empty((len(rows), bn.shape[1]), dtype)
+        dbn = np.zeros_like(bn)
+        chunk = np.empty((min(step, len(rows)), n_cols), dtype)
+        for start in range(0, len(rows), step):
+            part = slice(start, min(start + step, len(rows)))
+            cx_f = np.take(cx, rows[part], axis=0, out=chunk[: part.stop - start], mode="clip")
+            rowsum[part] = cx_f @ ones
+            own = np.flatnonzero((slot >= start) & (slot < part.stop))
+            cx_f[slot[own] - start, own] = e[own]
+            np.matmul(cx_f, bn, out=cb[part])
+            if need_b:
+                dbn += cx_f.T @ v_an[part]
+        dq = -v * (rowsum - 1.0 - np.einsum("ij,ij->i", an_f, cb)) / q_f
+        dan = cb * v[:, None] + dq[:, None] * bn[nearest[rows]]
+        dac = np.zeros_like(an)
+        dac[rows] = (an_f * (dan * an_f).sum(axis=1, keepdims=True) - dan) / na[rows]
         grads = []
         if need_a:
             grads.append((a, dac.T.reshape(a.shape)))
         if need_b:
-            dbn = cx.T @ (v[:, None] * an)
-            dbn += s1[:, None] * an[first]
-            dbn += _scatter_rows(nearest, dq[:, None] * an, n_cols)
+            dbn += _scatter_rows(nearest[rows], dq[:, None] * an_f, n_cols)
             dbc = (bn * (dbn * bn).sum(axis=1, keepdims=True) - dbn) / nb
             dmu = -(dac.sum(axis=0) + dbc.sum(axis=0))
             grads.append((b, (dbc + dmu / len(bc)).T.reshape(b.shape)))

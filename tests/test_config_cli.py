@@ -462,6 +462,58 @@ def test_interrupted_pretrain_keeps_its_log_and_removes_older_extractor(tmp_path
     assert not (out / "psi.dplc").exists()
 
 
+@pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])
+@pytest.mark.parametrize("step", ["load_image", "load_checkpoint"])
+def test_train_interrupted_before_its_first_iteration_removes_older_outputs(
+        prepared_run, capsys, monkeypatch, step, how):
+    # was exit 130 leaving the previous run's f.dplc and history.csv in place
+    args = [*_base_args(prepared_run), "--dpl.iterations", "2"]
+    assert main(["train", *args]) == 0
+    capsys.readouterr()
+    # reading the first pair, or loading psi.dplc
+    monkeypatch.setattr(cli, step, _interrupting(getattr(cli, step), 1, how))
+    assert _main_interrupted(["train", *args]) == 130
+    assert capsys.readouterr().err == ("interrupted before iteration 0; history.csv holds 0 "
+                                       "iterations, f.dplc not written\n")
+    assert (prepared_run / "history.csv").read_text().splitlines()[1:] == []
+    assert not (prepared_run / "f.dplc").exists()
+
+
+def test_train_interrupted_before_finding_its_out_dir_exits_130(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_read_pairs", _interrupting(cli._read_pairs, 1, "ctrl_c"))
+    assert _main_interrupted(["train", *_base_args(tmp_path / "none")]) == 130
+    assert capsys.readouterr().err.startswith("interrupted before iteration 0;")
+    assert not (tmp_path / "none").exists()
+
+
+@pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])
+def test_train_interrupted_before_saving_its_generator_removes_older_one(
+        prepared_run, capsys, monkeypatch, how):
+    # was exit 130 with the new history.csv beside the previous run's f.dplc
+    args = _base_args(prepared_run)
+    assert main(["train", *args, "--dpl.iterations", "2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "save_checkpoint", _interrupting(cli.save_checkpoint, 1, how))
+    assert _main_interrupted(["train", *args, "--dpl.iterations", "3"]) == 130
+    assert capsys.readouterr().err == ("interrupted after iteration 2; history.csv holds 3 "
+                                       "iterations, f.dplc not written\n")
+    lines = (prepared_run / "history.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+    assert not (prepared_run / "f.dplc").exists()
+
+
+@pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])
+def test_interrupted_eval_removes_older_report(prepared_run, capsys, monkeypatch, how):
+    # was exit 130 leaving the report of an earlier generator in place
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "2"]) == 0
+    assert main(["eval", *_base_args(prepared_run)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "psnr", _interrupting(cli.psnr, 2, how))
+    assert _main_interrupted(["eval", *_base_args(prepared_run)]) == 130
+    assert capsys.readouterr().err == "interrupted; report.csv not written\n"
+    assert sorted(p.name for p in prepared_run.iterdir() if "report" in p.name) == []
+
+
 def test_interrupted_gen_data_exits_130(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "generate_synthetic",
                         _interrupting(cli.generate_synthetic, 1, "ctrl_c"))

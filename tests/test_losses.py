@@ -162,18 +162,22 @@ def test_contextual_matches_taped_chain_at_tap_shapes():
     b = [x + rng.normal(scale=2.0, size=x.shape) for x in a]
     want, want_grads = _value_and_grads(contextual_chain, a, b)
     got, got_grads = _value_and_grads(contextual_loss, a, b)
-    assert got == want  # the forward runs the chain's expressions
+    assert got == pytest.approx(want, rel=1e-14)
     for g, w in zip(got_grads, want_grads):
         assert np.allclose(g, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
 
 
-def test_contextual_value_bitwise_equals_taped_chain_in_float32():
+def test_contextual_value_matches_taped_chain_in_float32():
     rng = np.random.default_rng(18)
-    a = _featset(*(rng.normal(size=s).astype(np.float32) for s in TAP_SHAPES))
-    b = _featset(*(rng.normal(size=s).astype(np.float32) for s in TAP_SHAPES))
+    a64 = [rng.normal(size=s).astype(np.float32).astype(np.float64) for s in TAP_SHAPES]
+    b64 = [rng.normal(size=s).astype(np.float32).astype(np.float64) for s in TAP_SHAPES]
+    a = _featset(*(x.astype(np.float32) for x in a64))
+    b = _featset(*(x.astype(np.float32) for x in b64))
     got = contextual_loss(a, b)
     assert got.dtype == np.float32
-    assert got.item() == contextual_chain(a, b).item()
+    assert got.item() == pytest.approx(contextual_chain(a, b).item(), rel=1e-6)
+    assert got.item() == pytest.approx(contextual_chain(_featset(*a64), _featset(*b64)).item(),
+                                       rel=1e-6)
 
 
 def test_contextual_gradient_with_duplicate_vectors():
@@ -252,7 +256,7 @@ def test_contextual_exponent_floor_binds_and_changes_nothing_visible():
     fa, fb = _featset(a.astype(np.float32)), _featset(b.astype(np.float32))
     got = contextual_loss(fa, fb)
     assert got.dtype == np.float32
-    assert got.item() == contextual_chain(fa, fb).item()
+    assert got.item() == pytest.approx(contextual_chain(fa, fb).item(), rel=1e-6)
     want, want_grads = _value_and_grads(contextual_chain, [a], [b])
     got, got_grads = _value_and_grads(contextual_loss, [a], [b])
     assert got == pytest.approx(want, rel=1e-12)
@@ -287,9 +291,56 @@ def test_contextual_ties_across_row_blocks_keep_the_earliest_row(build):
 
     want, want_grads = _value_and_grads(contextual_chain, [a], [b])
     got, got_grads = _value_and_grads(contextual_loss, [a], [b])
-    assert got == want
+    assert got == pytest.approx(want, rel=1e-14)
     for g, w in zip(got_grads, want_grads):
         assert np.allclose(g, w, rtol=1e-9, atol=1e-13)
+
+
+def _column_max_rows(a, b):
+    """The rows of the first set that hold a column max of the affinities."""
+    w = np.exp(_exponents(a, b))
+    return np.unique((w / w.sum(axis=1, keepdims=True)).argmax(axis=0))
+
+
+def _assert_matches_chain(a, b):
+    want, want_grads = _value_and_grads(contextual_chain, [a], [b])
+    got, got_grads = _value_and_grads(contextual_loss, [a], [b])
+    assert got == pytest.approx(want, rel=1e-14)
+    for g, w in zip(got_grads, want_grads):
+        assert np.allclose(g, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
+    return got_grads, want_grads
+
+
+def test_contextual_rows_without_a_column_max_get_exactly_zero_gradient():
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=TAP_SHAPES[0])
+    b = a + rng.normal(scale=2.0, size=a.shape)
+    held = _column_max_rows(a, b)
+    idle = np.setdiff1d(np.arange(a[0].size), held)
+    assert 0 < len(held) < a[0].size
+    (ga, _), (wa, _) = _assert_matches_chain(a, b)
+    ga, wa = ga.reshape(len(a), -1), wa.reshape(len(a), -1)
+    assert np.all(ga[:, idle] == 0) and np.all(wa[:, idle] == 0)
+    assert np.all(np.any(ga[:, held] != 0, axis=0))
+
+
+def test_contextual_partial_last_block_and_unequal_set_sizes():
+    # 960 positions against 1024: seven and a half row blocks of 128 rows
+    rng = np.random.default_rng(25)
+    a = rng.normal(size=(16, 24, 40))
+    b = rng.normal(size=TAP_SHAPES[0])
+    _assert_matches_chain(a, b)
+
+
+def test_contextual_every_row_holds_a_column_max():
+    # each of 320 first-set positions lies near its own second-set position,
+    # so the backward gathers all 320 rows in three chunks of 128
+    rng = np.random.default_rng(23)
+    b = rng.normal(size=(16, 1024))
+    a = b[:, :320] + rng.normal(scale=0.3, size=(16, 320))
+    a, b = a.reshape(16, 20, 16), b.reshape(TAP_SHAPES[0])
+    assert len(_column_max_rows(a, b)) == 320
+    _assert_matches_chain(a, b)
 
 
 def test_contextual_untracked_second_set_gets_no_gradient():

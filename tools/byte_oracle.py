@@ -1,8 +1,8 @@
-"""Print a sha256 for every output of a fixed six-mode pipeline.
+"""Print a sha256 for every output of a fixed seven-mode pipeline.
 
 Runs gen-data, pretrain, train and eval through ``dpl.cli.main`` at seed 3
 (6 train and 3 val pairs at 32 px, 600 pretraining samples for 3 epochs,
-60 training iterations) in six training modes, each in its own directory
+60 training iterations) in seven training modes, each in its own directory
 under OUT_DIR, then ``dpl distort`` once per distortion kind on a generated
 image and ``dpl gen-data`` once for the synthetic blur task, and prints
 ``<sha256>  <path>`` for every file written, paths relative to OUT_DIR.
@@ -39,6 +39,9 @@ MODES = {
     "full_contextual_color_grayscale": ("--dpl.mode", "full", "--dpl.strategy", "task_oriented",
                                         "--dpl.distortion", "grayscale",
                                         "--dpl.w_contextual", "1", "--dpl.w_color", "1"),
+    # perfbench's train_ctx_frozen training flags
+    "frozen_contextual": ("--dpl.mode", "frozen", "--dpl.w_perceptual", "1",
+                          "--dpl.w_contextual", "1"),
     "frozen_pixel_texture": ("--dpl.mode", "frozen", "--dpl.w_pixel_l1", "1",
                              "--dpl.w_texture", "1"),
     # the later --dpl.interval overrides the one in TRAIN
