@@ -15,11 +15,13 @@ import math
 import signal
 import sys
 import threading
+from collections.abc import Sequence
 from pathlib import Path
 
 from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from .config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
-from .image import Image, ImageError, from_tensor, load_image, save_image, to_tensor
+from .image import (Image, ImageError, decode_ppm, from_tensor, load_image, load_ppm, save_image,
+                    to_tensor)
 from .metrics import MetricError, feature_distance, ms_ssim, psnr
 from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, NetworkError,
                        SelectionPhi, pretrain_psi, takes_extents)
@@ -64,44 +66,65 @@ def _pair_paths(directory: Path, index: int) -> tuple[Path, Path]:
 
 
 def _write_pairs(directory: Path, pairs, seed: int) -> None:
+    """Write each pair as it is drawn, then the manifest that lists them."""
     directory.mkdir(parents=True, exist_ok=True)
+    manifest = directory / "manifest.txt"
+    # until the last pair is written, no manifest: an older one would list a
+    # mix of its pairs and the new ones as a complete dataset
+    manifest.unlink(missing_ok=True)
     lines = [f"seed {seed}"]
     for i, (x, y) in enumerate(pairs, start=1):
         xp, yp = _pair_paths(directory, i)
         save_image(x, xp)
         save_image(y, yp)
         lines.append(f"{xp.name} {yp.name}")
-    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+    with atomic_write(manifest) as f:
+        f.write("\n".join(lines) + "\n")
+
+
+class _Pairs(Sequence):
+    """Image pairs held as their uint8 PPM payloads; indexing decodes one pair."""
+
+    def __init__(self, payloads):
+        self._payloads = payloads
+
+    def __len__(self) -> int:
+        return len(self._payloads)
+
+    def __getitem__(self, index) -> tuple[Image, Image]:
+        x, y = self._payloads[index]
+        return decode_ppm(x), decode_ppm(y)
 
 
 def _read_pairs(directory: Path, square: bool = False,
-                min_extent: int = 0) -> list[tuple[Image, Image]]:
+                min_extent: int = 0) -> Sequence[tuple[Image, Image]]:
     """The pairs of ``directory/manifest.txt``; a pair the caller cannot use
     is refused naming its line."""
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise ConfigError(f"no manifest at {manifest}; run gen-data first")
-    pairs = []
+    payloads = []
     for lineno, line in enumerate(manifest.read_text().splitlines()[1:], start=2):
         names = line.split()
         if len(names) != 2:
             raise ConfigError(f"{manifest}:{lineno}: expected two image names, got {line!r}")
-        x, y = (load_image(directory / name) for name in names)
-        if x.pixels.shape != y.pixels.shape:
+        x, y = (load_ppm(directory / name) for name in names)
+        h, w, _ = x.shape
+        if x.shape != y.shape:
             raise ConfigError(f"{manifest}:{lineno}: shape mismatch, {names[0]} is "
-                              f"{x.height}x{x.width} but {names[1]} is {y.height}x{y.width}")
-        where = f"{manifest}:{lineno}: {names[0]} and {names[1]} are {x.height}x{x.width}"
-        if not takes_extents(x.height, x.width):
+                              f"{h}x{w} but {names[1]} is {y.shape[0]}x{y.shape[1]}")
+        where = f"{manifest}:{lineno}: {names[0]} and {names[1]} are {h}x{w}"
+        if not takes_extents(h, w):
             raise ConfigError(f"{where}, but the networks need {EXTENTS_RULE}")
-        if square and x.height != x.width:
+        if square and h != w:
             raise ConfigError(f"{where}, but dpl.augment rotates pairs, which needs square "
                               "images; set dpl.augment false")
-        if min(x.height, x.width) < min_extent:
+        if min(h, w) < min_extent:
             raise ConfigError(f"{where}, smaller than the triplet crop dpl.crop {min_extent}")
-        pairs.append((x, y))
-    if not pairs:
+        payloads.append((x, y))
+    if not payloads:
         raise ConfigError(f"{manifest} lists no pairs; run gen-data first")
-    return pairs
+    return _Pairs(payloads)
 
 
 def _load_net(net, path, written_by: str) -> None:
@@ -122,7 +145,7 @@ def cmd_gen_data(config: ExperimentConfig) -> int:
                              rng.child(20))
     _write_pairs(out / "train", train, config["seed"])
     _write_pairs(out / "val", val, config["seed"])
-    print(f"wrote {len(train)} train and {len(val)} val pairs under {out}")
+    print(f"wrote {config['train_count']} train and {config['val_count']} val pairs under {out}")
     return EXIT_OK
 
 
@@ -145,8 +168,8 @@ def cmd_pretrain(config: ExperimentConfig) -> int:
         return code
 
     try:
-        data = generate_synthetic("textures", config["pretrain.samples"], config["size"],
-                                  rng.child(30))
+        data = [(to_tensor(img), label) for img, label in generate_synthetic(
+            "textures", config["pretrain.samples"], config["size"], rng.child(30))]
         psi = FeatureNetPsi(rng.child(31))
         accuracy = pretrain_psi(psi, data, config["pretrain.epochs"], rng.child(32),
                                 lr=config["pretrain.lr"], log=log)

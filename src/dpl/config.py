@@ -162,7 +162,7 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     ordered distortion ranges), an image size every listed metric accepts,
     and a triplet crop and blur widths that fit in the image, so
     combinations the runtime rejects fail here. Floats must be finite, and
-    the images gen-data and pretrain hold must fit in the memory the
+    the datasets train, eval and pretrain hold must fit in the memory the
     process may use.
     """
     values: dict = {}
@@ -195,14 +195,16 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         if config[key] > config["size"]:
             raise ConfigError(f"{key} {config[key]:g} exceeds size {config['size']}; "
                               "a blur is at most as wide as the image")
-    # gen-data holds every pair and pretrain every sample at once, each image
-    # 3 x size x size float64 values; a dataset that fits can still fail to
+    # train and eval each hold one split's pairs as 3 x size x size uint8
+    # payloads, pretrain every sample as a float32 tensor of that shape, and
+    # gen-data one pair at a time; a dataset that fits can still fail to
     # allocate when that memory is in use elsewhere
     memory = _memory_bytes()
-    for keys, images in (("train_count and val_count",
-                          2 * (config["train_count"] + config["val_count"])),
-                         ("pretrain.samples", config["pretrain.samples"])):
-        need = images * 24 * config["size"] ** 2
+    for keys, images, bytes_per_value in (
+            ("train_count and val_count",
+             2 * max(config["train_count"], config["val_count"]), 1),
+            ("pretrain.samples", config["pretrain.samples"], 4)):
+        need = images * bytes_per_value * 3 * config["size"] ** 2
         if need > memory:
             raise ConfigError(f"{keys} at size {config['size']} need {need / 2**30:.3g} GiB "
                               f"of images, more than the {memory / 2**30:.3g} GiB of memory "

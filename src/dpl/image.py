@@ -84,6 +84,12 @@ def _read_token(f) -> bytes:
 
 def load_image(path) -> Image:
     """Read a binary PPM; every error names ``path``."""
+    return decode_ppm(load_ppm(path))
+
+
+def load_ppm(path) -> np.ndarray:
+    """The (H, W, 3) uint8 payload of a binary PPM, undecoded; every error
+    names ``path``."""
     try:
         with open(path, "rb") as f:
             return _read_ppm(f)
@@ -93,7 +99,12 @@ def load_image(path) -> Image:
         raise ImageError(f"{path}: {e}") from None
 
 
-def _read_ppm(f) -> Image:
+def decode_ppm(payload: np.ndarray) -> Image:
+    """The image a ``load_ppm`` payload holds."""
+    return Image(payload.astype(np.float64) / 255.0)
+
+
+def _read_ppm(f) -> np.ndarray:
     magic = _read_token(f)
     if magic != b"P6":
         raise ImageError(f"unsupported PPM magic {magic!r} (only binary P6)")
@@ -112,8 +123,7 @@ def _read_ppm(f) -> Image:
         raise ImageError(
             f"truncated PPM payload: expected {w * h * 3} bytes, got {len(payload)}"
         )
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
-    return Image(arr.astype(np.float64) / 255.0)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
 
 
 # -- crops and augmentation ---------------------------------------------------

@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .image import Image, to_tensor
 from .optim import Adam
 from .rng import Rng
 from .tensor import Tensor
@@ -220,20 +219,21 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     return -(log_softmax(logits) * T.constant(onehot, dtype=logits.dtype)).sum()
 
 
-def classify(psi: FeatureNetPsi, image: Image) -> int:
-    return int(np.argmax(psi.logits(to_tensor(image)).data))
+def classify(psi: FeatureNetPsi, x: Tensor) -> int:
+    return int(np.argmax(psi.logits(x).data))
 
 
 def accuracy(psi: FeatureNetPsi, dataset) -> float:
-    hits = sum(1 for img, label in dataset if classify(psi, img) == label)
+    hits = sum(1 for x, label in dataset if classify(psi, x) == label)
     return hits / len(dataset)
 
 
 def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
                  lr: float = 1e-3, log=None) -> float:
-    """Train the texture classifier on all but the first tenth of ``dataset``
-    until the accuracy on that tenth reaches ``PRETRAIN_GATE`` or the epochs
-    run out; returns the last held-out accuracy."""
+    """Train the texture classifier on all but the first tenth of ``dataset``,
+    a list of (image tensor [3,H,W], label) samples (``to_tensor`` of the
+    textures), until the accuracy on that tenth reaches ``PRETRAIN_GATE`` or
+    the epochs run out; returns the last held-out accuracy."""
     n_hold = max(1, int(len(dataset) * 0.1))
     heldout, train = dataset[:n_hold], dataset[n_hold:]
     opt = Adam(psi.params(), lr=lr)
@@ -242,9 +242,9 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
         log(f"epoch 0 heldout_accuracy {acc:.4f}")
     for epoch in range(1, epochs + 1):
         for idx in rng.permutation(len(train)):
-            img, label = train[int(idx)]
+            x, label = train[int(idx)]
             with T.ComputationTape(opt.params) as tape:
-                loss = cross_entropy(psi.logits(to_tensor(img)), label)
+                loss = cross_entropy(psi.logits(x), label)
                 T.backward(loss, tape)
             opt.step()
             opt.zero_grad()

@@ -102,18 +102,22 @@ def _scene(size: int, rng: Rng) -> Image:
 
 
 def generate_synthetic(task: str, count: int, size: int, rng: Rng):
-    """Deterministic dataset generation.
+    """Deterministic dataset generation, one draw at a time.
 
-    ``textures`` -> list of (Image, label 0..9); paired tasks -> list of
-    (X, Y) where X is the degraded source and Y the clean target.
+    ``textures`` -> iterator of (Image, label 0..9); paired tasks -> iterator
+    of (X, Y) where X is the degraded source and Y the clean target. A bad
+    ``task`` or ``size`` raises here, before anything is drawn.
     """
     if size < 16:
         raise SynthError(f"size must be >= 16, got {size}")
     if task == "textures":
-        return [(texture_sample(i % 10, size, rng), i % 10) for i in range(count)]
+        return ((texture_sample(i % 10, size, rng), i % 10) for i in range(count))
     if task not in PAIRED_TASKS:
         raise SynthError(f"unknown task {task!r}; expected textures or {PAIRED_TASKS}")
-    pairs = []
+    return _pairs(task, count, size, rng)
+
+
+def _pairs(task: str, count: int, size: int, rng: Rng):
     for _ in range(count):
         y = _scene(size, rng)
         if task == "darken":
@@ -124,5 +128,4 @@ def generate_synthetic(task: str, count: int, size: int, rng: Rng):
         else:  # blur
             sigma = rng.uniform(1.0, 2.0)
             x = gaussian_blur(y, sigma)
-        pairs.append((x, y))
-    return pairs
+        yield x, y

@@ -229,6 +229,8 @@ def run_training(config: ExperimentConfig, dataset, f: GeneratorF, psi: FeatureN
     data_rng = rng.child(1)
     aug_rng = rng.child(2)
     trip_rng = rng.child(3)
+    # phi moves only at selector_apply, and only in feature_selection mode
+    phi_norm = param_norm(phi.params())
 
     try:
         for it in range(config["dpl.iterations"]):
@@ -254,8 +256,9 @@ def run_training(config: ExperimentConfig, dataset, f: GeneratorF, psi: FeatureN
 
             if state.sel_opt is not None and (it + 1) % config["dpl.interval"] == 0:
                 selector_apply(state)
+                phi_norm = param_norm(phi.params())
 
-            f_norm, phi_norm = param_norm(f.params()), param_norm(phi.params())
+            f_norm = param_norm(f.params())
             if not (np.isfinite(f_norm) and np.isfinite(phi_norm)):
                 raise TrainingDiverged(
                     state, f"non-finite parameters (f_norm {f_norm}, phi_norm {phi_norm})")

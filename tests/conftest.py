@@ -47,7 +47,8 @@ def pretrained_psi_full():
         import time
 
         rng = dpl.Rng(100)
-        data = dpl.generate_synthetic("textures", 2000, 32, rng.child(1))
+        data = [(dpl.to_tensor(img), label)
+                for img, label in dpl.generate_synthetic("textures", 2000, 32, rng.child(1))]
         psi = dpl.FeatureNetPsi(rng.child(2))
         t0 = time.time()
         accuracy = dpl.pretrain_psi(psi, data, 5, rng.child(3))

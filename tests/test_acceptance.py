@@ -170,7 +170,7 @@ def test_criterion_1_gradient_integrity():
 def test_criterion_2_algorithm_mechanics():
     t0 = time.time()
     rng = Rng(2000)
-    data = generate_synthetic("colorcast", 8, 32, rng.child(1))
+    data = list(generate_synthetic("colorcast", 8, 32, rng.child(1)))
     f = GeneratorF(rng.child(2))
     psi = FeatureNetPsi(rng.child(3))
     phi = SelectionPhi(rng.child(4))
@@ -295,8 +295,8 @@ def _color_error(a: Image, b: Image) -> float:
 def _protocol_run(task: str, mode: str, seed: int, psi: FeatureNetPsi):
     """One full training run at the acceptance budget; returns val means."""
     r = Rng(seed)
-    train = generate_synthetic(task, 400, 32, r.child(10))
-    val = generate_synthetic(task, 50, 32, r.child(20))
+    train = list(generate_synthetic(task, 400, 32, r.child(10)))
+    val = list(generate_synthetic(task, 50, 32, r.child(20)))
     f = GeneratorF(r.child(40))
     phi = SelectionPhi(r.child(41))
     config = train_config(strategy="task_oriented", distortion="color_jitter", mode=mode,
@@ -348,7 +348,7 @@ def test_criterion_7_metric_sanity():
     a = Image.from_array(np.full((32, 32, 3), 0.4))
     b = Image.from_array(np.full((32, 32, 3), 0.5))
     assert psnr(a, b) == pytest.approx(20.0, abs=1e-6)
-    scene = generate_synthetic("darken", 1, 32, Rng(7000))[0][1]
+    scene = list(generate_synthetic("darken", 1, 32, Rng(7000)))[0][1]
     assert ms_ssim(scene, scene) == 1.0
     f = GeneratorF(Rng(7001))
     as_float64(f)  # float32 would round the pixels on their way through F
@@ -382,7 +382,7 @@ def test_criterion_8_determinism_and_formats(tmp_path, pretrained_psi):
         assert np.array_equal(loaded[key], arr.astype(np.float32))
 
     # PPM round trip, bit-exact
-    img = generate_synthetic("colorcast", 1, 32, Rng(8000))[0][0]
+    img = list(generate_synthetic("colorcast", 1, 32, Rng(8000)))[0][0]
     save_image(img, tmp_path / "rt.ppm")
     again = load_image(tmp_path / "rt.ppm")
     save_image(again, tmp_path / "rt2.ppm")

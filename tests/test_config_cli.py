@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,9 +16,10 @@ from dpl import networks, trainer
 from dpl.checkpoint import save_checkpoint
 from dpl.cli import main
 from dpl.config import SCHEMA, ConfigError, emit_config, parse_config
-from dpl.image import Image, gaussian_blur, load_image, save_image
+from dpl.image import Image, gaussian_blur, load_image, save_image, to_tensor
 from dpl.networks import FeatureNetPsi, GeneratorF
 from dpl.rng import Rng
+from dpl.synth import generate_synthetic
 
 
 # -- config parsing ----------------------------------------------------------------
@@ -463,7 +465,7 @@ def test_interrupted_pretrain_keeps_its_log_and_removes_older_extractor(tmp_path
 
 
 @pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])
-@pytest.mark.parametrize("step", ["load_image", "load_checkpoint"])
+@pytest.mark.parametrize("step", ["load_ppm", "load_checkpoint"])
 def test_train_interrupted_before_its_first_iteration_removes_older_outputs(
         prepared_run, capsys, monkeypatch, step, how):
     # was exit 130 leaving the previous run's f.dplc and history.csv in place
@@ -519,6 +521,77 @@ def test_interrupted_gen_data_exits_130(tmp_path, capsys, monkeypatch):
                         _interrupting(cli.generate_synthetic, 1, "ctrl_c"))
     assert _main_interrupted(["gen-data", *_base_args(tmp_path / "out")]) == 130
     assert capsys.readouterr().err == "interrupted\n"
+
+
+def test_interrupted_gen_data_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    # was exit 130 with the older manifest.txt listing a mix of old and new pairs
+    out = tmp_path / "out"
+    assert main(["gen-data", *_base_args(out)]) == 0
+    # the second pair's input image
+    monkeypatch.setattr(cli, "save_image", _interrupting(cli.save_image, 3, "ctrl_c"))
+    assert _main_interrupted(["gen-data", *_base_args(out, seed=4)]) == 130
+    assert not (out / "train" / "manifest.txt").exists()
+    capsys.readouterr()
+    assert main(["train", *_base_args(out)]) == 1
+    assert "run gen-data first" in capsys.readouterr().err
+
+
+def _gen_data_traced_peak(out, count: int) -> int:
+    tracemalloc.start()
+    try:
+        assert main(["gen-data", *_base_args(out, train_count=count // 2,
+                                             val_count=count // 2)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gen_data_memory_does_not_grow_with_the_pair_count(tmp_path, capsys):
+    # was ~14 MB more for 300 pairs than for 30: every pair held as float64
+    _gen_data_traced_peak(tmp_path / "warm-up", 2)  # numpy's one-time allocations
+    few = _gen_data_traced_peak(tmp_path / "few", 30)
+    many = _gen_data_traced_peak(tmp_path / "many", 300)
+    # the manifest's lines are the only state that grows
+    assert many - few < 2**16
+
+
+def test_pretrain_samples_are_the_float32_tensors_psi_reads(tmp_path, monkeypatch):
+    received = []
+
+    def capture(psi, dataset, *args, **kwargs):
+        received.extend(dataset)
+        return 1.0
+
+    monkeypatch.setattr(cli, "pretrain_psi", capture)
+    assert main(["pretrain", *_base_args(tmp_path / "out"), "--pretrain.samples", "30"]) == 0
+    textures = list(generate_synthetic("textures", 30, 32, Rng(3).child(30)))
+    assert len(received) == len(textures)
+    for (x, label), (img, want_label) in zip(received, textures):
+        assert x.dtype == np.float32 and x.shape == (3, 32, 32)
+        assert x.data.tobytes() == to_tensor(img).data.tobytes()
+        assert label == want_label
+
+
+def test_read_pairs_holds_payloads_and_decodes_like_load_image(tmp_path):
+    out = tmp_path / "out"
+    assert main(["gen-data", *_base_args(out, train_count=40)]) == 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = cli._read_pairs(out / "train")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 40 pairs of 3 x 32 x 32 bytes each, plus the objects that hold them;
+    # was 8 times the payloads, the pairs decoded to float64 when read
+    payloads = 40 * 2 * 3 * 32 * 32
+    assert held < 1.25 * payloads
+    manifest = (out / "train" / "manifest.txt").read_text().splitlines()[1:]
+    assert len(pairs) == len(manifest) == 40
+    for (x, y), line in zip(pairs, manifest):
+        for image, name in zip((x, y), line.split()):
+            assert image.pixels.dtype == np.float64
+            assert image.pixels.tobytes() == load_image(out / "train" / name).pixels.tobytes()
 
 
 def test_eval_without_data_is_usage_error(tmp_path, capsys):
@@ -595,14 +668,16 @@ def test_datasets_larger_than_memory_fail_at_parse_time(tmp_path, capsys, monkey
 
 
 def test_dataset_memory_bound_is_the_images_held(monkeypatch):
-    # 2 pairs, or 4 pretraining samples, of 3 x 32 x 32 float64 values: 98,304 bytes
-    monkeypatch.setattr(config_module, "_memory_bytes", lambda: 98_304)
-    fits = {"train_count": "1", "val_count": "1", "pretrain.samples": "4"}
+    # one split of 2 pairs of 3 x 32 x 32 uint8 payloads, or 1 pretraining sample
+    # of 3 x 32 x 32 float32 values: 12,288 bytes
+    monkeypatch.setattr(config_module, "_memory_bytes", lambda: 12_288)
+    fits = {"train_count": "2", "val_count": "2", "pretrain.samples": "1"}
     parse_config(None, fits)
-    with pytest.raises(ConfigError, match="train_count and val_count at size 32"):
-        parse_config(None, dict(fits, val_count="2"))
+    for key in ("train_count", "val_count"):
+        with pytest.raises(ConfigError, match="train_count and val_count at size 32"):
+            parse_config(None, dict(fits, **{key: "3"}))
     with pytest.raises(ConfigError, match="pretrain.samples at size 32"):
-        parse_config(None, dict(fits, **{"pretrain.samples": "5"}))
+        parse_config(None, dict(fits, **{"pretrain.samples": "2"}))
 
 
 def test_dataset_memory_bound_follows_an_address_space_limit(monkeypatch):

@@ -166,7 +166,7 @@ def test_blur_constant_invariance():
 def test_blur_preserves_channel_means():
     # smooth content at 128px: border asymmetry under reflect padding is
     # the only source of drift, and it shrinks with image size
-    img = generate_synthetic("colorcast", 1, 128, Rng(14))[0][1]
+    img = list(generate_synthetic("colorcast", 1, 128, Rng(14)))[0][1]
     out = gaussian_blur(img, 1.5)
     for c in range(3):
         assert out.pixels[:, :, c].mean() == pytest.approx(
@@ -284,7 +284,7 @@ def test_unknown_task_rejected():
 
 def test_textures_nearest_centroid_above_chance():
     train = generate_synthetic("textures", 300, 32, Rng(26))
-    test = generate_synthetic("textures", 100, 32, Rng(27))
+    test = list(generate_synthetic("textures", 100, 32, Rng(27)))
     centroids = np.zeros((10, 32 * 32 * 3))
     counts = np.zeros(10)
     for img, label in train:

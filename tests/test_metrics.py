@@ -16,7 +16,7 @@ def _img(seed, size=32):
 
 
 def _scene(seed, size=64):
-    data = generate_synthetic("darken", 1, size, Rng(seed))
+    data = list(generate_synthetic("darken", 1, size, Rng(seed)))
     return data[0][1]  # the clean target
 
 

@@ -230,16 +230,18 @@ def test_checkpoint_missing_tensor(tmp_path):
 def test_pretrain_smoke_small():
     # tiny run: enough data that the net is well above chance (10%) but cheap
     rng = Rng(20)
-    data = generate_synthetic("textures", 400, 16, rng.child(1))
+    data = [(to_tensor(img), label)
+            for img, label in generate_synthetic("textures", 400, 16, rng.child(1))]
     psi = FeatureNetPsi(rng.child(2))
     assert pretrain_psi(psi, data, epochs=3, rng=rng.child(3)) >= 0.5
 
 
 def test_classify_and_accuracy_consistent():
     rng = Rng(21)
-    data = generate_synthetic("textures", 20, 16, rng.child(1))
+    data = [(to_tensor(img), label)
+            for img, label in generate_synthetic("textures", 20, 16, rng.child(1))]
     psi = FeatureNetPsi(rng.child(2))
-    preds = [classify(psi, img) for img, _ in data]
+    preds = [classify(psi, x) for x, _ in data]
     acc = accuracy(psi, data)
     hits = sum(1 for p, (_, label) in zip(preds, data) if p == label)
     assert acc == pytest.approx(hits / len(data))

@@ -21,7 +21,7 @@ def _nets(seed):
 
 def _pair(seed, size=32):
     rng = Rng(seed)
-    return generate_synthetic("colorcast", 4, size, rng)
+    return list(generate_synthetic("colorcast", 4, size, rng))
 
 
 # -- configuration validation ---------------------------------------------------------
@@ -291,7 +291,7 @@ def test_history_row_contents():
 def test_single_pair_overfit_halves_loss():
     # 200 iterations on one fixed pair must cut the generator loss by >= 50%
     rng = Rng(26)
-    data = generate_synthetic("darken", 1, 32, rng.child(1))
+    data = list(generate_synthetic("darken", 1, 32, rng.child(1)))
     f, psi, phi = _nets(27)
     config = train_config(iterations=200, interval=4, augment=False, strategy="instance_self",
                           w_perceptual=1.0, w_pixel_l1=1.0)
