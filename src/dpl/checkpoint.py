@@ -48,8 +48,6 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
 
 def save_checkpoint(bundle: dict, path) -> None:
     names = sorted(bundle)
-    if len(names) != len(bundle):
-        raise CheckpointError("duplicate tensor names in bundle")
     for name in names:
         if not name:
             raise CheckpointError("empty tensor name")

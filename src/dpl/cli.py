@@ -12,6 +12,8 @@ import argparse
 import contextlib
 import csv
 import math
+import os
+import re
 import signal
 import sys
 import threading
@@ -22,7 +24,7 @@ from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_che
 from .config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
 from .image import (Image, ImageError, decode_ppm, from_tensor, load_image, load_ppm, save_image,
                     to_tensor)
-from .metrics import MetricError, feature_distance, ms_ssim, psnr
+from .metrics import MS_SSIM_MIN_EXTENT, MetricError, feature_distance, ms_ssim, psnr
 from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, NetworkError,
                        SelectionPhi, pretrain_psi, takes_extents)
 from .rng import Rng
@@ -61,10 +63,6 @@ def _load_config(args) -> ExperimentConfig:
     return parse_config(args.config, overrides)
 
 
-def _pair_paths(directory: Path, index: int) -> tuple[Path, Path]:
-    return directory / f"{index:04d}_x.ppm", directory / f"{index:04d}_y.ppm"
-
-
 def _write_pairs(directory: Path, pairs, seed: int) -> None:
     """Write each pair as it is drawn, then the manifest that lists them."""
     directory.mkdir(parents=True, exist_ok=True)
@@ -72,12 +70,18 @@ def _write_pairs(directory: Path, pairs, seed: int) -> None:
     # until the last pair is written, no manifest: an older one would list a
     # mix of its pairs and the new ones as a complete dataset
     manifest.unlink(missing_ok=True)
+    # nor an older dataset's pairs, which would lie beyond a smaller new one
+    for old in directory.iterdir():
+        if re.fullmatch(r"\d{4,}_[xy]\.ppm", old.name):
+            old.unlink()
     lines = [f"seed {seed}"]
     for i, (x, y) in enumerate(pairs, start=1):
-        xp, yp = _pair_paths(directory, i)
-        save_image(x, xp)
-        save_image(y, yp)
-        lines.append(f"{xp.name} {yp.name}")
+        # string paths: pathlib interns each new name, and a growing table of
+        # interned strings would be reallocated inside this loop
+        names = f"{i:04d}_x.ppm", f"{i:04d}_y.ppm"
+        save_image(x, os.path.join(directory, names[0]))
+        save_image(y, os.path.join(directory, names[1]))
+        lines.append(" ".join(names))
     with atomic_write(manifest) as f:
         f.write("\n".join(lines) + "\n")
 
@@ -96,15 +100,20 @@ class _Pairs(Sequence):
         return decode_ppm(x), decode_ppm(y)
 
 
-def _read_pairs(directory: Path, square: bool = False,
-                min_extent: int = 0) -> Sequence[tuple[Image, Image]]:
+def _read_pairs(directory: Path, square: bool = False, min_extent: int = 0,
+                needs: str = "") -> Sequence[tuple[Image, Image]]:
     """The pairs of ``directory/manifest.txt``; a pair the caller cannot use
-    is refused naming its line."""
+    is refused naming its line, a pair under ``min_extent`` as smaller than
+    ``needs``."""
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise ConfigError(f"no manifest at {manifest}; run gen-data first")
+    lines = manifest.read_text().splitlines()
+    first = lines[0] if lines else ""
+    if not re.fullmatch(r"seed -?\d+", first):
+        raise ConfigError(f"{manifest}:1: expected `seed N`, got {first!r}")
     payloads = []
-    for lineno, line in enumerate(manifest.read_text().splitlines()[1:], start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         names = line.split()
         if len(names) != 2:
             raise ConfigError(f"{manifest}:{lineno}: expected two image names, got {line!r}")
@@ -120,7 +129,7 @@ def _read_pairs(directory: Path, square: bool = False,
             raise ConfigError(f"{where}, but dpl.augment rotates pairs, which needs square "
                               "images; set dpl.augment false")
         if min(h, w) < min_extent:
-            raise ConfigError(f"{where}, smaller than the triplet crop dpl.crop {min_extent}")
+            raise ConfigError(f"{where}, smaller than {needs}")
         payloads.append((x, y))
     if not payloads:
         raise ConfigError(f"{manifest} lists no pairs; run gen-data first")
@@ -226,8 +235,9 @@ def cmd_train(config: ExperimentConfig) -> int:
 
     history = None  # the rows of a finished run
     try:
-        pairs = _read_pairs(out / "train", square=config["dpl.augment"],
-                            min_extent=triplet_crop(config))
+        crop = triplet_crop(config)
+        pairs = _read_pairs(out / "train", square=config["dpl.augment"], min_extent=crop,
+                            needs=f"the triplet crop dpl.crop {crop}")
         psi = FeatureNetPsi(Rng(0))
         _load_net(psi, out / "psi.dplc", "dpl pretrain")
         rng = Rng(config["seed"])
@@ -257,12 +267,15 @@ def cmd_train(config: ExperimentConfig) -> int:
 def _evaluate(config: ExperimentConfig, out: Path, checkpoint_path) -> int:
     """Score the generator on every validation pair into report.csv;
     returns the number of pairs."""
-    pairs = _read_pairs(out / "val")
+    metric_names = config["metrics"]
+    # ms_ssim refuses a smaller pair: refuse it here, naming its line, before any is scored
+    min_extent = MS_SSIM_MIN_EXTENT if "ms_ssim" in metric_names else 0
+    pairs = _read_pairs(out / "val", min_extent=min_extent,
+                        needs=f"{MS_SSIM_MIN_EXTENT}, the smallest extent ms_ssim accepts")
     psi = FeatureNetPsi(Rng(0))
     _load_net(psi, out / "psi.dplc", "dpl pretrain")
     f = GeneratorF(Rng(0))
     _load_net(f, checkpoint_path or out / "f.dplc", "dpl train")
-    metric_names = config["metrics"]
     rows = []
     sums = {name: 0.0 for name in metric_names}
     for i, (x, y) in enumerate(pairs, start=1):

@@ -4,9 +4,9 @@ pixel baseline. A feature set is the ordered list of per-tap tensors.
 
 Every loss is a composition of tensor ops except the contextual loss, one
 op per tap that builds its (Na, Nb) affinities from cosine similarities
-and whose hand-written backward touches only the rows holding a column
-maximum, and the color loss's blur, one op over
-``image.separable_filter``."""
+and whose hand-written backward, to the first set only (the second is a
+constant target), touches only the rows holding a column maximum, and the
+color loss's blur, one op over ``image.separable_filter``."""
 
 from __future__ import annotations
 
@@ -57,15 +57,6 @@ _EXP_FLOOR = -60.0
 _BLOCK = 2 ** 17
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, C) sums of ``rows[j]`` onto row ``index[j]``, as one bincount over
-    the flat indices, in ``rows``' element type."""
-    c = rows.shape[1]
-    flat = (index[:, None] * c + np.arange(c)).ravel()
-    sums = np.bincount(flat, weights=rows.ravel(), minlength=n * c)
-    return sums.reshape(n, c).astype(rows.dtype)
-
-
 def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
     """One tap of the contextual loss as a single tape op.
 
@@ -96,9 +87,10 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
       r_{f_j})`` in place of each column max, ``dd = v[:, None] * cx' + dq
       at (i, n_i)`` and ``dq_i = -v_i (sum_j cx_ij - 1 - an_i . (cx' @
       bn)_i) / q_i``;
-    - ``d an = -dd @ bn = -(v * (cx' @ bn) + dq * bn[n])``, and when ``b``
-      is tracked ``d bn = -(cx'.T @ (v * an) + dq * an added at the columns
-      n)``; then the normalisation and centering backward.
+    - ``d an = -dd @ bn = -(v * (cx' @ bn) + dq * bn[n])``, then the
+      normalisation backward. The target set ``b`` is a constant
+      (``contextual_loss`` refuses a tape that tracks it), so its mean and
+      ``bn`` are too.
 
     All of it is zero on a row that holds no column max, so the backward
     gathers only the rows that do, a block at a time through one buffer,
@@ -152,8 +144,6 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
             top = np.take(top, col, axis=1, mode="clip")
         first[col] = start + top.argmax(axis=0)
     m = colmax.mean()
-    tape = T.active_tape()
-    need_a, need_b = (tape is not None and tape.tracks(t) for t in (a, b))
 
     def rule(g):
         c = -g / (m * n_cols)
@@ -162,9 +152,7 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
         r = np.bincount(slot, weights=colmax).astype(dtype)
         v = r * c / (h * q_f)
         e = colmax - colmax / r[slot]  # cx' at the column maxima
-        v_an = v[:, None] * an_f
         rowsum, cb = np.empty(len(rows), dtype), np.empty((len(rows), bn.shape[1]), dtype)
-        dbn = np.zeros_like(bn)
         chunk = np.empty((min(step, len(rows)), n_cols), dtype)
         for start in range(0, len(rows), step):
             part = slice(start, min(start + step, len(rows)))
@@ -173,23 +161,13 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
             own = np.flatnonzero((slot >= start) & (slot < part.stop))
             cx_f[slot[own] - start, own] = e[own]
             np.matmul(cx_f, bn, out=cb[part])
-            if need_b:
-                dbn += cx_f.T @ v_an[part]
         dq = -v * (rowsum - 1.0 - np.einsum("ij,ij->i", an_f, cb)) / q_f
         dan = cb * v[:, None] + dq[:, None] * bn[nearest[rows]]
         dac = np.zeros_like(an)
         dac[rows] = (an_f * (dan * an_f).sum(axis=1, keepdims=True) - dan) / na[rows]
-        grads = []
-        if need_a:
-            grads.append((a, dac.T.reshape(a.shape)))
-        if need_b:
-            dbn += _scatter_rows(nearest[rows], dq[:, None] * an_f, n_cols)
-            dbc = (bn * (dbn * bn).sum(axis=1, keepdims=True) - dbn) / nb
-            dmu = -(dac.sum(axis=0) + dbc.sum(axis=0))
-            grads.append((b, (dbc + dmu / len(bc)).T.reshape(b.shape)))
-        return grads
+        return [(a, dac.T.reshape(a.shape))]
 
-    return T._make(-np.log(m), (a, b), rule)
+    return T._make(-np.log(m), (a,), rule)
 
 
 def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float = 0.5,
@@ -202,19 +180,24 @@ def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float = 0.5,
     every target vector is matched by its best candidate. Spatial extents
     may differ between the two sets; channel widths must agree.
     Zero-norm vectors are handled by the epsilon inside the norm, not by
-    raising. Each tap's gradient is written by hand (``_contextual_tap``);
-    the second set gets one only when the active tape tracks it.
+    raising. Each tap's gradient is written by hand (``_contextual_tap``)
+    and reaches the first set only: the second is the target's features,
+    a constant, and a tape that tracks it is refused.
     """
     if bandwidth <= 0 or epsilon <= 0:
         raise LossError("contextual bandwidth and epsilon must be positive")
     if len(fa) != len(fb):
         raise LossError(f"contextual_loss: tap count mismatch {len(fa)} vs {len(fb)}")
+    tape = T.active_tape()
     total = None
     for i, (a, b) in enumerate(zip(fa, fb)):
         if a.shape[0] != b.shape[0]:
             raise LossError(
                 f"contextual_loss: tap {i} channel mismatch {a.shape[0]} vs {b.shape[0]}"
             )
+        if tape is not None and tape.tracks(b):
+            raise LossError(f"contextual_loss: tap {i} target set is tracked by the active "
+                            "tape, but the loss has no gradient for it")
         tap = _contextual_tap(a, b, bandwidth, epsilon)
         total = tap if total is None else total + tap
     return total * (1.0 / len(fa))

@@ -20,8 +20,7 @@ unstuffed gradient); upsample_conv3x3 runs the generator's resize-convolution
 (nearest 2x upsample, then a 3x3 conv) as four such phase convolutions at
 the input's resolution, so its matmuls never see the upsampled map;
 the backward of a sum or mean is a broadcast view of the upstream gradient
-(so a backward rule never writes into its ``g``), and the backward of a max
-or min scatters ``g`` into zeros at the argmax; max_pool2's forward takes
+(so a backward rule never writes into its ``g``); max_pool2's forward takes
 the maximum of four strided views, and its backward compares each view
 with that maximum. Ops that serve one loss (the contextual affinities, the
 color loss's Gaussian blur) are recorded by ``losses`` through ``_make``.
@@ -97,12 +96,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
     def __neg__(self):
         return neg(self)
 
@@ -120,9 +113,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
 
 class ComputationTape:
@@ -298,20 +288,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), rule)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_operands(a, b, "div")
-    data = a.data / b.data
-
-    def rule(g):
-        return [
-            (a, _unbroadcast(g / b.data, a.shape)),
-            (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-        ]
-
-    return _make(data, (a, b), rule)
-
-
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     return _make(-a.data, (a,), lambda g: [(a, -g)])
@@ -324,16 +300,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
     def rule(g):
         return [(a, g * e * a.data ** (e - 1.0))]
-
-    return _make(data, (a,), rule)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.sqrt(a.data)
-
-    def rule(g):
-        return [(a, g / (2.0 * data))]
 
     return _make(data, (a,), rule)
 
@@ -405,30 +371,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), rule)
 
 
-def _extreme(a: Tensor, axis: int, keepdims: bool, is_max: bool) -> Tensor:
-    a = _as_tensor(a)
-    npfn = np.max if is_max else np.min
-    argfn = np.argmax if is_max else np.argmin
-    data = npfn(a.data, axis=axis, keepdims=keepdims)
-
-    def rule(g):
-        # route gradient to the first extremal element (ties break low index)
-        am = np.expand_dims(argfn(a.data, axis=axis), axis)
-        da = np.zeros_like(a.data)
-        np.put_along_axis(da, am, g if keepdims else np.expand_dims(g, axis), axis=axis)
-        return [(a, da)]
-
-    return _make(data, (a,), rule)
-
-
-def reduce_max(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, True)
-
-
-def reduce_min(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    return _extreme(a, axis, keepdims, False)
-
-
 # -- linear algebra / shape ---------------------------------------------------
 
 
@@ -453,17 +395,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def rule(g):
         return [(a, g.reshape(a.shape))]
-
-    return _make(data, (a,), rule)
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    a = _as_tensor(a)
-    data = np.transpose(a.data, axes)
-    inv = None if axes is None else np.argsort(axes)
-
-    def rule(g):
-        return [(a, np.transpose(g, inv))]
 
     return _make(data, (a,), rule)
 
@@ -624,23 +555,9 @@ def max_pool2(x: Tensor) -> Tensor:
     return _make(np.ascontiguousarray(data), (x,), rule)
 
 
-def upsample_nearest2(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling of [C,H,W]; the generator fuses it with
-    the conv after it (``upsample_conv3x3``), and the tests use the pair as
-    that op's reference."""
-    x = _as_tensor(x)
-    c, h, w = x.shape
-    data = x.data.repeat(2, axis=1).repeat(2, axis=2)
-
-    def rule(g):
-        return [(x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))]
-
-    return _make(data, (x,), rule)
-
-
 def upsample_conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``conv2d(upsample_nearest2(x), weight, bias, padding=1)`` for a 3x3
-    kernel, computed at x's resolution.
+    """``conv2d(up, weight, bias, padding=1)`` for a 3x3 kernel, where ``up``
+    is ``x`` upsampled 2x by nearest neighbour, computed at x's resolution.
 
     Each 2x2 phase of the upsampled output is a 2x2 convolution of ``x``
     zero-padded by 1, whose taps are sums of the kernel's (``_UPSAMPLE_PHASES``).

@@ -62,7 +62,6 @@ class TrainingHalted(TrainerError):
 
     def __init__(self, state: "TrainState", what: str):
         super().__init__(f"{what} at iteration {state.iteration}")
-        self.iteration = state.iteration
         self.history = state.history  # the rows of the iterations before the halt
 
 

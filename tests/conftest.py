@@ -3,9 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-import dpl
 from dpl import tensor as T
 from dpl.config import ExperimentConfig
+from dpl.image import to_tensor
+from dpl.networks import FeatureNetPsi, pretrain_psi
+from dpl.rng import Rng
+from dpl.synth import generate_synthetic
 
 
 @pytest.fixture(autouse=True)
@@ -46,12 +49,12 @@ def pretrained_psi_full():
     if "psi" not in _PRETRAIN_CACHE:
         import time
 
-        rng = dpl.Rng(100)
-        data = [(dpl.to_tensor(img), label)
-                for img, label in dpl.generate_synthetic("textures", 2000, 32, rng.child(1))]
-        psi = dpl.FeatureNetPsi(rng.child(2))
+        rng = Rng(100)
+        data = [(to_tensor(img), label)
+                for img, label in generate_synthetic("textures", 2000, 32, rng.child(1))]
+        psi = FeatureNetPsi(rng.child(2))
         t0 = time.time()
-        accuracy = dpl.pretrain_psi(psi, data, 5, rng.child(3))
+        accuracy = pretrain_psi(psi, data, 5, rng.child(3))
         _PRETRAIN_CACHE["psi"] = (psi, accuracy, time.time() - t0)
     return _PRETRAIN_CACHE["psi"]
 

@@ -137,6 +137,17 @@ def test_gen_data_files_and_determinism(tmp_path):
         (c / "train" / "0001_x.ppm").read_bytes()
 
 
+def test_gen_data_over_a_larger_dataset_leaves_only_the_new_pairs(tmp_path):
+    # was 0002_* and 0003_* of the older seed beside a one-pair manifest
+    out = tmp_path / "out"
+    assert main(["gen-data", *_base_args(out, train_count=3)]) == 0
+    (out / "train" / "notes.txt").write_text("kept\n")
+    assert main(["gen-data", *_base_args(out, train_count=1, seed=2)]) == 0
+    names = sorted(p.name for p in (out / "train").iterdir())
+    assert names == ["0001_x.ppm", "0001_y.ppm", "manifest.txt", "notes.txt"]
+    assert (out / "train" / "manifest.txt").read_text() == "seed 2\n0001_x.ppm 0001_y.ppm\n"
+
+
 def test_pretrain_gate_exit_two(tmp_path, capsys):
     out = tmp_path / "gate"
     code = main(["pretrain", *_base_args(out), "--pretrain.samples", "30",
@@ -356,6 +367,19 @@ def test_pair_below_the_triplet_crop_is_refused_when_a_selector_trains(prepared_
     # frozen mode cuts no triplet crops
     args = [*_base_args(prepared_run), "--dpl.mode", "frozen", "--dpl.iterations", "2"]
     assert main(["train", *args]) == 0
+
+
+def test_eval_refuses_pairs_below_the_ms_ssim_extent_before_loading_networks(tmp_path, capsys):
+    # was exit 1 after both networks loaded and pair 1 was scored, naming no file
+    out = tmp_path / "out"
+    assert main(["gen-data", *_base_args(out), "--size", "16", "--metrics", "psnr"]) == 0
+    capsys.readouterr()
+    # no psi.dplc or f.dplc: the pairs are refused before either is read
+    assert main(["eval", *_base_args(out), "--metrics", "psnr,ms_ssim"]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.txt:2" in err and "0001_x.ppm" in err and "16x16" in err
+    assert "32, the smallest extent ms_ssim accepts" in err
+    assert not (out / "report.csv").exists()
 
 
 def test_non_square_pair_is_refused_under_augment(prepared_run, capsys):
@@ -606,6 +630,19 @@ def test_malformed_manifest_line_is_usage_error(prepared_run, capsys):
     manifest.write_text("\n".join(lines) + "\n")
     assert main(["eval", *_base_args(prepared_run)]) == 1
     assert "manifest.txt:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first", [None, "seed", "0001_x.ppm 0001_y.ppm"])
+def test_manifest_without_its_seed_line_is_usage_error(prepared_run, capsys, first):
+    # was read as one pair fewer: line 1 was skipped without a look
+    manifest = prepared_run / "train" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines[0:1] = [] if first is None else [first]
+    manifest.write_text("\n".join(lines) + "\n")
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"manifest.txt:1: expected `seed N`, got {lines[0]!r}" in err
+    assert not (prepared_run / "history.csv").exists()
 
 
 def test_missing_dataset_image_is_usage_error(prepared_run, capsys):

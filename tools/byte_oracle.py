@@ -78,6 +78,19 @@ def run_mode(main, out: Path, flags) -> None:
         run(main, out, command, *extra)
 
 
+def run_pipeline(main, out_dir: Path) -> None:
+    """Every command of the pipeline, each run in its directory under ``out_dir``."""
+    for mode, flags in MODES.items():
+        run_mode(main, out_dir / mode, flags)
+    image = out_dir / next(iter(MODES)) / "train" / "0001_y.ppm"
+    out = out_dir / "distort"
+    out.mkdir(parents=True, exist_ok=True)
+    for kind, flags in DISTORT.items():
+        run(main, out, "distort", "--dpl.distortion", kind, *flags,
+            "--input", str(image), "--output", str(out / f"{kind}.ppm"))
+    run(main, out_dir / "gen_blur", "gen-data", "--task", "blur")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path, help="directory for the runs")
@@ -89,15 +102,7 @@ def main() -> None:
     sys.path.insert(0, str(args.src.resolve()))
     from dpl.cli import main as dpl_main
 
-    for mode, flags in MODES.items():
-        run_mode(dpl_main, args.out_dir / mode, flags)
-    image = args.out_dir / next(iter(MODES)) / "train" / "0001_y.ppm"
-    out = args.out_dir / "distort"
-    out.mkdir(parents=True, exist_ok=True)
-    for kind, flags in DISTORT.items():
-        run(dpl_main, out, "distort", "--dpl.distortion", kind, *flags,
-            "--input", str(image), "--output", str(out / f"{kind}.ppm"))
-    run(dpl_main, args.out_dir / "gen_blur", "gen-data", "--task", "blur")
+    run_pipeline(dpl_main, args.out_dir)
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")
