@@ -26,7 +26,7 @@ class CheckpointError(Exception):
 
 
 def _as_array(value) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(value, dtype=np.float64).astype("<f4"))
+    return np.ascontiguousarray(value, dtype="<f4")
 
 
 @contextmanager

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import math
 import os
 import re
 import signal
@@ -194,8 +193,6 @@ def cmd_pretrain(config: ExperimentConfig) -> int:
 
 
 def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
     return f"{value:.12g}"
 
 
@@ -248,8 +245,8 @@ def cmd_train(config: ExperimentConfig) -> int:
         _write_history(out / "history.csv", history)
         save_checkpoint(f.state_dict(), out / "f.dplc")
     except TrainingInterrupted as e:
-        return no_generator(e.history, f"{e}; history.csv holds the {len(e.history)} "
-                            "iterations before it, f.dplc not written",
+        return no_generator(e.history, f"{e}; history.csv holds {len(e.history)} "
+                            "iterations, f.dplc not written",
                             EXIT_INTERRUPTED, sys.stderr)
     except TrainingHalted as e:
         return no_generator(e.history, f"numerical halt: {e}", EXIT_NUMERIC_HALT, sys.stdout)
@@ -381,6 +378,10 @@ def main(argv=None) -> int:
     except (_UsageError, ConfigError, CheckpointError, ImageError, MetricError,
             NetworkError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as e:  # an output path the command cannot write, or a path it cannot read
+        where = f"{e.filename}: " if e.filename is not None else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory: {e}", file=sys.stderr)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import Rng
 from .tensor import Tensor
@@ -168,67 +167,32 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-# output rows per product with the banded matrix: bounds the matrix and the
-# work per element for any extent (128 ran faster than 64 at 64-256 px)
-_TILE = 128
-
-
-def _reflect_index(n: int, radius: int) -> np.ndarray:
-    """Source of each position of an axis of extent ``n`` reflect-padded by
-    ``radius``, reflecting repeatedly when the radius is at least ``n``."""
-    return np.pad(np.arange(n), radius, mode="reflect")
-
-
-def _correlate(padded: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid correlation down axis -2, in blocks of up to ``_TILE`` output
-    rows, each one product with the same banded (tile, tile + taps - 1)
-    matrix: O(tile + taps) work per element."""
+def _filter_matrix(n: int, kernel: np.ndarray, dtype) -> np.ndarray:
+    """The (n, n) matrix that correlates an axis of extent ``n`` with
+    ``kernel``, reflect-padded: tap t of row i reads padded position i + t,
+    whose weight is added to the entry of the position that pad reflects
+    (more than once when the radius is at least ``n``, as ``np.pad``
+    reflects repeatedly)."""
     taps = len(kernel)
-    n = padded.shape[-2] - taps + 1
-    tile = min(n, _TILE)
-    blocks = -(-n // tile)
-    if blocks * tile > n:
-        padded = np.pad(padded, [(0, 0)] * (padded.ndim - 2) + [(0, blocks * tile - n), (0, 0)])
-    band = np.zeros((tile, tile + taps - 1), padded.dtype)
-    rows = np.arange(tile)[:, None]
-    band[rows, rows + np.arange(taps)] = kernel
-    windows = sliding_window_view(padded, tile + taps - 1, axis=-2)[..., ::tile, :, :]
-    out = band @ windows.swapaxes(-1, -2)
-    return out.reshape(*out.shape[:-3], blocks * tile, out.shape[-1])[..., :n, :]
-
-
-def _filter_axis(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    index = _reflect_index(arr.shape[-2], len(kernel) // 2)
-    return _correlate(np.take(arr, index, axis=-2), kernel)
-
-
-def _filter_axis_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # the padded rows' gradient is the full correlation with the flipped
-    # kernel; each pad row then folds back onto the row it reflects
-    n, taps, radius = g.shape[-2], len(kernel), len(kernel) // 2
-    zero_padded = np.zeros((*g.shape[:-2], n + 2 * taps - 2, g.shape[-1]), g.dtype)
-    zero_padded[..., taps - 1 : taps - 1 + n, :] = g
-    padded = _correlate(zero_padded, kernel[::-1])
-    index = _reflect_index(n, radius)
-    out = padded[..., radius : radius + n, :].copy()
-    for p in (*range(radius), *range(radius + n, len(index))):
-        out[..., index[p], :] += padded[..., p, :]
-    return out
-
-
-def _separable(arr: np.ndarray, kernel: np.ndarray, along) -> np.ndarray:
-    return along(along(arr, kernel).swapaxes(-1, -2), kernel).swapaxes(-1, -2)
+    source = np.pad(np.arange(n), taps // 2, mode="reflect")
+    rows = np.arange(n)[:, None]
+    m = np.zeros((n, n), dtype)
+    np.add.at(m, (rows, source[rows + np.arange(taps)]), kernel.astype(dtype))
+    return m
 
 
 def separable_filter(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Correlate the two trailing axes of ``arr`` with ``kernel``,
-    reflect-padded."""
-    return _separable(arr, kernel, _filter_axis)
+    reflect-padded: ``Mh @ arr @ Mw.T`` with each axis' filter matrix."""
+    mh, mw = (_filter_matrix(n, kernel, arr.dtype) for n in arr.shape[-2:])
+    return mh @ arr @ mw.T
 
 
 def separable_filter_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The transpose of ``separable_filter``: the gradient of its input."""
-    return _separable(g, kernel, _filter_axis_adjoint)
+    """The transpose of ``separable_filter``, ``Mh.T @ g @ Mw``: the gradient
+    of its input."""
+    mh, mw = (_filter_matrix(n, kernel, g.dtype) for n in g.shape[-2:])
+    return mh.T @ g @ mw
 
 
 def gaussian_blur(image: Image, sigma: float) -> Image:

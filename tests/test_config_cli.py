@@ -460,13 +460,28 @@ def test_interrupted_train_keeps_its_rows_and_removes_older_generator(prepared_r
                         _interrupting(trainer.generator_step, 4, how))
     assert _main_interrupted(["train", *args, "--dpl.iterations", "6"]) == 130
     out, err = capsys.readouterr()
-    assert err == ("interrupted at iteration 3; history.csv holds the 3 iterations "
-                   "before it, f.dplc not written\n")
+    assert err == ("interrupted at iteration 3; history.csv holds 3 iterations, "
+                   "f.dplc not written\n")
     lines = (prepared_run / "history.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
     assert not (prepared_run / "f.dplc").exists()
     assert main(["eval", *_base_args(prepared_run)]) == 1
     assert "dpl train" in capsys.readouterr().err
+
+
+def test_train_interrupted_in_its_sample_hook_counts_the_rows_it_keeps(prepared_run, capsys,
+                                                                       monkeypatch):
+    # was "history.csv holds the 5 iterations before it" of iteration 4, whose
+    # row is written before the hook runs
+    monkeypatch.setattr(cli, "save_image", _interrupting(cli.save_image, 2, "ctrl_c"))
+    code = _main_interrupted(["train", *_base_args(prepared_run), "--dpl.mode", "frozen",
+                              "--dpl.iterations", "10", "--train.sample_every", "5"])
+    assert code == 130
+    assert capsys.readouterr().err == ("interrupted at iteration 4; history.csv holds 5 "
+                                       "iterations, f.dplc not written\n")
+    lines = (prepared_run / "history.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+    assert not (prepared_run / "f.dplc").exists()
 
 
 @pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])
@@ -744,6 +759,26 @@ def test_distort_command(prepared_run, tmp_path, kind):
         want = tmp_path / "want.ppm"
         save_image(gaussian_blur(load_image(src), Rng(3).uniform(1.0, 2.0)), want)
         assert dst.read_bytes() == want.read_bytes()
+
+
+def test_distort_to_a_missing_directory_is_usage_error(prepared_run, tmp_path, capsys):
+    # was a FileNotFoundError traceback
+    dst = tmp_path / "missing" / "o.ppm"
+    code = main(["distort", *_base_args(prepared_run), "--dpl.distortion", "grayscale",
+                 "--input", str(prepared_run / "train" / "0001_y.ppm"), "--output", str(dst)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(dst) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, sub", [("gen-data", ""), ("pretrain", "x")])
+def test_out_dir_under_a_regular_file_is_usage_error(tmp_path, capsys, command, sub):
+    # was a NotADirectoryError traceback from mkdir
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([command, *_base_args(blocker / sub)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and len(err.splitlines()) == 1
 
 
 def test_show_config_round_trips(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dpl import image
 from dpl.image import (Image, ImageError, augment, color_jitter, from_tensor,
                        gaussian_blur, gaussian_kernel1d, load_image, random_crop,
                        save_image, separable_filter, separable_filter_adjoint,
@@ -190,26 +189,24 @@ def test_blur_matches_dense_kernel_oracle():
 
 
 @pytest.mark.parametrize("radius", range(1, 14))
-def test_separable_filter_matches_reflect_pad_oracle(radius, monkeypatch):
+def test_separable_filter_matches_reflect_pad_oracle(radius):
     # extents 1..9: radii at, above and more than twice the extent, where
-    # np.pad reflects more than once; output blocks of the default size and
-    # of 2 rows (several blocks, the last one short); the adjoint is checked
-    # as a transpose
+    # np.pad reflects more than once; 8, 16 and 32, the extents the program
+    # filters; one axis above 128; the adjoint is checked as a transpose
     rng = np.random.default_rng(90 + radius)
     kernel = rng.uniform(size=2 * radius + 1)
     taps = 2 * radius + 1
-    for tile in (image._TILE, 2):
-        monkeypatch.setattr(image, "_TILE", tile)
-        for h, w in ((1, 1), (1, 4), (2, 6), (3, 3), (5, 2), (6, 6), (9, 7)):
-            v = rng.normal(size=(2, h, w))
-            padded = np.pad(v, ((0, 0), (radius, radius), (radius, radius)), mode="reflect")
-            want = np.array([[[np.outer(kernel, kernel).ravel()
-                               @ padded[c, i : i + taps, j : j + taps].ravel()
-                               for j in range(w)] for i in range(h)] for c in range(2)])
-            assert np.allclose(separable_filter(v, kernel), want, rtol=1e-12, atol=1e-12)
-            g = rng.normal(size=(2, h, w))
-            assert np.vdot(separable_filter_adjoint(g, kernel), v) == pytest.approx(
-                np.vdot(g, want), rel=1e-12, abs=1e-12)
+    for h, w in ((1, 1), (1, 4), (2, 6), (3, 3), (5, 2), (6, 6), (9, 7),
+                 (8, 8), (16, 16), (32, 32), (130, 3)):
+        v = rng.normal(size=(2, h, w))
+        padded = np.pad(v, ((0, 0), (radius, radius), (radius, radius)), mode="reflect")
+        want = np.array([[[np.outer(kernel, kernel).ravel()
+                           @ padded[c, i : i + taps, j : j + taps].ravel()
+                           for j in range(w)] for i in range(h)] for c in range(2)])
+        assert np.allclose(separable_filter(v, kernel), want, rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=(2, h, w))
+        assert np.vdot(separable_filter_adjoint(g, kernel), v) == pytest.approx(
+            np.vdot(g, want), rel=1e-12, abs=1e-12)
 
 
 # -- jitter / grayscale -------------------------------------------------------------
