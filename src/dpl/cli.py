@@ -28,8 +28,8 @@ from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, N
                        SelectionPhi, pretrain_psi, takes_extents)
 from .rng import Rng
 from .synth import generate_synthetic
-from .trainer import (LOSSES, TrainingHalted, TrainingInterrupted, distort, run_training,
-                      triplet_crop)
+from .trainer import (LOSSES, TrainingFailed, TrainingHalted, TrainingInterrupted, distort,
+                      run_training, triplet_crop)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,6 +196,12 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _os_error_line(e: OSError) -> str:
+    """The one line that reports an OSError, naming its path if it has one."""
+    where = f"{e.filename}: " if e.filename is not None else ""
+    return f"error: {where}{e.strerror or e}"
+
+
 def _write_history(path: Path, history) -> None:
     with atomic_write(path, newline="") as f:
         writer = csv.writer(f)
@@ -223,10 +229,10 @@ def cmd_train(config: ExperimentConfig) -> int:
         save_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
 
     def no_generator(history, message: str, code: int, stream) -> int:
+        # an older f.dplc is not this history's generator, written or not
+        (out / "f.dplc").unlink(missing_ok=True)
         if out.is_dir():  # an interrupt can come before a missing out_dir is reported
             _write_history(out / "history.csv", history)
-        # an older f.dplc is not the generator this history describes
-        (out / "f.dplc").unlink(missing_ok=True)
         print(message, file=stream)
         return code
 
@@ -242,12 +248,15 @@ def cmd_train(config: ExperimentConfig) -> int:
         phi = SelectionPhi(rng.child(41))
         _, history = run_training(config, pairs, f, psi, phi, rng.child(42),
                                   sample_hook=sample_hook)
+        (out / "f.dplc").unlink(missing_ok=True)  # never beside the new history.csv
         _write_history(out / "history.csv", history)
         save_checkpoint(f.state_dict(), out / "f.dplc")
     except TrainingInterrupted as e:
         return no_generator(e.history, f"{e}; history.csv holds {len(e.history)} "
                             "iterations, f.dplc not written",
                             EXIT_INTERRUPTED, sys.stderr)
+    except TrainingFailed as e:
+        return no_generator(e.history, _os_error_line(e.__cause__), EXIT_USAGE, sys.stderr)
     except TrainingHalted as e:
         return no_generator(e.history, f"numerical halt: {e}", EXIT_NUMERIC_HALT, sys.stdout)
     except KeyboardInterrupt:  # before the first iteration or after the last
@@ -380,8 +389,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:  # an output path the command cannot write, or a path it cannot read
-        where = f"{e.filename}: " if e.filename is not None else ""
-        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
+        print(_os_error_line(e), file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory: {e}", file=sys.stderr)

@@ -29,21 +29,16 @@ def takes_extents(h: int, w: int) -> bool:
 
 
 class Conv2dLayer:
-    """A conv2d with its weight and bias; with ``upsample`` a 3x3 conv,
-    padding 1, of the nearest 2x upsampled input (``T.upsample_conv3x3``)."""
+    """A conv2d with the weight it is given and a zero bias; with ``upsample`` a
+    3x3 conv, padding 1, of the nearest 2x upsampled input (``T.upsample_conv3x3``)."""
 
-    def __init__(self, c_in: int, c_out: int, k: int, rng: Rng,
-                 stride: int = 1, padding: int = 0, zero_init: bool = False,
+    def __init__(self, weight: np.ndarray, stride: int = 1, padding: int = 0,
                  upsample: bool = False):
         self.stride = stride
         self.padding = padding
         self.upsample = upsample
-        if zero_init:
-            w = np.zeros((c_out, c_in, k, k))
-        else:
-            w = rng.normal(0.0, np.sqrt(2.0 / (c_in * k * k)), size=(c_out, c_in, k, k))
-        self.weight = Tensor(w, np.float32)
-        self.bias = Tensor(np.zeros(c_out), np.float32)
+        self.weight = Tensor(weight, np.float32)
+        self.bias = Tensor(np.zeros(weight.shape[0]), np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.upsample:
@@ -55,10 +50,11 @@ class Conv2dLayer:
 
 
 class LinearLayer:
-    def __init__(self, n_in: int, n_out: int, rng: Rng):
-        w = rng.normal(0.0, np.sqrt(1.0 / n_in), size=(n_in, n_out))
-        self.weight = Tensor(w, np.float32)
-        self.bias = Tensor(np.zeros(n_out), np.float32)
+    """``x @ weight + bias`` with the weight it is given and a zero bias."""
+
+    def __init__(self, weight: np.ndarray):
+        self.weight = Tensor(weight, np.float32)
+        self.bias = Tensor(np.zeros(weight.shape[1]), np.float32)
 
     def __call__(self, x: Tensor) -> Tensor:
         return (x @ self.weight) + self.bias
@@ -67,11 +63,18 @@ class LinearLayer:
         return [self.weight, self.bias]
 
 
+def _he_normal(rng: Rng, c_out: int, c_in: int) -> np.ndarray:
+    """He-normal (c_out, c_in, 3, 3) conv weights drawn from ``rng``."""
+    return rng.normal(0.0, np.sqrt(2.0 / (c_in * 9)), size=(c_out, c_in, 3, 3))
+
+
 class _Net:
     """Shared parameter bookkeeping: named layers with weight/bias pairs."""
 
     def _layers(self) -> dict:
-        raise NotImplementedError
+        """The network's attributes, all layers, in assignment order, which is
+        the parameter order; an attribute's name is its checkpoint key prefix."""
+        return dict(vars(self))
 
     def params(self) -> list[Tensor]:
         out = []
@@ -109,15 +112,11 @@ class GeneratorF(_Net):
     """
 
     def __init__(self, rng: Rng):
-        self.enc1 = Conv2dLayer(3, 16, 3, rng.child(1), padding=1)
-        self.enc2 = Conv2dLayer(16, 32, 3, rng.child(2), stride=2, padding=1)
-        self.mid = Conv2dLayer(32, 32, 3, rng.child(3), padding=1)
-        self.dec1 = Conv2dLayer(32, 16, 3, rng.child(4), upsample=True)
-        self.dec2 = Conv2dLayer(16, 3, 3, rng.child(5), padding=1, zero_init=True)
-
-    def _layers(self):
-        return {"enc1": self.enc1, "enc2": self.enc2, "mid": self.mid,
-                "dec1": self.dec1, "dec2": self.dec2}
+        self.enc1 = Conv2dLayer(_he_normal(rng.child(1), 16, 3), padding=1)
+        self.enc2 = Conv2dLayer(_he_normal(rng.child(2), 32, 16), stride=2, padding=1)
+        self.mid = Conv2dLayer(_he_normal(rng.child(3), 32, 32), padding=1)
+        self.dec1 = Conv2dLayer(_he_normal(rng.child(4), 16, 32), upsample=True)
+        self.dec2 = Conv2dLayer(np.zeros((3, 16, 3, 3)), padding=1)
 
     def __call__(self, x: Tensor) -> Tensor:
         _, h, w = x.shape
@@ -140,14 +139,10 @@ class FeatureNetPsi(_Net):
     TAP_CHANNELS = (16, 32, 64)
 
     def __init__(self, rng: Rng):
-        self.block1 = Conv2dLayer(3, 16, 3, rng.child(11), padding=1)
-        self.block2 = Conv2dLayer(16, 32, 3, rng.child(12), padding=1)
-        self.block3 = Conv2dLayer(32, 64, 3, rng.child(13), padding=1)
-        self.head = LinearLayer(64, 10, rng.child(14))
-
-    def _layers(self):
-        return {"block1": self.block1, "block2": self.block2,
-                "block3": self.block3, "head": self.head}
+        self.block1 = Conv2dLayer(_he_normal(rng.child(11), 16, 3), padding=1)
+        self.block2 = Conv2dLayer(_he_normal(rng.child(12), 32, 16), padding=1)
+        self.block3 = Conv2dLayer(_he_normal(rng.child(13), 64, 32), padding=1)
+        self.head = LinearLayer(rng.child(14).normal(0.0, np.sqrt(1.0 / 64), size=(64, 10)))
 
     def __call__(self, x: Tensor) -> list[Tensor]:
         _, h, w = x.shape
@@ -173,24 +168,13 @@ class SelectionPhi(_Net):
     """
 
     def __init__(self, rng: Rng):
-        self._convs = {}
         noise = 0.01
         for i, c in enumerate(FeatureNetPsi.TAP_CHANNELS):
-            first = Conv2dLayer(c, c, 1, rng.child(100 + i))
-            first.weight.data = (
-                np.eye(c).reshape(c, c, 1, 1)
-                + rng.child(200 + i).normal(0.0, noise, size=(c, c, 1, 1))
-            ).astype(first.weight.dtype)
-            second = Conv2dLayer(c, c // 2, 1, rng.child(300 + i))
-            second.weight.data = (
-                np.eye(c)[: c // 2].reshape(c // 2, c, 1, 1)
-                + rng.child(400 + i).normal(0.0, noise, size=(c // 2, c, 1, 1))
-            ).astype(second.weight.dtype)
-            self._convs[f"tap{i}_first"] = first
-            self._convs[f"tap{i}_second"] = second
-
-    def _layers(self):
-        return self._convs
+            eye = np.eye(c).reshape(c, c, 1, 1)
+            setattr(self, f"tap{i}_first", Conv2dLayer(
+                eye + rng.child(200 + i).normal(0.0, noise, size=(c, c, 1, 1))))
+            setattr(self, f"tap{i}_second", Conv2dLayer(
+                eye[: c // 2] + rng.child(400 + i).normal(0.0, noise, size=(c // 2, c, 1, 1))))
 
     def __call__(self, features: list[Tensor]) -> list[Tensor]:
         channels = FeatureNetPsi.TAP_CHANNELS
@@ -202,8 +186,8 @@ class SelectionPhi(_Net):
                 raise NetworkError(
                     f"tap {i}: channel mismatch, feature has {feat.shape[0]}, selector expects {c}"
                 )
-            z = T.relu(self._convs[f"tap{i}_first"](feat))
-            out.append(self._convs[f"tap{i}_second"](z))
+            z = T.relu(getattr(self, f"tap{i}_first")(feat))
+            out.append(getattr(self, f"tap{i}_second")(z))
         return out
 
 

@@ -73,6 +73,10 @@ class TrainingInterrupted(TrainingHalted):
     """A KeyboardInterrupt during an iteration."""
 
 
+class TrainingFailed(TrainingHalted):
+    """An OSError during an iteration, its ``__cause__``: a sample the hook could not write."""
+
+
 def distort(image: Image, config: ExperimentConfig, rng: Rng) -> Image:
     """The configured task-oriented distortion (``dpl.distortion``) of one image."""
     kind = config["dpl.distortion"]
@@ -273,4 +277,6 @@ def run_training(config: ExperimentConfig, dataset, f: GeneratorF, psi: FeatureN
                 sample_hook(it, f, x_img, y_img)
     except KeyboardInterrupt:
         raise TrainingInterrupted(state, "interrupted") from None
+    except OSError as e:
+        raise TrainingFailed(state, str(e)) from e
     return f, state.history

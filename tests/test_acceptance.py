@@ -2,11 +2,15 @@
 
 The directional criteria (5 and 6) run the full training protocol three
 times per mode and compare seed-averaged validation metrics, so this module
-is slow (about 2½ minutes end to end on a 2-core box); everything else
-finishes in seconds.
+is slow (about a minute end to end on a 2-core box, where each criterion's
+six runs share two worker processes); everything else finishes in seconds.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,11 +318,30 @@ def _protocol_run(task: str, mode: str, seed: int, psi: FeatureNetPsi):
     return dfd / n, cerr / n, ps / n
 
 
+# read once, when a process loads its BLAS: each worker computes on one thread
+_ONE_BLAS_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")}
+
+
+def _protocol_runs(jobs, psi: FeatureNetPsi) -> list:
+    """``_protocol_run(*job, psi)`` for each job, in job order, in up to two
+    spawned workers, each on one BLAS thread (one worker on one core runs
+    them serially): a fork of this process, whose BLAS may already run
+    threads, can hang."""
+    workers = max(1, min(2, os.cpu_count() or 1))
+    spawn = multiprocessing.get_context("spawn")
+    with mock.patch.dict(os.environ, _ONE_BLAS_THREAD), \
+            ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        futures = [pool.submit(_protocol_run, *job, psi) for job in jobs]
+        return [future.result() for future in futures]
+
+
 def _seed_averaged(task: str, psi: FeatureNetPsi):
     seeds = (1, 2, 3)
-    fs = np.mean([_protocol_run(task, "feature_selection", s, psi) for s in seeds],
-                 axis=0)
-    frozen = np.mean([_protocol_run(task, "frozen", s, psi) for s in seeds], axis=0)
+    runs = _protocol_runs([(task, mode, s) for mode in ("feature_selection", "frozen")
+                           for s in seeds], psi)
+    fs = np.mean(runs[:len(seeds)], axis=0)
+    frozen = np.mean(runs[len(seeds):], axis=0)
     return fs, frozen
 
 

@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import os
+import shutil
 import signal
 import tracemalloc
 import warnings
@@ -481,6 +483,54 @@ def test_train_interrupted_in_its_sample_hook_counts_the_rows_it_keeps(prepared_
                                        "iterations, f.dplc not written\n")
     lines = (prepared_run / "history.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+    assert not (prepared_run / "f.dplc").exists()
+
+
+def test_train_stopped_by_an_unwritable_sample_keeps_its_rows_and_removes_older_generator(
+        prepared_run, capsys):
+    # was exit 1 with the older run's f.dplc and its 4-row history.csv left in place
+    args = [*_base_args(prepared_run), "--dpl.mode", "frozen"]
+    assert main(["train", *args, "--dpl.iterations", "4"]) == 0
+    samples = prepared_run / "samples"
+    shutil.rmtree(samples, ignore_errors=True)
+    samples.write_text("")
+    capsys.readouterr()
+    code = main(["train", *args, "--dpl.iterations", "10", "--train.sample_every", "5"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {samples}: File exists\n"
+    lines = (prepared_run / "history.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+    assert not (prepared_run / "f.dplc").exists()
+
+
+def _disk_full(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_train_on_a_full_disk_removes_older_generator_even_without_a_history(
+        prepared_run, capsys, monkeypatch):
+    # a sample, then history.csv, cannot be written: the older f.dplc still goes
+    args = [*_base_args(prepared_run), "--dpl.mode", "frozen"]
+    assert main(["train", *args, "--dpl.iterations", "4"]) == 0
+    monkeypatch.setattr(cli, "save_image", _disk_full)
+    monkeypatch.setattr(cli, "_write_history", _disk_full)
+    capsys.readouterr()
+    assert main(["train", *args, "--dpl.iterations", "10", "--train.sample_every", "5"]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert not (prepared_run / "f.dplc").exists()
+
+
+def test_train_that_cannot_save_its_generator_removes_older_one(prepared_run, capsys,
+                                                                monkeypatch):
+    # was exit 1 with the new history.csv beside the previous run's f.dplc
+    args = _base_args(prepared_run)
+    assert main(["train", *args, "--dpl.iterations", "2"]) == 0
+    monkeypatch.setattr(cli, "save_checkpoint", _disk_full)
+    capsys.readouterr()
+    assert main(["train", *args, "--dpl.iterations", "3"]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    lines = (prepared_run / "history.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
     assert not (prepared_run / "f.dplc").exists()
 
 

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import param_hash
 from dpl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from dpl.image import Image, to_tensor
 from dpl.networks import (FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi,
@@ -48,6 +49,30 @@ def test_generator_deterministic_init():
     b = GeneratorF(Rng(3)).state_dict()
     for key in a:
         assert np.array_equal(a[key], b[key])
+
+
+@pytest.mark.parametrize("net, seed, layers, digest", [
+    (GeneratorF, 0, "enc1 enc2 mid dec1 dec2",
+     "3dc214075af91dcdcb1b173d446cfbf38f6925e16b84e49bae8cb4cc1a2d71f9"),
+    (GeneratorF, 41, "enc1 enc2 mid dec1 dec2",
+     "22fbab84785e4ae14defb7408aa1054c178bf11834b6cea69eca2f4ab6027777"),
+    (FeatureNetPsi, 0, "block1 block2 block3 head",
+     "7450ecd4bdf477b192af088d3386ee8ab8500c088117be22773e00887f6cf227"),
+    (FeatureNetPsi, 41, "block1 block2 block3 head",
+     "c7b67d1eeb1159207e4e31a704c0e90a82bc48faaa7e94ee27866f1c70e461ee"),
+    (SelectionPhi, 0, "tap0_first tap0_second tap1_first tap1_second tap2_first tap2_second",
+     "c48e141546d84dee1f207d9e7762847e8f18ce8f1f4a3468d29813fc21dcf103"),
+    (SelectionPhi, 41, "tap0_first tap0_second tap1_first tap1_second tap2_first tap2_second",
+     "87fb8bac21e521db59836e8523a88eb2998682e168ea8f2b65fcd85d132a69b4"),
+])
+def test_initial_parameters_keep_their_bytes_order_and_names(net, seed, layers, digest):
+    # the digests were recorded when each layer still drew its own weights:
+    # the draws, their order and the checkpoint keys are part of every
+    # seeded run's output
+    built = net(Rng(seed))
+    assert param_hash(built.params()) == digest
+    assert list(built.state_dict()) == [f"{name}.{attr}" for name in layers.split()
+                                        for attr in ("weight", "bias")]
 
 
 # -- extractor ----------------------------------------------------------------------
