@@ -4,6 +4,9 @@ transformation training, evaluation, and standalone distortion.
 Exit codes: 0 success, 1 usage/config error or out of memory, 2 pretraining
 accuracy gate, 3 numerical halt during training, 130 interrupted (Ctrl-C, or
 SIGTERM while ``main`` runs in the main thread).
+
+Before a command runs, the outputs an earlier run left under ``out_dir`` (as
+``OUTPUTS`` names them) are removed, so a command that fails leaves none.
 """
 
 from __future__ import annotations
@@ -65,14 +68,6 @@ def _load_config(args) -> ExperimentConfig:
 def _write_pairs(directory: Path, pairs, seed: int) -> None:
     """Write each pair as it is drawn, then the manifest that lists them."""
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = directory / "manifest.txt"
-    # until the last pair is written, no manifest: an older one would list a
-    # mix of its pairs and the new ones as a complete dataset
-    manifest.unlink(missing_ok=True)
-    # nor an older dataset's pairs, which would lie beyond a smaller new one
-    for old in directory.iterdir():
-        if re.fullmatch(r"\d{4,}_[xy]\.ppm", old.name):
-            old.unlink()
     lines = [f"seed {seed}"]
     for i, (x, y) in enumerate(pairs, start=1):
         # string paths: pathlib interns each new name, and a growing table of
@@ -81,7 +76,7 @@ def _write_pairs(directory: Path, pairs, seed: int) -> None:
         save_image(x, os.path.join(directory, names[0]))
         save_image(y, os.path.join(directory, names[1]))
         lines.append(" ".join(names))
-    with atomic_write(manifest) as f:
+    with atomic_write(directory / "manifest.txt") as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -163,33 +158,30 @@ def cmd_pretrain(config: ExperimentConfig) -> int:
     rng = Rng(config["seed"])
     log_lines: list[str] = []
 
-    def log(msg):
+    def log(msg, stream=None):
         log_lines.append(msg)
-        print(msg)
+        print(msg, file=stream)
 
-    def no_extractor(reason: str, code: int, stream) -> int:
-        log_lines.append(f"{reason}; psi.dplc not written")
-        (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
-        # an older psi.dplc is not the extractor this log describes
-        (out / "psi.dplc").unlink(missing_ok=True)
-        print(log_lines[-1], file=stream)
-        return code
-
+    code = EXIT_OK
     try:
         data = [(to_tensor(img), label) for img, label in generate_synthetic(
             "textures", config["pretrain.samples"], config["size"], rng.child(30))]
         psi = FeatureNetPsi(rng.child(31))
         accuracy = pretrain_psi(psi, data, config["pretrain.epochs"], rng.child(32),
                                 lr=config["pretrain.lr"], log=log)
+        if accuracy < PRETRAIN_GATE:
+            code = EXIT_PRETRAIN_GATE
+            log(f"gate failed: held-out accuracy {accuracy:.2%} < {PRETRAIN_GATE:.0%}; "
+                "psi.dplc not written")
     except KeyboardInterrupt:
-        return no_extractor("interrupted", EXIT_INTERRUPTED, sys.stderr)
-    if accuracy < PRETRAIN_GATE:
-        return no_extractor(f"gate failed: held-out accuracy {accuracy:.2%} < "
-                            f"{PRETRAIN_GATE:.0%}", EXIT_PRETRAIN_GATE, sys.stdout)
-    (out / "pretrain_accuracy.log").write_text("\n".join(log_lines) + "\n")
-    save_checkpoint(psi.state_dict(), out / "psi.dplc")
-    print(f"saved extractor checkpoint, held-out accuracy {accuracy:.2%}")
-    return EXIT_OK
+        code = EXIT_INTERRUPTED
+        log("interrupted; psi.dplc not written", sys.stderr)
+    with atomic_write(out / "pretrain_accuracy.log") as fh:
+        fh.write("\n".join(log_lines) + "\n")
+    if code == EXIT_OK:
+        save_checkpoint(psi.state_dict(), out / "psi.dplc")
+        print(f"saved extractor checkpoint, held-out accuracy {accuracy:.2%}")
+    return code
 
 
 def _fmt(value: float) -> str:
@@ -229,8 +221,6 @@ def cmd_train(config: ExperimentConfig) -> int:
         save_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
 
     def no_generator(history, message: str, code: int, stream) -> int:
-        # an older f.dplc is not this history's generator, written or not
-        (out / "f.dplc").unlink(missing_ok=True)
         if out.is_dir():  # an interrupt can come before a missing out_dir is reported
             _write_history(out / "history.csv", history)
         print(message, file=stream)
@@ -248,7 +238,6 @@ def cmd_train(config: ExperimentConfig) -> int:
         phi = SelectionPhi(rng.child(41))
         _, history = run_training(config, pairs, f, psi, phi, rng.child(42),
                                   sample_hook=sample_hook)
-        (out / "f.dplc").unlink(missing_ok=True)  # never beside the new history.csv
         _write_history(out / "history.csv", history)
         save_checkpoint(f.state_dict(), out / "f.dplc")
     except TrainingInterrupted as e:
@@ -310,8 +299,6 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
     try:
         count = _evaluate(config, out, checkpoint_path)
     except KeyboardInterrupt:
-        # an older report.csv does not score the generator this run was given
-        (out / "report.csv").unlink(missing_ok=True)
         print("interrupted; report.csv not written", file=sys.stderr)
         return EXIT_INTERRUPTED
     print(f"evaluated {count} pairs; wrote report.csv")
@@ -348,6 +335,15 @@ def _sigterm_interrupts():
         signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
+OUTPUTS = {  # what each command writes under out_dir, as globs
+    "gen-data": ("train/manifest.txt", "train/[0-9][0-9][0-9][0-9]*_[xy].ppm",
+                 "val/manifest.txt", "val/[0-9][0-9][0-9][0-9]*_[xy].ppm"),
+    "pretrain": ("psi.dplc", "pretrain_accuracy.log"),
+    "train": ("f.dplc", "history.csv", "samples/iter*.ppm"),
+    "eval": ("report.csv",),
+}
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="dpl", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -373,6 +369,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(args)
         with _sigterm_interrupts():
+            for pattern in OUTPUTS.get(args.command, ()):
+                for path in Path(config["out_dir"]).glob(pattern):
+                    path.unlink()
             if args.command == "gen-data":
                 return cmd_gen_data(config)
             if args.command == "pretrain":

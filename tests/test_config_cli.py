@@ -297,12 +297,10 @@ def test_eval_report_format(prepared_run):
 
 
 @pytest.mark.parametrize("command, name", [("train", "history.csv"), ("eval", "report.csv")])
-def test_interrupted_csv_write_keeps_previous_file(prepared_run, monkeypatch, command, name):
+def test_interrupted_csv_write_leaves_no_file(prepared_run, monkeypatch, command, name):
+    # the older file describes an earlier run, so it is not kept either
     assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "2"]) == 0
     assert main(["eval", *_base_args(prepared_run)]) == 0
-    before = (prepared_run / name).read_bytes()
-    if command == "eval":  # a new generator: a finished eval would write other numbers
-        assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "3"]) == 0
 
     class Interrupt(Exception):
         pass
@@ -318,8 +316,8 @@ def test_interrupted_csv_write_keeps_previous_file(prepared_run, monkeypatch, co
     monkeypatch.setattr(cli, "_fmt", interrupted)
     with pytest.raises(Interrupt):
         main([command, *_base_args(prepared_run), "--dpl.iterations", "3"])
-    assert (prepared_run / name).read_bytes() == before
-    assert [p.name for p in prepared_run.iterdir() if p.name.endswith(".tmp")] == []
+    # neither the older file, a truncated one, nor the temporary .<name>.<pid>.tmp
+    assert [p.name for p in prepared_run.iterdir() if name in p.name] == []
 
 
 def test_metric_error_is_usage_error(prepared_run, capsys):
@@ -532,6 +530,86 @@ def test_train_that_cannot_save_its_generator_removes_older_one(prepared_run, ca
     lines = (prepared_run / "history.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
     assert not (prepared_run / "f.dplc").exists()
+
+
+def _cut_manifest_line(run) -> list[str]:
+    manifest = run / "train" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines[1] = lines[1].split()[0]
+    manifest.write_text("\n".join(lines) + "\n")
+    return []
+
+
+def _remove_extractor(run) -> list[str]:
+    (run / "psi.dplc").unlink()
+    return []
+
+
+def _extractor_as_generator(run) -> list[str]:
+    return ["--f-checkpoint", str(run / "psi.dplc")]
+
+
+@pytest.mark.parametrize("command, spoil, message, gone", [
+    ("train", _cut_manifest_line, "manifest.txt:2: expected two image names",
+     ("f.dplc", "history.csv")),
+    ("train", _remove_extractor, "cannot read checkpoint", ("f.dplc", "history.csv")),
+    ("eval", _extractor_as_generator, "checkpoint missing tensor 'enc1.weight'",
+     ("report.csv",)),
+], ids=["train_cut_manifest_line", "train_without_extractor", "eval_of_another_network"])
+def test_refused_command_leaves_none_of_its_older_outputs(prepared_run, capsys, command, spoil,
+                                                         message, gone):
+    # was exit 1 with the older f.dplc and history.csv, or report.csv, left in place
+    args = [*_base_args(prepared_run), "--dpl.iterations", "2"]
+    assert main(["train", *args]) == 0
+    assert main(["eval", *args]) == 0
+    extra = spoil(prepared_run)
+    capsys.readouterr()
+    assert main([command, *args, *extra]) == 1
+    assert message in capsys.readouterr().err
+    assert [name for name in gone if (prepared_run / name).exists()] == []
+
+
+def test_pretrain_that_cannot_save_its_extractor_leaves_no_older_one(tmp_path, capsys,
+                                                                    monkeypatch):
+    # was exit 1 with the new pretrain_accuracy.log beside the older psi.dplc
+    out = tmp_path / "run"
+    out.mkdir()
+    save_checkpoint(FeatureNetPsi(Rng(0)).state_dict(), out / "psi.dplc")
+    monkeypatch.setattr(cli, "PRETRAIN_GATE", 0.0)  # any accuracy passes: psi.dplc is saved
+    monkeypatch.setattr(cli, "save_checkpoint", _disk_full)
+    assert main(["pretrain", *_base_args(out), "--pretrain.samples", "30",
+                 "--pretrain.epochs", "1"]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    log = (out / "pretrain_accuracy.log").read_text().splitlines()
+    assert [line.split()[:2] for line in log] == [["epoch", "0"], ["epoch", "1"]]
+    assert not (out / "psi.dplc").exists()
+
+
+def test_shorter_train_leaves_no_older_samples(prepared_run):
+    # was the 6-iteration run's iter000006_* beside the 3-iteration run's samples
+    args = [*_base_args(prepared_run), "--dpl.mode", "frozen", "--train.sample_every", "3"]
+    assert main(["train", *args, "--dpl.iterations", "6"]) == 0
+    assert main(["train", *args, "--dpl.iterations", "3"]) == 0
+    assert sorted(p.name for p in (prepared_run / "samples").iterdir()) == [
+        f"iter000003_{s}.ppm" for s in ("gen", "x", "y")]
+
+
+def test_each_command_writes_exactly_what_its_outputs_entry_names(tmp_path, monkeypatch):
+    # main removes each entry's matches before the command runs: an entry that
+    # misses a file leaves an older one, one that matches no file names nothing
+    out = tmp_path / "run"
+    monkeypatch.setattr(cli, "PRETRAIN_GATE", 0.0)  # any accuracy passes: psi.dplc is saved
+    extras = {"gen-data": [], "pretrain": ["--pretrain.samples", "30", "--pretrain.epochs", "1"],
+              "train": ["--dpl.iterations", "2", "--train.sample_every", "2"], "eval": []}
+    assert list(extras) == list(cli.OUTPUTS)
+    for command, extra in extras.items():
+        before = set(out.rglob("*"))
+        assert main([command, *_base_args(out), *extra]) == 0
+        after = set(out.rglob("*"))
+        assert before <= after
+        matches = [set(out.glob(pattern)) for pattern in cli.OUTPUTS[command]]
+        assert all(matches), (command, cli.OUTPUTS[command])
+        assert set().union(*matches) == {p for p in after - before if p.is_file()}
 
 
 @pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import param_hash
-from dpl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from dpl.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from dpl.image import Image, to_tensor
 from dpl.networks import (FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi,
                           accuracy, classify, cross_entropy, log_softmax,
@@ -227,6 +227,23 @@ def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path):
         save_checkpoint({"a": np.ones(4), "z": Unwritable()}, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.dplc"]
+
+
+@pytest.mark.parametrize("previous", [b"previous\n", None], ids=["over_a_file", "no_file"])
+def test_interrupted_atomic_write_keeps_previous_file(tmp_path, previous):
+    path = tmp_path / "history.csv"
+    if previous is not None:
+        path.write_bytes(previous)
+
+    class Interrupt(Exception):
+        pass
+
+    with pytest.raises(Interrupt), atomic_write(path) as f:
+        f.write("iteration,generator_loss\n0,")
+        f.flush()  # the partial row is in the temporary file
+        raise Interrupt()
+    assert (path.read_bytes() if path.exists() else None) == previous
+    assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["history.csv"])
 
 
 def test_checkpoint_shape_mismatch_on_load(tmp_path):
