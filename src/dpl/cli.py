@@ -6,7 +6,8 @@ accuracy gate, 3 numerical halt during training, 130 interrupted (Ctrl-C, or
 SIGTERM while ``main`` runs in the main thread).
 
 Before a command runs, the outputs an earlier run left under ``out_dir`` (as
-``OUTPUTS`` names them) are removed, so a command that fails leaves none.
+``OUTPUTS`` names them) and those derived from them are removed, so a command
+that fails leaves none, and no output outlives what it was derived from.
 """
 
 from __future__ import annotations
@@ -335,13 +336,19 @@ def _sigterm_interrupts():
         signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
-OUTPUTS = {  # what each command writes under out_dir, as globs
-    "gen-data": ("train/manifest.txt", "train/[0-9][0-9][0-9][0-9]*_[xy].ppm",
-                 "val/manifest.txt", "val/[0-9][0-9][0-9][0-9]*_[xy].ppm"),
-    "pretrain": ("psi.dplc", "pretrain_accuracy.log"),
-    "train": ("f.dplc", "history.csv", "samples/iter*.ppm"),
-    "eval": ("report.csv",),
+OUTPUTS = {  # command: (what it writes under out_dir, as globs; the commands that read it)
+    "gen-data": (("train/manifest.txt", "train/[0-9][0-9][0-9][0-9]*_[xy].ppm",
+                  "val/manifest.txt", "val/[0-9][0-9][0-9][0-9]*_[xy].ppm"), ("train", "eval")),
+    "pretrain": (("psi.dplc", "pretrain_accuracy.log"), ("train", "eval")),
+    "train": (("f.dplc", "history.csv", "samples/iter*.ppm"), ("eval",)),
+    "eval": (("report.csv",), ()),
 }
+
+
+def _stale(command: str) -> dict:
+    """The globs of ``command``'s outputs and of every output derived from them."""
+    writes, readers = OUTPUTS.get(command, ((), ()))
+    return dict.fromkeys([*writes, *(glob for r in readers for glob in _stale(r))])
 
 
 def main(argv=None) -> int:
@@ -369,7 +376,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(args)
         with _sigterm_interrupts():
-            for pattern in OUTPUTS.get(args.command, ()):
+            for pattern in _stale(args.command):
                 for path in Path(config["out_dir"]).glob(pattern):
                     path.unlink()
             if args.command == "gen-data":

@@ -2,11 +2,11 @@
 triplet hinge, blurred color and grayscale texture distances, and an L1
 pixel baseline. A feature set is the ordered list of per-tap tensors.
 
-Every loss is a composition of tensor ops except the contextual loss, one
-op per tap that builds its (Na, Nb) affinities from cosine similarities
-and whose hand-written backward, to the first set only (the second is a
-constant target), touches only the rows holding a column maximum, and the
-color loss's blur, one op over ``image.separable_filter``."""
+The perceptual and triplet losses are one tape op each, the contextual
+loss one op per tap, and the color loss's blur one op over
+``image.separable_filter``, each with a written backward; the perceptual and
+contextual gradients reach the first set only (the second is a constant
+target). The other losses are compositions of tensor ops."""
 
 from __future__ import annotations
 
@@ -23,22 +23,34 @@ class LossError(Exception):
     pass
 
 
-def _check_same_shapes(fa: FeatureSet, fb: FeatureSet, op: str) -> None:
-    if len(fa) != len(fb):
-        raise LossError(f"{op}: tap count mismatch {len(fa)} vs {len(fb)}")
-    for i, (a, b) in enumerate(zip(fa, fb)):
-        if a.shape != b.shape:
-            raise LossError(f"{op}: tap {i} shape mismatch {a.shape} vs {b.shape}")
+def _refuse_tracked_targets(fb: FeatureSet, op: str) -> None:
+    """Refuse a target set the active tape tracks: the loss has no gradient for it."""
+    tape = T.active_tape()
+    for i, b in enumerate(fb):
+        if tape is not None and tape.tracks(b):
+            raise LossError(f"{op}: tap {i} target set is tracked by the active tape, "
+                            "but the loss has no gradient for it")
 
 
 def perceptual_loss(fa: FeatureSet, fb: FeatureSet) -> Tensor:
-    """Mean over taps of the mean squared feature difference."""
-    _check_same_shapes(fa, fb, "perceptual_loss")
-    total = None
-    for a, b in zip(fa, fb):
-        tap = ((a - b) ** 2).mean()
-        total = tap if total is None else total + tap
-    return total * (1.0 / len(fa))
+    """Mean over taps of the mean squared feature difference, as one tape op
+    that rounds as the chain ``sum_i ((a_i - b_i) ** 2).mean() * (1 / taps)``
+    does. A tape that tracks the second (target) set is refused."""
+    if len(fa) != len(fb):
+        raise LossError(f"perceptual_loss: tap count mismatch {len(fa)} vs {len(fb)}")
+    for i, (a, b) in enumerate(zip(fa, fb)):
+        if a.shape != b.shape:
+            raise LossError(f"perceptual_loss: tap {i} shape mismatch {a.shape} vs {b.shape}")
+        T._check_dtypes("perceptual_loss", a, b)
+    _refuse_tracked_targets(fb, "perceptual_loss")
+    diffs = [a.data - b.data for a, b in zip(fa, fb)]
+    scale = np.asarray(1.0 / len(fa), fa[0].dtype)
+    total = sum((d * d).mean() for d in diffs) * scale
+
+    def rule(g):
+        return [(a, (g * scale) / d.size * 2.0 * d) for a, d in zip(fa, diffs)]
+
+    return T._make(total, fa, rule)
 
 
 def _positions(data: np.ndarray) -> np.ndarray:
@@ -188,34 +200,44 @@ def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float = 0.5,
         raise LossError("contextual bandwidth and epsilon must be positive")
     if len(fa) != len(fb):
         raise LossError(f"contextual_loss: tap count mismatch {len(fa)} vs {len(fb)}")
-    tape = T.active_tape()
+    _refuse_tracked_targets(fb, "contextual_loss")
     total = None
     for i, (a, b) in enumerate(zip(fa, fb)):
         if a.shape[0] != b.shape[0]:
             raise LossError(
                 f"contextual_loss: tap {i} channel mismatch {a.shape[0]} vs {b.shape[0]}"
             )
-        if tape is not None and tape.tracks(b):
-            raise LossError(f"contextual_loss: tap {i} target set is tracked by the active "
-                            "tape, but the loss has no gradient for it")
         tap = _contextual_tap(a, b, bandwidth, epsilon)
         total = tap if total is None else total + tap
     return total * (1.0 / len(fa))
 
 
-def triplet_loss(anchor: FeatureSet, positive: FeatureSet, negative: FeatureSet,
-                 margin: float) -> Tensor:
-    """Hinge on size-normalized squared feature distances, summed over taps."""
-    _check_same_shapes(anchor, positive, "triplet_loss(anchor, positive)")
-    _check_same_shapes(anchor, negative, "triplet_loss(anchor, negative)")
-    d_ap = None
-    d_an = None
-    for a, p, n in zip(anchor, positive, negative):
-        tap_ap = ((a - p) ** 2).mean()
-        tap_an = ((a - n) ** 2).mean()
-        d_ap = tap_ap if d_ap is None else d_ap + tap_ap
-        d_an = tap_an if d_an is None else d_an + tap_an
-    return T.relu(d_ap - d_an + margin)
+def triplet_loss(features: FeatureSet, margin: float) -> Tensor:
+    """Hinge on size-normalized squared feature distances, summed over taps,
+    as one tape op; each tap holds the anchor's, positive's and negative's
+    features side by side along the width. With ``n`` one crop's tap size, an
+    active hinge gives the anchor ``2(a - p)/n - 2(a - n)/n``, the positive
+    ``-2(a - p)/n`` and the negative ``2(a - n)/n``; an inactive one zeros."""
+    diffs = []
+    for i, t in enumerate(features):
+        w = t.shape[-1] // 3
+        if t.shape[-1] != 3 * w:
+            raise LossError(f"triplet_loss: tap {i} width {t.shape[-1]} is not three crops wide")
+        a = t.data[..., :w]
+        diffs.append((a - t.data[..., w : 2 * w], a - t.data[..., 2 * w :]))
+    d_ap = sum((dp * dp).mean() for dp, _ in diffs)
+    d_an = sum((dn * dn).mean() for _, dn in diffs)
+    hinge = d_ap - d_an + np.asarray(margin, features[0].dtype)
+
+    def rule(g):
+        grads = []
+        for t, (dp, dn) in zip(features, diffs):
+            k = g * (hinge > 0) / dp.size * 2.0
+            gp, gn = k * dp, k * dn
+            grads.append((t, np.concatenate([gp - gn, -gp, gn], axis=-1)))
+        return grads
+
+    return T._make(np.maximum(hinge, 0.0), features, rule)
 
 
 def blur_tensor(x: Tensor, sigma: float) -> Tensor:

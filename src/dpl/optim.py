@@ -22,19 +22,22 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        """One bias-corrected update of every parameter in place. A parameter
-        without a gradient gets a zero one; gradients are left intact."""
+        """One bias-corrected update of every parameter and moment in place. A
+        parameter without a gradient gets a zero one; gradients are left intact."""
         self.t += 1
         # a diverging step overflows to inf/nan; the caller's finiteness
         # check reports that, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, p in enumerate(self.params):
+            for p, m, v in zip(self.params, self.m, self.v):
                 g = p.ensure_grad()
-                self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-                self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-                m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-                v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-                p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * (g * g)
+                update = m / (1.0 - self.beta1**self.t)
+                update *= self.lr
+                update /= np.sqrt(v / (1.0 - self.beta2**self.t)) + self.epsilon
+                p.data -= update
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -212,8 +212,11 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], rule) -> Tensor:
     out.data = data
     out.grad = None
     tape = _ACTIVE_TAPE
-    if tape is not None and any(tape.tracks(p) for p in parents):
-        tape.record(out, rule)
+    if tape is not None:
+        for p in parents:
+            if tape.tracks(p):
+                tape.record(out, rule)
+                break
     return out
 
 
@@ -399,6 +402,14 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), rule)
 
 
+def concat_width(parts: Sequence[Tensor]) -> Tensor:
+    """[C,H,W_i] tensors side by side along the width: [C,H,sum W_i]."""
+    _check_dtypes("concat_width", *parts)
+    ends = np.cumsum([t.shape[-1] for t in parts])
+    return _make(np.concatenate([t.data for t in parts], axis=-1), parts,
+                 lambda g: [(t, g[..., end - t.shape[-1] : end]) for t, end in zip(parts, ends)])
+
+
 # -- spatial ops --------------------------------------------------------------
 
 
@@ -498,7 +509,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         xp = np.ascontiguousarray(x.data)
     cols = _im2col(xp, kh, kw, stride, 0, h_out, w_out)
     wmat = weight.data.reshape(o, -1)
-    out = (wmat @ cols + bias.data[:, None]).reshape(o, h_out, w_out)
+    out = wmat @ cols
+    out += bias.data[:, None]
+    out = out.reshape(o, h_out, w_out)
     tape = _ACTIVE_TAPE
     need_x, need_w, need_b = (tape is not None and tape.tracks(t) for t in (x, weight, bias))
     # the one strided layer of the networks: its input gradient in phase form

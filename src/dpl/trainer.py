@@ -157,6 +157,13 @@ def _features(psi: FeatureNetPsi, phi: SelectionPhi, x: Tensor, mode: str):
     return phi(taps) if mode == "feature_selection" else taps
 
 
+def triplet_features(psi: FeatureNetPsi, phi: SelectionPhi, crops: list[Tensor], mode: str):
+    """The features of the anchor, positive and negative ``crops`` side by side
+    along the width: psi on each crop, phi (which acts per position) once."""
+    taps = [T.concat_width(parts) for parts in zip(*(psi(x) for x in crops))]
+    return phi(taps) if mode == "feature_selection" else taps
+
+
 def generator_step(tape: T.ComputationTape, x_gen: Tensor, y: Tensor,
                    psi: FeatureNetPsi, phi: SelectionPhi, config: ExperimentConfig,
                    state: TrainState) -> tuple[float, dict]:
@@ -200,11 +207,9 @@ def selector_accumulate(psi: FeatureNetPsi, phi: SelectionPhi, triplet: Triplet,
     if state.sel_opt is None:
         raise TrainerError("selector_accumulate called in frozen mode")
     with T.ComputationTape(state.sel_opt.params) as tape:
-        mode = config["dpl.mode"]
-        fa = _features(psi, phi, to_tensor(triplet.anchor), mode)
-        fp = _features(psi, phi, to_tensor(triplet.positive), mode)
-        fn = _features(psi, phi, to_tensor(triplet.negative), mode)
-        loss = triplet_loss(fa, fp, fn, config["dpl.margin"])
+        crops = [to_tensor(c) for c in (triplet.anchor, triplet.positive, triplet.negative)]
+        features = triplet_features(psi, phi, crops, config["dpl.mode"])
+        loss = triplet_loss(features, config["dpl.margin"])
         value = loss.item()
         if not np.isfinite(value):
             raise TrainingDiverged(state, f"non-finite triplet loss {value}")

@@ -29,7 +29,7 @@ from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
 from dpl.trainer import (build_triplet, generator_step, run_training, selector_accumulate,
-                         selector_apply, start_state, _features)
+                         selector_apply, start_state, triplet_features)
 
 from test_losses import _vectors_to_tap, contextual_oracle
 
@@ -76,6 +76,8 @@ def _op_cases(rng):
         ("upsample_conv3x3", lambda t: (T.upsample_conv3x3(t[0], t[1], t[2]) ** 2).sum(),
          [n(2, 3, 4), n(3, 2, 3, 3), n(3)]),
         ("blur_tensor", lambda t: (blur_tensor(t[0], 1.0) ** 2).sum(), [n(2, 4, 5)]),
+        ("concat_width", lambda t: (T.concat_width(t) ** 2).sum(),
+         [n(2, 3, 2), n(2, 3, 1), n(2, 3, 4)]),
     ]
 
 
@@ -139,8 +141,7 @@ def test_criterion_1_gradient_integrity():
     def build_triplet_pipe(ts):
         for (layer, attr), t in zip(slots, ts[3:]):
             setattr(layer, attr, t)
-        feats = [_features(psi, phi, ts[i], "feature_selection") for i in range(3)]
-        return triplet_loss(feats[0], feats[1], feats[2], margin=1.0)
+        return triplet_loss(triplet_features(psi, phi, ts[:3], "feature_selection"), margin=1.0)
 
     _check_gradients_smooth(build_triplet_pipe, imgs + param_arrays, rng,
                             n_points=100)
@@ -224,10 +225,8 @@ def test_criterion_2_algorithm_mechanics():
         with T.ComputationTape(p.params()) as tape:
             total = None
             for tr in trips:
-                fa = _features(psi, p, to_tensor(tr.anchor), "feature_selection")
-                fp = _features(psi, p, to_tensor(tr.positive), "feature_selection")
-                fn = _features(psi, p, to_tensor(tr.negative), "feature_selection")
-                term = triplet_loss(fa, fp, fn, 1.0)
+                crops = [to_tensor(c) for c in (tr.anchor, tr.positive, tr.negative)]
+                term = triplet_loss(triplet_features(psi, p, crops, "feature_selection"), 1.0)
                 total = term if total is None else total + term
             T.backward(total, tape)
         return [q.grad.copy() for q in p.params()]
@@ -253,9 +252,9 @@ def test_criterion_3_loss_properties():
         assert perceptual_loss([a], [b]).item() >= 0.0
         assert perceptual_loss([a], [a]).item() == 0.0
         assert perceptual_loss([a], [b]).item() == perceptual_loss([b], [a]).item()
-        tl = triplet_loss([a], [b], [c], margin=1.0)
+        tl = triplet_loss([T.concat_width([a, b, c])], margin=1.0)
         assert tl.item() >= 0.0
-        assert triplet_loss([a], [a], [a], margin=1.0).item() == pytest.approx(1.0)
+        assert triplet_loss([T.concat_width([a, a, a])], margin=1.0).item() == pytest.approx(1.0)
         assert pixel_loss(a, b).item() >= 0.0
         assert pixel_loss(a, a).item() == 0.0
 

@@ -159,8 +159,8 @@ def test_pretrain_gate_exit_two(tmp_path, capsys):
 
 
 def test_pretrain_gate_miss_writes_no_checkpoint(tmp_path):
-    # one epoch on 600 samples at seed 1 reaches 68% held-out accuracy: above
-    # the 50% floor of pretrain_psi, below the 80% gate of the command
+    # one epoch on 600 samples at seed 1 reaches 68% held-out accuracy, below
+    # the 80% gate of the command
     out = tmp_path / "gate"
     code = main(["pretrain", *_base_args(out, seed=1), "--pretrain.samples", "600",
                  "--pretrain.epochs", "1"])
@@ -607,9 +607,32 @@ def test_each_command_writes_exactly_what_its_outputs_entry_names(tmp_path, monk
         assert main([command, *_base_args(out), *extra]) == 0
         after = set(out.rglob("*"))
         assert before <= after
-        matches = [set(out.glob(pattern)) for pattern in cli.OUTPUTS[command]]
-        assert all(matches), (command, cli.OUTPUTS[command])
+        writes = cli.OUTPUTS[command][0]
+        matches = [set(out.glob(pattern)) for pattern in writes]
+        assert all(matches), (command, writes)
         assert set().union(*matches) == {p for p in after - before if p.is_file()}
+
+
+@pytest.mark.parametrize("command, extra, gone, kept", [
+    ("train", ["--dpl.iterations", "2"], ["report.csv"], ["psi.dplc", "train/manifest.txt"]),
+    ("gen-data", ["--seed", "5"], ["f.dplc", "history.csv", "samples/iter000002_gen.ppm",
+                                   "report.csv"], ["psi.dplc"]),
+    ("pretrain", ["--pretrain.samples", "30", "--pretrain.epochs", "1"],
+     ["f.dplc", "history.csv", "samples/iter000002_gen.ppm", "report.csv"],
+     ["train/manifest.txt"]),
+])
+def test_a_command_removes_the_older_outputs_derived_from_its_own(
+        prepared_run, monkeypatch, command, extra, gone, kept):
+    # was the older report.csv left after a second train, and the older
+    # generator, history and report left after gen-data or pretrain
+    args = [*_base_args(prepared_run), "--train.sample_every", "2"]
+    assert main(["train", *args, "--dpl.iterations", "2"]) == 0
+    assert main(["eval", *args]) == 0
+    assert all((prepared_run / name).exists() for name in gone)
+    monkeypatch.setattr(cli, "PRETRAIN_GATE", 0.0)  # any accuracy passes: psi.dplc is saved
+    assert main([command, *args, *extra]) == 0
+    assert [name for name in gone if (prepared_run / name).exists()] == []
+    assert all((prepared_run / name).exists() for name in kept)
 
 
 @pytest.mark.parametrize("how", ["ctrl_c", "sigterm"])

@@ -42,8 +42,45 @@ def test_perceptual_gradient():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 4, 4))
     b = rng.normal(size=(3, 4, 4))
-    check_gradients(lambda ts: perceptual_loss([ts[0]], [ts[1]]), [a, b], rng,
+    check_gradients(lambda ts: perceptual_loss([ts[0]], [Tensor(b)]), [a], rng,
                     n_points=20, rtol=1e-6)
+
+
+@pytest.mark.parametrize("derived", [False, True])
+def test_perceptual_refuses_a_tape_that_tracks_the_target_set(derived):
+    # the target features are a constant; the loss has no gradient for them
+    rng = np.random.default_rng(27)
+    fa = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
+    fb = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
+    with ComputationTape(fa + fb[1:]):
+        if derived:  # an output the tape recorded, not the parameter itself
+            fb[1] = fb[1] * 2.0
+        with pytest.raises(LossError, match="tap 1 target set is tracked"):
+            perceptual_loss(fa, fb)
+
+
+def perceptual_chain(fa, fb):
+    """The perceptual loss composed from generic tape ops: the reference for
+    its one-op form."""
+    total = None
+    for a, b in zip(fa, fb):
+        tap = ((a - b) ** 2).mean()
+        total = tap if total is None else total + tap
+    return total * (1.0 / len(fa))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_perceptual_matches_composed_chain_bitwise(dtype):
+    # the one op rounds as the chain does, in value and in gradient
+    rng = np.random.default_rng(28)
+    arrays_a = [rng.normal(size=s).astype(dtype) for s in TAP_SHAPES]
+    arrays_b = [rng.normal(size=s).astype(dtype) for s in TAP_SHAPES]
+    for weight in (1.0, 0.37):
+        got, want = (_value_and_grads(lambda fa, fb: fn(fa, fb) * weight, arrays_a, arrays_b)
+                     for fn in (perceptual_loss, perceptual_chain))
+        assert got[0] == want[0]
+        for g, w in zip(got[1], want[1]):
+            assert g.dtype == dtype and np.array_equal(g, w)
 
 
 # -- contextual ------------------------------------------------------------------
@@ -375,23 +412,40 @@ def _scalar_set(value):
     return _featset(np.array([[[value]]]))
 
 
+def _joined(anchor, positive, negative):
+    """One feature set of the three sets' taps side by side, as the selector feeds it."""
+    return [T.concat_width(parts) for parts in zip(anchor, positive, negative)]
+
+
+def triplet_chain(anchor, positive, negative, margin):
+    """The triplet loss composed from generic tape ops over three feature sets:
+    the reference for its one-op form."""
+    d_ap = d_an = None
+    for a, p, n in zip(anchor, positive, negative):
+        tap_ap = ((a - p) ** 2).mean()
+        tap_an = ((a - n) ** 2).mean()
+        d_ap = tap_ap if d_ap is None else d_ap + tap_ap
+        d_an = tap_an if d_an is None else d_an + tap_an
+    return T.relu(d_ap - d_an + margin)
+
+
 def test_triplet_degenerate_equals_margin():
     f = _scalar_set(0.3)
-    assert triplet_loss(f, f, f, margin=1.0).item() == pytest.approx(1.0)
+    assert triplet_loss(_joined(f, f, f), margin=1.0).item() == pytest.approx(1.0)
 
 
 def test_triplet_satisfied_margin_zero():
     a = _scalar_set(0.0)
     p = _scalar_set(np.sqrt(0.2))
     n = _scalar_set(np.sqrt(1.5))
-    assert triplet_loss(a, p, n, margin=1.0).item() == pytest.approx(0.0, abs=1e-7)
+    assert triplet_loss(_joined(a, p, n), margin=1.0).item() == pytest.approx(0.0, abs=1e-7)
 
 
 def test_triplet_violated_margin():
     a = _scalar_set(0.0)
     p = _scalar_set(np.sqrt(0.5))
     n = _scalar_set(np.sqrt(0.3))
-    assert triplet_loss(a, p, n, margin=1.0).item() == pytest.approx(1.2, rel=1e-5)
+    assert triplet_loss(_joined(a, p, n), margin=1.0).item() == pytest.approx(1.2, rel=1e-5)
 
 
 def test_triplet_zero_when_negative_far():
@@ -400,7 +454,7 @@ def test_triplet_zero_when_negative_far():
         a = rng.normal(size=(2, 2, 2))
         p = a + rng.normal(scale=0.01, size=a.shape)
         n = a + 10.0 + rng.normal(size=a.shape)
-        loss = triplet_loss(_featset(a), _featset(p), _featset(n), margin=1.0)
+        loss = triplet_loss(_joined(_featset(a), _featset(p), _featset(n)), margin=1.0)
         assert loss.item() == 0.0
 
 
@@ -411,9 +465,39 @@ def test_triplet_gradient_active_hinge():
     n = a + rng.normal(scale=0.05, size=a.shape)
 
     def build(ts):
-        return triplet_loss([ts[0]], [ts[1]], [ts[2]], margin=1.0)
+        return triplet_loss(_joined([ts[0]], [ts[1]], [ts[2]]), margin=1.0)
 
     check_gradients(build, [a, p, n], rng, n_points=20, rtol=1e-6)
+
+
+@pytest.mark.parametrize("active", [True, False])
+def test_triplet_matches_composed_chain_for_every_role(active):
+    # float64 taps at the extractor's shapes; the hinge is active when the
+    # negative is near the anchor and the positive far, inactive the other way
+    rng = np.random.default_rng(29 + active)
+    near, far = (0.1, 3.0) if active else (3.0, 0.1)
+    anchor = [rng.normal(size=s) for s in TAP_SHAPES]
+    positive = [a + rng.normal(scale=far, size=a.shape) for a in anchor]
+    negative = [a + rng.normal(scale=near, size=a.shape) for a in anchor]
+    sets = [_featset(*arrays) for arrays in (anchor, positive, negative)]
+    with ComputationTape([t for fs in sets for t in fs]) as tape:
+        loss = triplet_loss(_joined(*sets), margin=1.0) * 0.7
+        T.backward(loss, tape)
+    chain_sets = [_featset(*arrays) for arrays in (anchor, positive, negative)]
+    with ComputationTape([t for fs in chain_sets for t in fs]) as tape:
+        want = triplet_chain(*chain_sets, 1.0) * 0.7
+        T.backward(want, tape)
+    assert (want.item() > 0) == active
+    assert loss.item() == pytest.approx(want.item(), rel=1e-12, abs=1e-300)
+    for fs, chain in zip(sets, chain_sets):
+        for t, c in zip(fs, chain):
+            np.testing.assert_allclose(t.grad, c.grad, rtol=1e-12, atol=0)
+            assert np.any(t.grad) == active
+
+
+def test_triplet_refuses_a_tap_that_is_not_three_crops_wide():
+    with pytest.raises(LossError, match="tap 0 width 4 is not three crops wide"):
+        triplet_loss(_featset(np.zeros((2, 2, 4))), margin=1.0)
 
 
 # -- color / texture / pixel ---------------------------------------------------------
@@ -518,7 +602,7 @@ def test_all_losses_non_negative_1000_trials():
         b = Tensor(rng.normal(size=shape))
         c = Tensor(rng.normal(size=shape))
         assert perceptual_loss([a], [b]).item() >= 0.0
-        assert triplet_loss([a], [b], [c], margin=1.0).item() >= 0.0
+        assert triplet_loss(_joined([a], [b], [c]), margin=1.0).item() >= 0.0
         assert pixel_loss(a, b).item() >= 0.0
         if trial % 20 == 0:  # blur/contextual are heavier; sample them
             assert color_loss(a, b).item() >= 0.0

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import param_hash, train_config
+from conftest import as_float64, param_hash, train_config
 from dpl import tensor as T
 from dpl.config import ConfigError, parse_config
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
-from dpl.trainer import (MODES, TrainerError, TrainingDiverged, build_triplet,
-                         generator_step, param_norm, run_training,
-                         selector_accumulate, selector_apply, start_state)
+from dpl.trainer import (MODES, TrainerError, TrainingDiverged, _features, build_triplet,
+                         generator_step, param_norm, run_training, selector_accumulate,
+                         selector_apply, start_state, triplet_features)
 from dpl.image import Image, to_grayscale, to_tensor
 
 
@@ -136,6 +136,36 @@ def test_selector_accumulate_leaves_generator_and_extractor_untouched():
     assert param_hash(phi.params()) != before_phi
 
 
+@pytest.mark.parametrize("mode", ["feature_selection", "full"])
+def test_triplet_features_side_by_side_equal_each_crops_features(mode):
+    # phi acts on each position alone, so one pass over the joined taps is
+    # three passes, one per crop, in value and in every gradient (float64)
+    _, psi, phi = _nets(30)
+    as_float64(psi, phi)
+    rng = np.random.default_rng(31)
+    crops = [Tensor(rng.uniform(size=(3, 16, 16))) for _ in range(3)]
+    params = psi.params() + phi.params()
+
+    def features_and_grads(build):
+        with T.ComputationTape(params) as tape:
+            feats = build()
+            T.backward(sum(((t * t).mean() for t in feats), Tensor(np.zeros(()))), tape)
+        grads = [p.ensure_grad().copy() for p in params]  # psi's unused head: zeros
+        for p in params:
+            p.grad = None
+        return feats, grads
+
+    joined, joined_grads = features_and_grads(lambda: triplet_features(psi, phi, crops, mode))
+    split, split_grads = features_and_grads(lambda: [
+        T.concat_width(parts) for parts in zip(*(_features(psi, phi, x, mode) for x in crops))])
+    assert [t.shape for t in joined] == [(c if mode == "full" else c // 2, 16 >> i, 3 * (16 >> i))
+                                         for i, c in enumerate(FeatureNetPsi.TAP_CHANNELS)]
+    for got, want in zip(joined, split):
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-15)
+    for got, want in zip(joined_grads, split_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
+
+
 def test_selector_accumulate_rejected_in_frozen_mode():
     f, psi, phi = _nets(7)
     config = train_config(mode="frozen", strategy="instance_self")
@@ -186,7 +216,7 @@ def _triplets(seed, n):
 def test_accumulated_gradient_equals_summed_loss_gradient():
     """N accumulations must equal a single backward of the summed loss, bitwise."""
     from dpl.losses import triplet_loss
-    from dpl.trainer import _features
+    from dpl.trainer import triplet_features
 
     n = 4
     trips = _triplets(11, n)
@@ -204,10 +234,8 @@ def test_accumulated_gradient_equals_summed_loss_gradient():
         with T.ComputationTape(phi.params()) as tape:
             total = None
             for trip in trips:
-                fa = _features(psi, phi, to_tensor(trip.anchor), "feature_selection")
-                fp = _features(psi, phi, to_tensor(trip.positive), "feature_selection")
-                fn = _features(psi, phi, to_tensor(trip.negative), "feature_selection")
-                term = triplet_loss(fa, fp, fn, 1.0)
+                crops = [to_tensor(c) for c in (trip.anchor, trip.positive, trip.negative)]
+                term = triplet_loss(triplet_features(psi, phi, crops, "feature_selection"), 1.0)
                 total = term if total is None else total + term
             T.backward(total, tape)
         return [p.grad.copy() for p in phi.params()]

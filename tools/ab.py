@@ -1,0 +1,146 @@
+"""Paired in-process A/B of the ``pipeline_fs`` training iteration of two trees.
+
+    python3 tools/ab.py PARENT_SRC CHANGE_SRC --seed 1
+
+PARENT_SRC and CHANGE_SRC are directories holding a ``dpl`` package (a
+checkout's ``src``). Each tree's package is imported under its own name,
+``dpl_a`` and ``dpl_b``, into this one process, so both run on the same
+box at the same moments. Each tree trains the recipe of perfbench's
+``pipeline_fs`` workload with its own ``run_training``: 100 ``darken`` pairs
+at 32 px, feature_selection mode, task_oriented triplets under color_jitter,
+the perceptual loss alone, generator learning rate 5e-4, and an extractor
+it pretrains on 600 texture samples first (so both trees are warmed up
+alike: a tree that pretrained and one that did not differ by a few
+percent). The two trainings run in two threads that take strict turns,
+never both at once:
+after a warm-up turn each, each of 30 rounds runs one turn of 10
+iterations of each tree, A first in even rounds and B first in odd ones.
+A round's sample is B's turn time over A's.
+
+Prints each tree's median ms per iteration, the median ratio B/A with a
+bootstrap 95% interval of that median (2000 resamples), and the number of
+rounds B was faster. A ratio below 1 means B is faster; an interval that
+excludes 1 resolves the difference. Running one tree against itself (the
+same path twice) is the A/A check of the method. BLAS is pinned to one
+thread, as perfbench pins it. Only the standard library and numpy are used.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROUNDS, TURN = 30, 10
+RECIPE = {"task": "darken", "size": "32", "train_count": "100",
+          "pretrain.samples": "600", "dpl.mode": "feature_selection",
+          "dpl.strategy": "task_oriented", "dpl.distortion": "color_jitter",
+          "dpl.w_perceptual": "1", "dpl.w_contextual": "0", "dpl.lr_generator": "5e-4"}
+
+
+def load_tree(src: Path, name: str):
+    """The ``dpl`` package under ``src``, imported as ``name`` with the
+    submodules this script uses."""
+    package = src / "dpl"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    for sub in ("config", "image", "networks", "rng", "synth", "trainer"):
+        importlib.import_module(f"{name}.{sub}")
+    return module
+
+
+class Trainer:
+    """One tree's training run in its own thread, paused after every turn."""
+
+    def __init__(self, dpl, seed: int):
+        self.error: BaseException | None = None
+        self._go, self._paused = threading.Semaphore(0), threading.Semaphore(0)
+        config = dpl.config.parse_config(
+            overrides={**RECIPE, "seed": str(seed), "dpl.iterations": str((ROUNDS + 1) * TURN)})
+        rng = dpl.rng.Rng(seed)
+        pairs = list(dpl.synth.generate_synthetic("darken", 100, 32, rng.child(1)))
+        psi = dpl.networks.FeatureNetPsi(rng.child(31))
+        textures = dpl.synth.generate_synthetic("textures", config["pretrain.samples"],
+                                                config["size"], rng.child(30))
+        dpl.networks.pretrain_psi(psi, [(dpl.image.to_tensor(x), y) for x, y in textures],
+                                  config["pretrain.epochs"], rng.child(32), lr=config["pretrain.lr"])
+        f, phi = dpl.networks.GeneratorF(rng.child(40)), dpl.networks.SelectionPhi(rng.child(41))
+        args = (config, pairs, f, psi, phi, rng.child(42))
+        self._thread = threading.Thread(target=self._train, args=(dpl.trainer, args), daemon=True)
+        self._thread.start()
+
+    def _train(self, trainer, args) -> None:
+        self._go.acquire()
+        try:
+            trainer.run_training(*args, sample_hook=self._hook)
+        except Exception as e:  # raised again by run_turn in the main thread
+            self.error = e
+        finally:
+            self._paused.release()
+
+    def _hook(self, it, *_) -> None:
+        if (it + 1) % TURN == 0:
+            self._paused.release()
+            self._go.acquire()
+
+    def run_turn(self) -> float:
+        """Ms per iteration over one turn."""
+        start = time.perf_counter()
+        self._go.release()
+        self._paused.acquire()
+        if self.error is not None:
+            raise RuntimeError(f"training failed: {self.error!r}") from self.error
+        return (time.perf_counter() - start) * 1000.0 / TURN
+
+    def finish(self) -> None:
+        self._go.release()
+        self._thread.join()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", type=Path, help="directory holding tree A's dpl package")
+    parser.add_argument("change_src", type=Path, help="directory holding tree B's dpl package")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+
+    trees = [load_tree(src.resolve(), name)
+             for src, name in ((args.parent_src, "dpl_a"), (args.change_src, "dpl_b"))]
+    a, b = (Trainer(dpl, args.seed) for dpl in trees)
+    a.run_turn(), b.run_turn()  # warm-up
+    times = {"a": [], "b": []}
+    for k in range(ROUNDS):
+        order = (("a", a), ("b", b)) if k % 2 == 0 else (("b", b), ("a", a))
+        for key, trainer in order:
+            times[key].append(trainer.run_turn())
+    a.finish(), b.finish()
+
+    ratios = np.array(times["b"]) / np.array(times["a"])
+    draws = np.random.default_rng(0).choice(ratios, size=(2000, len(ratios)))
+    low, high = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    print(f"{ROUNDS} rounds of {TURN} iterations per tree, seed {args.seed}")
+    print(f"A {args.parent_src}: median {statistics.median(times['a']):.3f} ms/iteration")
+    print(f"B {args.change_src}: median {statistics.median(times['b']):.3f} ms/iteration")
+    print(f"ratio B/A: median {np.median(ratios):.3f}, 95% interval [{low:.3f}, {high:.3f}], "
+          f"B faster in {int((ratios < 1).sum())} of {len(ratios)} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
