@@ -6,7 +6,7 @@ accuracy gate, 3 numerical halt during training, 130 interrupted (Ctrl-C, or
 SIGTERM while ``main`` runs in the main thread).
 
 Before a command runs, the outputs an earlier run left under ``out_dir`` (as
-``OUTPUTS`` names them) and those derived from them are removed, so a command
+``COMMANDS`` names them) and those derived from them are removed, so a command
 that fails leaves none, and no output outlives what it was derived from.
 """
 
@@ -140,7 +140,7 @@ def _load_net(net, path, written_by: str) -> None:
         raise CheckpointError(f"{path}: {e}; `{written_by}` writes it") from None
 
 
-def cmd_gen_data(config: ExperimentConfig) -> int:
+def cmd_gen_data(config: ExperimentConfig, args) -> int:
     out = Path(config["out_dir"])
     rng = Rng(config["seed"])
     train = generate_synthetic(config["task"], config["train_count"], config["size"],
@@ -153,7 +153,7 @@ def cmd_gen_data(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(config: ExperimentConfig) -> int:
+def cmd_pretrain(config: ExperimentConfig, args) -> int:
     out = Path(config["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(config["seed"])
@@ -207,7 +207,7 @@ def _write_history(path: Path, history) -> None:
             ])
 
 
-def cmd_train(config: ExperimentConfig) -> int:
+def cmd_train(config: ExperimentConfig, args) -> int:
     out = Path(config["out_dir"])
     samples_dir = out / "samples"
     sample_every = config["train.sample_every"]
@@ -272,18 +272,16 @@ def _evaluate(config: ExperimentConfig, out: Path, checkpoint_path) -> int:
     _load_net(psi, out / "psi.dplc", "dpl pretrain")
     f = GeneratorF(Rng(0))
     _load_net(f, checkpoint_path or out / "f.dplc", "dpl train")
+    # built on each call, so a metric function patched on this module is the one scored
+    metrics = {"psnr": psnr, "ms_ssim": ms_ssim,
+               "dfd": lambda x_gen, y: feature_distance(x_gen, y, psi)}
     rows = []
     sums = {name: 0.0 for name in metric_names}
     for i, (x, y) in enumerate(pairs, start=1):
         x_gen = from_tensor(f(to_tensor(x)).detach())
         row = {"id": f"{i:04d}"}
         for name in metric_names:
-            if name == "psnr":
-                row[name] = psnr(x_gen, y)
-            elif name == "ms_ssim":
-                row[name] = ms_ssim(x_gen, y)
-            else:
-                row[name] = feature_distance(x_gen, y, psi)
+            row[name] = metrics[name](x_gen, y)
             sums[name] += row[name]
         rows.append(row)
     with atomic_write(out / "report.csv", newline="") as fh:
@@ -295,10 +293,10 @@ def _evaluate(config: ExperimentConfig, out: Path, checkpoint_path) -> int:
     return len(rows)
 
 
-def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
+def cmd_eval(config: ExperimentConfig, args) -> int:
     out = Path(config["out_dir"])
     try:
-        count = _evaluate(config, out, checkpoint_path)
+        count = _evaluate(config, out, args.f_checkpoint)
     except KeyboardInterrupt:
         print("interrupted; report.csv not written", file=sys.stderr)
         return EXIT_INTERRUPTED
@@ -306,16 +304,16 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path=None) -> int:
     return EXIT_OK
 
 
-def cmd_distort(config: ExperimentConfig, input_path, output_path) -> int:
+def cmd_distort(config: ExperimentConfig, args) -> int:
     if config["dpl.distortion"] == "none":
         raise ConfigError("distort requires dpl.distortion != none")
-    image = load_image(input_path)
-    save_image(distort(image, config, Rng(config["seed"])), output_path)
-    print(f"wrote {output_path}")
+    image = load_image(args.input)
+    save_image(distort(image, config, Rng(config["seed"])), args.output)
+    print(f"wrote {args.output}")
     return EXIT_OK
 
 
-def cmd_show_config(config: ExperimentConfig) -> int:
+def cmd_show_config(config: ExperimentConfig, args) -> int:
     sys.stdout.write(emit_config(config))
     return EXIT_OK
 
@@ -336,18 +334,24 @@ def _sigterm_interrupts():
         signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
-OUTPUTS = {  # command: (what it writes under out_dir, as globs; the commands that read it)
-    "gen-data": (("train/manifest.txt", "train/[0-9][0-9][0-9][0-9]*_[xy].ppm",
+COMMANDS = {  # name: (cmd_*(config, args), help, its outputs as globs, commands reading them)
+    "gen-data": (cmd_gen_data, "write paired PPM datasets for the configured task",
+                 ("train/manifest.txt", "train/[0-9][0-9][0-9][0-9]*_[xy].ppm",
                   "val/manifest.txt", "val/[0-9][0-9][0-9][0-9]*_[xy].ppm"), ("train", "eval")),
-    "pretrain": (("psi.dplc", "pretrain_accuracy.log"), ("train", "eval")),
-    "train": (("f.dplc", "history.csv", "samples/iter*.ppm"), ("eval",)),
-    "eval": (("report.csv",), ()),
+    "pretrain": (cmd_pretrain, "train the texture classifier and save psi.dplc",
+                 ("psi.dplc", "pretrain_accuracy.log"), ("train", "eval")),
+    "train": (cmd_train, "run transformation training and save f.dplc + history.csv",
+              ("f.dplc", "history.csv", "samples/iter*.ppm"), ("eval",)),
+    "eval": (cmd_eval, "evaluate a generator checkpoint on the validation set",
+             ("report.csv",), ()),
+    "distort": (cmd_distort, "apply the configured distortion to one image", (), ()),
+    "show-config": (cmd_show_config, "print the fully resolved configuration", (), ()),
 }
 
 
 def _stale(command: str) -> dict:
     """The globs of ``command``'s outputs and of every output derived from them."""
-    writes, readers = OUTPUTS.get(command, ((), ()))
+    _, _, writes, readers = COMMANDS[command]
     return dict.fromkeys([*writes, *(glob for r in readers for glob in _stale(r))])
 
 
@@ -355,14 +359,7 @@ def main(argv=None) -> int:
     parser = _Parser(prog="dpl", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("gen-data", "write paired PPM datasets for the configured task"),
-        ("pretrain", "train the texture classifier and save psi.dplc"),
-        ("train", "run transformation training and save f.dplc + history.csv"),
-        ("eval", "evaluate a generator checkpoint on the validation set"),
-        ("distort", "apply the configured distortion to one image"),
-        ("show-config", "print the fully resolved configuration"),
-    ]:
+    for name, (_, help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[])
         _add_common(p)
         if name == "eval":
@@ -379,17 +376,7 @@ def main(argv=None) -> int:
             for pattern in _stale(args.command):
                 for path in Path(config["out_dir"]).glob(pattern):
                     path.unlink()
-            if args.command == "gen-data":
-                return cmd_gen_data(config)
-            if args.command == "pretrain":
-                return cmd_pretrain(config)
-            if args.command == "train":
-                return cmd_train(config)
-            if args.command == "eval":
-                return cmd_eval(config, args.f_checkpoint)
-            if args.command == "distort":
-                return cmd_distort(config, args.input, args.output)
-            return cmd_show_config(config)
+            return COMMANDS[args.command][0](config, args)
     except (_UsageError, ConfigError, CheckpointError, ImageError, MetricError,
             NetworkError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .image import ImageError, check_jitter_ranges
 from .metrics import MS_SSIM_MIN_EXTENT
 from .synth import PAIRED_TASKS
-from .trainer import DISTORTION_KINDS, LOSSES, MODES, STRATEGY_KINDS
+from .trainer import DISTORTIONS, LOSSES, MODES, STRATEGIES
 
 VALID_METRICS = ("psnr", "ms_ssim", "dfd")
 
@@ -85,7 +85,7 @@ def _crop_check(v):
 
 
 SCHEMA: dict[str, _Key] = {
-    "task": _Key(_choice(PAIRED_TASKS), "colorcast", help="paired transformation task"),
+    "task": _Key(_choice(tuple(PAIRED_TASKS)), "colorcast", help="paired transformation task"),
     "size": _Key(int, 32, _size_check, "image extent in pixels"),
     "train_count": _Key(int, 400, _positive, "training pair count"),
     "val_count": _Key(int, 50, _positive, "validation pair count"),
@@ -96,8 +96,8 @@ SCHEMA: dict[str, _Key] = {
     "pretrain.epochs": _Key(int, 5, _positive),
     "pretrain.samples": _Key(int, 2000, _positive),
     "pretrain.lr": _Key(_float, 1e-3, _positive),
-    "dpl.strategy": _Key(_choice(STRATEGY_KINDS), "task_oriented"),
-    "dpl.distortion": _Key(_choice(DISTORTION_KINDS + ("none",)), "color_jitter"),
+    "dpl.strategy": _Key(_choice(tuple(STRATEGIES)), "task_oriented"),
+    "dpl.distortion": _Key(_choice((*DISTORTIONS, "none")), "color_jitter"),
     "dpl.blur_sigma_min": _Key(_float, 1.0, _positive),
     "dpl.blur_sigma_max": _Key(_float, 2.0, _positive),
     "dpl.jitter_scale_min": _Key(_float, 0.6, _non_negative),
@@ -209,7 +209,7 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{keys} at size {config['size']} need {need / 2**30:.3g} GiB "
                               f"of images, more than the {memory / 2**30:.3g} GiB of memory "
                               "this process may use")
-    if config["dpl.strategy"] == "task_oriented" and config["dpl.distortion"] == "none":
+    if "distorted" in STRATEGIES[config["dpl.strategy"]] and config["dpl.distortion"] == "none":
         raise ConfigError("task_oriented triplets require a distortion; set dpl.distortion")
     if not any(config[f"dpl.w_{name}"] > 0 for name in LOSSES):
         raise ConfigError("loss weights are all 0; set some dpl.w_* above 0")

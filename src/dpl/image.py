@@ -79,6 +79,8 @@ def _read_token(f) -> bytes:
                 return tok
             continue
         tok += ch
+        if len(tok) > 32:  # the magic and the three decimal fields need about 10 bytes
+            raise ImageError("malformed PPM header: a token longer than 32 bytes")
 
 
 def load_image(path) -> Image:

@@ -13,7 +13,13 @@ TEXTURE_CLASSES = [
     "noise", "rings", "diagonal", "blobs", "grid",
 ]
 
-PAIRED_TASKS = ("darken", "colorcast", "blur")
+# paired task: name -> source(y, rng), the degraded X drawn from the clean target Y
+PAIRED_TASKS = {
+    "darken": lambda y, rng: Image.from_array(
+        0.2 * y.pixels + rng.normal(0.0, 0.02, size=y.pixels.shape)),
+    "colorcast": color_jitter,
+    "blur": lambda y, rng: gaussian_blur(y, rng.uniform(1.0, 2.0)),
+}
 
 
 class SynthError(Exception):
@@ -113,19 +119,11 @@ def generate_synthetic(task: str, count: int, size: int, rng: Rng):
     if task == "textures":
         return ((texture_sample(i % 10, size, rng), i % 10) for i in range(count))
     if task not in PAIRED_TASKS:
-        raise SynthError(f"unknown task {task!r}; expected textures or {PAIRED_TASKS}")
+        raise SynthError(f"unknown task {task!r}; expected textures or {tuple(PAIRED_TASKS)}")
     return _pairs(task, count, size, rng)
 
 
 def _pairs(task: str, count: int, size: int, rng: Rng):
     for _ in range(count):
         y = _scene(size, rng)
-        if task == "darken":
-            noise = rng.normal(0.0, 0.02, size=y.pixels.shape)
-            x = Image.from_array(0.2 * y.pixels + noise)
-        elif task == "colorcast":
-            x = color_jitter(y, rng)
-        else:  # blur
-            sigma = rng.uniform(1.0, 2.0)
-            x = gaussian_blur(y, sigma)
-        yield x, y
+        yield PAIRED_TASKS[task](y, rng), y

@@ -23,7 +23,8 @@ the backward of a sum or mean is a broadcast view of the upstream gradient
 (so a backward rule never writes into its ``g``); max_pool2's forward takes
 the maximum of four strided views, and its backward compares each view
 with that maximum. Ops that serve one loss (the contextual affinities, the
-color loss's Gaussian blur) are recorded by ``losses`` through ``_make``.
+color loss's Gaussian blur, the perceptual and triplet losses) are recorded
+by ``losses`` through ``_make``.
 """
 
 from __future__ import annotations

@@ -30,9 +30,22 @@ from .tensor import Tensor
 if TYPE_CHECKING:  # config imports this module
     from .config import ExperimentConfig
 
-STRATEGY_KINDS = ("instance_self", "task_oriented", "source_anchored")
 MODES = ("feature_selection", "full", "frozen")
-DISTORTION_KINDS = ("gaussian_blur", "color_jitter", "grayscale")
+# dpl.strategy: name -> the images its anchor, positive and negative crops are cut from
+STRATEGIES = {
+    "instance_self": ("y", "y", "x_gen"),
+    "task_oriented": ("distorted", "x_gen", "y"),
+    "source_anchored": ("x", "x", "x_gen"),
+}
+# dpl.distortion: name -> distortion(image, config, rng)
+DISTORTIONS = {
+    "gaussian_blur": lambda image, config, rng: gaussian_blur(
+        image, rng.uniform(config["dpl.blur_sigma_min"], config["dpl.blur_sigma_max"])),
+    "color_jitter": lambda image, config, rng: color_jitter(
+        image, rng, (config["dpl.jitter_scale_min"], config["dpl.jitter_scale_max"]),
+        (config["dpl.jitter_bias_min"], config["dpl.jitter_bias_max"])),
+    "grayscale": lambda image, config, rng: to_grayscale(image),
+}
 
 # The generator's loss terms, in history.csv column order: name -> (default
 # weight of dpl.w_<name>, term(x_gen, y, features, config)), where
@@ -79,15 +92,7 @@ class TrainingFailed(TrainingHalted):
 
 def distort(image: Image, config: ExperimentConfig, rng: Rng) -> Image:
     """The configured task-oriented distortion (``dpl.distortion``) of one image."""
-    kind = config["dpl.distortion"]
-    if kind == "gaussian_blur":
-        return gaussian_blur(image, rng.uniform(config["dpl.blur_sigma_min"],
-                                                config["dpl.blur_sigma_max"]))
-    if kind == "color_jitter":
-        return color_jitter(image, rng,
-                            (config["dpl.jitter_scale_min"], config["dpl.jitter_scale_max"]),
-                            (config["dpl.jitter_bias_min"], config["dpl.jitter_bias_max"]))
-    return to_grayscale(image)
+    return DISTORTIONS[config["dpl.distortion"]](image, config, rng)
 
 
 @dataclass
@@ -99,18 +104,13 @@ class Triplet:
 
 def build_triplet(config: ExperimentConfig, x: Image, y: Image, x_gen: Image,
                   rng: Rng) -> Triplet:
-    """Assign crop roles per ``dpl.strategy``; each crop offset is drawn
-    independently."""
-    kind, size = config["dpl.strategy"], config["dpl.crop"]
-    if kind == "instance_self":
-        return Triplet(random_crop(y, size, rng), random_crop(y, size, rng),
-                       random_crop(x_gen, size, rng))
-    if kind == "source_anchored":
-        return Triplet(random_crop(x, size, rng), random_crop(x, size, rng),
-                       random_crop(x_gen, size, rng))
-    distorted = distort(y, config, rng)
-    return Triplet(random_crop(distorted, size, rng), random_crop(x_gen, size, rng),
-                   random_crop(y, size, rng))
+    """Crop each role's image under ``dpl.strategy``: the distortion is drawn
+    first, then each crop offset independently."""
+    roles, size = STRATEGIES[config["dpl.strategy"]], config["dpl.crop"]
+    images = {"x": x, "y": y, "x_gen": x_gen}
+    if "distorted" in roles:
+        images["distorted"] = distort(y, config, rng)
+    return Triplet(*(random_crop(images[role], size, rng) for role in roles))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import io
@@ -17,7 +18,7 @@ from dpl import config as config_module
 from dpl import networks, trainer
 from dpl.checkpoint import save_checkpoint
 from dpl.cli import main
-from dpl.config import SCHEMA, ConfigError, emit_config, parse_config
+from dpl.config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
 from dpl.image import Image, gaussian_blur, load_image, save_image, to_tensor
 from dpl.networks import FeatureNetPsi, GeneratorF
 from dpl.rng import Rng
@@ -294,6 +295,15 @@ def test_eval_report_format(prepared_run):
     mean = [float(v) for v in lines[-1].split(",")[1:]]
     per = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:-1]])
     assert np.allclose(mean, per.mean(axis=0), rtol=1e-9)
+
+
+def test_eval_of_a_metric_no_table_holds_raises_and_writes_no_report(prepared_run):
+    # was a dfd column under the name "lpips"
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "2"]) == 0
+    config = ExperimentConfig({"out_dir": str(prepared_run), "metrics": ("psnr", "lpips")})
+    with pytest.raises(KeyError, match="lpips"):
+        cli.cmd_eval(config, argparse.Namespace(f_checkpoint=None))
+    assert not (prepared_run / "report.csv").exists()
 
 
 @pytest.mark.parametrize("command, name", [("train", "history.csv"), ("eval", "report.csv")])
@@ -601,13 +611,13 @@ def test_each_command_writes_exactly_what_its_outputs_entry_names(tmp_path, monk
     monkeypatch.setattr(cli, "PRETRAIN_GATE", 0.0)  # any accuracy passes: psi.dplc is saved
     extras = {"gen-data": [], "pretrain": ["--pretrain.samples", "30", "--pretrain.epochs", "1"],
               "train": ["--dpl.iterations", "2", "--train.sample_every", "2"], "eval": []}
-    assert list(extras) == list(cli.OUTPUTS)
+    assert list(extras) == [name for name, (_, _, writes, _) in cli.COMMANDS.items() if writes]
     for command, extra in extras.items():
         before = set(out.rglob("*"))
         assert main([command, *_base_args(out), *extra]) == 0
         after = set(out.rglob("*"))
         assert before <= after
-        writes = cli.OUTPUTS[command][0]
+        writes = cli.COMMANDS[command][2]
         matches = [set(out.glob(pattern)) for pattern in writes]
         assert all(matches), (command, writes)
         assert set().union(*matches) == {p for p in after - before if p.is_file()}

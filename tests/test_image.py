@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from dpl.image import (Image, ImageError, augment, color_jitter, from_tensor,
+from dpl.image import (Image, ImageError, _read_ppm, augment, color_jitter, from_tensor,
                        gaussian_blur, gaussian_kernel1d, load_image, random_crop,
                        save_image, separable_filter, separable_filter_adjoint,
                        to_grayscale, to_tensor)
@@ -62,6 +64,15 @@ def test_ppm_bad_magic(tmp_path):
     path.write_bytes(b"P5\n1 1\n255\n\x00")
     with pytest.raises(ImageError, match="magic"):
         load_image(path)
+
+
+def test_ppm_overlong_header_token_is_refused_after_the_bound():
+    # was `truncated PPM header` after reading the whole token a byte at a
+    # time, in time growing with the square of its length
+    f = io.BytesIO(b"\0" * 200_000)
+    with pytest.raises(ImageError, match="malformed PPM header"):
+        _read_ppm(f)
+    assert f.tell() <= 33
 
 
 def test_ppm_header_comments(tmp_path):

@@ -9,7 +9,7 @@ from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
 from dpl.trainer import (MODES, TrainerError, TrainingDiverged, _features, build_triplet,
-                         generator_step, param_norm, run_training, selector_accumulate,
+                         distort, generator_step, param_norm, run_training, selector_accumulate,
                          selector_apply, start_state, triplet_features)
 from dpl.image import Image, to_grayscale, to_tensor
 
@@ -69,6 +69,16 @@ def test_triplet_roles_per_strategy():
         trip = build_triplet(config, x, y, x_gen, Rng(0))
         got = [source(crop) for crop in (trip.anchor, trip.positive, trip.negative)]
         assert got == [[name] for name in roles], config["dpl.strategy"]
+
+
+def test_a_name_no_table_holds_raises():
+    # was grayscale for the task name "blur", and a task_oriented triplet for
+    # the misspelled strategy
+    y = Image.from_array(np.full((32, 32, 3), 0.5))
+    with pytest.raises(KeyError, match="blur"):
+        distort(y, train_config(distortion="blur"), Rng(0))
+    with pytest.raises(KeyError, match="task-oriented"):
+        build_triplet(train_config(strategy="task-oriented"), y, y, y, Rng(0))
 
 
 # -- freeze discipline ------------------------------------------------------------------

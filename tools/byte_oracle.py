@@ -4,8 +4,9 @@ Runs gen-data, pretrain, train and eval through ``dpl.cli.main`` at seed 3
 (6 train and 3 val pairs at 32 px, 600 pretraining samples for 3 epochs,
 60 training iterations) in seven training modes, each in its own directory
 under OUT_DIR, then ``dpl distort`` once per distortion kind on a generated
-image and ``dpl gen-data`` once for the synthetic blur task, and prints
-``<sha256>  <path>`` for every file written, paths relative to OUT_DIR.
+image and ``dpl gen-data`` once for each of the synthetic blur and darken
+tasks, and prints ``<sha256>  <path>`` for every file written, paths
+relative to OUT_DIR.
 Between them the modes set every ``dpl.*`` training key to a value other
 than its default, and the runs reach every user of the Gaussian filter.
 A change that claims to keep outputs byte-identical shows it with one
@@ -89,6 +90,7 @@ def run_pipeline(main, out_dir: Path) -> None:
         run(main, out, "distort", "--dpl.distortion", kind, *flags,
             "--input", str(image), "--output", str(out / f"{kind}.ppm"))
     run(main, out_dir / "gen_blur", "gen-data", "--task", "blur")
+    run(main, out_dir / "gen_darken", "gen-data", "--task", "darken")
 
 
 def main() -> None:

@@ -2,8 +2,9 @@
 
 Runs the pipeline of ``tools/byte_oracle.py`` (gen-data, pretrain, train
 and eval in seven training modes, ``dpl distort`` once per distortion kind
-and ``dpl gen-data`` for the blur task) in this process, each run under
-OUT_DIR, with ``sys.setprofile`` noting the code of every Python call.
+and ``dpl gen-data`` for the blur and darken tasks) in this process, each
+run under OUT_DIR, with ``sys.setprofile`` noting the code of every Python
+call.
 Then prints ``<file>:<line> <qualname>`` for each function, method,
 nested function and lambda defined in ``src/dpl`` whose code was never
 entered, paths relative to the repo, the line being the one the function's
