@@ -7,6 +7,7 @@ lossless [3,H,W] transpose.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,9 @@ def save_image(image: Image, path) -> None:
         f.write(payload.tobytes())
 
 
+PPM_COMMENT_BYTES = 1024  # the longest '#' header comment read, newline included
+
+
 def _read_token(f) -> bytes:
     # whitespace-delimited token, skipping '#' comments
     tok = b""
@@ -71,8 +75,10 @@ def _read_token(f) -> bytes:
         if ch == b"":
             raise ImageError("truncated PPM header")
         if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = f.read(1)
+            comment = f.readline(PPM_COMMENT_BYTES)
+            if len(comment) == PPM_COMMENT_BYTES and not comment.endswith(b"\n"):
+                raise ImageError(
+                    f"malformed PPM header: a comment longer than {PPM_COMMENT_BYTES} bytes")
             continue
         if ch.isspace():
             if tok:
@@ -119,11 +125,16 @@ def _read_ppm(f) -> np.ndarray:
         raise ImageError(f"invalid PPM dimensions {w}x{h}")
     if maxval != 255:
         raise ImageError(f"unsupported PPM maxval {maxval} (only 255)")
-    payload = f.read(w * h * 3)
-    if len(payload) != w * h * 3:
-        raise ImageError(
-            f"truncated PPM payload: expected {w * h * 3} bytes, got {len(payload)}"
-        )
+    size = w * h * 3
+    if f.seekable():  # a declared size is checked against the file's before it is allocated
+        start = f.tell()
+        held = f.seek(0, 2) - start
+        f.seek(start)
+        if held < size:
+            raise ImageError(f"truncated PPM payload: expected {size} bytes, got {held}")
+    payload = f.read(size)
+    if len(payload) != size:  # a pipe, whose size is known only once it is read
+        raise ImageError(f"truncated PPM payload: expected {size} bytes, got {len(payload)}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
 
 
@@ -169,23 +180,41 @@ def gaussian_kernel1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+# filter matrices kept: ms_ssim uses up to six keys (three scales, two axes)
+# and the color loss one; a blur with a fresh sigma adds one, evicted in turn
+FILTER_CACHE_SIZE = 8
+
+
 def _filter_matrix(n: int, kernel: np.ndarray, dtype) -> np.ndarray:
     """The (n, n) matrix that correlates an axis of extent ``n`` with
-    ``kernel``, reflect-padded: tap t of row i reads padded position i + t,
-    whose weight is added to the entry of the position that pad reflects
-    (more than once when the radius is at least ``n``, as ``np.pad``
-    reflects repeatedly)."""
-    taps = len(kernel)
-    source = np.pad(np.arange(n), taps // 2, mode="reflect")
+    ``kernel``, reflect-padded, read-only and shared: each (extent, kernel
+    values and type, element type) is built once by ``_build_filter_matrix``
+    and kept in its LRU cache of ``FILTER_CACHE_SIZE`` matrices."""
+    return _build_filter_matrix(n, kernel.tobytes(), kernel.dtype.str, np.dtype(dtype).str)
+
+
+@functools.lru_cache(maxsize=FILTER_CACHE_SIZE)
+def _build_filter_matrix(n: int, kernel: bytes, kernel_type: str, dtype: str) -> np.ndarray:
+    """Tap t of row i reads padded position i + t, whose weight is added to
+    the entry of the position that pad reflects: position p reads |p| folded
+    into a period of 2(n - 1), which is ``np.pad``'s "reflect", repeated
+    when the radius is at least ``n``."""
+    weights = np.frombuffer(kernel, kernel_type).astype(dtype)
+    radius = len(weights) // 2
+    period = max(2 * (n - 1), 1)
+    source = np.abs(np.arange(-radius, n + radius)) % period
+    source = np.minimum(source, period - source)
     rows = np.arange(n)[:, None]
     m = np.zeros((n, n), dtype)
-    np.add.at(m, (rows, source[rows + np.arange(taps)]), kernel.astype(dtype))
+    np.add.at(m, (rows, source[rows + np.arange(len(weights))]), weights)
+    m.flags.writeable = False
     return m
 
 
 def separable_filter(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Correlate the two trailing axes of ``arr`` with ``kernel``,
-    reflect-padded: ``Mh @ arr @ Mw.T`` with each axis' filter matrix."""
+    reflect-padded: ``Mh @ arr @ Mw.T`` with each axis' filter matrix, built
+    once per extent, kernel and element type and shared read-only."""
     mh, mw = (_filter_matrix(n, kernel, arr.dtype) for n in arr.shape[-2:])
     return mh @ arr @ mw.T
 

@@ -21,6 +21,7 @@ _W = np.array([0.0448, 0.2856, 0.3001])
 MSSSIM_WEIGHTS = _W / _W.sum()
 _C1 = 0.01**2
 _C2 = 0.03**2
+_KERNEL = gaussian_kernel1d(1.5)  # 11 taps
 
 
 class MetricError(Exception):
@@ -51,10 +52,9 @@ def ms_ssim(a: Image, b: Image) -> float:
                           f"got {a.height}x{a.width}")
     x = a.pixels @ GRAY_WEIGHTS
     y = b.pixels @ GRAY_WEIGHTS
-    k = gaussian_kernel1d(1.5)  # 11 taps
     value = 1.0
     for scale in range(MSSSIM_SCALES):
-        mu_x, mu_y, mxx, myy, mxy = separable_filter(np.stack([x, y, x * x, y * y, x * y]), k)
+        mu_x, mu_y, mxx, myy, mxy = separable_filter(np.stack([x, y, x * x, y * y, x * y]), _KERNEL)
         sxx = mxx - mu_x * mu_x
         syy = myy - mu_y * mu_y
         sxy = mxy - mu_x * mu_y

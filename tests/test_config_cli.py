@@ -922,6 +922,18 @@ def test_distort_command(prepared_run, tmp_path, kind):
         assert dst.read_bytes() == want.read_bytes()
 
 
+def test_distort_of_a_ppm_declaring_more_than_it_holds_is_one_error_line(tmp_path, capsys):
+    # was an OverflowError traceback: the payload was read at the declared size
+    src = tmp_path / "huge.ppm"
+    src.write_bytes(b"P6\n4000000000 4000000000\n255\n" + bytes(3))
+    code = main(["distort", *_base_args(tmp_path / "run"), "--dpl.distortion", "grayscale",
+                 "--input", str(src), "--output", str(tmp_path / "o.ppm")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: truncated PPM payload") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and not (tmp_path / "o.ppm").exists()
+
+
 def test_distort_to_a_missing_directory_is_usage_error(prepared_run, tmp_path, capsys):
     # was a FileNotFoundError traceback
     dst = tmp_path / "missing" / "o.ppm"

@@ -1,10 +1,12 @@
 import io
+import os
 
 import numpy as np
 import pytest
 
+from dpl import image as image_module
 from dpl.image import (Image, ImageError, _read_ppm, augment, color_jitter, from_tensor,
-                       gaussian_blur, gaussian_kernel1d, load_image, random_crop,
+                       gaussian_blur, gaussian_kernel1d, load_image, load_ppm, random_crop,
                        save_image, separable_filter, separable_filter_adjoint,
                        to_grayscale, to_tensor)
 from dpl.rng import Rng
@@ -73,6 +75,48 @@ def test_ppm_overlong_header_token_is_refused_after_the_bound():
     with pytest.raises(ImageError, match="malformed PPM header"):
         _read_ppm(f)
     assert f.tell() <= 33
+
+
+@pytest.mark.parametrize("extent", [100_000, 4_000_000_000])
+def test_ppm_header_that_declares_more_than_its_file_holds_is_refused(tmp_path, extent):
+    # was `out of memory` with an empty reason at 100000x100000, and an
+    # OverflowError traceback at 4000000000x4000000000: the payload was read
+    # at the declared size before its length was compared
+    path = tmp_path / "huge.ppm"
+    path.write_bytes(f"P6\n{extent} {extent}\n255\n".encode() + bytes(3))
+    want = f"truncated PPM payload: expected {extent * extent * 3} bytes, got 3"
+    with pytest.raises(ImageError, match=want) as err:
+        load_ppm(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def _pipe(data: bytes):
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as w:
+        w.write(data)
+    return open(read_end, "rb")
+
+
+def test_ppm_read_from_a_pipe():
+    # a pipe cannot tell its size, so its payload is read before it is measured
+    with _pipe(b"P6\n1 2\n255\n" + bytes([1, 2, 3, 4, 5, 6])) as f:
+        assert not f.seekable()
+        assert _read_ppm(f).tolist() == [[[1, 2, 3]], [[4, 5, 6]]]
+    with _pipe(b"P6\n2 2\n255\n" + bytes(3)) as f:
+        with pytest.raises(ImageError, match="expected 12 bytes, got 3"):
+            _read_ppm(f)
+
+
+def test_ppm_overlong_header_comment_is_refused_after_the_bound():
+    # was `truncated PPM header` after reading the whole comment a byte at a time
+    bound = image_module.PPM_COMMENT_BYTES
+    f = io.BytesIO(b"P6\n#" + b"a" * 2_000_000)
+    with pytest.raises(ImageError, match="malformed PPM header: a comment longer than"):
+        _read_ppm(f)
+    assert f.tell() <= 4 + bound
+    # a comment that fills the bound with its newline is read
+    f = io.BytesIO(b"P6\n#" + b"a" * (bound - 1) + b"\n1 1\n255\n" + bytes([1, 2, 3]))
+    assert _read_ppm(f).tolist() == [[[1, 2, 3]]]
 
 
 def test_ppm_header_comments(tmp_path):
@@ -218,6 +262,50 @@ def test_separable_filter_matches_reflect_pad_oracle(radius):
         g = rng.normal(size=(2, h, w))
         assert np.vdot(separable_filter_adjoint(g, kernel), v) == pytest.approx(
             np.vdot(g, want), rel=1e-12, abs=1e-12)
+
+
+def _uncached_filter_matrix(n, kernel, dtype):
+    return image_module._build_filter_matrix.__wrapped__(
+        n, kernel.tobytes(), kernel.dtype.str, np.dtype(dtype).str)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16), (32, 32), (12, 20)])
+def test_separable_filter_is_bitwise_the_uncached_matrices(dtype, shape):
+    # the kernels blur_tensor (float32) and ms_ssim / gaussian_blur (float64) pass
+    kernel = gaussian_kernel1d(1.5).astype(dtype)
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.normal(size=(3, *shape)).astype(dtype)
+    mh, mw = (_uncached_filter_matrix(n, kernel, dtype) for n in shape)
+    want, want_adjoint = mh @ arr @ mw.T, mh.T @ arr @ mw
+    image_module._build_filter_matrix.cache_clear()
+    for _ in range(2):  # the call that builds the matrices, then one that finds them
+        got, got_adjoint = separable_filter(arr, kernel), separable_filter_adjoint(arr, kernel)
+        assert got.dtype == got_adjoint.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert got_adjoint.tobytes() == want_adjoint.tobytes()
+
+
+def test_cached_filter_matrix_is_read_only():
+    m = image_module._filter_matrix(8, gaussian_kernel1d(1.5), np.float64)
+    assert m is image_module._filter_matrix(8, gaussian_kernel1d(1.5), np.float64)
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 1.0
+
+
+def test_fresh_sigma_blurs_leave_the_cache_at_its_bound():
+    # a blur distortion draws a new sigma per call: each is one more key, and
+    # the matrix used between them (as the color loss's is) stays cached
+    build = image_module._build_filter_matrix
+    build.cache_clear()
+    img = _random_image(21)
+    hot = gaussian_kernel1d(2.0)
+    for i in range(100):
+        gaussian_blur(img, 1.0 + i / 100)
+        separable_filter(np.zeros((3, 32, 32)), hot)
+    info = build.cache_info()
+    assert info.currsize == info.maxsize == image_module.FILTER_CACHE_SIZE
+    assert info.misses == 101  # one build per sigma (both axes are 16 px) and one for hot
 
 
 # -- jitter / grayscale -------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpl import image as image_module
 from dpl import metrics
 from dpl.image import GRAY_WEIGHTS, Image, gaussian_blur, gaussian_kernel1d, separable_filter
 from dpl.metrics import MetricError, feature_distance, ms_ssim, psnr
@@ -128,6 +129,15 @@ def test_ms_ssim_stacked_filter_is_bitwise_the_oracle(shape):
             b = gaussian_blur(Image.from_array(a.pixels * rng.uniform(0.3, 1.0)),
                               rng.uniform(0.5, 2.0))
         assert ms_ssim(a, b).hex() == ms_ssim_oracle(a, b).hex()
+
+
+def test_ms_ssim_of_many_pairs_builds_three_filter_matrices():
+    # was six builds per pair: both axes' matrices at each of the three scales
+    image_module._build_filter_matrix.cache_clear()
+    for seed in range(5):
+        ms_ssim(_img(seed), _img(seed + 10))
+    info = image_module._build_filter_matrix.cache_info()
+    assert (info.misses, info.hits) == (3, 5 * 6 - 3)  # 32, 16 and 8 px, float64
 
 
 # -- feature distance -------------------------------------------------------------------

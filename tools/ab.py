@@ -1,4 +1,4 @@
-"""Paired in-process A/B of the ``pipeline_fs`` training iteration of two trees.
+"""Paired in-process A/B of the ``pipeline_fs`` training iteration and eval pair of two trees.
 
     python3 tools/ab.py PARENT_SRC CHANGE_SRC --seed 1
 
@@ -17,12 +17,20 @@ after a warm-up turn each, each of 30 rounds runs one turn of 10
 iterations of each tree, A first in even rounds and B first in odd ones.
 A round's sample is B's turn time over A's.
 
-Prints each tree's median ms per iteration, the median ratio B/A with a
-bootstrap 95% interval of that median (2000 resamples), and the number of
-rounds B was faster. A ratio below 1 means B is faster; an interval that
-excludes 1 resolves the difference. Running one tree against itself (the
-same path twice) is the A/A check of the method. BLAS is pinned to one
-thread, as perfbench pins it. Only the standard library and numpy are used.
+Then each tree scores the same 200 ``darken`` validation pairs at 32 px
+(drawn as ``dpl gen-data`` draws them and quantized to 8 bits as its PPMs
+are) with its own trained generator and extractor, as ``cli._evaluate``
+does: decode the pair, run the generator, then psnr, ms_ssim and dfd. After
+a warm-up turn each, each of 20 rounds runs one turn of all 200 pairs of
+each tree, in the same alternating order.
+
+Prints, for the training iterations and for the eval pairs, each tree's
+median ms, the median ratio B/A with a bootstrap 95% interval of that
+median (2000 resamples), and the number of rounds B was faster. A ratio
+below 1 means B is faster; an interval that excludes 1 resolves the
+difference. Running one tree against itself (the same path twice) is the
+A/A check of the method. BLAS is pinned to one thread, as perfbench pins
+it. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 ROUNDS, TURN = 30, 10
+EVAL_ROUNDS, EVAL_PAIRS = 20, 200
 RECIPE = {"task": "darken", "size": "32", "train_count": "100",
           "pretrain.samples": "600", "dpl.mode": "feature_selection",
           "dpl.strategy": "task_oriented", "dpl.distortion": "color_jitter",
@@ -60,7 +69,7 @@ def load_tree(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("config", "image", "networks", "rng", "synth", "trainer"):
+    for sub in ("config", "image", "metrics", "networks", "rng", "synth", "trainer"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
@@ -81,6 +90,7 @@ class Trainer:
         dpl.networks.pretrain_psi(psi, [(dpl.image.to_tensor(x), y) for x, y in textures],
                                   config["pretrain.epochs"], rng.child(32), lr=config["pretrain.lr"])
         f, phi = dpl.networks.GeneratorF(rng.child(40)), dpl.networks.SelectionPhi(rng.child(41))
+        self.dpl, self.f, self.psi = dpl, f, psi
         args = (config, pairs, f, psi, phi, rng.child(42))
         self._thread = threading.Thread(target=self._train, args=(dpl.trainer, args), daemon=True)
         self._thread.start()
@@ -112,6 +122,39 @@ class Trainer:
         self._go.release()
         self._thread.join()
 
+    def run_eval_turn(self, payloads) -> float:
+        """Ms per pair to score every pair with the trained networks."""
+        image, metrics = self.dpl.image, self.dpl.metrics
+        start = time.perf_counter()
+        for x_payload, y_payload in payloads:
+            x, y = image.decode_ppm(x_payload), image.decode_ppm(y_payload)
+            x_gen = image.from_tensor(self.f(image.to_tensor(x)).detach())
+            metrics.psnr(x_gen, y), metrics.ms_ssim(x_gen, y)
+            metrics.feature_distance(x_gen, y, self.psi)
+        return (time.perf_counter() - start) * 1000.0 / len(payloads)
+
+
+def alternate(rounds: int, a, b) -> dict[str, list[float]]:
+    """One warm-up call of ``a`` and ``b``, then ``rounds`` rounds of one
+    call each, A first in even rounds; the times of the rounds."""
+    a(), b()
+    times = {"a": [], "b": []}
+    for k in range(rounds):
+        order = (("a", a), ("b", b)) if k % 2 == 0 else (("b", b), ("a", a))
+        for key, turn in order:
+            times[key].append(turn())
+    return times
+
+
+def report(what: str, args, times: dict[str, list[float]]) -> None:
+    ratios = np.array(times["b"]) / np.array(times["a"])
+    draws = np.random.default_rng(0).choice(ratios, size=(2000, len(ratios)))
+    low, high = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    print(f"A {args.parent_src}: median {statistics.median(times['a']):.3f} ms/{what}")
+    print(f"B {args.change_src}: median {statistics.median(times['b']):.3f} ms/{what}")
+    print(f"ratio B/A: median {np.median(ratios):.3f}, 95% interval [{low:.3f}, {high:.3f}], "
+          f"B faster in {int((ratios < 1).sum())} of {len(ratios)} rounds")
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -123,22 +166,20 @@ def main() -> int:
     trees = [load_tree(src.resolve(), name)
              for src, name in ((args.parent_src, "dpl_a"), (args.change_src, "dpl_b"))]
     a, b = (Trainer(dpl, args.seed) for dpl in trees)
-    a.run_turn(), b.run_turn()  # warm-up
-    times = {"a": [], "b": []}
-    for k in range(ROUNDS):
-        order = (("a", a), ("b", b)) if k % 2 == 0 else (("b", b), ("a", a))
-        for key, trainer in order:
-            times[key].append(trainer.run_turn())
+    train_times = alternate(ROUNDS, a.run_turn, b.run_turn)
     a.finish(), b.finish()
 
-    ratios = np.array(times["b"]) / np.array(times["a"])
-    draws = np.random.default_rng(0).choice(ratios, size=(2000, len(ratios)))
-    low, high = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    val = trees[0].synth.generate_synthetic("darken", EVAL_PAIRS, 32,
+                                            trees[0].rng.Rng(args.seed).child(20))
+    payloads = [tuple(np.round(image.pixels * 255.0).astype(np.uint8) for image in pair)
+                for pair in val]
+    eval_times = alternate(EVAL_ROUNDS, lambda: a.run_eval_turn(payloads),
+                           lambda: b.run_eval_turn(payloads))
+
     print(f"{ROUNDS} rounds of {TURN} iterations per tree, seed {args.seed}")
-    print(f"A {args.parent_src}: median {statistics.median(times['a']):.3f} ms/iteration")
-    print(f"B {args.change_src}: median {statistics.median(times['b']):.3f} ms/iteration")
-    print(f"ratio B/A: median {np.median(ratios):.3f}, 95% interval [{low:.3f}, {high:.3f}], "
-          f"B faster in {int((ratios < 1).sum())} of {len(ratios)} rounds")
+    report("iteration", args, train_times)
+    print(f"{EVAL_ROUNDS} rounds of {EVAL_PAIRS} eval pairs per tree")
+    report("eval pair", args, eval_times)
     return 0
 
 
