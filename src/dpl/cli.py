@@ -369,6 +369,7 @@ def main(argv=None) -> int:
             p.add_argument("--input", required=True, help="input PPM")
             p.add_argument("--output", required=True, help="output PPM")
 
+    args = None
     try:
         args = parser.parse_args(argv)
         config = _load_config(args)
@@ -384,8 +385,10 @@ def main(argv=None) -> int:
     except OSError as e:  # an output path the command cannot write, or a path it cannot read
         print(_os_error_line(e), file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as e:  # numpy's _ArrayMemoryError included
-        print(f"error: out of memory: {e}", file=sys.stderr)
+    except MemoryError as e:  # numpy's _ArrayMemoryError says what it could not allocate
+        reason = f": {e}" if str(e) else ""
+        command = f" (dpl {args.command})" if args is not None else ""
+        print(f"error: out of memory{reason}{command}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:  # train, pretrain and eval report their own
         print("interrupted", file=sys.stderr)

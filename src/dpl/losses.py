@@ -6,7 +6,8 @@ The perceptual and triplet losses are one tape op each, the contextual
 loss one op per tap, and the color loss's blur one op over
 ``image.separable_filter``, each with a written backward; the perceptual and
 contextual gradients reach the first set only (the second is a constant
-target). The other losses are compositions of tensor ops."""
+target). The other losses (color, texture, pixel) are compositions of tensor
+ops. Pretraining's cross-entropy is one op as well, ``networks.cross_entropy``."""
 
 from __future__ import annotations
 

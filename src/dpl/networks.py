@@ -1,5 +1,6 @@
 """The three networks: generator F, frozen feature extractor, and the
-trainable 1x1-conv selection layer, plus extractor pretraining."""
+trainable 1x1-conv selection layer, plus extractor pretraining, whose loss
+(the extractor's pooled head and the cross-entropy) is one tape op."""
 
 from __future__ import annotations
 
@@ -50,14 +51,12 @@ class Conv2dLayer:
 
 
 class LinearLayer:
-    """``x @ weight + bias`` with the weight it is given and a zero bias."""
+    """The (in, out) weight it is given and a zero bias: ψ's pooled head,
+    which ``cross_entropy`` and ``classify`` apply."""
 
     def __init__(self, weight: np.ndarray):
         self.weight = Tensor(weight, np.float32)
         self.bias = Tensor(np.zeros(weight.shape[1]), np.float32)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return (x @ self.weight) + self.bias
 
     def params(self):
         return [self.weight, self.bias]
@@ -153,11 +152,6 @@ class FeatureNetPsi(_Net):
         h3 = T.relu(self.block3(T.max_pool2(h2)))
         return [h1, h2, h3]
 
-    def logits(self, x: Tensor) -> Tensor:
-        h3 = self(x)[-1]
-        pooled = h3.reshape((64, -1)).mean(axis=1).reshape((1, 64))
-        return self.head(pooled).reshape(10)
-
 
 class SelectionPhi(_Net):
     """Per-tap pair of 1x1 convolutions with a relu between, halving channels.
@@ -191,20 +185,50 @@ class SelectionPhi(_Net):
         return out
 
 
-def log_softmax(logits: Tensor) -> Tensor:
-    shift = T.constant(np.max(logits.data), dtype=logits.dtype)
-    z = logits - shift
-    return z - T.log(T.exp(z).sum())
+def _head(psi: FeatureNetPsi, h3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ψ's pooled head on its last tap's [C,H,W] data: the (1, C) channel means
+    and the logits, rounded as the chain reshape, mean, reshape, matmul, add."""
+    c = h3.shape[0]
+    pooled = h3.reshape((c, -1)).mean(axis=1).reshape((1, c))
+    return pooled, (pooled @ psi.head.weight.data + psi.head.bias.data).reshape(-1)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    onehot = np.zeros(logits.shape[0])
+def cross_entropy(psi: FeatureNetPsi, x: Tensor, label: int) -> Tensor:
+    """``-log softmax(logits)[label]`` of ψ's pooled head on ``x``, as one tape
+    op over the last tap, ``head.weight`` and ``head.bias``.
+
+    It rounds as the chain of generic ops it replaces does, forward and
+    backward: the head's chain (``_head``), then the log-softmax of the logits
+    shifted by their max, times the one-hot label, summed and negated. With
+    ``dl = -g * onehot``, the logits' gradient is ``dl + (sum(-dl) / S) *
+    exp(z)``, ``S = sum(exp(z))``; the bias takes it summed over the (1, K)
+    axis, the weight ``pooled.T @ dz``, and the tap ``dz @ weight.T`` spread
+    over its H*W positions.
+    """
+    h3 = psi(x)[-1]
+    weight, bias = psi.head.weight, psi.head.bias
+    T._check_dtypes("cross_entropy", h3, weight, bias)
+    pooled, logits = _head(psi, h3.data)
+    z = logits - logits.max()
+    e = np.exp(z)
+    s = e.sum()
+    onehot = np.zeros(logits.shape, h3.dtype)
     onehot[label] = 1.0
-    return -(log_softmax(logits) * T.constant(onehot, dtype=logits.dtype)).sum()
+    loss = -((z - np.log(s)) * onehot).sum()
+
+    def rule(g):
+        dl = -g * onehot
+        dz = (dl + ((-dl).sum() / s) * e).reshape((1, -1))
+        hw = h3.data[0].size
+        dpooled = (dz @ weight.data.T).reshape((-1, 1)) / hw
+        dh3 = np.broadcast_to(dpooled, (len(dpooled), hw)).reshape(h3.shape)
+        return [(h3, dh3), (weight, pooled.T @ dz), (bias, dz.sum(axis=0))]
+
+    return T._make(loss, (h3, weight, bias), rule)
 
 
 def classify(psi: FeatureNetPsi, x: Tensor) -> int:
-    return int(np.argmax(psi.logits(x).data))
+    return int(np.argmax(_head(psi, psi(x)[-1].data)[1]))
 
 
 def accuracy(psi: FeatureNetPsi, dataset) -> float:
@@ -228,7 +252,7 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
         for idx in rng.permutation(len(train)):
             x, label = train[int(idx)]
             with T.ComputationTape(opt.params) as tape:
-                loss = cross_entropy(psi.logits(x), label)
+                loss = cross_entropy(psi, x, label)
                 T.backward(loss, tape)
             opt.step()
             opt.zero_grad()

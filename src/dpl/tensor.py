@@ -21,10 +21,11 @@ unstuffed gradient); upsample_conv3x3 runs the generator's resize-convolution
 the input's resolution, so its matmuls never see the upsampled map;
 the backward of a sum or mean is a broadcast view of the upstream gradient
 (so a backward rule never writes into its ``g``); max_pool2's forward takes
-the maximum of four strided views, and its backward compares each view
-with that maximum. Ops that serve one loss (the contextual affinities, the
-color loss's Gaussian blur, the perceptual and triplet losses) are recorded
-by ``losses`` through ``_make``.
+the maximum of four strided views, and its backward multiplies ``g`` by
+each view's exclusive winner mask straight into that view of its output.
+Ops that serve one loss (the contextual affinities, the color loss's
+Gaussian blur, the perceptual and triplet losses, ψ's pooled head with the
+cross-entropy) are recorded by ``losses`` or ``networks`` through ``_make``.
 """
 
 from __future__ import annotations
@@ -97,23 +98,14 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
     def __pow__(self, exponent):
         return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
 
 class ComputationTape:
@@ -292,11 +284,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), rule)
 
 
-def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: [(a, -g)])
-
-
 def power(a: Tensor, exponent: float) -> Tensor:
     a = _as_tensor(a)
     e = float(exponent)
@@ -304,26 +291,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
 
     def rule(g):
         return [(a, g * e * a.data ** (e - 1.0))]
-
-    return _make(data, (a,), rule)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.exp(a.data)
-
-    def rule(g):
-        return [(a, g * data)]
-
-    return _make(data, (a,), rule)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    data = np.log(a.data)
-
-    def rule(g):
-        return [(a, g / a.data)]
 
     return _make(data, (a,), rule)
 
@@ -375,32 +342,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), rule)
 
 
-# -- linear algebra / shape ---------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise AutodiffError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise AutodiffError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    _check_dtypes("matmul", a, b)
-    data = a.data @ b.data
-
-    def rule(g):
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
-
-    return _make(data, (a, b), rule)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def rule(g):
-        return [(a, g.reshape(a.shape))]
-
-    return _make(data, (a,), rule)
+# -- shape --------------------------------------------------------------------
 
 
 def concat_width(parts: Sequence[Tensor]) -> Tensor:
@@ -546,8 +488,11 @@ def max_pool2(x: Tensor) -> Tensor:
     """2x2 max pooling over [C,H,W]; gradient routes to the first argmax.
 
     The forward is the elementwise maximum of the four strided quarter
-    planes. The backward visits the window offsets in row-major order and
-    gives ``g`` to the first offset whose value equals the window's max.
+    planes. The backward visits the window offsets in row-major order; each
+    offset's winner mask holds the windows whose max it equals and no earlier
+    offset took, and ``g`` times that mask fills the offset's quarter plane.
+    A mask's zero times a negative ``g`` is -0.0, so one ``+= 0.0`` makes
+    every zero +0.0, as a gradient routed into zeros has.
     """
     x = _as_tensor(x)
     c, h, w = x.shape
@@ -558,12 +503,17 @@ def max_pool2(x: Tensor) -> Tensor:
                       np.maximum(xd[:, 1::2, ::2], xd[:, 1::2, 1::2]))
 
     def rule(g):
-        dx = np.zeros_like(xd)
-        free = np.ones(data.shape, dtype=bool)  # windows whose max is not yet routed
+        dx = np.empty_like(xd)
+        taken = None  # windows whose max an earlier offset holds
         for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            hit = xd[:, a::2, b::2] == data
-            np.copyto(dx[:, a::2, b::2], g, where=hit & free)
-            free &= ~hit
+            won = xd[:, a::2, b::2] == data
+            if taken is None:
+                taken = won  # this offset's mask is not read again
+            else:
+                won &= ~taken
+                taken |= won
+            np.multiply(g, won, out=dx[:, a::2, b::2])
+        dx += 0.0
         return [(x, dx)]
 
     return _make(np.ascontiguousarray(data), (x,), rule)

@@ -416,7 +416,19 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     assert main(["gen-data", *_base_args(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
-    assert "Traceback" not in err
+    assert err.endswith(" (dpl gen-data)\n") and "Traceback" not in err
+
+
+def test_out_of_memory_without_a_reason_names_the_command(tmp_path, capsys, monkeypatch):
+    # was `error: out of memory: ` for Python's own MemoryError, whose text is empty
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "load_image", exhausted)
+    args = ["distort", "--dpl.distortion", "grayscale", "--input", str(tmp_path / "x.ppm"),
+            "--output", str(tmp_path / "o.ppm")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: out of memory (dpl distort)\n"
 
 
 class _TermReachedCaller(Exception):

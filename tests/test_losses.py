@@ -180,17 +180,17 @@ def contextual_chain(fa, fb, h=0.5, eps=1e-5):
     the affinity chain: the reference for the hand-written backward."""
     total = None
     for a, b in zip(fa, fb):
-        av = ops.transpose(a.reshape((a.shape[0], -1)))
-        bv = ops.transpose(b.reshape((b.shape[0], -1)))
+        av = ops.transpose(ops.reshape(a, (a.shape[0], -1)))
+        bv = ops.transpose(ops.reshape(b, (b.shape[0], -1)))
         mu = bv.mean(axis=0, keepdims=True)
         ac, bc = av - mu, bv - mu
         an = ops.div(ac, ops.sqrt((ac * ac).sum(axis=1, keepdims=True) + eps * eps))
         bn = ops.div(bc, ops.sqrt((bc * bc).sum(axis=1, keepdims=True) + eps * eps))
-        d = 1.0 - (an @ ops.transpose(bn))
+        d = 1.0 - ops.matmul(an, ops.transpose(bn))
         d_tilde = ops.div(d, ops.reduce_min(d, axis=1, keepdims=True) + eps)
-        w = T.exp((1.0 - d_tilde) * (1.0 / h))
+        w = ops.exp((1.0 - d_tilde) * (1.0 / h))
         cx = ops.div(w, w.sum(axis=1, keepdims=True))
-        tap = -T.log(ops.reduce_max(cx, axis=0).mean())
+        tap = ops.neg(ops.log(ops.reduce_max(cx, axis=0).mean()))
         total = tap if total is None else total + tap
     return total * (1.0 / len(fa))
 

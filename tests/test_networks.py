@@ -4,12 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import param_hash
+import tape_ops as ops
+from conftest import as_float64, check_gradients, param_hash
+from dpl import tensor as T
 from dpl.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from dpl.image import Image, to_tensor
 from dpl.networks import (FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi,
-                          accuracy, classify, cross_entropy, log_softmax,
-                          pretrain_psi)
+                          accuracy, classify, cross_entropy, pretrain_psi)
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
@@ -91,11 +92,12 @@ def test_psi_rejects_indivisible_extent():
 
 
 def test_psi_logits_shape_and_softmax():
+    # the probabilities exp(-cross_entropy) over the ten labels sum to 1
     psi = FeatureNetPsi(Rng(6))
-    logits = psi.logits(_f32(np.random.default_rng(1).uniform(size=(3, 16, 16))))
-    assert logits.shape == (10,)
-    probs = np.exp(log_softmax(logits).data)
-    assert probs.sum() == pytest.approx(1.0, rel=1e-5)
+    x = _f32(np.random.default_rng(1).uniform(size=(3, 16, 16)))
+    losses = [cross_entropy(psi, x, label).item() for label in range(10)]
+    assert np.exp(-np.array(losses)).sum() == pytest.approx(1.0, rel=1e-5)
+    assert classify(psi, x) == int(np.argmin(losses))
 
 
 def test_networks_and_images_enter_as_float32():
@@ -109,8 +111,55 @@ def test_networks_and_images_enter_as_float32():
 
 
 def test_cross_entropy_uniform_is_log_k():
-    logits = Tensor(np.zeros(10))
-    assert cross_entropy(logits, 3).item() == pytest.approx(math.log(10.0), rel=1e-6)
+    psi = FeatureNetPsi(Rng(6))
+    psi.head.weight.data[...] = 0.0  # every logit is the zero bias
+    x = _f32(np.random.default_rng(1).uniform(size=(3, 16, 16)))
+    assert cross_entropy(psi, x, 3).item() == pytest.approx(math.log(10.0), rel=1e-6)
+
+
+def _cross_entropy_grads(loss_fn, psi, x, label, scale):
+    """The loss of ``loss_fn(psi, x, label) * scale`` and the gradient of every
+    parameter of ψ, from one backward on a tape of ψ's parameters."""
+    for p in psi.params():
+        p.grad = None
+    with T.ComputationTape(psi.params()) as tape:
+        loss = loss_fn(psi, x, label) * scale
+        T.backward(loss, tape)
+    return loss.data, [p.grad for p in psi.params()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_rounds_as_its_chain(dtype):
+    # value and every gradient bitwise equal to the generic-op chain it fuses,
+    # at three labels, through the head's weight and bias and through the tap
+    # into ψ's convs; the scale makes the op's upstream gradient other than 1
+    psi = FeatureNetPsi(Rng(7))
+    if dtype is np.float64:
+        as_float64(psi)
+    rng = np.random.default_rng(3)
+    psi.head.bias.data[...] = rng.normal(size=10)
+    x = Tensor(rng.uniform(size=(3, 12, 20)), dtype)  # the tap's 15 positions: no power of 2
+    for label, scale in ((0, 1.0), (4, -0.75), (9, 2.5)):
+        fused = _cross_entropy_grads(cross_entropy, psi, x, label, scale)
+        chain = _cross_entropy_grads(ops.cross_entropy_chain, psi, x, label, scale)
+        assert fused[0].dtype == dtype and fused[0].tobytes() == chain[0].tobytes()
+        for got, want in zip(fused[1], chain[1]):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_cross_entropy_gradient():
+    # float64 finite differences through the tap (the input) and the head
+    psi = FeatureNetPsi(Rng(8))
+    as_float64(psi)
+    rng = np.random.default_rng(4)
+
+    def build(ts):
+        psi.head.weight, psi.head.bias = ts[1], ts[2]
+        return cross_entropy(psi, ts[0], 6)
+
+    arrays = [rng.uniform(size=(3, 8, 8)), rng.normal(0.0, 0.3, size=(64, 10)),
+              rng.normal(size=10)]
+    check_gradients(build, arrays, rng, n_points=30, rtol=1e-6, atol=1e-9)
 
 
 # -- selector -----------------------------------------------------------------------
@@ -276,6 +325,18 @@ def test_pretrain_smoke_small():
             for img, label in generate_synthetic("textures", 400, 16, rng.child(1))]
     psi = FeatureNetPsi(rng.child(2))
     assert pretrain_psi(psi, data, epochs=3, rng=rng.child(3)) >= 0.5
+
+
+def test_pretrained_psi_keeps_its_bytes():
+    # pinned on the commit before max_pool2's winner masks and the fused
+    # cross-entropy, both of which claim to keep pretraining's bytes
+    rng = Rng(22)
+    data = [(to_tensor(img), label)
+            for img, label in generate_synthetic("textures", 100, 16, rng.child(1))]
+    psi = FeatureNetPsi(rng.child(2))
+    assert pretrain_psi(psi, data, epochs=2, rng=rng.child(3)) == 0.3
+    assert param_hash(psi.params()) == (
+        "70dcb3e24fb6b11f40d4487944289e500b61a581a3fe58da1392dbecb0eb6ff5")
 
 
 def test_classify_and_accuracy_consistent():

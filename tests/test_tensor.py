@@ -45,9 +45,9 @@ _OPERAND_SHAPES = {
 @pytest.mark.parametrize("name", _OPERAND_SHAPES)
 def test_two_operand_ops_refuse_mixed_element_types(name):
     # numpy would promote the float32 operands to float64 without a word;
-    # the tests' div checks its operands with the library's check
+    # the tests' div and matmul check their operands with the library's checks
     shapes = _OPERAND_SHAPES[name]
-    op = ops.div if name == "div" else getattr(T, name)
+    op = getattr(ops, name) if name in ("div", "matmul") else getattr(T, name)
     for wide in range(len(shapes)):
         operands = [Tensor(np.ones(s), np.float64 if i == wide else np.float32)
                     for i, s in enumerate(shapes)]
@@ -367,6 +367,36 @@ def test_max_pool2_tie_routes_weighted_gradient_to_first_index():
                                     [0.25, 0.0, 0.0, 0.0]]])
 
 
+def _pool_rule_output(pool, x: np.ndarray, g: np.ndarray):
+    """The pooled data and what the op's recorded rule returns for ``g``,
+    called directly: a gradient buffer would add it into zeros, which turns
+    every -0.0 into +0.0 and so hides one."""
+    xt = Tensor(x, g.dtype)
+    with ComputationTape([xt]) as tape:
+        out = pool(xt)
+    (_, rule), = tape._entries
+    (parent, dx), = rule(g)
+    assert parent is xt
+    return out.data, dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool2_backward_is_bytewise_the_copyto_rule(dtype):
+    # ReLU zeros tie whole windows, pairs tie along rows and along columns,
+    # and g has negative entries and zeros
+    rng = np.random.default_rng(9)
+    x = np.maximum(rng.normal(size=(8, 12, 16)), 0.0)
+    x[:, ::2, 1::2][:, ::3] = x[:, ::2, ::2][:, ::3]
+    x[:, 1::2][:, ::4] = x[:, ::2][:, ::4]
+    g = rng.normal(size=(8, 6, 8)).astype(dtype)
+    g[:, ::5] = 0.0
+    out, dx = _pool_rule_output(T.max_pool2, x, g)
+    want_out, want_dx = _pool_rule_output(ops.max_pool2_copyto, x, g)
+    assert out.tobytes() == want_out.tobytes()
+    assert dx.dtype == dtype and dx.shape == x.shape
+    assert dx.tobytes() == want_dx.tobytes()
+
+
 def test_max_pool2_gradient():
     rng = np.random.default_rng(6)
     # unique window maxima with clear margins
@@ -483,7 +513,7 @@ def test_matmul_and_transpose_gradient():
     b = rng.normal(size=(5, 4))
 
     def build(ts):
-        return ((ts[0] @ ops.transpose(ts[1])) ** 2).mean()
+        return (ops.matmul(ts[0], ops.transpose(ts[1])) ** 2).mean()
 
     check_gradients(build, [a, b], rng, n_points=20, rtol=1e-6)
 

@@ -1,36 +1,44 @@
-"""Paired in-process A/B of the ``pipeline_fs`` training iteration and eval pair of two trees.
+"""Paired in-process A/B of the ``pipeline_fs`` pretraining step, training iteration and eval pair of two trees.
 
     python3 tools/ab.py PARENT_SRC CHANGE_SRC --seed 1
 
 PARENT_SRC and CHANGE_SRC are directories holding a ``dpl`` package (a
 checkout's ``src``). Each tree's package is imported under its own name,
 ``dpl_a`` and ``dpl_b``, into this one process, so both run on the same
-box at the same moments. Each tree trains the recipe of perfbench's
-``pipeline_fs`` workload with its own ``run_training``: 100 ``darken`` pairs
-at 32 px, feature_selection mode, task_oriented triplets under color_jitter,
-the perceptual loss alone, generator learning rate 5e-4, and an extractor
-it pretrains on 600 texture samples first (so both trees are warmed up
-alike: a tree that pretrained and one that did not differ by a few
-percent). The two trainings run in two threads that take strict turns,
-never both at once:
-after a warm-up turn each, each of 30 rounds runs one turn of 10
-iterations of each tree, A first in even rounds and B first in odd ones.
-A round's sample is B's turn time over A's.
+box at the same moments. Three phases run in turn; in each, the two trees
+run in two threads that take strict turns, never both at once: after a
+warm-up turn each, each round runs one turn of each tree, A first in even
+rounds and B first in odd ones. A round's sample is B's turn time over A's.
+
+First each tree runs its own ``pretrain_psi`` with its own ψ and Adam over
+the same 600 texture samples at 32 px (perfbench's ``pipeline_fs``
+pretraining: 540 training samples and 60 held out, learning rate 1e-3),
+for 5 epochs with the held-out gate out of reach. A turn is 54 optimizer
+steps, a tenth of an epoch, so each tree's held-out accuracy falls in the
+same round's turn; 49 rounds. The phase ends by saying whether the two ψs'
+weights are bitwise equal.
+
+Then each tree trains the recipe of perfbench's ``pipeline_fs`` workload
+with its own ``run_training``: 100 ``darken`` pairs at 32 px,
+feature_selection mode, task_oriented triplets under color_jitter, the
+perceptual loss alone, generator learning rate 5e-4, and an extractor it
+pretrains on 600 texture samples first (so both trees are warmed up alike:
+a tree that pretrained and one that did not differ by a few percent). Each
+of 30 rounds runs one turn of 10 iterations of each tree.
 
 Then each tree scores the same 200 ``darken`` validation pairs at 32 px
 (drawn as ``dpl gen-data`` draws them and quantized to 8 bits as its PPMs
 are) with its own trained generator and extractor, as ``cli._evaluate``
-does: decode the pair, run the generator, then psnr, ms_ssim and dfd. After
-a warm-up turn each, each of 20 rounds runs one turn of all 200 pairs of
-each tree, in the same alternating order.
+does: decode the pair, run the generator, then psnr, ms_ssim and dfd. Each
+of 20 rounds runs one turn of all 200 pairs of each tree.
 
-Prints, for the training iterations and for the eval pairs, each tree's
-median ms, the median ratio B/A with a bootstrap 95% interval of that
-median (2000 resamples), and the number of rounds B was faster. A ratio
-below 1 means B is faster; an interval that excludes 1 resolves the
-difference. Running one tree against itself (the same path twice) is the
-A/A check of the method. BLAS is pinned to one thread, as perfbench pins
-it. Only the standard library and numpy are used.
+Prints, for each phase, each tree's median ms per pretraining step,
+iteration or eval pair, the median ratio B/A with a bootstrap 95%
+interval of that median (2000 resamples), and the number of rounds B was
+faster. A ratio below 1 means B is faster; an interval that excludes 1
+resolves the difference. Running one tree against itself (the same path
+twice) is the A/A check of the method. BLAS is pinned to one thread, as
+perfbench pins it. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ from pathlib import Path
 
 import numpy as np
 
+PRETRAIN_EPOCHS, PRETRAIN_TURN = 5, 54
+PRETRAIN_ROUNDS = PRETRAIN_EPOCHS * 10 - 1  # with the warm-up, every step of every epoch
 ROUNDS, TURN = 30, 10
 EVAL_ROUNDS, EVAL_PAIRS = 20, 200
 RECIPE = {"task": "darken", "size": "32", "train_count": "100",
@@ -69,17 +79,82 @@ def load_tree(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    for sub in ("config", "image", "metrics", "networks", "rng", "synth", "trainer"):
+    for sub in ("config", "image", "metrics", "networks", "optim", "rng", "synth", "trainer"):
         importlib.import_module(f"{name}.{sub}")
     return module
 
 
-class Trainer:
+class Turns:
+    """A thread's work, paused by a call of ``pause`` at the end of every turn
+    of ``turn`` units (pretraining steps or iterations)."""
+
+    def __init__(self, turn: int, target, args):
+        self.error: BaseException | None = None
+        self.turn = turn
+        self._go, self._paused = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._run, args=(target, args), daemon=True)
+        self._thread.start()
+
+    def _run(self, target, args) -> None:
+        self._go.acquire()
+        try:
+            target(*args)
+        except Exception as e:  # raised again by run_turn in the main thread
+            self.error = e
+        finally:
+            self._paused.release()
+
+    def pause(self) -> None:
+        self._paused.release()
+        self._go.acquire()
+
+    def run_turn(self) -> float:
+        """Ms per unit over one turn."""
+        start = time.perf_counter()
+        self._go.release()
+        self._paused.acquire()
+        if self.error is not None:
+            raise RuntimeError(f"{self.__class__.__name__} failed: {self.error!r}") from self.error
+        return (time.perf_counter() - start) * 1000.0 / self.turn
+
+    def finish(self) -> None:
+        self._go.release()
+        self._thread.join()
+
+
+class Pretrainer(Turns):
+    """One tree's ``pretrain_psi`` of a fresh ψ on the given textures, paused
+    after every turn of Adam steps."""
+
+    def __init__(self, dpl, seed: int, textures):
+        networks = dpl.networks
+        self._restore = networks.Adam, networks.PRETRAIN_GATE
+        self.steps = 0
+        pretrainer = self
+
+        class TurnAdam(dpl.optim.Adam):
+            def step(self) -> None:
+                super().step()
+                pretrainer.steps += 1
+                if pretrainer.steps % PRETRAIN_TURN == 0:
+                    pretrainer.pause()
+
+        networks.Adam, networks.PRETRAIN_GATE = TurnAdam, 2.0  # no accuracy reaches 2
+        rng = dpl.rng.Rng(seed)
+        self.networks, self.psi = networks, networks.FeatureNetPsi(rng.child(31))
+        samples = [(dpl.image.to_tensor(x), y) for x, y in textures]
+        super().__init__(PRETRAIN_TURN, networks.pretrain_psi,
+                         (self.psi, samples, PRETRAIN_EPOCHS, rng.child(32)))
+
+    def finish(self) -> None:
+        super().finish()
+        self.networks.Adam, self.networks.PRETRAIN_GATE = self._restore
+
+
+class Trainer(Turns):
     """One tree's training run in its own thread, paused after every turn."""
 
     def __init__(self, dpl, seed: int):
-        self.error: BaseException | None = None
-        self._go, self._paused = threading.Semaphore(0), threading.Semaphore(0)
         config = dpl.config.parse_config(
             overrides={**RECIPE, "seed": str(seed), "dpl.iterations": str((ROUNDS + 1) * TURN)})
         rng = dpl.rng.Rng(seed)
@@ -92,35 +167,11 @@ class Trainer:
         f, phi = dpl.networks.GeneratorF(rng.child(40)), dpl.networks.SelectionPhi(rng.child(41))
         self.dpl, self.f, self.psi = dpl, f, psi
         args = (config, pairs, f, psi, phi, rng.child(42))
-        self._thread = threading.Thread(target=self._train, args=(dpl.trainer, args), daemon=True)
-        self._thread.start()
-
-    def _train(self, trainer, args) -> None:
-        self._go.acquire()
-        try:
-            trainer.run_training(*args, sample_hook=self._hook)
-        except Exception as e:  # raised again by run_turn in the main thread
-            self.error = e
-        finally:
-            self._paused.release()
+        super().__init__(TURN, dpl.trainer.run_training, args + (self._hook,))
 
     def _hook(self, it, *_) -> None:
         if (it + 1) % TURN == 0:
-            self._paused.release()
-            self._go.acquire()
-
-    def run_turn(self) -> float:
-        """Ms per iteration over one turn."""
-        start = time.perf_counter()
-        self._go.release()
-        self._paused.acquire()
-        if self.error is not None:
-            raise RuntimeError(f"training failed: {self.error!r}") from self.error
-        return (time.perf_counter() - start) * 1000.0 / TURN
-
-    def finish(self) -> None:
-        self._go.release()
-        self._thread.join()
+            self.pause()
 
     def run_eval_turn(self, payloads) -> float:
         """Ms per pair to score every pair with the trained networks."""
@@ -165,6 +216,14 @@ def main() -> int:
 
     trees = [load_tree(src.resolve(), name)
              for src, name in ((args.parent_src, "dpl_a"), (args.change_src, "dpl_b"))]
+    textures = list(trees[0].synth.generate_synthetic(
+        "textures", int(RECIPE["pretrain.samples"]), 32, trees[0].rng.Rng(args.seed).child(30)))
+    a, b = (Pretrainer(dpl, args.seed, textures) for dpl in trees)
+    pretrain_times = alternate(PRETRAIN_ROUNDS, a.run_turn, b.run_turn)
+    a.finish(), b.finish()
+    same = all(p.data.tobytes() == q.data.tobytes()
+               for p, q in zip(a.psi.params(), b.psi.params()))
+
     a, b = (Trainer(dpl, args.seed) for dpl in trees)
     train_times = alternate(ROUNDS, a.run_turn, b.run_turn)
     a.finish(), b.finish()
@@ -176,6 +235,10 @@ def main() -> int:
     eval_times = alternate(EVAL_ROUNDS, lambda: a.run_eval_turn(payloads),
                            lambda: b.run_eval_turn(payloads))
 
+    print(f"{PRETRAIN_ROUNDS} rounds of {PRETRAIN_TURN} pretraining steps per tree, "
+          f"seed {args.seed}; psi weights after {PRETRAIN_EPOCHS} epochs bitwise "
+          f"{'equal' if same else 'different'}")
+    report("pretraining step", args, pretrain_times)
     print(f"{ROUNDS} rounds of {TURN} iterations per tree, seed {args.seed}")
     report("iteration", args, train_times)
     print(f"{EVAL_ROUNDS} rounds of {EVAL_PAIRS} eval pairs per tree")
