@@ -492,7 +492,9 @@ def max_pool2(x: Tensor) -> Tensor:
     offset's winner mask holds the windows whose max it equals and no earlier
     offset took, and ``g`` times that mask fills the offset's quarter plane.
     A mask's zero times a negative ``g`` is -0.0, so one ``+= 0.0`` makes
-    every zero +0.0, as a gradient routed into zeros has.
+    every zero +0.0, the bytes of ``g`` copied into zeros; only a -0.0 in
+    ``g`` itself lands as +0.0, a sign no parameter's gradient can show,
+    since ``backward`` adds every contribution into zeros.
     """
     x = _as_tensor(x)
     c, h, w = x.shape

@@ -395,6 +395,12 @@ def test_max_pool2_backward_is_bytewise_the_copyto_rule(dtype):
     assert out.tobytes() == want_out.tobytes()
     assert dx.dtype == dtype and dx.shape == x.shape
     assert dx.tobytes() == want_dx.tobytes()
+    # the one difference: a -0.0 in g reaches its window's winner as +0.0
+    g[:, 1::5] = -0.0
+    dx = _pool_rule_output(T.max_pool2, x, g)[1]
+    want_dx = _pool_rule_output(ops.max_pool2_copyto, x, g)[1]
+    assert np.array_equal(dx, want_dx) and not np.signbit(dx[dx == 0]).any()
+    assert np.signbit(want_dx[want_dx == 0]).any()
 
 
 def test_max_pool2_gradient():
