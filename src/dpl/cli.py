@@ -103,7 +103,10 @@ def _read_pairs(directory: Path, square: bool = False, min_extent: int = 0,
     manifest = directory / "manifest.txt"
     if not manifest.exists():
         raise ConfigError(f"no manifest at {manifest}; run gen-data first")
-    lines = manifest.read_text().splitlines()
+    try:
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{manifest} is not UTF-8 text: {e.reason} at byte {e.start}") from None
     first = lines[0] if lines else ""
     if not re.fullmatch(r"seed -?\d+", first):
         raise ConfigError(f"{manifest}:1: expected `seed N`, got {first!r}")

@@ -9,7 +9,7 @@ import os
 import resource
 from dataclasses import dataclass, field
 
-from .image import ImageError, check_jitter_ranges
+from .image import ImageError, check_jitter_ranges, gaussian_kernel1d
 from .metrics import MS_SSIM_MIN_EXTENT
 from .synth import PAIRED_TASKS
 from .trainer import DISTORTIONS, LOSSES, MODES, STRATEGIES
@@ -74,6 +74,17 @@ def _non_negative(v):
         raise ValueError("must be >= 0")
 
 
+def _sigma_check(v):
+    """A Gaussian sigma: positive, and with a finite kernel. At 1 or above
+    the kernel is finite, so only a smaller sigma's, of at most 7 taps, is
+    built here."""
+    _positive(v)
+    try:
+        gaussian_kernel1d(min(v, 1.0))
+    except ImageError as e:
+        raise ValueError(str(e)) from None
+
+
 def _size_check(v):
     if v < 16 or v % 4:
         raise ValueError("must be >= 16 and divisible by 4")
@@ -98,8 +109,8 @@ SCHEMA: dict[str, _Key] = {
     "pretrain.lr": _Key(_float, 1e-3, _positive),
     "dpl.strategy": _Key(_choice(tuple(STRATEGIES)), "task_oriented"),
     "dpl.distortion": _Key(_choice((*DISTORTIONS, "none")), "color_jitter"),
-    "dpl.blur_sigma_min": _Key(_float, 1.0, _positive),
-    "dpl.blur_sigma_max": _Key(_float, 2.0, _positive),
+    "dpl.blur_sigma_min": _Key(_float, 1.0, _sigma_check),
+    "dpl.blur_sigma_max": _Key(_float, 2.0, _sigma_check),
     "dpl.jitter_scale_min": _Key(_float, 0.6, _non_negative),
     "dpl.jitter_scale_max": _Key(_float, 1.4, _non_negative),
     "dpl.jitter_bias_min": _Key(_float, -0.1),
@@ -113,7 +124,7 @@ SCHEMA: dict[str, _Key] = {
     "dpl.lr_selector": _Key(_float, 1e-4, _positive),
     **{f"dpl.w_{name}": _Key(_float, weight, _non_negative)
        for name, (weight, _) in LOSSES.items()},
-    "dpl.color_sigma": _Key(_float, 3.0, _positive),
+    "dpl.color_sigma": _Key(_float, 3.0, _sigma_check),
     "dpl.contextual_bandwidth": _Key(_float, 0.5, _positive),
     "dpl.contextual_epsilon": _Key(_float, 1e-5, _positive),
     "dpl.augment": _Key(_parse_bool, True, help="joint pair augmentation"),
@@ -172,6 +183,9 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
                 lines = f.readlines()
         except OSError as e:
             raise ConfigError(f"cannot read config file: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {e.reason} "
+                              f"at byte {e.start}") from None
         for lineno, line in enumerate(lines, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -171,13 +171,19 @@ def augment(image: Image, rng: Rng) -> Image:
 
 
 def gaussian_kernel1d(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian of radius ceil(3*sigma)."""
+    """Normalized 1-D Gaussian of radius ceil(3*sigma). A sigma so small
+    that 2*sigma^2 underflows to 0 (below about 1.5e-162) makes the centre
+    tap 0/0, and its NaN kernel is refused with ImageError."""
     if sigma <= 0:
         raise ImageError(f"sigma must be positive, got {sigma}")
     radius = math.ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
-    return k / k.sum()
+    with np.errstate(all="ignore"):  # a tiny sigma's -x^2/0 and 0/0
+        k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    total = k.sum()
+    if not np.isfinite(total):
+        raise ImageError(f"sigma {sigma:g} is too small: its Gaussian kernel is not finite")
+    return k / total
 
 
 # filter matrices kept: ms_ssim uses up to six keys (three scales, two axes)

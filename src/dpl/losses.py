@@ -2,12 +2,11 @@
 triplet hinge, blurred color and grayscale texture distances, and an L1
 pixel baseline. A feature set is the ordered list of per-tap tensors.
 
-The perceptual and triplet losses are one tape op each, the contextual
-loss one op per tap, and the color loss's blur one op over
-``image.separable_filter``, each with a written backward; the perceptual and
-contextual gradients reach the first set only (the second is a constant
-target). The other losses (color, texture, pixel) are compositions of tensor
-ops. Pretraining's cross-entropy is one op as well, ``networks.cross_entropy``."""
+Every loss term is one tape op with a written backward, the contextual loss
+one per tap. The perceptual and contextual gradients reach the first set
+only (the second is a constant target); the color, texture and pixel losses
+give both images a gradient. Pretraining's cross-entropy is one op as well,
+``networks.cross_entropy``."""
 
 from __future__ import annotations
 
@@ -241,36 +240,55 @@ def triplet_loss(features: FeatureSet, margin: float) -> Tensor:
     return T._make(np.maximum(hinge, 0.0), features, rule)
 
 
-def blur_tensor(x: Tensor, sigma: float) -> Tensor:
-    """Differentiable Gaussian blur of the two trailing axes of ``x`` with
-    reflect padding, as one tape op over ``image.separable_filter`` in
-    ``x``'s element type."""
-    k = gaussian_kernel1d(sigma).astype(x.dtype)
-    return T._make(separable_filter(x.data, k), (x,),
-                   lambda g: [(x, separable_filter_adjoint(g, k))])
+def _mapped_squared_error(a: Tensor, b: Tensor, op: str, linear, adjoint) -> Tensor:
+    """``mean((L a - L b) ** 2)`` for a fixed linear map ``L`` (``linear``)
+    as one tape op, ``a`` getting ``L^T G`` (``adjoint``) with ``G = 2 g (L a
+    - L b) / n``, and ``b`` its negation. It rounds as the chain
+    ``((L(a) - L(b)) ** 2).mean()`` of tape ops does; the chain's ``L^T (-G)``
+    for ``b`` differs only in the sign of an exact zero, which a gradient
+    buffer, adding into +0.0, does not keep."""
+    if a.shape != b.shape:
+        raise LossError(f"{op} shape mismatch {a.shape} vs {b.shape}")
+    T._check_dtypes(op, a, b)
+    d = linear(a.data) - linear(b.data)
+
+    def rule(g):
+        ga = adjoint((g / d.size * 2.0) * d)
+        return [(a, ga), (b, -ga)]
+
+    return T._make((d * d).mean(), (a, b), rule)
 
 
 def color_loss(a: Tensor, b: Tensor, sigma: float = 3.0) -> Tensor:
-    """MSE between Gaussian-blurred images: sensitive to color/brightness only."""
-    if a.shape != b.shape:
-        raise LossError(f"color_loss shape mismatch {a.shape} vs {b.shape}")
-    return ((blur_tensor(a, sigma) - blur_tensor(b, sigma)) ** 2).mean()
-
-
-def luma_tensor(x: Tensor) -> Tensor:
-    weights = T.constant(GRAY_WEIGHTS.reshape(3, 1, 1), x.dtype)
-    return (x * weights).sum(axis=0)
+    """MSE between Gaussian-blurred images: sensitive to color/brightness only.
+    The blur is ``image.separable_filter`` (reflect padding) with the kernel
+    in the images' element type."""
+    k = gaussian_kernel1d(sigma).astype(a.dtype)
+    return _mapped_squared_error(a, b, "color_loss", lambda x: separable_filter(x, k),
+                                 lambda g: separable_filter_adjoint(g, k))
 
 
 def texture_loss(a: Tensor, b: Tensor) -> Tensor:
-    """MSE between grayscale versions: blind to color, sensitive to structure."""
-    if a.shape != b.shape:
-        raise LossError(f"texture_loss shape mismatch {a.shape} vs {b.shape}")
-    return ((luma_tensor(a) - luma_tensor(b)) ** 2).mean()
+    """MSE between grayscale versions: blind to color, sensitive to structure.
+    The grayscale map is the ``GRAY_WEIGHTS`` sum over the channels."""
+    if a.data.ndim != 3 or a.shape[0] != 3:
+        raise LossError(f"texture_loss expects [3,H,W] images, got {a.shape}")
+    w = GRAY_WEIGHTS.reshape(3, 1, 1).astype(a.dtype)
+    return _mapped_squared_error(a, b, "texture_loss", lambda x: (x * w).sum(axis=0),
+                                 lambda g: g[None] * w)
 
 
 def pixel_loss(a: Tensor, b: Tensor) -> Tensor:
-    """Mean absolute pixel difference (L1)."""
+    """Mean absolute pixel difference (L1) as one tape op: ``a`` gets
+    ``(g / n) sign(a - b)``, a subgradient of 0 where they are equal, and
+    ``b`` its negation."""
     if a.shape != b.shape:
         raise LossError(f"pixel_loss shape mismatch {a.shape} vs {b.shape}")
-    return T.absolute(a - b).mean()
+    T._check_dtypes("pixel_loss", a, b)
+    d = a.data - b.data
+
+    def rule(g):
+        ga = (g / d.size) * np.sign(d)
+        return [(a, ga), (b, -ga)]
+
+    return T._make(np.abs(d).mean(), (a, b), rule)

@@ -19,13 +19,13 @@ in phase form at stride 2: one 2x2 convolution per output phase, over the
 unstuffed gradient); upsample_conv3x3 runs the generator's resize-convolution
 (nearest 2x upsample, then a 3x3 conv) as four such phase convolutions at
 the input's resolution, so its matmuls never see the upsampled map;
-the backward of a sum or mean is a broadcast view of the upstream gradient
-(so a backward rule never writes into its ``g``); max_pool2's forward takes
-the maximum of four strided views, and its backward multiplies ``g`` by
-each view's exclusive winner mask straight into that view of its output.
-Ops that serve one loss (the contextual affinities, the color loss's
-Gaussian blur, the perceptual and triplet losses, ψ's pooled head with the
-cross-entropy) are recorded by ``losses`` or ``networks`` through ``_make``.
+max_pool2's forward takes the maximum of four strided views, and its
+backward multiplies ``g`` by each view's exclusive winner mask straight into
+that view of its output. The only arithmetic is ``add`` and ``mul`` (and
+their ``+`` and ``*``), broadcasting as numpy does: F's skip connection and
+the weighted sum of the loss terms. Each loss term, and ψ's pooled head with
+the cross-entropy, is one op that ``losses`` or ``networks`` records through
+``_make``.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
-
     # -- operator sugar ----------------------------------------------------
 
     def __add__(self, other):
@@ -87,25 +84,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 class ComputationTape:
@@ -195,11 +177,6 @@ def _as_tensor(value, dtype=None) -> Tensor:
     return Tensor(value, dtype)
 
 
-def constant(value, dtype=None) -> Tensor:
-    """A non-differentiable tensor wrapping the given value."""
-    return _as_tensor(value, dtype)
-
-
 def _make(data: np.ndarray, parents: Sequence[Tensor], rule) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -259,17 +236,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), rule)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_operands(a, b, "sub")
-    data = a.data - b.data
-
-    def rule(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))]
-
-    return _make(data, (a, b), rule)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
     _check_operands(a, b, "mul")
@@ -284,60 +250,12 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), rule)
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    e = float(exponent)
-    data = a.data**e
-
-    def rule(g):
-        return [(a, g * e * a.data ** (e - 1.0))]
-
-    return _make(data, (a,), rule)
-
-
-def absolute(a: Tensor) -> Tensor:
-    # subgradient 0 at the kink (sign(0) == 0)
-    a = _as_tensor(a)
-    data = np.abs(a.data)
-
-    def rule(g):
-        return [(a, g * np.sign(a.data))]
-
-    return _make(data, (a,), rule)
-
-
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     data = np.maximum(a.data, 0.0)
 
     def rule(g):
         return [(a, g * (a.data > 0))]
-
-    return _make(data, (a,), rule)
-
-
-# -- reductions ---------------------------------------------------------------
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def rule(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(gg, a.shape))]
-
-    return _make(data, (a,), rule)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
-
-    def rule(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return [(a, np.broadcast_to(gg / count, a.shape))]
 
     return _make(data, (a,), rule)
 

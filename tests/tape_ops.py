@@ -1,15 +1,73 @@
-"""Tape ops that only the tests use: the steps of the contextual loss's
-affinity chain (``test_losses.contextual_chain``), the transposed view that
-feeds conv2d a non-contiguous input, the nearest 2x upsampling that
-``tensor.upsample_conv3x3`` fuses with its convolution, and the generic ops
-of ψ's pooled head and cross-entropy (``cross_entropy_chain``), which
-``networks.cross_entropy`` fuses. ``max_pool2_copyto`` is the pooling rule
-``tensor.max_pool2``'s winner masks replace. Each records its backward rule
-on the active tape through ``tensor._make``, as the library's ops do."""
+"""Tape ops that only the tests use, each recording its backward rule on the
+active tape through ``tensor._make``, as the library's ops do:
+
+- the generic arithmetic and reductions (``sub``, ``div``, ``neg``,
+  ``power``, ``sqrt``, ``exp``, ``log``, ``absolute``, ``tsum``, ``tmean``,
+  ``reduce_max``, ``reduce_min``) and ``constant``, which the gradient
+  checks compose with the library's ``add`` and ``mul``;
+- the transposed view that feeds conv2d a non-contiguous input, and the
+  nearest 2x upsampling that ``tensor.upsample_conv3x3`` fuses with its
+  convolution;
+- the chains that the library's fused ops replace, as their oracles: the
+  contextual loss's affinity steps (``test_losses.contextual_chain``), ψ's
+  pooled head and cross-entropy (``cross_entropy_chain``, fused by
+  ``networks.cross_entropy``), the color, texture and pixel losses
+  (``color_chain``, ``texture_chain``, ``pixel_chain``), and
+  ``max_pool2_copyto``, the pooling rule ``tensor.max_pool2``'s winner masks
+  replace.
+"""
 
 import numpy as np
 
 from dpl import tensor as T
+from dpl.image import GRAY_WEIGHTS, gaussian_kernel1d, separable_filter, separable_filter_adjoint
+
+
+def constant(value, dtype=None) -> T.Tensor:
+    """A tensor no tape tracks, wrapping ``value``."""
+    return T._as_tensor(value, dtype)
+
+
+def sub(a, b) -> T.Tensor:
+    a, b = T._as_tensor(a), T._as_tensor(b, a.dtype)
+    T._check_operands(a, b, "sub")
+    data = a.data - b.data
+
+    def rule(g):
+        return [(a, T._unbroadcast(g, a.shape)), (b, T._unbroadcast(-g, b.shape))]
+
+    return T._make(data, (a, b), rule)
+
+
+def power(a: T.Tensor, exponent: float) -> T.Tensor:
+    e = float(exponent)
+    return T._make(a.data**e, (a,), lambda g: [(a, g * e * a.data ** (e - 1.0))])
+
+
+def absolute(a: T.Tensor) -> T.Tensor:
+    # subgradient 0 at the kink (sign(0) == 0)
+    return T._make(np.abs(a.data), (a,), lambda g: [(a, g * np.sign(a.data))])
+
+
+def tsum(a: T.Tensor, axis=None, keepdims: bool = False) -> T.Tensor:
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def rule(g):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return [(a, np.broadcast_to(gg, a.shape))]
+
+    return T._make(data, (a,), rule)
+
+
+def tmean(a: T.Tensor, axis=None, keepdims: bool = False) -> T.Tensor:
+    data = a.data.mean(axis=axis, keepdims=keepdims)
+    count = a.data.size if axis is None else a.data.shape[axis]
+
+    def rule(g):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return [(a, np.broadcast_to(gg / count, a.shape))]
+
+    return T._make(data, (a,), rule)
 
 
 def div(a, b) -> T.Tensor:
@@ -114,14 +172,13 @@ def psi_logits(psi, x: T.Tensor) -> T.Tensor:
     """ψ's pooled head as generic ops: the tap's channel means, then the head."""
     h3 = psi(x)[-1]
     c = h3.shape[0]
-    pooled = reshape(reshape(h3, (c, -1)).mean(axis=1), (1, c))
+    pooled = reshape(tmean(reshape(h3, (c, -1)), axis=1), (1, c))
     return reshape(matmul(pooled, psi.head.weight) + psi.head.bias, -1)
 
 
 def log_softmax(logits: T.Tensor) -> T.Tensor:
-    shift = T.constant(np.max(logits.data), dtype=logits.dtype)
-    z = logits - shift
-    return z - log(exp(z).sum())
+    z = sub(logits, constant(np.max(logits.data), dtype=logits.dtype))
+    return sub(z, log(tsum(exp(z))))
 
 
 def cross_entropy_chain(psi, x: T.Tensor, label: int) -> T.Tensor:
@@ -129,4 +186,32 @@ def cross_entropy_chain(psi, x: T.Tensor, label: int) -> T.Tensor:
     logits = psi_logits(psi, x)
     onehot = np.zeros(logits.shape[0])
     onehot[label] = 1.0
-    return neg((log_softmax(logits) * T.constant(onehot, dtype=logits.dtype)).sum())
+    return neg(tsum(log_softmax(logits) * constant(onehot, dtype=logits.dtype)))
+
+
+def blur_tensor(x: T.Tensor, sigma: float) -> T.Tensor:
+    """Gaussian blur of the two trailing axes of ``x`` with reflect padding,
+    one op over ``image.separable_filter`` in ``x``'s element type."""
+    k = gaussian_kernel1d(sigma).astype(x.dtype)
+    return T._make(separable_filter(x.data, k), (x,),
+                   lambda g: [(x, separable_filter_adjoint(g, k))])
+
+
+def luma_tensor(x: T.Tensor) -> T.Tensor:
+    """The ``GRAY_WEIGHTS`` sum over the channels of a [3,H,W] tensor."""
+    return tsum(x * constant(GRAY_WEIGHTS.reshape(3, 1, 1), x.dtype), axis=0)
+
+
+def color_chain(a: T.Tensor, b: T.Tensor, sigma: float = 3.0) -> T.Tensor:
+    """``losses.color_loss`` as the chain of generic ops it fuses."""
+    return tmean(power(sub(blur_tensor(a, sigma), blur_tensor(b, sigma)), 2))
+
+
+def texture_chain(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """``losses.texture_loss`` as the chain of generic ops it fuses."""
+    return tmean(power(sub(luma_tensor(a), luma_tensor(b)), 2))
+
+
+def pixel_chain(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """``losses.pixel_loss`` as the chain of generic ops it fuses."""
+    return tmean(absolute(sub(a, b)))

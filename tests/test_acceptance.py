@@ -22,7 +22,8 @@ from dpl.checkpoint import load_checkpoint, save_checkpoint
 from dpl.cli import main
 from dpl.config import parse_config, emit_config
 from dpl.image import Image, load_image, save_image, to_tensor
-from dpl.losses import blur_tensor, contextual_loss, perceptual_loss, pixel_loss, triplet_loss
+from dpl.losses import (color_loss, contextual_loss, perceptual_loss, pixel_loss, texture_loss,
+                        triplet_loss)
 from dpl.metrics import feature_distance, ms_ssim, psnr
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from dpl.rng import Rng
@@ -46,37 +47,42 @@ def _op_cases(rng):
     u = lambda *s: rng.uniform(0.5, 1.5, size=s)          # positive, away from 0
     n = lambda *s: rng.normal(size=s)
     distinct = rng.permutation(16).reshape(1, 4, 4) / 7.0  # no pooling ties
+    signs = rng.choice([-1.0, 1.0], size=(3, 4, 5))
     return [
-        ("add", lambda t: (t[0] + t[1]).sum(), [n(3, 4), n(3, 4)]),
-        ("sub", lambda t: (t[0] - t[1]).sum(), [n(3, 4), n(3, 4)]),
-        ("mul", lambda t: (t[0] * t[1]).sum(), [n(3, 4), n(3, 4)]),
-        ("div", lambda t: ops.div(t[0], t[1]).sum(), [n(3, 4), u(3, 4)]),
-        ("neg", lambda t: ops.neg(t[0]).sum(), [n(3, 4)]),
-        ("power", lambda t: (t[0] ** 3).sum(), [u(3, 4)]),
-        ("sqrt", lambda t: ops.sqrt(t[0]).sum(), [u(3, 4)]),
-        ("exp", lambda t: ops.exp(t[0]).sum(), [n(3, 4)]),
-        ("log", lambda t: ops.log(t[0]).sum(), [u(3, 4)]),
-        ("absolute", lambda t: T.absolute(t[0]).sum(), [u(3, 4)]),
-        ("relu", lambda t: T.relu(t[0]).sum(), [u(3, 4)]),
-        ("sum", lambda t: (t[0].sum(axis=1) * t[0].sum(axis=0)).sum(), [n(4, 4)]),
-        ("mean", lambda t: (t[0].mean(axis=1) * t[0].mean()).sum(), [n(4, 4)]),
-        ("reduce_max", lambda t: ops.reduce_max(t[0], axis=1).sum(), [n(5, 5)]),
-        ("reduce_min", lambda t: ops.reduce_min(t[0], axis=1).sum(), [n(5, 5)]),
-        ("matmul", lambda t: ops.matmul(t[0], t[1]).sum(), [n(3, 4), n(4, 2)]),
-        ("reshape", lambda t: (ops.reshape(t[0], (2, 6)) * ops.reshape(t[0], (2, 6))).sum(),
+        ("add", lambda t: ops.tsum(t[0] + t[1]), [n(3, 4), n(3, 4)]),
+        ("sub", lambda t: ops.tsum(ops.sub(t[0], t[1])), [n(3, 4), n(3, 4)]),
+        ("mul", lambda t: ops.tsum(t[0] * t[1]), [n(3, 4), n(3, 4)]),
+        ("div", lambda t: ops.tsum(ops.div(t[0], t[1])), [n(3, 4), u(3, 4)]),
+        ("neg", lambda t: ops.tsum(ops.neg(t[0])), [n(3, 4)]),
+        ("power", lambda t: ops.tsum(ops.power(t[0], 3)), [u(3, 4)]),
+        ("sqrt", lambda t: ops.tsum(ops.sqrt(t[0])), [u(3, 4)]),
+        ("exp", lambda t: ops.tsum(ops.exp(t[0])), [n(3, 4)]),
+        ("log", lambda t: ops.tsum(ops.log(t[0])), [u(3, 4)]),
+        ("absolute", lambda t: ops.tsum(ops.absolute(t[0])), [u(3, 4)]),
+        ("relu", lambda t: ops.tsum(T.relu(t[0])), [u(3, 4)]),
+        ("sum", lambda t: ops.tsum(ops.tsum(t[0], axis=1) * ops.tsum(t[0], axis=0)), [n(4, 4)]),
+        ("mean", lambda t: ops.tsum(ops.tmean(t[0], axis=1) * ops.tmean(t[0])), [n(4, 4)]),
+        ("reduce_max", lambda t: ops.tsum(ops.reduce_max(t[0], axis=1)), [n(5, 5)]),
+        ("reduce_min", lambda t: ops.tsum(ops.reduce_min(t[0], axis=1)), [n(5, 5)]),
+        ("matmul", lambda t: ops.tsum(ops.matmul(t[0], t[1])), [n(3, 4), n(4, 2)]),
+        ("reshape", lambda t: ops.tsum(ops.reshape(t[0], (2, 6)) * ops.reshape(t[0], (2, 6))),
          [n(3, 4)]),
-        ("transpose", lambda t: ops.matmul(ops.transpose(t[0]), t[0]).sum(), [n(3, 4)]),
-        ("conv2d", lambda t: T.conv2d(t[0], t[1], t[2], padding=1).sum(),
+        ("transpose", lambda t: ops.tsum(ops.matmul(ops.transpose(t[0]), t[0])), [n(3, 4)]),
+        ("conv2d", lambda t: ops.tsum(T.conv2d(t[0], t[1], t[2], padding=1)),
          [n(2, 5, 5), n(3, 2, 3, 3), n(3)]),
-        ("conv2d_strided", lambda t: T.conv2d(t[0], t[1], t[2], stride=2).sum(),
+        ("conv2d_strided", lambda t: ops.tsum(T.conv2d(t[0], t[1], t[2], stride=2)),
          [n(2, 6, 6), n(2, 2, 3, 3), n(2)]),
-        ("max_pool2", lambda t: T.max_pool2(t[0]).sum(), [distinct.copy()]),
-        ("upsample_nearest2", lambda t: (ops.upsample_nearest2(t[0]) ** 2).sum(),
+        ("max_pool2", lambda t: ops.tsum(T.max_pool2(t[0])), [distinct.copy()]),
+        ("upsample_nearest2", lambda t: ops.tsum(ops.power(ops.upsample_nearest2(t[0]), 2)),
          [n(2, 3, 3)]),
-        ("upsample_conv3x3", lambda t: (T.upsample_conv3x3(t[0], t[1], t[2]) ** 2).sum(),
+        ("upsample_conv3x3",
+         lambda t: ops.tsum(ops.power(T.upsample_conv3x3(t[0], t[1], t[2]), 2)),
          [n(2, 3, 4), n(3, 2, 3, 3), n(3)]),
-        ("blur_tensor", lambda t: (blur_tensor(t[0], 1.0) ** 2).sum(), [n(2, 4, 5)]),
-        ("concat_width", lambda t: (T.concat_width(t) ** 2).sum(),
+        ("color_loss", lambda t: color_loss(t[0], t[1], 1.0), [n(3, 4, 5), n(3, 4, 5)]),
+        ("texture_loss", lambda t: texture_loss(t[0], t[1]), [n(3, 4, 5), n(3, 4, 5)]),
+        # differences of either sign, each at least 1 from the kink at 0
+        ("pixel_loss", lambda t: pixel_loss(t[0], t[1]), [signs * u(3, 4, 5), -signs * u(3, 4, 5)]),
+        ("concat_width", lambda t: ops.tsum(ops.power(T.concat_width(t), 2)),
          [n(2, 3, 2), n(2, 3, 1), n(2, 3, 4)]),
     ]
 

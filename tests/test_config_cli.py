@@ -811,6 +811,17 @@ def test_eval_without_data_is_usage_error(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_manifest_that_is_not_utf8_is_usage_error(prepared_run, capsys):
+    # was a UnicodeDecodeError traceback out of cli._read_pairs
+    assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "1"]) == 0
+    manifest = prepared_run / "val" / "manifest.txt"
+    manifest.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main(["eval", *_base_args(prepared_run)]) == 1
+    assert capsys.readouterr().err == (f"error: {manifest} is not UTF-8 text: "
+                                       "invalid start byte at byte 0\n")
+
+
 def test_malformed_manifest_line_is_usage_error(prepared_run, capsys):
     manifest = prepared_run / "val" / "manifest.txt"
     lines = manifest.read_text().splitlines()
@@ -866,6 +877,14 @@ def test_manifest_without_pairs_is_usage_error(prepared_run, capsys, command, pa
      "dpl.blur_sigma_max 1e+15 exceeds size 32"),
     (["--dpl.w_color", "1", "--dpl.color_sigma", "33"], "dpl.color_sigma 33 exceeds size 32"),
     (["--dpl.distortion", "none"], "task_oriented triplets require a distortion"),
+    # 2 sigma^2 underflows to 0: was an all-black blur (distort) and a NaN loss at
+    # iteration 0 (train)
+    (["--dpl.distortion", "gaussian_blur", "--dpl.blur_sigma_min", "1e-300",
+      "--dpl.blur_sigma_max", "1e-300"],
+     "'dpl.blur_sigma_min' (command line): sigma 1e-300 is too small"),
+    (["--dpl.blur_sigma_max", "1e-300"], "'dpl.blur_sigma_max' (command line): sigma 1e-300"),
+    (["--dpl.w_color", "1", "--dpl.color_sigma", "1e-300"],
+     "'dpl.color_sigma' (command line): sigma 1e-300 is too small"),
 ])
 def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
     # refused before any data is read: the output directory does not exist
@@ -964,6 +983,15 @@ def test_out_dir_under_a_regular_file_is_usage_error(tmp_path, capsys, command, 
     assert main([command, *_base_args(blocker / sub)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(blocker) in err and len(err.splitlines()) == 1
+
+
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    # was a UnicodeDecodeError traceback out of config.parse_config
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["show-config", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: config file {path} is not UTF-8 text: "
+                                       "invalid start byte at byte 0\n")
 
 
 def test_show_config_round_trips(tmp_path, capsys):

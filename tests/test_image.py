@@ -1,5 +1,6 @@
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ def test_rot180_twice_is_identity():
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.5, 5.0])
 def test_blur_kernel_normalized(sigma):
     assert gaussian_kernel1d(sigma).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_blur_kernel_of_a_sigma_whose_variance_underflows_is_refused():
+    # 2 sigma^2 underflows to 0: was [nan, nan, nan] and three RuntimeWarnings;
+    # a subnormal 2 sigma^2 still gives the unit impulse, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImageError, match="sigma 1e-300 is too small"):
+            gaussian_kernel1d(1e-300)
+        assert np.array_equal(gaussian_kernel1d(1e-160), [0.0, 1.0, 0.0])
 
 
 def test_blur_constant_invariance():

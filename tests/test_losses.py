@@ -4,7 +4,7 @@ import pytest
 import tape_ops as ops
 from conftest import check_gradients
 from dpl import tensor as T
-from dpl.losses import (LossError, blur_tensor, color_loss,
+from dpl.losses import (LossError, color_loss,
                         contextual_loss, perceptual_loss, pixel_loss,
                         texture_loss, triplet_loss)
 from dpl.tensor import ComputationTape, Tensor
@@ -64,7 +64,7 @@ def perceptual_chain(fa, fb):
     its one-op form."""
     total = None
     for a, b in zip(fa, fb):
-        tap = ((a - b) ** 2).mean()
+        tap = ops.tmean(ops.power(ops.sub(a, b), 2))
         total = tap if total is None else total + tap
     return total * (1.0 / len(fa))
 
@@ -182,15 +182,16 @@ def contextual_chain(fa, fb, h=0.5, eps=1e-5):
     for a, b in zip(fa, fb):
         av = ops.transpose(ops.reshape(a, (a.shape[0], -1)))
         bv = ops.transpose(ops.reshape(b, (b.shape[0], -1)))
-        mu = bv.mean(axis=0, keepdims=True)
-        ac, bc = av - mu, bv - mu
-        an = ops.div(ac, ops.sqrt((ac * ac).sum(axis=1, keepdims=True) + eps * eps))
-        bn = ops.div(bc, ops.sqrt((bc * bc).sum(axis=1, keepdims=True) + eps * eps))
-        d = 1.0 - ops.matmul(an, ops.transpose(bn))
+        mu = ops.tmean(bv, axis=0, keepdims=True)
+        ac, bc = ops.sub(av, mu), ops.sub(bv, mu)
+        an = ops.div(ac, ops.sqrt(ops.tsum(ac * ac, axis=1, keepdims=True) + eps * eps))
+        bn = ops.div(bc, ops.sqrt(ops.tsum(bc * bc, axis=1, keepdims=True) + eps * eps))
+        one = ops.constant(1.0, a.dtype)
+        d = ops.sub(one, ops.matmul(an, ops.transpose(bn)))
         d_tilde = ops.div(d, ops.reduce_min(d, axis=1, keepdims=True) + eps)
-        w = ops.exp((1.0 - d_tilde) * (1.0 / h))
-        cx = ops.div(w, w.sum(axis=1, keepdims=True))
-        tap = ops.neg(ops.log(ops.reduce_max(cx, axis=0).mean()))
+        w = ops.exp(ops.sub(one, d_tilde) * (1.0 / h))
+        cx = ops.div(w, ops.tsum(w, axis=1, keepdims=True))
+        tap = ops.neg(ops.log(ops.tmean(ops.reduce_max(cx, axis=0))))
         total = tap if total is None else total + tap
     return total * (1.0 / len(fa))
 
@@ -422,11 +423,11 @@ def triplet_chain(anchor, positive, negative, margin):
     the reference for its one-op form."""
     d_ap = d_an = None
     for a, p, n in zip(anchor, positive, negative):
-        tap_ap = ((a - p) ** 2).mean()
-        tap_an = ((a - n) ** 2).mean()
+        tap_ap = ops.tmean(ops.power(ops.sub(a, p), 2))
+        tap_an = ops.tmean(ops.power(ops.sub(a, n), 2))
         d_ap = tap_ap if d_ap is None else d_ap + tap_ap
         d_an = tap_an if d_an is None else d_an + tap_an
-    return T.relu(d_ap - d_an + margin)
+    return T.relu(ops.sub(d_ap, d_an) + margin)
 
 
 def test_triplet_degenerate_equals_margin():
@@ -528,28 +529,83 @@ def test_color_ignores_shared_high_frequency():
     assert shifted == pytest.approx(base, abs=1e-4)
 
 
+# each loss as one op and as the chain of generic ops it fuses
+_FUSED = {
+    "color": (color_loss, ops.color_chain),
+    "color_narrow": (lambda a, b: color_loss(a, b, 0.8), lambda a, b: ops.color_chain(a, b, 0.8)),
+    "texture": (texture_loss, ops.texture_chain),
+    "pixel": (pixel_loss, ops.pixel_chain),
+}
+
+
+def _bytes_of_loss_and_grads(fn, a, b, dtype, track_b, weight):
+    """The loss and the gradients of both images as bytes (``b``'s is None when
+    only ``a`` is tracked), and the tape entries the loss records."""
+    ta, tb = Tensor(a, dtype), Tensor(b, dtype)
+    with ComputationTape([ta, tb] if track_b else [ta]) as tape:
+        loss = fn(ta, tb)
+        entries = len(tape._entries)
+        if weight is not None:
+            loss = loss * weight
+        T.backward(loss, tape)
+    grads = [t.grad.tobytes() if t.grad is not None else None for t in (ta, tb)]
+    return [np.asarray(loss.data).tobytes(), *grads], entries
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", _FUSED)
+def test_image_losses_match_their_chains_bytewise(name, dtype):
+    # one tape entry, rounding as the chain does in the loss and both gradients,
+    # with and without a loss weight; every fifth pair agrees on alternate rows,
+    # so some differences are 0
+    fused, chain = _FUSED[name]
+    rng = np.random.default_rng(30)
+    for trial in range(50):
+        shape = (3, int(rng.integers(2, 20)), int(rng.integers(2, 20)))
+        a, b = rng.uniform(size=shape), rng.uniform(size=shape)
+        if trial % 5 == 0:
+            b[:, ::2] = a[:, ::2]
+        for track_b in (False, True):
+            for weight in (None, 0.37):
+                got, entries = _bytes_of_loss_and_grads(fused, a, b, dtype, track_b, weight)
+                want, _ = _bytes_of_loss_and_grads(chain, a, b, dtype, track_b, weight)
+                assert entries == 1 and got == want and (got[2] is None) != track_b
+
+
+@pytest.mark.parametrize("fn", [color_loss, texture_loss, pixel_loss])
+def test_image_losses_refuse_a_shape_mismatch(fn):
+    with pytest.raises(LossError, match=f"{fn.__name__} shape mismatch"):
+        fn(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((3, 4, 5))))
+
+
+def test_texture_loss_refuses_images_without_three_channels():
+    # its gradient is one per channel of GRAY_WEIGHTS
+    with pytest.raises(LossError, match=r"texture_loss expects \[3,H,W\] images"):
+        texture_loss(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 4, 4))))
+
+
 def test_blur_tensor_matches_image_blur():
     from dpl.image import Image, gaussian_blur
 
     rng = np.random.default_rng(9)
     arr = rng.uniform(size=(12, 12, 3))
     want = gaussian_blur(Image.from_array(arr), 1.7).pixels.transpose(2, 0, 1)
-    got = blur_tensor(Tensor(arr.transpose(2, 0, 1)), 1.7).data
+    got = ops.blur_tensor(Tensor(arr.transpose(2, 0, 1)), 1.7).data
     assert np.allclose(got, want, atol=1e-9)
 
 
 def test_blur_tensor_gradient():
     rng = np.random.default_rng(12)
     for shape, sigma in (((3, 6, 9), 1.2), ((2, 5, 4), 2.5)):  # radius above the extent
-        check_gradients(lambda ts: (blur_tensor(ts[0], sigma) ** 2).sum(),
+        check_gradients(lambda ts: ops.tsum(ops.power(ops.blur_tensor(ts[0], sigma), 2)),
                         [rng.normal(size=shape)], rng, n_points=20)
 
 
 def test_blur_tensor_keeps_float32():
     x = Tensor(np.random.default_rng(13).uniform(size=(3, 8, 8)), dtype=np.float32)
     with ComputationTape([x]) as tape:
-        out = blur_tensor(x, 2.0)
-        T.backward((out * out).sum(), tape)
+        out = ops.blur_tensor(x, 2.0)
+        T.backward(ops.tsum(out * out), tape)
     assert out.dtype == np.float32 and x.grad.dtype == np.float32
 
 

@@ -4,6 +4,7 @@ import pytest
 import tape_ops as ops
 from conftest import check_gradients
 from dpl import tensor as T
+from dpl.losses import color_loss, pixel_loss, texture_loss
 from dpl.optim import Adam
 from dpl.tensor import AutodiffError, ComputationTape, Tensor
 
@@ -30,24 +31,26 @@ def test_tensor_keeps_the_element_type_of_float_data():
     assert Tensor(np.zeros(2), np.float32).dtype == np.float32
 
 
-# the operand shapes of each op that takes two or more tensors
-_OPERAND_SHAPES = {
-    "add": [(2, 2), (2, 2)],
-    "sub": [(2, 2), (2, 2)],
-    "mul": [(2, 2), (2, 2)],
-    "div": [(2, 2), (2, 2)],
-    "matmul": [(2, 2), (2, 2)],
-    "conv2d": [(1, 3, 3), (1, 1, 1, 1), (1,)],
-    "upsample_conv3x3": [(1, 2, 2), (1, 1, 3, 3), (1,)],
+# each op that takes two or more tensors, and the shapes of its operands
+_OPERANDS = {
+    "add": (T.add, [(2, 2), (2, 2)]),
+    "sub": (ops.sub, [(2, 2), (2, 2)]),
+    "mul": (T.mul, [(2, 2), (2, 2)]),
+    "div": (ops.div, [(2, 2), (2, 2)]),
+    "matmul": (ops.matmul, [(2, 2), (2, 2)]),
+    "conv2d": (T.conv2d, [(1, 3, 3), (1, 1, 1, 1), (1,)]),
+    "upsample_conv3x3": (T.upsample_conv3x3, [(1, 2, 2), (1, 1, 3, 3), (1,)]),
+    "color_loss": (color_loss, [(3, 4, 4), (3, 4, 4)]),
+    "texture_loss": (texture_loss, [(3, 4, 4), (3, 4, 4)]),
+    "pixel_loss": (pixel_loss, [(3, 4, 4), (3, 4, 4)]),
 }
 
 
-@pytest.mark.parametrize("name", _OPERAND_SHAPES)
+@pytest.mark.parametrize("name", _OPERANDS)
 def test_two_operand_ops_refuse_mixed_element_types(name):
     # numpy would promote the float32 operands to float64 without a word;
-    # the tests' div and matmul check their operands with the library's checks
-    shapes = _OPERAND_SHAPES[name]
-    op = getattr(ops, name) if name in ("div", "matmul") else getattr(T, name)
+    # the tests' sub, div and matmul check their operands with the library's checks
+    op, shapes = _OPERANDS[name]
     for wide in range(len(shapes)):
         operands = [Tensor(np.ones(s), np.float64 if i == wide else np.float32)
                     for i, s in enumerate(shapes)]
@@ -59,7 +62,7 @@ def test_two_operand_ops_refuse_mixed_element_types(name):
 def test_sub_self_zero_gradient():
     x = Tensor([1.0, -2.0, 3.0])
     with ComputationTape([x]) as tape:
-        loss = (x - x).sum()
+        loss = ops.tsum(ops.sub(x, x))
         assert np.allclose(loss.data, 0.0)
         T.backward(loss, tape)
     assert np.allclose(x.grad, 0.0)
@@ -68,14 +71,14 @@ def test_sub_self_zero_gradient():
 def test_backward_sum_gives_ones():
     x = Tensor([5.0, 6.0, 7.0])
     with ComputationTape([x]) as tape:
-        T.backward(x.sum(), tape)
+        T.backward(ops.tsum(x), tape)
     assert np.allclose(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_accumulates_on_repeat():
     x = Tensor([1.0, 2.0])
     with ComputationTape([x]) as tape:
-        loss = (x * x).sum()
+        loss = ops.tsum(x * x)
         T.backward(loss, tape)
         first = x.grad.copy()
         T.backward(loss, tape)
@@ -86,7 +89,7 @@ def test_backward_k_times_scales_linearly():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(4, 4)))
     with ComputationTape([x]) as tape:
-        loss = T.relu(x * 2.0 - 0.5).mean()
+        loss = ops.tmean(T.relu(x * 2.0 + -0.5))
         T.backward(loss, tape)
         once = x.grad.copy()
         for _ in range(4):
@@ -105,7 +108,7 @@ def test_backward_requires_rank0():
 def test_backward_loss_not_on_tape():
     x = Tensor([1.0])
     with ComputationTape([x]):
-        loss = x.sum()
+        loss = ops.tsum(x)
     with ComputationTape([x]) as tape2:
         with pytest.raises(AutodiffError, match="not produced under this tape"):
             T.backward(loss, tape2)
@@ -115,7 +118,7 @@ def test_leaf_outside_the_parameter_list_is_a_constant():
     p, c = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
     with ComputationTape([p]) as tape:
         frozen = c * c  # depends on no parameter: not recorded
-        loss = (p * frozen).sum()
+        loss = ops.tsum(p * frozen)
         T.backward(loss, tape)
     assert tape.tracks(p) and tape.tracks(loss)
     assert not tape.tracks(c) and not tape.tracks(frozen)
@@ -128,7 +131,7 @@ def test_zero_grads_and_rerun_matches_fresh():
     data = rng.normal(size=(3, 3))
     x = Tensor(data)
     with ComputationTape([x]) as tape:
-        loss = (x * x * x).sum()
+        loss = ops.tsum(x * x * x)
         T.backward(loss, tape)
         fresh = x.grad.copy()
         x.zero_grad()
@@ -150,7 +153,7 @@ def test_relu_values():
 def test_relu_all_negative_zero_grad():
     x = Tensor([-1.0, -5.0])
     with ComputationTape([x]) as tape:
-        T.backward(T.relu(x).sum(), tape)
+        T.backward(ops.tsum(T.relu(x)), tape)
     assert np.allclose(x.grad, 0.0)
 
 
@@ -158,7 +161,7 @@ def test_relu_gradient_finite_difference():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(5, 5))
     x[np.abs(x) < 0.1] += 0.5  # stay away from the kink
-    check_gradients(lambda ts: T.relu(ts[0]).mean(), [x], rng, rtol=1e-6)
+    check_gradients(lambda ts: ops.tmean(T.relu(ts[0])), [x], rng, rtol=1e-6)
 
 
 # -- conv2d ---------------------------------------------------------------------
@@ -243,7 +246,7 @@ def test_conv2d_gradients():
     b = rng.normal(size=3)
 
     def build(ts):
-        return (T.conv2d(ts[0], ts[1], ts[2], stride=2, padding=1) ** 2).mean()
+        return ops.tmean(ops.power(T.conv2d(ts[0], ts[1], ts[2], stride=2, padding=1), 2))
 
     check_gradients(build, [x, w, b], rng, n_points=30, rtol=1e-5)
 
@@ -281,7 +284,7 @@ def test_conv2d_gradients_match_loop_oracle(kernel, stride, padding, extent):
     with ComputationTape([xt, wt, bt]) as tape:
         out = T.conv2d(xt, wt, bt, stride, padding)
         g = rng.normal(size=out.shape)
-        T.backward((out * g).sum(), tape)
+        T.backward(ops.tsum(out * g), tape)
     assert np.allclose(out.data, naive_conv2d(x, w, b, stride, padding), rtol=1e-12, atol=1e-12)
     dx, dw, db = naive_conv2d_grads(x, w, g, stride, padding)
     assert np.allclose(xt.grad, dx, rtol=1e-12, atol=1e-12)
@@ -304,7 +307,7 @@ def test_conv2d_non_contiguous_input_matches_loop_oracle(stride, padding):
             assert not xv.data.flags.c_contiguous
             out = T.conv2d(xv, wt, bt, stride, padding)
             g = rng.normal(size=out.shape)
-            T.backward((out * g).sum(), tape)
+            T.backward(ops.tsum(out * g), tape)
         xs = x.transpose(0, 2, 1)
         assert np.allclose(out.data, naive_conv2d(xs, w, b, stride, padding),
                            rtol=1e-12, atol=1e-12)
@@ -321,7 +324,7 @@ def test_conv2d_untracked_weight_and_bias_get_no_gradient():
     with ComputationTape([xt]) as tape:
         out = T.conv2d(xt, wt, bt, 1, 1)
         g = rng.normal(size=out.shape)
-        T.backward((out * g).sum(), tape)
+        T.backward(ops.tsum(out * g), tape)
     assert wt.grad is None and bt.grad is None
     assert np.allclose(xt.grad, naive_conv2d_grads(x, w, g, 1, 1)[0], rtol=1e-12, atol=1e-12)
 
@@ -348,7 +351,7 @@ def test_max_pool2_odd_extent_errors():
 def test_max_pool2_tie_routes_to_first_index():
     x = Tensor([[[2.0, 2.0], [2.0, 2.0]]])
     with ComputationTape([x]) as tape:
-        T.backward(T.max_pool2(x).sum(), tape)
+        T.backward(ops.tsum(T.max_pool2(x)), tape)
     assert np.allclose(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
 
 
@@ -360,7 +363,7 @@ def test_max_pool2_tie_routes_weighted_gradient_to_first_index():
                  [4.0, 4.0, 1.0, 2.0]]])
     w = np.array([[[1.5, -2.0], [0.25, 3.0]]])
     with ComputationTape([x]) as tape:
-        T.backward((T.max_pool2(x) * w).sum(), tape)
+        T.backward(ops.tsum(T.max_pool2(x) * w), tape)
     assert np.array_equal(x.grad, [[[1.5, 0.0, 0.0, -2.0],
                                     [0.0, 0.0, 0.0, 0.0],
                                     [0.0, 0.0, 3.0, 0.0],
@@ -407,7 +410,7 @@ def test_max_pool2_gradient():
     rng = np.random.default_rng(6)
     # unique window maxima with clear margins
     x = rng.permutation(64).astype(float).reshape(1, 8, 8)
-    check_gradients(lambda ts: (T.max_pool2(ts[0]) ** 2).mean(), [x], rng,
+    check_gradients(lambda ts: ops.tmean(ops.power(T.max_pool2(ts[0]), 2)), [x], rng,
                     n_points=20, rtol=1e-6)
 
 
@@ -428,7 +431,7 @@ def test_upsample_then_mean_downsample_is_identity():
 def test_upsample_gradient():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 3, 3))
-    check_gradients(lambda ts: (ops.upsample_nearest2(ts[0]) ** 2).mean(), [x], rng,
+    check_gradients(lambda ts: ops.tmean(ops.power(ops.upsample_nearest2(ts[0]), 2)), [x], rng,
                     n_points=15, rtol=1e-6)
 
 
@@ -445,7 +448,7 @@ def test_upsample_conv3x3_matches_loop_oracle(extent):
     with ComputationTape([xt, wt, bt]) as tape:
         out = T.upsample_conv3x3(xt, wt, bt)
         g = rng.normal(size=out.shape)
-        T.backward((out * g).sum(), tape)
+        T.backward(ops.tsum(out * g), tape)
     up = x.repeat(2, axis=1).repeat(2, axis=2)
     assert np.allclose(out.data, naive_conv2d(up, w, b, 1, 1), rtol=1e-12, atol=1e-12)
     dup, dw, db = naive_conv2d_grads(up, w, g, 1, 1)
@@ -466,7 +469,8 @@ def test_reduce_extremes_gradient():
     x = rng.normal(size=(4, 5))
 
     def build(ts):
-        return ops.reduce_max(ts[0], axis=1).sum() - ops.reduce_min(ts[0], axis=0).sum()
+        return ops.sub(ops.tsum(ops.reduce_max(ts[0], axis=1)),
+                       ops.tsum(ops.reduce_min(ts[0], axis=0)))
 
     check_gradients(build, [x], rng, n_points=15, rtol=1e-6)
 
@@ -490,7 +494,7 @@ def test_reduce_extreme_ties_route_weighted_gradient_to_first_index(is_max, axis
     reduce = ops.reduce_max if is_max else ops.reduce_min
     with ComputationTape([xt]) as tape:
         out = reduce(xt, axis=axis, keepdims=keepdims)
-        T.backward((out * w.reshape(out.shape)).sum(), tape)
+        T.backward(ops.tsum(out * w.reshape(out.shape)), tape)
     want = np.zeros((3, 4))
     want[np.arange(3), first] = w
     assert np.array_equal(xt.grad, want if axis == 1 else want.T)
@@ -503,8 +507,9 @@ def test_one_tensor_feeding_two_reductions_accumulates():
     xt = Tensor(x)
     with ComputationTape([xt]) as tape:
         y = xt * 2.0  # recorded, so its gradient is a flow of two broadcast views
-        loss = ((y.sum(axis=0) * w0).sum() + (y.mean(axis=1, keepdims=True) * w1).sum()
-                + y.sum() + T.tmean(xt) + T.tsum(xt, axis=1).sum())
+        loss = (ops.tsum(ops.tsum(y, axis=0) * w0)
+                + ops.tsum(ops.tmean(y, axis=1, keepdims=True) * w1)
+                + ops.tsum(y) + ops.tmean(xt) + ops.tsum(ops.tsum(xt, axis=1)))
         T.backward(loss, tape)
     want = 2.0 * (w0[None, :] + w1 / 4.0 + 1.0) + 1.0 / 12.0 + 1.0
     assert np.allclose(xt.grad, want, rtol=1e-12, atol=1e-12)
@@ -519,7 +524,7 @@ def test_matmul_and_transpose_gradient():
     b = rng.normal(size=(5, 4))
 
     def build(ts):
-        return (ops.matmul(ts[0], ops.transpose(ts[1])) ** 2).mean()
+        return ops.tmean(ops.power(ops.matmul(ts[0], ops.transpose(ts[1])), 2))
 
     check_gradients(build, [a, b], rng, n_points=20, rtol=1e-6)
 
@@ -534,7 +539,7 @@ def test_determinism_bit_identical():
         xt, wt = Tensor(x), Tensor(w)
         with ComputationTape([xt, wt]) as tape:
             out = T.relu(T.conv2d(xt, wt, Tensor(b), padding=1))
-            T.backward(out.mean(), tape)
+            T.backward(ops.tmean(out), tape)
         runs.append((out.data.copy(), xt.grad.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -553,9 +558,9 @@ def test_network_stack_gradients_bit_identical():
         f.dec2.weight.data = np.full_like(f.dec2.weight.data, 0.01)
         with ComputationTape(f.params() + psi.params() + phi.params()) as tape:
             taps = phi(psi(f(Tensor(x, np.float32))))
-            loss = taps[0].mean()
+            loss = ops.tmean(taps[0])
             for tap in taps[1:]:
-                loss = loss + (tap * tap).mean()
+                loss = loss + ops.tmean(tap * tap)
             T.backward(loss, tape)
         # every parameter but psi's classification head, which no tap uses
         params = f.params() + psi.params()[:-2] + phi.params()
@@ -596,10 +601,10 @@ def test_adam_descends_quadratic():
     values = []
     for _ in range(10):
         with ComputationTape(opt.params) as tape:
-            loss = (w * w).sum()
+            loss = ops.tsum(w * w)
             values.append(loss.item())
             T.backward(loss, tape)
         opt.step()
         opt.zero_grad()
-    values.append((w * w).sum().item())
+    values.append(ops.tsum(w * w).item())
     assert all(b < a for a, b in zip(values, values[1:]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tape_ops as ops
 from conftest import as_float64, param_hash, train_config
 from dpl import tensor as T
 from dpl.config import ConfigError, parse_config
@@ -159,7 +160,7 @@ def test_triplet_features_side_by_side_equal_each_crops_features(mode):
     def features_and_grads(build):
         with T.ComputationTape(params) as tape:
             feats = build()
-            T.backward(sum(((t * t).mean() for t in feats), Tensor(np.zeros(()))), tape)
+            T.backward(sum((ops.tmean(t * t) for t in feats), Tensor(np.zeros(()))), tape)
         grads = [p.ensure_grad().copy() for p in params]  # psi's unused head: zeros
         for p in params:
             p.grad = None
