@@ -109,6 +109,8 @@ def _parse(raw: bytes) -> dict[str, np.ndarray]:
         dims = [struct.unpack("<I", take(4))[0] for _ in range(rank)]
         payload = take(4 * math.prod(dims))
         bundle[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        if not np.isfinite(bundle[name]).all():
+            raise CheckpointError(f"tensor {name!r} holds a NaN or infinite value")
     if off != len(raw):
         raise CheckpointError(f"{len(raw) - off} trailing bytes after checkpoint payload")
     return bundle

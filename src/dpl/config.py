@@ -39,9 +39,11 @@ def _float(text: str) -> float:
 
 def _parse_metrics(text: str) -> tuple:
     names = tuple(n.strip() for n in text.split(",") if n.strip())
-    for n in names:
+    for i, n in enumerate(names):
         if n not in VALID_METRICS:
             raise ValueError(f"unknown metric {n!r}; choices: {VALID_METRICS}")
+        if n in names[:i]:
+            raise ValueError(f"metric {n!r} is listed twice")
     if not names:
         raise ValueError("metric list is empty")
     return names

@@ -3,7 +3,8 @@ triplet hinge, blurred color and grayscale texture distances, and an L1
 pixel baseline. A feature set is the ordered list of per-tap tensors.
 
 Every loss term is one tape op with a written backward, the contextual loss
-one per tap. The perceptual and contextual gradients reach the first set
+one over all its taps, and so is ``weighted_sum``, the generator's sum of the
+weighted terms. The perceptual and contextual gradients reach the first set
 only (the second is a constant target); the color, texture and pixel losses
 give both images a gradient. Pretraining's cross-entropy is one op as well,
 ``networks.cross_entropy``."""
@@ -69,8 +70,9 @@ _EXP_FLOOR = -60.0
 _BLOCK = 2 ** 17
 
 
-def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
-    """One tap of the contextual loss as a single tape op.
+def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float):
+    """One tap of the contextual loss: its value, and its tape rule, which
+    maps the value's gradient to ``[(a, gradient)]``.
 
     The forward works in similarity form. With ``s = an @ bn.T`` the cosine
     similarities, ``smax_i`` a row's largest (at its nearest column
@@ -179,13 +181,14 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float) -> Tensor:
         dac[rows] = (an_f * (dan * an_f).sum(axis=1, keepdims=True) - dan) / na[rows]
         return [(a, dac.T.reshape(a.shape))]
 
-    return T._make(-np.log(m), (a,), rule)
+    return -np.log(m), rule
 
 
 def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float = 0.5,
                     epsilon: float = 1e-5) -> Tensor:
     """Set-matching loss over per-position feature vectors (Mechrez et al.,
-    arXiv:1803.02077), one tape op per tap.
+    arXiv:1803.02077), as one tape op: the mean of the taps' losses, rounding
+    as ``((t0 + t1) + t2) * (1 / taps)`` does in the element type.
 
     Per tap: mean-center both sets by the second set's mean, convert
     cosine distances to row-normalized affinities, and score how well
@@ -201,15 +204,30 @@ def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float = 0.5,
     if len(fa) != len(fb):
         raise LossError(f"contextual_loss: tap count mismatch {len(fa)} vs {len(fb)}")
     _refuse_tracked_targets(fb, "contextual_loss")
-    total = None
     for i, (a, b) in enumerate(zip(fa, fb)):
         if a.shape[0] != b.shape[0]:
             raise LossError(
                 f"contextual_loss: tap {i} channel mismatch {a.shape[0]} vs {b.shape[0]}"
             )
-        tap = _contextual_tap(a, b, bandwidth, epsilon)
-        total = tap if total is None else total + tap
-    return total * (1.0 / len(fa))
+    values, rules = zip(*(_contextual_tap(a, b, bandwidth, epsilon) for a, b in zip(fa, fb)))
+    scale = np.asarray(1.0 / len(fa), fa[0].dtype)
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return T._make(total * scale, fa,
+                   lambda g: [pair for rule in rules for pair in rule(g * scale)])
+
+
+def weighted_sum(terms: list, weights: list) -> Tensor:
+    """``t0 w0 + t1 w1 + ...`` of rank-0 loss terms as one tape op, each weight
+    a 0-d array of its term's element type, summed in order with the first
+    product standing alone; term i gets ``g w_i``."""
+    T._check_dtypes("weighted_sum", *terms)
+    ws = [np.asarray(w, t.dtype) for t, w in zip(terms, weights)]
+    total = terms[0].data * ws[0]
+    for t, w in zip(terms[1:], ws[1:]):
+        total = total + t.data * w
+    return T._make(total, terms, lambda g: [(t, g * w) for t, w in zip(terms, ws)])
 
 
 def triplet_loss(features: FeatureSet, margin: float) -> Tensor:

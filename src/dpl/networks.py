@@ -125,7 +125,7 @@ class GeneratorF(_Net):
         z = T.relu(self.enc2(z))
         z = T.relu(self.mid(z))
         z = T.relu(self.dec1(z))  # nearest 2x upsample, then a 3x3 conv
-        return x + self.dec2(z)
+        return T.add(x, self.dec2(z))
 
 
 class FeatureNetPsi(_Net):

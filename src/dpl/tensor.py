@@ -21,11 +21,11 @@ unstuffed gradient); upsample_conv3x3 runs the generator's resize-convolution
 the input's resolution, so its matmuls never see the upsampled map;
 max_pool2's forward takes the maximum of four strided views, and its
 backward multiplies ``g`` by each view's exclusive winner mask straight into
-that view of its output. The only arithmetic is ``add`` and ``mul`` (and
-their ``+`` and ``*``), broadcasting as numpy does: F's skip connection and
-the weighted sum of the loss terms. Each loss term, and ψ's pooled head with
-the cross-entropy, is one op that ``losses`` or ``networks`` records through
-``_make``.
+that view of its output. The one arithmetic op is ``add``, of two tensors of
+one shape and element type, for F's skip connection; there is no broadcasting
+and no operator sugar. Each loss term, the generator's weighted sum of them,
+and ψ's pooled head with the cross-entropy is one op that ``losses`` or
+``networks`` records through ``_make``.
 """
 
 from __future__ import annotations
@@ -76,18 +76,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad.fill(0.0)
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 class ComputationTape:
@@ -190,18 +178,6 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], rule) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(grad.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def _check_dtypes(op: str, *operands: Tensor) -> None:
     first = operands[0].dtype
     for t in operands[1:]:
@@ -209,45 +185,15 @@ def _check_dtypes(op: str, *operands: Tensor) -> None:
             raise AutodiffError(f"{op}: element types differ: {first} vs {t.dtype}")
 
 
-def _check_operands(a: Tensor, b: Tensor, op: str) -> None:
-    """Same element type, and shapes that broadcast."""
-    _check_dtypes(op, a, b)
-    if a.shape == b.shape:
-        return
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise AutodiffError(
-            f"{op}: shape mismatch beyond broadcast: {a.shape} vs {b.shape}"
-        ) from None
-
-
 # -- arithmetic ---------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_operands(a, b, "add")
-    data = a.data + b.data
-
-    def rule(g):
-        return [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))]
-
-    return _make(data, (a, b), rule)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b, a.dtype)
-    _check_operands(a, b, "mul")
-    data = a.data * b.data
-
-    def rule(g):
-        return [
-            (a, _unbroadcast(g * b.data, a.shape)),
-            (b, _unbroadcast(g * a.data, b.shape)),
-        ]
-
-    return _make(data, (a, b), rule)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one element type and one shape."""
+    _check_dtypes("add", a, b)
+    if a.shape != b.shape:
+        raise AutodiffError(f"add: shape mismatch: {a.shape} vs {b.shape}")
+    return _make(a.data + b.data, (a, b), lambda g: [(a, g), (b, g)])
 
 
 def relu(a: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ from . import tensor as T
 from .image import (Image, augment, color_jitter, from_tensor, gaussian_blur, random_crop,
                     to_grayscale, to_tensor)
 from .losses import (color_loss, contextual_loss, perceptual_loss, pixel_loss, texture_loss,
-                     triplet_loss)
+                     triplet_loss, weighted_sum)
 from .networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from .optim import Adam
 from .rng import Rng
@@ -168,7 +168,8 @@ def generator_step(tape: T.ComputationTape, x_gen: Tensor, y: Tensor,
                    psi: FeatureNetPsi, phi: SelectionPhi, config: ExperimentConfig,
                    state: TrainState) -> tuple[float, dict]:
     """One Adam step on the generator under the configured loss recipe: the
-    terms of ``LOSSES`` whose ``dpl.w_<name>`` is above 0, summed in order.
+    terms of ``LOSSES`` whose ``dpl.w_<name>`` is above 0, weighted and
+    summed in order as one tape op (``losses.weighted_sum``).
 
     ``x_gen`` is the generator's output on ``tape``, which also records the
     loss; the tape's parameters are the generator's, so the extractor and
@@ -180,17 +181,12 @@ def generator_step(tape: T.ComputationTape, x_gen: Tensor, y: Tensor,
     def features(t: Tensor):
         return _features(psi, phi, t, config["dpl.mode"])
 
+    weights = {name: config[f"dpl.w_{name}"] for name in LOSSES}
     with tape:
-        components = {}
-        total = None
-        for name, (_, loss) in LOSSES.items():
-            weight = config[f"dpl.w_{name}"]
-            if weight <= 0:
-                continue
-            term = loss(x_gen, y, features, config)
-            components[name] = term.item()
-            weighted = term * weight
-            total = weighted if total is None else total + weighted
+        terms = {name: loss(x_gen, y, features, config)
+                 for name, (_, loss) in LOSSES.items() if weights[name] > 0}
+        components = {name: term.item() for name, term in terms.items()}
+        total = weighted_sum(list(terms.values()), [weights[name] for name in terms])
         value = total.item()
         if not np.isfinite(value):
             raise TrainingDiverged(state, f"non-finite loss {value}")

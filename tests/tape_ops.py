@@ -1,15 +1,18 @@
 """Tape ops that only the tests use, each recording its backward rule on the
 active tape through ``tensor._make``, as the library's ops do:
 
-- the generic arithmetic and reductions (``sub``, ``div``, ``neg``,
-  ``power``, ``sqrt``, ``exp``, ``log``, ``absolute``, ``tsum``, ``tmean``,
-  ``reduce_max``, ``reduce_min``) and ``constant``, which the gradient
-  checks compose with the library's ``add`` and ``mul``;
+- the generic arithmetic and reductions (``add``, ``sub``, ``mul``,
+  ``div``, ``neg``, ``power``, ``sqrt``, ``exp``, ``log``, ``absolute``,
+  ``tsum``, ``tmean``, ``reduce_max``, ``reduce_min``) and ``constant``,
+  which the gradient checks compose; the binary ones broadcast as numpy
+  does, where the library's ``add`` takes equal shapes only;
 - the transposed view that feeds conv2d a non-contiguous input, and the
   nearest 2x upsampling that ``tensor.upsample_conv3x3`` fuses with its
   convolution;
 - the chains that the library's fused ops replace, as their oracles: the
-  contextual loss's affinity steps (``test_losses.contextual_chain``), ψ's
+  contextual loss's affinity steps (``test_losses.contextual_chain``), its
+  taps joined by ``add`` and ``mul`` (``contextual_tap_chain``), the
+  generator's weighted sum of loss terms (``weighted_sum_chain``), ψ's
   pooled head and cross-entropy (``cross_entropy_chain``, fused by
   ``networks.cross_entropy``), the color, texture and pixel losses
   (``color_chain``, ``texture_chain``, ``pixel_chain``), and
@@ -21,6 +24,7 @@ import numpy as np
 
 from dpl import tensor as T
 from dpl.image import GRAY_WEIGHTS, gaussian_kernel1d, separable_filter, separable_filter_adjoint
+from dpl.losses import _contextual_tap
 
 
 def constant(value, dtype=None) -> T.Tensor:
@@ -28,15 +32,49 @@ def constant(value, dtype=None) -> T.Tensor:
     return T._as_tensor(value, dtype)
 
 
-def sub(a, b) -> T.Tensor:
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(grad.shape, shape)) if ss == 1 and gs != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def _operands(a, b, op: str) -> tuple[T.Tensor, T.Tensor]:
+    """``a`` and ``b`` as tensors, ``b`` in ``a``'s element type when it is
+    not one; refused unless their element types agree and shapes broadcast."""
     a, b = T._as_tensor(a), T._as_tensor(b, a.dtype)
-    T._check_operands(a, b, "sub")
-    data = a.data - b.data
+    T._check_dtypes(op, a, b)
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise T.AutodiffError(
+            f"{op}: shape mismatch beyond broadcast: {a.shape} vs {b.shape}"
+        ) from None
+    return a, b
 
-    def rule(g):
-        return [(a, T._unbroadcast(g, a.shape)), (b, T._unbroadcast(-g, b.shape))]
 
-    return T._make(data, (a, b), rule)
+def add(a, b) -> T.Tensor:
+    a, b = _operands(a, b, "add")
+    return T._make(a.data + b.data, (a, b),
+                   lambda g: [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape))])
+
+
+def sub(a, b) -> T.Tensor:
+    a, b = _operands(a, b, "sub")
+    return T._make(a.data - b.data, (a, b),
+                   lambda g: [(a, _unbroadcast(g, a.shape)), (b, _unbroadcast(-g, b.shape))])
+
+
+def mul(a, b) -> T.Tensor:
+    a, b = _operands(a, b, "mul")
+    return T._make(a.data * b.data, (a, b),
+                   lambda g: [(a, _unbroadcast(g * b.data, a.shape)),
+                              (b, _unbroadcast(g * a.data, b.shape))])
 
 
 def power(a: T.Tensor, exponent: float) -> T.Tensor:
@@ -71,17 +109,10 @@ def tmean(a: T.Tensor, axis=None, keepdims: bool = False) -> T.Tensor:
 
 
 def div(a, b) -> T.Tensor:
-    a, b = T._as_tensor(a), T._as_tensor(b, a.dtype)
-    T._check_operands(a, b, "div")
-    data = a.data / b.data
-
-    def rule(g):
-        return [
-            (a, T._unbroadcast(g / b.data, a.shape)),
-            (b, T._unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-        ]
-
-    return T._make(data, (a, b), rule)
+    a, b = _operands(a, b, "div")
+    return T._make(a.data / b.data, (a, b),
+                   lambda g: [(a, _unbroadcast(g / b.data, a.shape)),
+                              (b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))])
 
 
 def sqrt(a: T.Tensor) -> T.Tensor:
@@ -173,7 +204,7 @@ def psi_logits(psi, x: T.Tensor) -> T.Tensor:
     h3 = psi(x)[-1]
     c = h3.shape[0]
     pooled = reshape(tmean(reshape(h3, (c, -1)), axis=1), (1, c))
-    return reshape(matmul(pooled, psi.head.weight) + psi.head.bias, -1)
+    return reshape(add(matmul(pooled, psi.head.weight), psi.head.bias), -1)
 
 
 def log_softmax(logits: T.Tensor) -> T.Tensor:
@@ -186,7 +217,7 @@ def cross_entropy_chain(psi, x: T.Tensor, label: int) -> T.Tensor:
     logits = psi_logits(psi, x)
     onehot = np.zeros(logits.shape[0])
     onehot[label] = 1.0
-    return neg(tsum(log_softmax(logits) * constant(onehot, dtype=logits.dtype)))
+    return neg(tsum(mul(log_softmax(logits), constant(onehot, dtype=logits.dtype))))
 
 
 def blur_tensor(x: T.Tensor, sigma: float) -> T.Tensor:
@@ -199,7 +230,7 @@ def blur_tensor(x: T.Tensor, sigma: float) -> T.Tensor:
 
 def luma_tensor(x: T.Tensor) -> T.Tensor:
     """The ``GRAY_WEIGHTS`` sum over the channels of a [3,H,W] tensor."""
-    return tsum(x * constant(GRAY_WEIGHTS.reshape(3, 1, 1), x.dtype), axis=0)
+    return tsum(mul(x, constant(GRAY_WEIGHTS.reshape(3, 1, 1), x.dtype)), axis=0)
 
 
 def color_chain(a: T.Tensor, b: T.Tensor, sigma: float = 3.0) -> T.Tensor:
@@ -215,3 +246,23 @@ def texture_chain(a: T.Tensor, b: T.Tensor) -> T.Tensor:
 def pixel_chain(a: T.Tensor, b: T.Tensor) -> T.Tensor:
     """``losses.pixel_loss`` as the chain of generic ops it fuses."""
     return tmean(absolute(sub(a, b)))
+
+
+def contextual_tap_chain(fa, fb, h: float = 0.5, eps: float = 1e-5) -> T.Tensor:
+    """``losses.contextual_loss`` as one op per tap (``losses._contextual_tap``),
+    the taps summed with ``add`` and then scaled by ``1 / taps`` with ``mul``."""
+    total = None
+    for a, b in zip(fa, fb):
+        value, rule = _contextual_tap(a, b, h, eps)
+        tap = T._make(value, (a,), rule)
+        total = tap if total is None else add(total, tap)
+    return mul(total, 1.0 / len(fa))
+
+
+def weighted_sum_chain(terms, weights) -> T.Tensor:
+    """``losses.weighted_sum`` as ``mul`` by each weight, then ``add`` in order."""
+    total = None
+    for term, weight in zip(terms, weights):
+        weighted = mul(term, weight)
+        total = weighted if total is None else add(total, weighted)
+    return total

@@ -23,7 +23,7 @@ from dpl.cli import main
 from dpl.config import parse_config, emit_config
 from dpl.image import Image, load_image, save_image, to_tensor
 from dpl.losses import (color_loss, contextual_loss, perceptual_loss, pixel_loss, texture_loss,
-                        triplet_loss)
+                        triplet_loss, weighted_sum)
 from dpl.metrics import feature_distance, ms_ssim, psnr
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from dpl.rng import Rng
@@ -49,9 +49,9 @@ def _op_cases(rng):
     distinct = rng.permutation(16).reshape(1, 4, 4) / 7.0  # no pooling ties
     signs = rng.choice([-1.0, 1.0], size=(3, 4, 5))
     return [
-        ("add", lambda t: ops.tsum(t[0] + t[1]), [n(3, 4), n(3, 4)]),
+        ("add", lambda t: ops.tsum(T.add(t[0], t[1])), [n(3, 4), n(3, 4)]),
         ("sub", lambda t: ops.tsum(ops.sub(t[0], t[1])), [n(3, 4), n(3, 4)]),
-        ("mul", lambda t: ops.tsum(t[0] * t[1]), [n(3, 4), n(3, 4)]),
+        ("mul", lambda t: ops.tsum(ops.mul(t[0], t[1])), [n(3, 4), n(3, 4)]),
         ("div", lambda t: ops.tsum(ops.div(t[0], t[1])), [n(3, 4), u(3, 4)]),
         ("neg", lambda t: ops.tsum(ops.neg(t[0])), [n(3, 4)]),
         ("power", lambda t: ops.tsum(ops.power(t[0], 3)), [u(3, 4)]),
@@ -60,12 +60,14 @@ def _op_cases(rng):
         ("log", lambda t: ops.tsum(ops.log(t[0])), [u(3, 4)]),
         ("absolute", lambda t: ops.tsum(ops.absolute(t[0])), [u(3, 4)]),
         ("relu", lambda t: ops.tsum(T.relu(t[0])), [u(3, 4)]),
-        ("sum", lambda t: ops.tsum(ops.tsum(t[0], axis=1) * ops.tsum(t[0], axis=0)), [n(4, 4)]),
-        ("mean", lambda t: ops.tsum(ops.tmean(t[0], axis=1) * ops.tmean(t[0])), [n(4, 4)]),
+        ("sum", lambda t: ops.tsum(ops.mul(ops.tsum(t[0], axis=1), ops.tsum(t[0], axis=0))),
+         [n(4, 4)]),
+        ("mean", lambda t: ops.tsum(ops.mul(ops.tmean(t[0], axis=1), ops.tmean(t[0]))), [n(4, 4)]),
         ("reduce_max", lambda t: ops.tsum(ops.reduce_max(t[0], axis=1)), [n(5, 5)]),
         ("reduce_min", lambda t: ops.tsum(ops.reduce_min(t[0], axis=1)), [n(5, 5)]),
         ("matmul", lambda t: ops.tsum(ops.matmul(t[0], t[1])), [n(3, 4), n(4, 2)]),
-        ("reshape", lambda t: ops.tsum(ops.reshape(t[0], (2, 6)) * ops.reshape(t[0], (2, 6))),
+        ("reshape",
+         lambda t: ops.tsum(ops.mul(ops.reshape(t[0], (2, 6)), ops.reshape(t[0], (2, 6)))),
          [n(3, 4)]),
         ("transpose", lambda t: ops.tsum(ops.matmul(ops.transpose(t[0]), t[0])), [n(3, 4)]),
         ("conv2d", lambda t: ops.tsum(T.conv2d(t[0], t[1], t[2], padding=1)),
@@ -84,6 +86,9 @@ def _op_cases(rng):
         ("pixel_loss", lambda t: pixel_loss(t[0], t[1]), [signs * u(3, 4, 5), -signs * u(3, 4, 5)]),
         ("concat_width", lambda t: ops.tsum(ops.power(T.concat_width(t), 2)),
          [n(2, 3, 2), n(2, 3, 1), n(2, 3, 4)]),
+        ("weighted_sum", lambda t: weighted_sum(
+            [ops.tsum(ops.power(t[0], 3)), ops.tsum(ops.mul(t[0], t[1])), ops.tsum(t[1])],
+            [0.3, 1.7, 1e-3]), [n(3, 4), n(3, 4)]),
     ]
 
 
@@ -233,7 +238,7 @@ def test_criterion_2_algorithm_mechanics():
             for tr in trips:
                 crops = [to_tensor(c) for c in (tr.anchor, tr.positive, tr.negative)]
                 term = triplet_loss(triplet_features(psi, p, crops, "feature_selection"), 1.0)
-                total = term if total is None else total + term
+                total = term if total is None else ops.add(total, term)
             T.backward(total, tape)
         return [q.grad.copy() for q in p.params()]
 

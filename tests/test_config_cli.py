@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dpl import cli
 from dpl import config as config_module
 from dpl import networks, trainer
-from dpl.checkpoint import save_checkpoint
+from dpl.checkpoint import load_checkpoint, save_checkpoint
 from dpl.cli import main
 from dpl.config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
 from dpl.image import Image, gaussian_blur, load_image, save_image, to_tensor
@@ -281,6 +281,34 @@ def test_checkpoint_of_another_network_names_the_file(prepared_run, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {psi}: checkpoint tensor 'block1.weight' has shape (2, 2)")
     assert err.endswith("; `dpl pretrain` writes it\n")
+
+
+@pytest.mark.parametrize("command, name, tensor, value", [
+    ("eval", "f.dplc", "dec2.bias", np.nan), ("train", "psi.dplc", "block1.weight", np.inf)])
+def test_checkpoint_with_a_non_finite_value_is_usage_error(prepared_run, capsys, command, name,
+                                                            tensor, value):
+    # was exit 0 and an all-nan report.csv (eval), or numpy warnings and then
+    # "numerical halt: non-finite triplet loss nan" with exit 3 (train)
+    if command == "eval":
+        save_checkpoint(GeneratorF(Rng(0)).state_dict(), prepared_run / "f.dplc")
+    state = load_checkpoint(prepared_run / name)
+    state[tensor].flat[0] = value
+    save_checkpoint(state, prepared_run / name)
+    assert main([command, *_base_args(prepared_run)]) == 1
+    assert capsys.readouterr().err == (f"error: {prepared_run / name}: tensor {tensor!r} "
+                                       "holds a NaN or infinite value\n")
+    assert not (prepared_run / ("report.csv" if command == "eval" else "history.csv")).exists()
+
+
+def test_repeated_metric_is_usage_error(prepared_run, capsys):
+    # was a report whose mean row counted each pair once per listing: 14.7506
+    # for psnr,psnr where psnr alone gave 7.3753
+    save_checkpoint(GeneratorF(Rng(0)).state_dict(), prepared_run / "f.dplc")
+    assert main(["eval", *_base_args(prepared_run), "--metrics", "psnr,psnr"]) == 1
+    assert "metric 'psnr' is listed twice" in capsys.readouterr().err
+    assert not (prepared_run / "report.csv").exists()
+    with pytest.raises(ConfigError, match="metric 'dfd' is listed twice"):
+        parse_config(overrides={"metrics": "dfd,psnr,dfd"})
 
 
 def test_eval_report_format(prepared_run):

@@ -6,7 +6,7 @@ from conftest import check_gradients
 from dpl import tensor as T
 from dpl.losses import (LossError, color_loss,
                         contextual_loss, perceptual_loss, pixel_loss,
-                        texture_loss, triplet_loss)
+                        texture_loss, triplet_loss, weighted_sum)
 from dpl.tensor import ComputationTape, Tensor
 
 
@@ -54,7 +54,7 @@ def test_perceptual_refuses_a_tape_that_tracks_the_target_set(derived):
     fb = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
     with ComputationTape(fa + fb[1:]):
         if derived:  # an output the tape recorded, not the parameter itself
-            fb[1] = fb[1] * 2.0
+            fb[1] = ops.mul(fb[1], 2.0)
         with pytest.raises(LossError, match="tap 1 target set is tracked"):
             perceptual_loss(fa, fb)
 
@@ -65,8 +65,8 @@ def perceptual_chain(fa, fb):
     total = None
     for a, b in zip(fa, fb):
         tap = ops.tmean(ops.power(ops.sub(a, b), 2))
-        total = tap if total is None else total + tap
-    return total * (1.0 / len(fa))
+        total = tap if total is None else ops.add(total, tap)
+    return ops.mul(total, 1.0 / len(fa))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -76,7 +76,8 @@ def test_perceptual_matches_composed_chain_bitwise(dtype):
     arrays_a = [rng.normal(size=s).astype(dtype) for s in TAP_SHAPES]
     arrays_b = [rng.normal(size=s).astype(dtype) for s in TAP_SHAPES]
     for weight in (1.0, 0.37):
-        got, want = (_value_and_grads(lambda fa, fb: fn(fa, fb) * weight, arrays_a, arrays_b)
+        got, want = (_value_and_grads(lambda fa, fb: ops.mul(fn(fa, fb), weight),
+                                      arrays_a, arrays_b)
                      for fn in (perceptual_loss, perceptual_chain))
         assert got[0] == want[0]
         for g, w in zip(got[1], want[1]):
@@ -164,7 +165,7 @@ def test_contextual_refuses_a_tape_that_tracks_the_target_set(derived):
     fb = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
     with ComputationTape(fa + fb[1:]):
         if derived:  # an output the tape recorded, not the parameter itself
-            fb[1] = fb[1] * 2.0
+            fb[1] = ops.mul(fb[1], 2.0)
         with pytest.raises(LossError, match="tap 1 target set is tracked"):
             contextual_loss(fa, fb)
 
@@ -184,16 +185,18 @@ def contextual_chain(fa, fb, h=0.5, eps=1e-5):
         bv = ops.transpose(ops.reshape(b, (b.shape[0], -1)))
         mu = ops.tmean(bv, axis=0, keepdims=True)
         ac, bc = ops.sub(av, mu), ops.sub(bv, mu)
-        an = ops.div(ac, ops.sqrt(ops.tsum(ac * ac, axis=1, keepdims=True) + eps * eps))
-        bn = ops.div(bc, ops.sqrt(ops.tsum(bc * bc, axis=1, keepdims=True) + eps * eps))
+        an = ops.div(ac, ops.sqrt(ops.add(ops.tsum(ops.mul(ac, ac), axis=1, keepdims=True),
+                                          eps * eps)))
+        bn = ops.div(bc, ops.sqrt(ops.add(ops.tsum(ops.mul(bc, bc), axis=1, keepdims=True),
+                                          eps * eps)))
         one = ops.constant(1.0, a.dtype)
         d = ops.sub(one, ops.matmul(an, ops.transpose(bn)))
-        d_tilde = ops.div(d, ops.reduce_min(d, axis=1, keepdims=True) + eps)
-        w = ops.exp(ops.sub(one, d_tilde) * (1.0 / h))
+        d_tilde = ops.div(d, ops.add(ops.reduce_min(d, axis=1, keepdims=True), eps))
+        w = ops.exp(ops.mul(ops.sub(one, d_tilde), 1.0 / h))
         cx = ops.div(w, ops.tsum(w, axis=1, keepdims=True))
         tap = ops.neg(ops.log(ops.tmean(ops.reduce_max(cx, axis=0))))
-        total = tap if total is None else total + tap
-    return total * (1.0 / len(fa))
+        total = tap if total is None else ops.add(total, tap)
+    return ops.mul(total, 1.0 / len(fa))
 
 
 def _value_and_grads(fn, arrays_a, arrays_b):
@@ -406,6 +409,56 @@ def test_contextual_untracked_second_set_gets_no_gradient():
     assert all(t.grad is None for t in fb)
 
 
+def _bytes_and_entries(fn, params, constants, weight):
+    """The loss of ``fn(params, constants)`` (times ``weight`` unless it is None)
+    and the parameters' gradients as bytes, and the tape entries ``fn`` records."""
+    with ComputationTape(params) as tape:
+        loss = fn(params, constants)
+        entries = len(tape._entries)
+        if weight is not None:
+            loss = ops.mul(loss, weight)
+        T.backward(loss, tape)
+    return [np.asarray(loss.data).tobytes(), *(t.grad.tobytes() for t in params)], entries
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_contextual_one_op_rounds_as_its_per_tap_chain(dtype):
+    # the taps' sum and its 1/taps scale in one op: the same bytes as the
+    # per-tap ops joined by add and mul, in the loss and every tap's gradient
+    rng = np.random.default_rng(32)
+    for taps in (1, 2, 3):
+        a = [np.maximum(rng.normal(size=s), 0.0) for s in TAP_SHAPES[:taps]]
+        b = [np.maximum(x + rng.normal(size=x.shape), 0.0) for x in a]
+        for weight in (None, 0.37):
+            got, want = ((_bytes_and_entries(fn, [Tensor(x, dtype) for x in a],
+                                             [Tensor(x, dtype) for x in b], weight))
+                         for fn in (contextual_loss, ops.contextual_tap_chain))
+            assert got[0] == want[0]
+            assert (got[1], want[1]) == (1, 2 * taps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weighted_sum_rounds_as_its_mul_add_chain(dtype):
+    # weights of the term's element type, summed in order with no 0 in front:
+    # the same bytes as mul by each weight and add, in the sum and each gradient
+    rng = np.random.default_rng(33)
+    for count in (1, 2, 3, 5):
+        values = rng.uniform(0.0, 4.0, size=count)
+        weights = [float(w) for w in rng.choice([1.0, 0.5, 0.1, 1e-3, 2.7], size=count)]
+        for weight in (None, 0.37):
+            got, want = (_bytes_and_entries(lambda ts, _: fn(ts, weights),
+                                            [Tensor(np.asarray(v), dtype) for v in values],
+                                            None, weight)
+                         for fn in (weighted_sum, ops.weighted_sum_chain))
+            assert got[0] == want[0]
+            assert (got[1], want[1]) == (1, 2 * count - 1)
+
+
+def test_weighted_sum_refuses_mixed_element_types():
+    with pytest.raises(T.AutodiffError, match="weighted_sum: element types differ"):
+        weighted_sum([Tensor(np.ones(()), np.float32), Tensor(np.ones(()))], [1.0, 1.0])
+
+
 # -- triplet ----------------------------------------------------------------------
 
 
@@ -425,9 +478,9 @@ def triplet_chain(anchor, positive, negative, margin):
     for a, p, n in zip(anchor, positive, negative):
         tap_ap = ops.tmean(ops.power(ops.sub(a, p), 2))
         tap_an = ops.tmean(ops.power(ops.sub(a, n), 2))
-        d_ap = tap_ap if d_ap is None else d_ap + tap_ap
-        d_an = tap_an if d_an is None else d_an + tap_an
-    return T.relu(ops.sub(d_ap, d_an) + margin)
+        d_ap = tap_ap if d_ap is None else ops.add(d_ap, tap_ap)
+        d_an = tap_an if d_an is None else ops.add(d_an, tap_an)
+    return T.relu(ops.add(ops.sub(d_ap, d_an), margin))
 
 
 def test_triplet_degenerate_equals_margin():
@@ -482,11 +535,11 @@ def test_triplet_matches_composed_chain_for_every_role(active):
     negative = [a + rng.normal(scale=near, size=a.shape) for a in anchor]
     sets = [_featset(*arrays) for arrays in (anchor, positive, negative)]
     with ComputationTape([t for fs in sets for t in fs]) as tape:
-        loss = triplet_loss(_joined(*sets), margin=1.0) * 0.7
+        loss = ops.mul(triplet_loss(_joined(*sets), margin=1.0), 0.7)
         T.backward(loss, tape)
     chain_sets = [_featset(*arrays) for arrays in (anchor, positive, negative)]
     with ComputationTape([t for fs in chain_sets for t in fs]) as tape:
-        want = triplet_chain(*chain_sets, 1.0) * 0.7
+        want = ops.mul(triplet_chain(*chain_sets, 1.0), 0.7)
         T.backward(want, tape)
     assert (want.item() > 0) == active
     assert loss.item() == pytest.approx(want.item(), rel=1e-12, abs=1e-300)
@@ -546,7 +599,7 @@ def _bytes_of_loss_and_grads(fn, a, b, dtype, track_b, weight):
         loss = fn(ta, tb)
         entries = len(tape._entries)
         if weight is not None:
-            loss = loss * weight
+            loss = ops.mul(loss, weight)
         T.backward(loss, tape)
     grads = [t.grad.tobytes() if t.grad is not None else None for t in (ta, tb)]
     return [np.asarray(loss.data).tobytes(), *grads], entries
@@ -605,7 +658,7 @@ def test_blur_tensor_keeps_float32():
     x = Tensor(np.random.default_rng(13).uniform(size=(3, 8, 8)), dtype=np.float32)
     with ComputationTape([x]) as tape:
         out = ops.blur_tensor(x, 2.0)
-        T.backward(ops.tsum(out * out), tape)
+        T.backward(ops.tsum(ops.mul(out, out)), tape)
     assert out.dtype == np.float32 and x.grad.dtype == np.float32
 
 

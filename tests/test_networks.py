@@ -123,7 +123,7 @@ def _cross_entropy_grads(loss_fn, psi, x, label, scale):
     for p in psi.params():
         p.grad = None
     with T.ComputationTape(psi.params()) as tape:
-        loss = loss_fn(psi, x, label) * scale
+        loss = ops.mul(loss_fn(psi, x, label), scale)
         T.backward(loss, tape)
     return loss.data, [p.grad for p in psi.params()]
 

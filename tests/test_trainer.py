@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 import tape_ops as ops
 from conftest import as_float64, param_hash, train_config
 from dpl import tensor as T
+from dpl import trainer
 from dpl.config import ConfigError, parse_config
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from dpl.rng import Rng
@@ -160,7 +163,7 @@ def test_triplet_features_side_by_side_equal_each_crops_features(mode):
     def features_and_grads(build):
         with T.ComputationTape(params) as tape:
             feats = build()
-            T.backward(sum((ops.tmean(t * t) for t in feats), Tensor(np.zeros(()))), tape)
+            T.backward(functools.reduce(ops.add, (ops.tmean(ops.mul(t, t)) for t in feats)), tape)
         grads = [p.ensure_grad().copy() for p in params]  # psi's unused head: zeros
         for p in params:
             p.grad = None
@@ -247,7 +250,7 @@ def test_accumulated_gradient_equals_summed_loss_gradient():
             for trip in trips:
                 crops = [to_tensor(c) for c in (trip.anchor, trip.positive, trip.negative)]
                 term = triplet_loss(triplet_features(psi, phi, crops, "feature_selection"), 1.0)
-                total = term if total is None else total + term
+                total = term if total is None else ops.add(total, term)
             T.backward(total, tape)
         return [p.grad.copy() for p in phi.params()]
 
@@ -284,6 +287,29 @@ def test_run_training_deterministic():
         losses.append([r.generator_loss for r in history])
     assert hashes[0] == hashes[1]
     assert losses[0] == losses[1]
+
+
+@pytest.mark.parametrize("mode, weights", [
+    ("frozen", {"w_contextual": 1.0}),
+    ("full", {"w_contextual": 0.5, "w_pixel_l1": 2.0}),
+    ("feature_selection", {"w_perceptual": 0.0, "w_contextual": 1.0, "w_color": 0.3,
+                           "w_texture": 0.7}),
+    ("feature_selection", {"w_perceptual": 0.25}),
+])
+def test_generator_step_trains_as_the_chains_it_fuses(monkeypatch, mode, weights):
+    # the contextual loss and the weighted sum as one op each give the bytes
+    # of the per-tap ops and the mul/add chain they replace
+    data = _pair(23)
+    runs = []
+    for fused in (True, False):
+        if not fused:
+            monkeypatch.setattr(trainer, "contextual_loss", ops.contextual_tap_chain)
+            monkeypatch.setattr(trainer, "weighted_sum", ops.weighted_sum_chain)
+        f, psi, phi = _nets(24)
+        config = train_config(mode=mode, iterations=3, interval=2, **weights)
+        f, history = run_training(config, data, f, psi, phi, Rng(25))
+        runs.append((param_hash(f.params()), [(r.generator_loss, r.components) for r in history]))
+    assert runs[0] == runs[1]
 
 
 def test_frozen_mode_never_touches_selector_or_extractor():

@@ -10,27 +10,32 @@ run in two threads that take strict turns, never both at once: after a
 warm-up turn each, each round runs one turn of each tree, A first in even
 rounds and B first in odd ones. A round's sample is B's turn time over A's.
 
+The recipe is perfbench's ``pipeline_fs`` workload, read from
+``perfbench/workload.py`` (its ``WORKLOADS`` entry, ``SIZE``,
+``TRAIN_COUNT``, ``VAL_COUNT``, ``PRETRAIN_SAMPLES``, ``HOLDOUT`` and
+``LR_GENERATOR``), so the two harnesses run the same thing: at the time of
+writing, ``darken`` pairs at 32 px, feature_selection mode, task_oriented
+triplets under color_jitter and the perceptual loss alone.
+
 First each tree runs its own ``pretrain_psi`` with its own ψ and Adam over
-the same 600 texture samples at 32 px (perfbench's ``pipeline_fs``
-pretraining: 540 training samples and 60 held out, learning rate 1e-3),
-for 5 epochs with the held-out gate out of reach. A turn is 54 optimizer
-steps, a tenth of an epoch, so each tree's held-out accuracy falls in the
-same round's turn; 49 rounds. The phase ends by saying whether the two ψs'
+the same workload's texture samples (the default learning rate), for 5
+epochs with the held-out gate out of reach. A turn is a tenth of an epoch
+of optimizer steps, so each tree's held-out accuracy falls in the same
+round's turn; 49 rounds. The phase ends by saying whether the two ψs'
 weights are bitwise equal.
 
-Then each tree trains the recipe of perfbench's ``pipeline_fs`` workload
-with its own ``run_training``: 100 ``darken`` pairs at 32 px,
-feature_selection mode, task_oriented triplets under color_jitter, the
-perceptual loss alone, generator learning rate 5e-4, and an extractor it
-pretrains on 600 texture samples first (so both trees are warmed up alike:
-a tree that pretrained and one that did not differ by a few percent). Each
-of 30 rounds runs one turn of 10 iterations of each tree.
+Then each tree trains the recipe with its own ``run_training``, with an
+extractor it pretrains on the workload's texture samples first (so both
+trees are warmed up alike: a tree that pretrained and one that did not
+differ by a few percent). Each of 30 rounds runs one turn of 10 iterations
+of each tree.
 
-Then each tree scores the same 200 ``darken`` validation pairs at 32 px
-(drawn as ``dpl gen-data`` draws them and quantized to 8 bits as its PPMs
-are) with its own trained generator and extractor, as ``cli._evaluate``
-does: decode the pair, run the generator, then psnr, ms_ssim and dfd. Each
-of 20 rounds runs one turn of all 200 pairs of each tree.
+Then each tree scores the same validation pairs, as many as the workload
+scores (drawn as ``dpl gen-data`` draws them and quantized to 8 bits as its
+PPMs are), with its own trained generator and extractor, as
+``cli._evaluate`` does: decode the pair, run the generator, then psnr,
+ms_ssim and dfd. Each of 20 rounds runs one turn of all the pairs of each
+tree.
 
 Prints, for each phase, each tree's median ms per pretraining step,
 iteration or eval pair, the median ratio B/A with a bootstrap 95%
@@ -60,14 +65,21 @@ from pathlib import Path
 
 import numpy as np
 
-PRETRAIN_EPOCHS, PRETRAIN_TURN = 5, 54
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workload  # perfbench's recipes, read only
+
+WORK = workload.WORKLOADS["pipeline_fs"]
+PRETRAIN_EPOCHS = 5
+PRETRAIN_TURN = (workload.PRETRAIN_SAMPLES - workload.HOLDOUT) // 10
 PRETRAIN_ROUNDS = PRETRAIN_EPOCHS * 10 - 1  # with the warm-up, every step of every epoch
 ROUNDS, TURN = 30, 10
-EVAL_ROUNDS, EVAL_PAIRS = 20, 200
-RECIPE = {"task": "darken", "size": "32", "train_count": "100",
-          "pretrain.samples": "600", "dpl.mode": "feature_selection",
-          "dpl.strategy": "task_oriented", "dpl.distortion": "color_jitter",
-          "dpl.w_perceptual": "1", "dpl.w_contextual": "0", "dpl.lr_generator": "5e-4"}
+EVAL_ROUNDS = 20
+RECIPE = {"task": WORK.task, "size": str(workload.SIZE),
+          "train_count": str(workload.TRAIN_COUNT),
+          "pretrain.samples": str(workload.PRETRAIN_SAMPLES), "dpl.mode": WORK.mode,
+          "dpl.lr_generator": workload.LR_GENERATOR,
+          **{flag.removeprefix("--"): value
+             for flag, value in zip(WORK.train_flags[::2], WORK.train_flags[1::2])}}
 
 
 def load_tree(src: Path, name: str):
@@ -158,7 +170,8 @@ class Trainer(Turns):
         config = dpl.config.parse_config(
             overrides={**RECIPE, "seed": str(seed), "dpl.iterations": str((ROUNDS + 1) * TURN)})
         rng = dpl.rng.Rng(seed)
-        pairs = list(dpl.synth.generate_synthetic("darken", 100, 32, rng.child(1)))
+        pairs = list(dpl.synth.generate_synthetic(config["task"], config["train_count"],
+                                                  config["size"], rng.child(1)))
         psi = dpl.networks.FeatureNetPsi(rng.child(31))
         textures = dpl.synth.generate_synthetic("textures", config["pretrain.samples"],
                                                 config["size"], rng.child(30))
@@ -217,7 +230,8 @@ def main() -> int:
     trees = [load_tree(src.resolve(), name)
              for src, name in ((args.parent_src, "dpl_a"), (args.change_src, "dpl_b"))]
     textures = list(trees[0].synth.generate_synthetic(
-        "textures", int(RECIPE["pretrain.samples"]), 32, trees[0].rng.Rng(args.seed).child(30)))
+        "textures", workload.PRETRAIN_SAMPLES, workload.SIZE,
+        trees[0].rng.Rng(args.seed).child(30)))
     a, b = (Pretrainer(dpl, args.seed, textures) for dpl in trees)
     pretrain_times = alternate(PRETRAIN_ROUNDS, a.run_turn, b.run_turn)
     a.finish(), b.finish()
@@ -228,7 +242,7 @@ def main() -> int:
     train_times = alternate(ROUNDS, a.run_turn, b.run_turn)
     a.finish(), b.finish()
 
-    val = trees[0].synth.generate_synthetic("darken", EVAL_PAIRS, 32,
+    val = trees[0].synth.generate_synthetic(WORK.task, workload.VAL_COUNT, workload.SIZE,
                                             trees[0].rng.Rng(args.seed).child(20))
     payloads = [tuple(np.round(image.pixels * 255.0).astype(np.uint8) for image in pair)
                 for pair in val]
@@ -241,7 +255,7 @@ def main() -> int:
     report("pretraining step", args, pretrain_times)
     print(f"{ROUNDS} rounds of {TURN} iterations per tree, seed {args.seed}")
     report("iteration", args, train_times)
-    print(f"{EVAL_ROUNDS} rounds of {EVAL_PAIRS} eval pairs per tree")
+    print(f"{EVAL_ROUNDS} rounds of {workload.VAL_COUNT} eval pairs per tree")
     report("eval pair", args, eval_times)
     return 0
 
