@@ -10,6 +10,7 @@ import resource
 from dataclasses import dataclass, field
 
 from .image import ImageError, check_jitter_ranges, gaussian_kernel1d
+from .losses import CONTEXTUAL_BANDWIDTH_EPSILON_MIN, CONTEXTUAL_EPSILON_MIN
 from .metrics import MS_SSIM_MIN_EXTENT
 from .synth import PAIRED_TASKS
 from .trainer import DISTORTIONS, LOSSES, MODES, STRATEGIES
@@ -76,6 +77,12 @@ def _non_negative(v):
         raise ValueError("must be >= 0")
 
 
+def _contextual_epsilon_check(v):
+    if v < CONTEXTUAL_EPSILON_MIN:
+        raise ValueError(f"must be >= 2^-17 = {CONTEXTUAL_EPSILON_MIN:.4g}, or the float32 "
+                         "contextual loss can be NaN")
+
+
 def _sigma_check(v):
     """A Gaussian sigma: positive, and with a finite kernel. At 1 or above
     the kernel is finite, so only a smaller sigma's, of at most 7 taps, is
@@ -128,7 +135,7 @@ SCHEMA: dict[str, _Key] = {
        for name, (weight, _) in LOSSES.items()},
     "dpl.color_sigma": _Key(_float, 3.0, _sigma_check),
     "dpl.contextual_bandwidth": _Key(_float, 0.5, _positive),
-    "dpl.contextual_epsilon": _Key(_float, 1e-5, _positive),
+    "dpl.contextual_epsilon": _Key(_float, 1e-5, _contextual_epsilon_check),
     "dpl.augment": _Key(_parse_bool, True, help="joint pair augmentation"),
     "train.sample_every": _Key(int, 500, _positive, "iterations between sample triptychs"),
 }
@@ -173,7 +180,8 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     The merged values must also make a consistent training recipe (a
     distortion for task_oriented triplets, some loss weight above 0, and
     ordered distortion ranges), an image size every listed metric accepts,
-    and a triplet crop and blur widths that fit in the image, so
+    a triplet crop and blur widths that fit in the image, and a contextual
+    bandwidth and epsilon that keep the float32 loss finite, so
     combinations the runtime rejects fail here. Floats must be finite, and
     the datasets train, eval and pretrain hold must fit in the memory the
     process may use.
@@ -225,6 +233,11 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{keys} at size {config['size']} need {need / 2**30:.3g} GiB "
                               f"of images, more than the {memory / 2**30:.3g} GiB of memory "
                               "this process may use")
+    h_eps = config["dpl.contextual_bandwidth"] * config["dpl.contextual_epsilon"]
+    if h_eps < CONTEXTUAL_BANDWIDTH_EPSILON_MIN:
+        raise ConfigError(f"dpl.contextual_bandwidth x dpl.contextual_epsilon is {h_eps:.4g}, "
+                          f"below 2^-22 = {CONTEXTUAL_BANDWIDTH_EPSILON_MIN:.4g}, where the "
+                          "float32 contextual loss can overflow to NaN")
     if "distorted" in STRATEGIES[config["dpl.strategy"]] and config["dpl.distortion"] == "none":
         raise ConfigError("task_oriented triplets require a distortion; set dpl.distortion")
     if not any(config[f"dpl.w_{name}"] > 0 for name in LOSSES):

@@ -65,9 +65,31 @@ def _positions(data: np.ndarray) -> np.ndarray:
 # resolution of the row sum; the floor keeps exp and every later product
 # out of the subnormal range, where they run ~10x slower.
 _EXP_FLOOR = -60.0
+# The smallest epsilon and bandwidth x epsilon that keep the float32 tap
+# finite. With u = 2^-24 float32's unit roundoff and C <= 64 channels (the
+# widest tap), q = (1 - smax) + eps must stay positive and alpha = 1 / (h q)
+# small enough that exp of a rounding error cannot overflow:
+# - a rounded cosine similarity of two unit vectors, a C-term dot product,
+#   exceeds 1 by at most about C u = 2^-18 (12 u seen with a target's own
+#   features, where eps <= 7e-7 already gave a NaN), so eps >= 2^-17 keeps
+#   q >= eps / 2 and alpha <= 2 / (h eps);
+# - the nearest column's exponent, alpha (s - smax), is 0 up to the rounding
+#   of two (C+1)-term dot products of terms up to alpha, about 2 (C+1) u alpha
+#   ~ 2^-17 alpha, so h eps >= 2^-22 keeps it near 2^-16 / 2^-22 = 64, where
+#   exp and a row sum of up to 2^20 such terms stay below float32's largest
+#   value, ~e^88.7.
+CONTEXTUAL_EPSILON_MIN = 2.0 ** -17
+CONTEXTUAL_BANDWIDTH_EPSILON_MIN = 2.0 ** -22
 # Elements in one row block of the (Na, Nb) affinities: 512 KB in float32,
 # so a block stays in cache from its first GEMM to its column maxima.
 _BLOCK = 2 ** 17
+
+
+def _floor_exp(w: np.ndarray) -> np.ndarray:
+    """``exp(max(w, _EXP_FLOOR))`` in place. The floor is a scalar of ``w``'s
+    element type: numpy's maximum runs ~15% faster than with a Python float."""
+    np.maximum(w, w.dtype.type(_EXP_FLOOR), out=w)
+    return np.exp(w, out=w)
 
 
 def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float):
@@ -79,13 +101,22 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float):
     ``n_i``), ``q_i = (1 - smax_i) + eps`` (bitwise the chain's ``min_j d +
     eps`` of the distances ``d = 1 - s``) and ``alpha_i = 1 / (h q_i)``,
     the chain's exponent ``(1 - d / q) / h`` is ``alpha_i (s_ij - smax_i) +
-    eps alpha_i``, and the row normalisation cancels ``eps alpha_i``. A
-    block of rows of ``cx`` (Na, Nb), the only (Na, Nb) array, takes one
-    GEMM for ``s`` and its row argmax, a second GEMM ``[alpha an, alpha
-    smax] @ [bn, -1].T`` over it for the exponents, the floor, ``exp``, the
-    row sums as one GEMV and a reciprocal multiply, and keeps its column
-    maxima. After the blocks, each column's max is found once: its first
-    block, then its first row ``f`` there, so a tie keeps the earliest row.
+    eps alpha_i``, and the row normalisation cancels ``eps alpha_i``. So
+    row i of the affinities ``cx`` (Na, Nb) is ``exp(max(lhs_i @ [bn,
+    -1].T, -60)) / rowsum_i`` with ``lhs_i = alpha_i [an_i, smax_i]``: a
+    (C+1)-long left-hand side and one scale per row.
+
+    No (Na, Nb) array is kept. The forward runs each block of rows in one
+    reused buffer: a GEMM for ``s`` and its row argmax, the exponent GEMM,
+    the floor, ``exp``, the row sums as one GEMV and a reciprocal multiply,
+    then the block's column maxima, which update a running column max and
+    the first block that reached it (a strict ``>``, so a tie keeps the
+    earlier block). It keeps ``lhs``, ``1 / rowsum`` and the nearest
+    columns, O(N) in all. Each column max's first row ``f`` is then found
+    by recomputing, in each block, only the columns whose max that block
+    holds, as a (columns, rows) array, so that the argmax runs along
+    contiguous rows: one block's worth of work for all the columns.
+
     With the loss ``-log mean_j max_i cx``:
 
     - every column max has the same gradient ``c = -g / (m * Nb)``, where
@@ -107,12 +138,26 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float):
       ``bn`` are too.
 
     All of it is zero on a row that holds no column max, so the backward
-    gathers only the rows that do, a block at a time through one buffer,
-    and writes ``e`` into the gathered copy. ``v_{f_j} max_j`` and ``s1_j``
-    nearly cancel where a row's affinity is all on its column maxima
-    (``r ~ 1``), so ``e`` is their sum over ``v``, taken before the GEMM:
-    summed inside it, the rounding error of the two large terms would
-    swamp the small result.
+    recomputes only the rows that do, from ``lhs`` and ``1 / rowsum``, a
+    chunk at a time through one buffer, and writes ``e`` into the chunk.
+    ``v_{f_j} max_j`` and ``s1_j`` nearly cancel where a row's affinity is
+    all on its column maxima (``r ~ 1``), so ``e`` is their sum over ``v``,
+    taken before the GEMM: summed inside it, the rounding error of the two
+    large terms would swamp the small result.
+
+    A recomputed affinity has the forward's bytes where BLAS sums an
+    element's K = C + 1 products in one order for any subset of rows or
+    columns and either orientation, as OpenBLAS's float32 GEMM does when
+    both operands are row-major: ``lhs`` rows against ``bt = [bn, -1].T``
+    here, and columns of ``bt`` against ``lhs.T``. The floor, ``exp`` and
+    the scale work element by element. A GEMM of one row or column, which
+    numpy hands to GEMV, sums in another order, so every recompute takes
+    two at least; a forward block of one row (a last block of one row, or
+    Na = 1) is such a GEMV, and its recomputed rows can differ in the last
+    bit. OpenBLAS's float64 kernel also rounds some elements of a partial
+    tile otherwise: at a set size that is not a multiple of 16 (300
+    positions of 16 channels, say), a float64 gradient can differ from the
+    stored matrix's in its last bits.
 
     Floored exponents have a zero derivative. The affinities they stand
     for are below 1e-26 of their row's largest, under what float32 or
@@ -130,47 +175,66 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float):
     starts = range(0, n_rows, step)
     dtype = an.dtype
     ones = np.ones(n_cols, dtype)
-    cx = np.empty((n_rows, n_cols), dtype)
+    buf = np.empty(min(step, n_rows) * max(2, n_cols), dtype)
+    lhs = np.empty((n_rows, an.shape[1] + 1), dtype)  # alpha [an, smax]
+    lhs[:, :-1] = an
+    inv = np.empty(n_rows, dtype)  # 1 / rowsum of the exponentials
     q = np.empty(n_rows, dtype)
     nearest = np.empty(n_rows, np.intp)
-    tops = np.empty((len(starts), n_cols), dtype)
-    bn_ext = np.hstack([bn, np.full((n_cols, 1), -1.0, dtype)])
+    colmax, top = np.full(n_cols, -np.inf, dtype), np.empty(n_cols, dtype)
+    block = np.zeros(n_cols, np.intp)  # the first block holding each column max
+    bt = np.vstack([bn.T, np.full((1, n_cols), -1.0, dtype)])  # [bn, -1].T, C-contiguous
     for k, start in enumerate(starts):
         rows = slice(start, min(start + step, n_rows))
-        w = cx[rows]
-        np.matmul(an[rows], bn.T, out=w)  # cosine similarities, then the exponents
+        w = buf[: (rows.stop - start) * n_cols].reshape(-1, n_cols)
+        np.matmul(an[rows], bn.T, out=w)  # cosine similarities, then the affinities
         n = nearest[rows] = w.argmax(axis=1)
-        smax = w[np.arange(len(w)), n]
+        smax = lhs[rows, -1] = w[np.arange(len(w)), n]
         q[rows] = (1.0 - smax) + eps
-        alpha = 1.0 / (h * q[rows, None])
-        np.matmul(np.hstack([an[rows], smax[:, None]]) * alpha, bn_ext.T, out=w)
-        np.maximum(w, _EXP_FLOOR, out=w)
-        np.exp(w, out=w)
-        w *= (1.0 / (w @ ones))[:, None]
-        w.max(axis=0, out=tops[k])
-    colmax = tops.max(axis=0)
-    block = (tops == colmax).argmax(axis=0)  # the first block holding each column max
-    first = np.empty(n_cols, np.intp)
+        lhs[rows] *= 1.0 / (h * q[rows, None])
+        _floor_exp(np.matmul(lhs[rows], bt, out=w))
+        inv[rows] = 1.0 / (w @ ones)
+        w *= inv[rows, None]
+        w.max(axis=0, out=top)
+        block[top > colmax] = k
+        np.maximum(colmax, top, out=colmax)
+    # The search: the columns grouped by block, each block's run padded to
+    # two columns at least, against that block's rows of lhs.T.
+    order = np.argsort(block, kind="stable")
+    ends = np.cumsum(np.bincount(block, minlength=len(starts)))
+    bt_cols = bt.T[np.resize(order, n_cols + 2)]
+    lhs_t = np.ascontiguousarray(lhs.T)
+    found = np.empty(n_cols, np.intp)
     for k, start in enumerate(starts):
-        col = np.flatnonzero(block == k)
-        top = cx[start: start + step]
-        if len(col) < n_cols:  # "clip": the indices are in range, and "raise" is slower
-            top = np.take(top, col, axis=1, mode="clip")
-        first[col] = start + top.argmax(axis=0)
+        rows = slice(start, min(start + step, n_rows))
+        lo, hi = ends[k - 1] if k else 0, ends[k]
+        width = max(2, hi - lo)
+        wt = buf[: width * (rows.stop - start)].reshape(width, -1)
+        _floor_exp(np.matmul(bt_cols[lo: lo + width], lhs_t[:, rows], out=wt))
+        wt *= inv[rows]
+        found[lo:hi] = start + wt[: hi - lo].argmax(axis=1)
+    first = np.empty(n_cols, np.intp)
+    first[order] = found
     m = colmax.mean()
 
     def rule(g):
         c = -g / (m * n_cols)
-        rows, slot = np.unique(first, return_inverse=True)  # F, and f_j's place in it
+        held = np.zeros(n_rows, bool)
+        held[first] = True
+        rows = np.flatnonzero(held)  # F, ascending
+        slot = (np.cumsum(held) - 1)[first]  # f_j's place in F
         an_f, q_f = an[rows], q[rows]
         r = np.bincount(slot, weights=colmax).astype(dtype)
         v = r * c / (h * q_f)
         e = colmax - colmax / r[slot]  # cx' at the column maxima
         rowsum, cb = np.empty(len(rows), dtype), np.empty((len(rows), bn.shape[1]), dtype)
-        chunk = np.empty((min(step, len(rows)), n_cols), dtype)
+        chunk = np.empty((max(2, min(step, len(rows))), n_cols), dtype)
         for start in range(0, len(rows), step):
             part = slice(start, min(start + step, len(rows)))
-            cx_f = np.take(cx, rows[part], axis=0, out=chunk[: part.stop - start], mode="clip")
+            size = max(2, part.stop - start)  # two rows at least: no GEMV
+            np.matmul(lhs[np.resize(rows[part], size)], bt, out=chunk[:size])
+            cx_f = _floor_exp(chunk[: part.stop - start])
+            cx_f *= inv[rows[part], None]
             rowsum[part] = cx_f @ ones
             own = np.flatnonzero((slot >= start) & (slot < part.stop))
             cx_f[slot[own] - start, own] = e[own]

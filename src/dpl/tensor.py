@@ -159,12 +159,6 @@ def backward(loss: Tensor, tape: ComputationTape) -> None:
             buf += contrib
 
 
-def _as_tensor(value, dtype=None) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value, dtype)
-
-
 def _make(data: np.ndarray, parents: Sequence[Tensor], rule) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -197,7 +191,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     data = np.maximum(a.data, 0.0)
 
     def rule(g):
@@ -286,7 +279,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     Only the gradients the active tape tracks are computed, so a frozen
     weight costs no weight-gradient matmul.
     """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.ndim != 3 or weight.data.ndim != 4:
         raise AutodiffError(
             f"conv2d expects [C,H,W] input and [O,I,kh,kw] weight, got {x.shape}, {weight.shape}"
@@ -360,7 +352,6 @@ def max_pool2(x: Tensor) -> Tensor:
     ``g`` itself lands as +0.0, a sign no parameter's gradient can show,
     since ``backward`` adds every contribution into zeros.
     """
-    x = _as_tensor(x)
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise AutodiffError(f"max_pool2 needs even extents, got {h}x{w}")
@@ -397,7 +388,6 @@ def upsample_conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     the same sums; the input gradient is the transposed product,
     overlap-added over the 2x2 windows.
     """
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.data.ndim != 3 or weight.data.shape[1:] != (x.shape[0], 3, 3):
         raise AutodiffError(
             f"upsample_conv3x3 expects [C,H,W] input and [O,C,3,3] weight, "

@@ -11,7 +11,10 @@ active tape through ``tensor._make``, as the library's ops do:
   convolution;
 - the chains that the library's fused ops replace, as their oracles: the
   contextual loss's affinity steps (``test_losses.contextual_chain``), its
-  taps joined by ``add`` and ``mul`` (``contextual_tap_chain``), the
+  taps joined by ``add`` and ``mul`` (``contextual_tap_chain``), a tap that
+  stores its (Na, Nb) affinities from forward to backward
+  (``contextual_tap_stored``, the byte oracle of ``losses._contextual_tap``,
+  which recomputes them), the
   generator's weighted sum of loss terms (``weighted_sum_chain``), ψ's
   pooled head and cross-entropy (``cross_entropy_chain``, fused by
   ``networks.cross_entropy``), the color, texture and pixel losses
@@ -24,12 +27,17 @@ import numpy as np
 
 from dpl import tensor as T
 from dpl.image import GRAY_WEIGHTS, gaussian_kernel1d, separable_filter, separable_filter_adjoint
-from dpl.losses import _contextual_tap
+from dpl.losses import _BLOCK, _EXP_FLOOR, _contextual_tap, _positions
+
+
+def _as_tensor(value, dtype=None) -> T.Tensor:
+    """``value`` if it is a tensor, else a new tensor of it."""
+    return value if isinstance(value, T.Tensor) else T.Tensor(value, dtype)
 
 
 def constant(value, dtype=None) -> T.Tensor:
     """A tensor no tape tracks, wrapping ``value``."""
-    return T._as_tensor(value, dtype)
+    return _as_tensor(value, dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -47,7 +55,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _operands(a, b, op: str) -> tuple[T.Tensor, T.Tensor]:
     """``a`` and ``b`` as tensors, ``b`` in ``a``'s element type when it is
     not one; refused unless their element types agree and shapes broadcast."""
-    a, b = T._as_tensor(a), T._as_tensor(b, a.dtype)
+    a, b = _as_tensor(a), _as_tensor(b, a.dtype)
     T._check_dtypes(op, a, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -266,3 +274,74 @@ def weighted_sum_chain(terms, weights) -> T.Tensor:
         weighted = mul(term, weight)
         total = weighted if total is None else add(total, weighted)
     return total
+
+
+def contextual_tap_stored(a: T.Tensor, b: T.Tensor, h: float, eps: float):
+    """``losses._contextual_tap`` as it was before it streamed its affinities:
+    the whole (Na, Nb) matrix ``cx`` is kept from the forward to the rule,
+    each column max's first row is found with ``argmax(axis=0)`` over the
+    stored blocks, and the rule gathers the rows that hold a column max from
+    ``cx``. Same value and rule signature."""
+    av, bv = _positions(a.data), _positions(b.data)  # (Na, C), (Nb, C)
+    mu = bv.mean(axis=0, keepdims=True)
+    ac, bc = av - mu, bv - mu
+    na = np.sqrt((ac * ac).sum(axis=1, keepdims=True) + eps * eps)
+    nb = np.sqrt((bc * bc).sum(axis=1, keepdims=True) + eps * eps)
+    an, bn = ac / na, bc / nb
+    n_rows, n_cols = len(an), len(bn)
+    step = max(1, _BLOCK // n_cols)
+    starts = range(0, n_rows, step)
+    dtype = an.dtype
+    ones = np.ones(n_cols, dtype)
+    cx = np.empty((n_rows, n_cols), dtype)
+    q = np.empty(n_rows, dtype)
+    nearest = np.empty(n_rows, np.intp)
+    tops = np.empty((len(starts), n_cols), dtype)
+    bn_ext = np.hstack([bn, np.full((n_cols, 1), -1.0, dtype)])
+    for k, start in enumerate(starts):
+        rows = slice(start, min(start + step, n_rows))
+        w = cx[rows]
+        np.matmul(an[rows], bn.T, out=w)  # cosine similarities, then the exponents
+        n = nearest[rows] = w.argmax(axis=1)
+        smax = w[np.arange(len(w)), n]
+        q[rows] = (1.0 - smax) + eps
+        alpha = 1.0 / (h * q[rows, None])
+        np.matmul(np.hstack([an[rows], smax[:, None]]) * alpha, bn_ext.T, out=w)
+        np.maximum(w, _EXP_FLOOR, out=w)
+        np.exp(w, out=w)
+        w *= (1.0 / (w @ ones))[:, None]
+        w.max(axis=0, out=tops[k])
+    colmax = tops.max(axis=0)
+    block = (tops == colmax).argmax(axis=0)  # the first block holding each column max
+    first = np.empty(n_cols, np.intp)
+    for k, start in enumerate(starts):
+        col = np.flatnonzero(block == k)
+        top = cx[start: start + step]
+        if len(col) < n_cols:  # "clip": the indices are in range, and "raise" is slower
+            top = np.take(top, col, axis=1, mode="clip")
+        first[col] = start + top.argmax(axis=0)
+    m = colmax.mean()
+
+    def rule(g):
+        c = -g / (m * n_cols)
+        rows, slot = np.unique(first, return_inverse=True)  # F, and f_j's place in it
+        an_f, q_f = an[rows], q[rows]
+        r = np.bincount(slot, weights=colmax).astype(dtype)
+        v = r * c / (h * q_f)
+        e = colmax - colmax / r[slot]  # cx' at the column maxima
+        rowsum, cb = np.empty(len(rows), dtype), np.empty((len(rows), bn.shape[1]), dtype)
+        chunk = np.empty((min(step, len(rows)), n_cols), dtype)
+        for start in range(0, len(rows), step):
+            part = slice(start, min(start + step, len(rows)))
+            cx_f = np.take(cx, rows[part], axis=0, out=chunk[: part.stop - start], mode="clip")
+            rowsum[part] = cx_f @ ones
+            own = np.flatnonzero((slot >= start) & (slot < part.stop))
+            cx_f[slot[own] - start, own] = e[own]
+            np.matmul(cx_f, bn, out=cb[part])
+        dq = -v * (rowsum - 1.0 - np.einsum("ij,ij->i", an_f, cb)) / q_f
+        dan = cb * v[:, None] + dq[:, None] * bn[nearest[rows]]
+        dac = np.zeros_like(an)
+        dac[rows] = (an_f * (dan * an_f).sum(axis=1, keepdims=True) - dan) / na[rows]
+        return [(a, dac.T.reshape(a.shape))]
+
+    return -np.log(m), rule

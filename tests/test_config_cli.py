@@ -913,11 +913,23 @@ def test_manifest_without_pairs_is_usage_error(prepared_run, capsys, command, pa
     (["--dpl.blur_sigma_max", "1e-300"], "'dpl.blur_sigma_max' (command line): sigma 1e-300"),
     (["--dpl.w_color", "1", "--dpl.color_sigma", "1e-300"],
      "'dpl.color_sigma' (command line): sigma 1e-300 is too small"),
+    # the float32 contextual loss read NaN at both, and training exited 3
+    (["--dpl.w_contextual", "1", "--dpl.contextual_epsilon", "2e-7"],
+     "'dpl.contextual_epsilon' (command line): must be >= 2^-17"),
+    (["--dpl.w_contextual", "1", "--dpl.contextual_bandwidth", "1e-4"],
+     "dpl.contextual_bandwidth x dpl.contextual_epsilon is 1e-09, below 2^-22"),
 ])
 def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
     # refused before any data is read: the output directory does not exist
     assert main(["train", *_base_args(tmp_path / "nothing"), *flags]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_smallest_contextual_settings_are_accepted():
+    # the corner where both bounds hold with equality
+    config = parse_config(overrides={"dpl.contextual_epsilon": repr(2.0 ** -17),
+                                     "dpl.contextual_bandwidth": repr(2.0 ** -5)})
+    assert config["dpl.contextual_epsilon"] * config["dpl.contextual_bandwidth"] == 2.0 ** -22
 
 
 @pytest.mark.parametrize("command, flags, message", [

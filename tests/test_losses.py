@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import tape_ops as ops
 from conftest import check_gradients
 from dpl import tensor as T
-from dpl.losses import (LossError, color_loss,
-                        contextual_loss, perceptual_loss, pixel_loss,
-                        texture_loss, triplet_loss, weighted_sum)
+from dpl.losses import (CONTEXTUAL_BANDWIDTH_EPSILON_MIN, CONTEXTUAL_EPSILON_MIN, LossError,
+                        _contextual_tap, color_loss, contextual_loss, perceptual_loss,
+                        pixel_loss, texture_loss, triplet_loss, weighted_sum)
 from dpl.tensor import ComputationTape, Tensor
 
 
@@ -297,16 +299,18 @@ def _exponents(a, b, h=0.5, eps=1e-5):
     return (1.0 - d / (d.min(axis=1, keepdims=True) + eps)) / h
 
 
+def _duplicate_pair(rng):
+    # every fourth position of the first set copies the second set's
+    a, b = rng.normal(size=(16, 1024)), rng.normal(size=(16, 1024))
+    a[:, ::4] = b[:, ::4]
+    return a.reshape(TAP_SHAPES[0]), b.reshape(TAP_SHAPES[0])
+
+
 def test_contextual_exponent_floor_binds_and_changes_nothing_visible():
     # a quarter of the first set's positions copy the second set's exactly,
     # so q = eps on their rows and most of their exponents are far below
     # the floor, where exp would otherwise be subnormal or zero
-    rng = np.random.default_rng(21)
-    c, hgt, wid = TAP_SHAPES[0]
-    a = rng.normal(size=(c, hgt * wid))
-    b = rng.normal(size=(c, hgt * wid))
-    a[:, ::4] = b[:, ::4]
-    a, b = a.reshape(c, hgt, wid), b.reshape(c, hgt, wid)
+    a, b = _duplicate_pair(np.random.default_rng(21))
     assert (_exponents(a, b) < -60.0).any()
 
     fa, fb = _featset(a.astype(np.float32)), _featset(b.astype(np.float32))
@@ -329,10 +333,15 @@ def _tied_rows_sets(rng):
     return a.reshape(c, hgt, wid), rng.normal(size=(c, hgt, wid))
 
 
+def _constant_pair(rng, shape):
+    # every position of the first set holds one vector, so its first row
+    # holds every column max
+    a = np.broadcast_to(rng.normal(size=(shape[0], 1, 1)), shape).copy()
+    return a, rng.normal(size=shape)
+
+
 def _constant_first_set(rng):
-    c, hgt, wid = TAP_SHAPES[0]
-    a = np.broadcast_to(rng.normal(size=(c, 1, 1)), (c, hgt, wid)).copy()
-    return a, rng.normal(size=(c, hgt, wid))
+    return _constant_pair(rng, TAP_SHAPES[0])
 
 
 @pytest.mark.parametrize("build", [_tied_rows_sets, _constant_first_set])
@@ -388,13 +397,16 @@ def test_contextual_partial_last_block_and_unequal_set_sizes():
     _assert_matches_chain(a, b)
 
 
-def test_contextual_every_row_holds_a_column_max():
-    # each of 320 first-set positions lies near its own second-set position,
-    # so the backward gathers all 320 rows in three chunks of 128
-    rng = np.random.default_rng(23)
+def _near_pair(rng):
+    # each of 320 positions near its own target: every row holds a column max
     b = rng.normal(size=(16, 1024))
     a = b[:, :320] + rng.normal(scale=0.3, size=(16, 320))
-    a, b = a.reshape(16, 20, 16), b.reshape(TAP_SHAPES[0])
+    return a.reshape(16, 20, 16), b.reshape(TAP_SHAPES[0])
+
+
+def test_contextual_every_row_holds_a_column_max():
+    # the backward gathers all 320 rows in three chunks of 128
+    a, b = _near_pair(np.random.default_rng(23))
     assert len(_column_max_rows(a, b)) == 320
     _assert_matches_chain(a, b)
 
@@ -407,6 +419,119 @@ def test_contextual_untracked_second_set_gets_no_gradient():
         T.backward(contextual_loss(fa, fb), tape)
     assert all(t.grad is not None and np.all(np.isfinite(t.grad)) for t in fa)
     assert all(t.grad is None for t in fb)
+
+
+def _relu_pair(rng, shape):
+    a = np.maximum(rng.normal(size=shape), 0.0)
+    return a, np.maximum(a + rng.normal(size=shape), 0.0)
+
+
+def _three_vector_pair(rng, shape):
+    # every position of the first set holds one of three vectors
+    vectors = rng.normal(size=(shape[0], 3))
+    a = vectors[:, rng.integers(0, 3, size=shape[1] * shape[2])].reshape(shape)
+    return a, rng.normal(size=shape)
+
+
+def _small_duplicate_pair(rng):
+    # the sets of test_contextual_gradient_with_duplicate_vectors
+    ys, xs = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
+    ys[3] = ys[0]
+    xs[0] = xs[3] = ys[0] + rng.normal(scale=0.3, size=3)
+    return _vectors_to_tap(xs), _vectors_to_tap(ys)
+
+
+STREAM_CASES = {
+    **{f"relu_{s[0]}x{s[1]}x{s[2]}": (lambda rng, s=s: _relu_pair(rng, s)) for s in TAP_SHAPES},
+    "tie_across_row_blocks": _tied_rows_sets,
+    **{f"one_row_holds_every_column_max_{s[0]}": (lambda rng, s=s: _constant_pair(rng, s))
+       for s in TAP_SHAPES},
+    **{f"three_rows_hold_every_column_max_{s[0]}": (lambda rng, s=s: _three_vector_pair(rng, s))
+       for s in TAP_SHAPES},
+    "duplicate_vectors": _duplicate_pair,
+    "small_duplicate_vectors": _small_duplicate_pair,
+    "partial_last_block_fewer_rows": lambda rng: (rng.normal(size=(16, 24, 40)),
+                                                  rng.normal(size=TAP_SHAPES[0])),
+    "partial_last_block_more_rows": lambda rng: (rng.normal(size=TAP_SHAPES[0]),
+                                                 rng.normal(size=(16, 24, 40))),
+    "every_row_holds_a_column_max": _near_pair,
+}
+
+
+def _tap_bytes(tap, a, b, dtype, g=0.37):
+    """One tap's value and the first set's gradient for ``g``, as bytes."""
+    ta, tb = Tensor(a, dtype), Tensor(b, dtype)
+    value, rule = tap(ta, tb, 0.5, 1e-5)
+    [(t, grad)] = rule(np.asarray(g, dtype))
+    assert t is ta and grad.dtype == dtype
+    return np.asarray(value).tobytes(), grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_tap_matches_the_stored_matrix_tap_bytewise(case, dtype):
+    # recomputing the affinities gives the bytes of keeping them
+    a, b = STREAM_CASES[case](np.random.default_rng(33))
+    want = _tap_bytes(ops.contextual_tap_stored, a, b, dtype)
+    assert _tap_bytes(_contextual_tap, a, b, dtype) == want
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_streamed_tap_rule_gives_the_same_bytes_when_called_twice(dtype):
+    a, b = _relu_pair(np.random.default_rng(34), TAP_SHAPES[0])
+    _, rule = _contextual_tap(Tensor(a, dtype), Tensor(b, dtype), 0.5, 1e-5)
+    g = np.asarray(0.37, dtype)
+    [(_, first)], [(_, second)] = rule(g), rule(g)
+    assert first.tobytes() == second.tobytes()
+
+
+def _peak_bytes(tap, a, b):
+    """The tracemalloc peak of one forward and backward of ``tap``."""
+    ta, tb = Tensor(a), Tensor(b)
+    tracemalloc.start()
+    try:
+        _, rule = tap(ta, tb, 0.5, 1e-5)
+        rule(np.float32(1.0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_tap_keeps_no_affinity_matrix():
+    # tap 0 at 32 px: 1024 x 1024 float32 affinities are 4 MiB
+    a, b = (x.astype(np.float32) for x in _relu_pair(np.random.default_rng(35), TAP_SHAPES[0]))
+    matrix = a[0].size * b[0].size * a.itemsize
+    assert _peak_bytes(ops.contextual_tap_stored, a, b) > matrix  # tracemalloc sees numpy
+    assert _peak_bytes(_contextual_tap, a, b) < matrix / 2
+
+
+@pytest.mark.parametrize("h, eps", [
+    (0.5, CONTEXTUAL_EPSILON_MIN),
+    (CONTEXTUAL_BANDWIDTH_EPSILON_MIN / 1e-5, 1e-5),
+    (CONTEXTUAL_BANDWIDTH_EPSILON_MIN / CONTEXTUAL_EPSILON_MIN, CONTEXTUAL_EPSILON_MIN),
+])
+def test_float32_contextual_stays_finite_at_the_smallest_accepted_settings(h, eps):
+    # features equal to the target's put q = (1 - smax) + eps at its smallest
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        fb = [np.maximum(rng.normal(size=s), 0.0).astype(np.float32) for s in TAP_SHAPES]
+        fa = _featset(*(x.copy() for x in fb))
+        with ComputationTape(fa) as tape:
+            loss = contextual_loss(fa, _featset(*fb), h, eps)
+            T.backward(loss, tape)
+        assert np.isfinite(loss.item())
+        assert all(np.all(np.isfinite(t.grad)) for t in fa)
+
+
+@pytest.mark.parametrize("h, eps", [(0.5, 2e-7), (1e-4, 1e-5)])
+def test_float32_contextual_is_nan_below_the_accepted_settings(h, eps):
+    # what config refuses: 1 - smax rounds to <= 0 at eps = 2e-7, and at
+    # h eps = 1e-9 the exponents overflow
+    rng = np.random.default_rng(37)
+    fb = [np.maximum(rng.normal(size=s), 0.0).astype(np.float32) for s in TAP_SHAPES]
+    with np.errstate(all="ignore"):
+        loss = contextual_loss(_featset(*(x.copy() for x in fb)), _featset(*fb), h, eps)
+    assert np.isnan(loss.item())
 
 
 def _bytes_and_entries(fn, params, constants, weight):

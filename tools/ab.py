@@ -1,6 +1,6 @@
-"""Paired in-process A/B of the ``pipeline_fs`` pretraining step, training iteration and eval pair of two trees.
+"""Paired in-process A/B of a perfbench workload's pretraining step, training iteration and eval pair of two trees.
 
-    python3 tools/ab.py PARENT_SRC CHANGE_SRC --seed 1
+    python3 tools/ab.py PARENT_SRC CHANGE_SRC --seed 1 --workload train_ctx_frozen
 
 PARENT_SRC and CHANGE_SRC are directories holding a ``dpl`` package (a
 checkout's ``src``). Each tree's package is imported under its own name,
@@ -10,12 +10,15 @@ run in two threads that take strict turns, never both at once: after a
 warm-up turn each, each round runs one turn of each tree, A first in even
 rounds and B first in odd ones. A round's sample is B's turn time over A's.
 
-The recipe is perfbench's ``pipeline_fs`` workload, read from
-``perfbench/workload.py`` (its ``WORKLOADS`` entry, ``SIZE``,
-``TRAIN_COUNT``, ``VAL_COUNT``, ``PRETRAIN_SAMPLES``, ``HOLDOUT`` and
-``LR_GENERATOR``), so the two harnesses run the same thing: at the time of
-writing, ``darken`` pairs at 32 px, feature_selection mode, task_oriented
-triplets under color_jitter and the perceptual loss alone.
+The recipe is the perfbench workload named by ``--workload`` (default
+``pipeline_fs``), read from ``perfbench/workload.py`` (its ``WORKLOADS``
+entry, ``SIZE``, ``TRAIN_COUNT``, ``VAL_COUNT``, ``PRETRAIN_SAMPLES``,
+``HOLDOUT`` and ``LR_GENERATOR``), so the two harnesses run the same thing.
+At the time of writing both train on ``darken`` pairs at 32 px:
+``pipeline_fs`` in feature_selection mode with task_oriented triplets under
+color_jitter and the perceptual loss alone, ``train_ctx_frozen`` in frozen
+mode with the perceptual and contextual losses. The pretraining phase is the
+same for both.
 
 First each tree runs its own ``pretrain_psi`` with its own ψ and Adam over
 the same workload's texture samples (the default learning rate), for 5
@@ -44,6 +47,11 @@ faster. A ratio below 1 means B is faster; an interval that excludes 1
 resolves the difference. Running one tree against itself (the same path
 twice) is the A/A check of the method. BLAS is pinned to one thread, as
 perfbench pins it. Only the standard library and numpy are used.
+
+It times and nothing else. An in-process A/B cannot show memory: both trees
+allocate from one heap, so peak RSS and page faults belong to neither tree,
+and a tree's allocations land where the other's left room. A change to how
+memory is allocated needs fresh-process runs, such as perfbench's.
 """
 
 from __future__ import annotations
@@ -68,18 +76,21 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workload  # perfbench's recipes, read only
 
-WORK = workload.WORKLOADS["pipeline_fs"]
 PRETRAIN_EPOCHS = 5
 PRETRAIN_TURN = (workload.PRETRAIN_SAMPLES - workload.HOLDOUT) // 10
 PRETRAIN_ROUNDS = PRETRAIN_EPOCHS * 10 - 1  # with the warm-up, every step of every epoch
 ROUNDS, TURN = 30, 10
 EVAL_ROUNDS = 20
-RECIPE = {"task": WORK.task, "size": str(workload.SIZE),
-          "train_count": str(workload.TRAIN_COUNT),
-          "pretrain.samples": str(workload.PRETRAIN_SAMPLES), "dpl.mode": WORK.mode,
-          "dpl.lr_generator": workload.LR_GENERATOR,
-          **{flag.removeprefix("--"): value
-             for flag, value in zip(WORK.train_flags[::2], WORK.train_flags[1::2])}}
+
+
+def recipe(work) -> dict[str, str]:
+    """The config overrides of a perfbench workload's ``dpl train``."""
+    return {"task": work.task, "size": str(workload.SIZE),
+            "train_count": str(workload.TRAIN_COUNT),
+            "pretrain.samples": str(workload.PRETRAIN_SAMPLES), "dpl.mode": work.mode,
+            "dpl.lr_generator": workload.LR_GENERATOR,
+            **{flag.removeprefix("--"): value
+               for flag, value in zip(work.train_flags[::2], work.train_flags[1::2])}}
 
 
 def load_tree(src: Path, name: str):
@@ -166,9 +177,10 @@ class Pretrainer(Turns):
 class Trainer(Turns):
     """One tree's training run in its own thread, paused after every turn."""
 
-    def __init__(self, dpl, seed: int):
+    def __init__(self, dpl, seed: int, work):
         config = dpl.config.parse_config(
-            overrides={**RECIPE, "seed": str(seed), "dpl.iterations": str((ROUNDS + 1) * TURN)})
+            overrides={**recipe(work), "seed": str(seed),
+                       "dpl.iterations": str((ROUNDS + 1) * TURN)})
         rng = dpl.rng.Rng(seed)
         pairs = list(dpl.synth.generate_synthetic(config["task"], config["train_count"],
                                                   config["size"], rng.child(1)))
@@ -225,7 +237,10 @@ def main() -> int:
     parser.add_argument("parent_src", type=Path, help="directory holding tree A's dpl package")
     parser.add_argument("change_src", type=Path, help="directory holding tree B's dpl package")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", choices=sorted(workload.WORKLOADS), default="pipeline_fs",
+                        help="the perfbench workload whose recipe both trees run")
     args = parser.parse_args()
+    work = workload.WORKLOADS[args.workload]
 
     trees = [load_tree(src.resolve(), name)
              for src, name in ((args.parent_src, "dpl_a"), (args.change_src, "dpl_b"))]
@@ -238,11 +253,11 @@ def main() -> int:
     same = all(p.data.tobytes() == q.data.tobytes()
                for p, q in zip(a.psi.params(), b.psi.params()))
 
-    a, b = (Trainer(dpl, args.seed) for dpl in trees)
+    a, b = (Trainer(dpl, args.seed, work) for dpl in trees)
     train_times = alternate(ROUNDS, a.run_turn, b.run_turn)
     a.finish(), b.finish()
 
-    val = trees[0].synth.generate_synthetic(WORK.task, workload.VAL_COUNT, workload.SIZE,
+    val = trees[0].synth.generate_synthetic(work.task, workload.VAL_COUNT, workload.SIZE,
                                             trees[0].rng.Rng(args.seed).child(20))
     payloads = [tuple(np.round(image.pixels * 255.0).astype(np.uint8) for image in pair)
                 for pair in val]
@@ -253,7 +268,7 @@ def main() -> int:
           f"seed {args.seed}; psi weights after {PRETRAIN_EPOCHS} epochs bitwise "
           f"{'equal' if same else 'different'}")
     report("pretraining step", args, pretrain_times)
-    print(f"{ROUNDS} rounds of {TURN} iterations per tree, seed {args.seed}")
+    print(f"{ROUNDS} rounds of {TURN} {args.workload} iterations per tree, seed {args.seed}")
     report("iteration", args, train_times)
     print(f"{EVAL_ROUNDS} rounds of {workload.VAL_COUNT} eval pairs per tree")
     report("eval pair", args, eval_times)
