@@ -2,8 +2,8 @@
 transformation training, evaluation, and standalone distortion.
 
 Exit codes: 0 success, 1 usage/config error or out of memory, 2 pretraining
-accuracy gate, 3 numerical halt during training, 130 interrupted (Ctrl-C, or
-SIGTERM while ``main`` runs in the main thread).
+accuracy gate, 3 numerical halt during pretraining or training, 130
+interrupted (Ctrl-C, or SIGTERM while ``main`` runs in the main thread).
 
 Before a command runs, the outputs an earlier run left under ``out_dir`` (as
 ``COMMANDS`` names them) and those derived from them are removed, so a command
@@ -29,7 +29,7 @@ from .image import (Image, ImageError, decode_ppm, from_tensor, load_image, load
                     to_tensor)
 from .metrics import MS_SSIM_MIN_EXTENT, MetricError, feature_distance, ms_ssim, psnr
 from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, NetworkError,
-                       SelectionPhi, pretrain_psi, takes_extents)
+                       PretrainingDiverged, SelectionPhi, pretrain_psi, takes_extents)
 from .rng import Rng
 from .synth import generate_synthetic
 from .trainer import (LOSSES, TrainingFailed, TrainingHalted, TrainingInterrupted, distort,
@@ -177,6 +177,9 @@ def cmd_pretrain(config: ExperimentConfig, args) -> int:
             code = EXIT_PRETRAIN_GATE
             log(f"gate failed: held-out accuracy {accuracy:.2%} < {PRETRAIN_GATE:.0%}; "
                 "psi.dplc not written")
+    except PretrainingDiverged as e:
+        code = EXIT_NUMERIC_HALT
+        log(f"numerical halt: {e}; psi.dplc not written")
     except KeyboardInterrupt:
         code = EXIT_INTERRUPTED
         log("interrupted; psi.dplc not written", sys.stderr)

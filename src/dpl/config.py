@@ -9,8 +9,10 @@ import os
 import resource
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .image import ImageError, check_jitter_ranges, gaussian_kernel1d
-from .losses import CONTEXTUAL_BANDWIDTH_EPSILON_MIN, CONTEXTUAL_EPSILON_MIN
+from .losses import CONTEXTUAL_BANDWIDTH_EPSILON_MIN, CONTEXTUAL_EPSILON_MIN, FLOAT32_MAX
 from .metrics import MS_SSIM_MIN_EXTENT
 from .synth import PAIRED_TASKS
 from .trainer import DISTORTIONS, LOSSES, MODES, STRATEGIES
@@ -35,6 +37,15 @@ def _float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _float32(text: str) -> float:
+    """A finite float the runtime casts to float32 (a loss weight, the margin
+    or a learning rate), so at most float32's largest value."""
+    value = _float(text)
+    if value > FLOAT32_MAX:
+        raise ValueError(f"must be <= {FLOAT32_MAX:.4g}, float32's largest value")
     return value
 
 
@@ -77,6 +88,12 @@ def _non_negative(v):
         raise ValueError("must be >= 0")
 
 
+def _weight_check(v):
+    _non_negative(v)
+    if v > 0 and np.float32(v) == 0:
+        raise ValueError(f"{v:.3g} rounds to 0 in float32; set 0 to leave the term out")
+
+
 def _contextual_epsilon_check(v):
     if v < CONTEXTUAL_EPSILON_MIN:
         raise ValueError(f"must be >= 2^-17 = {CONTEXTUAL_EPSILON_MIN:.4g}, or the float32 "
@@ -115,7 +132,7 @@ SCHEMA: dict[str, _Key] = {
                     help="comma-separated metric list"),
     "pretrain.epochs": _Key(int, 5, _positive),
     "pretrain.samples": _Key(int, 2000, _positive),
-    "pretrain.lr": _Key(_float, 1e-3, _positive),
+    "pretrain.lr": _Key(_float32, 1e-3, _positive),
     "dpl.strategy": _Key(_choice(tuple(STRATEGIES)), "task_oriented"),
     "dpl.distortion": _Key(_choice((*DISTORTIONS, "none")), "color_jitter"),
     "dpl.blur_sigma_min": _Key(_float, 1.0, _sigma_check),
@@ -126,12 +143,12 @@ SCHEMA: dict[str, _Key] = {
     "dpl.jitter_bias_max": _Key(_float, 0.1),
     "dpl.crop": _Key(int, 16, _crop_check, "triplet crop size"),
     "dpl.interval": _Key(int, 4, _positive, "iterations between selector updates"),
-    "dpl.margin": _Key(_float, 1.0, _non_negative, "triplet margin"),
+    "dpl.margin": _Key(_float32, 1.0, _non_negative, "triplet margin"),
     "dpl.mode": _Key(_choice(MODES), "feature_selection"),
     "dpl.iterations": _Key(int, 2000, _positive),
-    "dpl.lr_generator": _Key(_float, 1e-4, _positive),
-    "dpl.lr_selector": _Key(_float, 1e-4, _positive),
-    **{f"dpl.w_{name}": _Key(_float, weight, _non_negative)
+    "dpl.lr_generator": _Key(_float32, 1e-4, _positive),
+    "dpl.lr_selector": _Key(_float32, 1e-4, _positive),
+    **{f"dpl.w_{name}": _Key(_float32, weight, _weight_check)
        for name, (weight, _) in LOSSES.items()},
     "dpl.color_sigma": _Key(_float, 3.0, _sigma_check),
     "dpl.contextual_bandwidth": _Key(_float, 0.5, _positive),
@@ -182,9 +199,10 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     ordered distortion ranges), an image size every listed metric accepts,
     a triplet crop and blur widths that fit in the image, and a contextual
     bandwidth and epsilon that keep the float32 loss finite, so
-    combinations the runtime rejects fail here. Floats must be finite, and
-    the datasets train, eval and pretrain hold must fit in the memory the
-    process may use.
+    combinations the runtime rejects fail here. Floats must be finite; loss
+    weights, the margin and learning rates must be at most float32's largest
+    value, and a positive weight must not round to float32 0. The datasets
+    train, eval and pretrain hold must fit in the memory the process may use.
     """
     values: dict = {}
     if path is not None:

@@ -282,6 +282,13 @@ def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float = 0.5,
                    lambda g: [pair for rule in rules for pair in rule(g * scale)])
 
 
+# The largest loss weight, triplet margin or learning rate a config takes.
+# weighted_sum and triplet_loss cast theirs to their terms' element type, and
+# Adam scales its update by its rate in its parameters' type: float32 in
+# training, where a larger value overflows to inf.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def weighted_sum(terms: list, weights: list) -> Tensor:
     """``t0 w0 + t1 w1 + ...`` of rank-0 loss terms as one tape op, each weight
     a 0-d array of its term's element type, summed in order with the first

@@ -4,6 +4,8 @@ trainable 1x1-conv selection layer, plus extractor pretraining, whose loss
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -17,6 +19,10 @@ PRETRAIN_GATE = 0.80  # held-out accuracy psi must reach before it is saved
 
 class NetworkError(Exception):
     pass
+
+
+class PretrainingDiverged(Exception):
+    """A non-finite loss or parameter in ``pretrain_psi``."""
 
 
 # The image extents F and the extractor both take: F needs them even and at
@@ -241,7 +247,9 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
     """Train the texture classifier on all but the first tenth of ``dataset``,
     a list of (image tensor [3,H,W], label) samples (``to_tensor`` of the
     textures), until the accuracy on that tenth reaches ``PRETRAIN_GATE`` or
-    the epochs run out; returns the last held-out accuracy."""
+    the epochs run out; returns the last held-out accuracy. A non-finite
+    loss, or parameters left non-finite by an epoch, raise
+    ``PretrainingDiverged``."""
     n_hold = max(1, int(len(dataset) * 0.1))
     heldout, train = dataset[:n_hold], dataset[n_hold:]
     opt = Adam(psi.params(), lr=lr)
@@ -249,13 +257,25 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
     if log is not None:
         log(f"epoch 0 heldout_accuracy {acc:.4f}")
     for epoch in range(1, epochs + 1):
-        for idx in rng.permutation(len(train)):
-            x, label = train[int(idx)]
-            with T.ComputationTape(opt.params) as tape:
-                loss = cross_entropy(psi, x, label)
-                T.backward(loss, tape)
-            opt.step()
-            opt.zero_grad()
+        # a diverging step overflows; the finiteness checks report that, so
+        # numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, idx in enumerate(rng.permutation(len(train)), start=1):
+                x, label = train[int(idx)]
+                with T.ComputationTape(opt.params) as tape:
+                    loss = cross_entropy(psi, x, label)
+                    value = loss.item()
+                    if not math.isfinite(value):
+                        raise PretrainingDiverged(f"non-finite loss {value} at epoch {epoch}, "
+                                                  f"step {step} of {len(train)}")
+                    T.backward(loss, tape)
+                opt.step()
+                opt.zero_grad()
+        # a step that made psi non-finite shows in the next step's loss; the
+        # epoch's last step is caught here
+        if not all(np.isfinite(p.data).all() for p in psi.params()):
+            raise PretrainingDiverged(f"non-finite parameters after epoch {epoch}, "
+                                      f"step {len(train)} of {len(train)}")
         acc = accuracy(psi, heldout)
         if log is not None:
             log(f"epoch {epoch} heldout_accuracy {acc:.4f}")

@@ -8,11 +8,6 @@ import numpy as np
 from .image import Image, color_jitter, gaussian_blur
 from .rng import Rng
 
-TEXTURE_CLASSES = [
-    "stripes", "checker", "dots", "radial", "linear",
-    "noise", "rings", "diagonal", "blobs", "grid",
-]
-
 # paired task: name -> source(y, rng), the degraded X drawn from the clean target Y
 PAIRED_TASKS = {
     "darken": lambda y, rng: Image.from_array(

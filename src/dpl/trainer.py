@@ -1,18 +1,21 @@
 """Alternating two-optimizer training loop.
 
-Each iteration: build a triplet from the current pair and the generator's
-own output, accumulate the selector gradient (without stepping), take one
-Adam step on the generator, and apply the accumulated selector update
-every N iterations. Each step differentiates only with respect to the
-parameter list of the optimizer it feeds: the generator step's tape holds
-F's parameters, the selector tape holds phi's (psi's in full mode), so
-everything else is a constant on that tape.
+Each iteration takes one Adam step on the generator, builds a triplet from
+the current pair and the generator's output before that step, accumulates
+the selector gradient (without stepping), and applies the accumulated
+selector update every N iterations. Taking the generator step before the
+selector's work rather than after it changes no byte: the selector reads
+only psi, phi, the crops and its own random stream; the generator step
+writes only F's parameters and its Adam moments; and accumulating moves
+neither psi nor phi. Each step opens its own tape over the parameter list
+of the optimizer it feeds: F's for the generator step, phi's (psi's in
+full mode) for the selector, so everything else is a constant on that tape.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,11 +74,14 @@ class TrainerError(Exception):
 
 
 class TrainingHalted(TrainerError):
-    """Training stopped before its last iteration."""
+    """Training stopped before its last iteration: at ``iteration``, after
+    the rows of ``history``. ``run_training`` sets both."""
 
-    def __init__(self, state: "TrainState", what: str):
-        super().__init__(f"{what} at iteration {state.iteration}")
-        self.history = state.history  # the rows of the iterations before the halt
+    iteration = 0
+    history = ()
+
+    def __str__(self) -> str:
+        return f"{super().__str__()} at iteration {self.iteration}"
 
 
 class TrainingDiverged(TrainingHalted):
@@ -114,14 +120,6 @@ def build_triplet(config: ExperimentConfig, x: Image, y: Image, x_gen: Image,
 
 
 @dataclass
-class TrainState:
-    gen_opt: Adam
-    sel_opt: Adam | None  # None in frozen mode
-    iteration: int = 0
-    history: list[HistoryRow] = field(default_factory=list)
-
-
-@dataclass
 class HistoryRow:
     iteration: int
     generator_loss: float
@@ -141,17 +139,6 @@ def triplet_crop(config: ExperimentConfig) -> int:
     return 0 if config["dpl.mode"] == "frozen" else config["dpl.crop"]
 
 
-def start_state(config: ExperimentConfig, f: GeneratorF, psi: FeatureNetPsi,
-                phi: SelectionPhi) -> TrainState:
-    """The two optimizers of Algorithm 1: one on the generator, and one on the
-    network the selector trains (phi, or psi in full mode; none when frozen)."""
-    sel_opt = None
-    if triplet_crop(config):  # the selector trains on the triplets
-        selector = phi if config["dpl.mode"] == "feature_selection" else psi
-        sel_opt = Adam(selector.params(), lr=config["dpl.lr_selector"])
-    return TrainState(gen_opt=Adam(f.params(), lr=config["dpl.lr_generator"]), sel_opt=sel_opt)
-
-
 def _features(psi: FeatureNetPsi, phi: SelectionPhi, x: Tensor, mode: str):
     taps = psi(x)
     return phi(taps) if mode == "feature_selection" else taps
@@ -164,59 +151,58 @@ def triplet_features(psi: FeatureNetPsi, phi: SelectionPhi, crops: list[Tensor],
     return phi(taps) if mode == "feature_selection" else taps
 
 
-def generator_step(tape: T.ComputationTape, x_gen: Tensor, y: Tensor,
-                   psi: FeatureNetPsi, phi: SelectionPhi, config: ExperimentConfig,
-                   state: TrainState) -> tuple[float, dict]:
-    """One Adam step on the generator under the configured loss recipe: the
-    terms of ``LOSSES`` whose ``dpl.w_<name>`` is above 0, weighted and
-    summed in order as one tape op (``losses.weighted_sum``).
+def generator_step(f: GeneratorF, x: Tensor, y: Tensor, psi: FeatureNetPsi,
+                   phi: SelectionPhi, config: ExperimentConfig,
+                   opt: Adam) -> tuple[Tensor, float, dict]:
+    """One Adam step of ``opt`` on the generator under the configured loss
+    recipe: F's output on ``x`` and the terms of ``LOSSES`` whose
+    ``dpl.w_<name>`` is above 0, weighted and summed in order as one tape op
+    (``losses.weighted_sum``). Returns F's output before the step, detached,
+    with the loss and its components.
 
-    ``x_gen`` is the generator's output on ``tape``, which also records the
-    loss; the tape's parameters are the generator's, so the extractor and
-    selector enter the loss as constants.
-    Each image's feature set is built at most once, on first use, and shared
-    by every term that needs it.
+    The tape's parameters are ``opt``'s, F's, so the extractor and selector
+    enter the loss as constants. Each image's feature set is built at most
+    once, on first use, and shared by every term that needs it.
     """
     @functools.cache
     def features(t: Tensor):
         return _features(psi, phi, t, config["dpl.mode"])
 
     weights = {name: config[f"dpl.w_{name}"] for name in LOSSES}
-    with tape:
+    with T.ComputationTape(opt.params) as tape:
+        x_gen = f(x)
         terms = {name: loss(x_gen, y, features, config)
                  for name, (_, loss) in LOSSES.items() if weights[name] > 0}
         components = {name: term.item() for name, term in terms.items()}
         total = weighted_sum(list(terms.values()), [weights[name] for name in terms])
         value = total.item()
         if not np.isfinite(value):
-            raise TrainingDiverged(state, f"non-finite loss {value}")
+            raise TrainingDiverged(f"non-finite loss {value}")
         T.backward(total, tape)
-    state.gen_opt.step()
-    state.gen_opt.zero_grad()
-    return value, components
+    opt.step()
+    opt.zero_grad()
+    return x_gen.detach(), value, components
 
 
 def selector_accumulate(psi: FeatureNetPsi, phi: SelectionPhi, triplet: Triplet,
-                        config: ExperimentConfig, state: TrainState) -> float:
-    """Accumulate the triplet-loss gradient into the selector optimizer's
-    parameters without stepping; the generator never appears on this tape."""
-    if state.sel_opt is None:
-        raise TrainerError("selector_accumulate called in frozen mode")
-    with T.ComputationTape(state.sel_opt.params) as tape:
+                        config: ExperimentConfig, opt: Adam) -> float:
+    """Accumulate the triplet-loss gradient into ``opt``'s parameters without
+    stepping; the generator never appears on this tape."""
+    with T.ComputationTape(opt.params) as tape:
         crops = [to_tensor(c) for c in (triplet.anchor, triplet.positive, triplet.negative)]
         features = triplet_features(psi, phi, crops, config["dpl.mode"])
         loss = triplet_loss(features, config["dpl.margin"])
         value = loss.item()
         if not np.isfinite(value):
-            raise TrainingDiverged(state, f"non-finite triplet loss {value}")
+            raise TrainingDiverged(f"non-finite triplet loss {value}")
         T.backward(loss, tape)
     return value
 
 
-def selector_apply(state: TrainState) -> None:
+def selector_apply(opt: Adam) -> None:
     """One Adam step on the accumulated selector gradient, then reset it."""
-    state.sel_opt.step()
-    state.sel_opt.zero_grad()
+    opt.step()
+    opt.zero_grad()
 
 
 def run_training(config: ExperimentConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
@@ -224,60 +210,53 @@ def run_training(config: ExperimentConfig, dataset, f: GeneratorF, psi: FeatureN
                  sample_hook=None) -> tuple[GeneratorF, list[HistoryRow]]:
     """Full training loop; returns the generator and per-iteration history.
 
-    The extractor/selector are inspectable afterwards but form no part of
-    the output contract.
+    It holds the two optimizers of Algorithm 1: Adam on the generator, and
+    Adam on the network the selector trains on the triplets (phi, or psi in
+    full mode; none when frozen). The extractor/selector are inspectable
+    afterwards but form no part of the output contract.
     """
     if not dataset:
         raise TrainerError("empty dataset")
-    state = start_state(config, f, psi, phi)
-    data_rng = rng.child(1)
-    aug_rng = rng.child(2)
-    trip_rng = rng.child(3)
+    gen_opt = Adam(f.params(), lr=config["dpl.lr_generator"])
+    selector = phi if config["dpl.mode"] == "feature_selection" else psi
+    sel_opt = (Adam(selector.params(), lr=config["dpl.lr_selector"])
+               if triplet_crop(config) else None)
+    data_rng, aug_rng, trip_rng = rng.child(1), rng.child(2), rng.child(3)
     # phi moves only at selector_apply, and only in feature_selection mode
     phi_norm = param_norm(phi.params())
+    it, history = 0, []
 
     try:
-        for it in range(config["dpl.iterations"]):
-            state.iteration = it
-            x_img, y_img = dataset[data_rng.integers(0, len(dataset))]
-            if config["dpl.augment"]:
-                # identical child seed -> identical draws for both halves of the pair
-                x_img = augment(x_img, aug_rng.child(it))
-                y_img = augment(y_img, aug_rng.child(it))
-            x_t = to_tensor(x_img)
-            y_t = to_tensor(y_img)
+        try:
+            for it in range(config["dpl.iterations"]):
+                x_img, y_img = dataset[data_rng.integers(0, len(dataset))]
+                if config["dpl.augment"]:
+                    # identical child seed -> identical draws for both halves of the pair
+                    x_img = augment(x_img, aug_rng.child(it))
+                    y_img = augment(y_img, aug_rng.child(it))
+                x_gen, gen_loss, components = generator_step(
+                    f, to_tensor(x_img), to_tensor(y_img), psi, phi, config, gen_opt)
+                d_c = 0.0
+                if sel_opt is not None:
+                    # F's output before its step enters the triplet as plain data
+                    triplet = build_triplet(config, x_img, y_img, from_tensor(x_gen), trip_rng)
+                    d_c = selector_accumulate(psi, phi, triplet, config, sel_opt)
+                    if (it + 1) % config["dpl.interval"] == 0:
+                        selector_apply(sel_opt)
+                        phi_norm = param_norm(phi.params())
 
-            with T.ComputationTape(state.gen_opt.params) as gen_tape:
-                x_gen = f(x_t)
-            d_c = 0.0
-            if state.sel_opt is not None:
-                # generator frozen: its output enters the triplet as plain data
-                triplet = build_triplet(config, x_img, y_img,
-                                        from_tensor(x_gen.detach()), trip_rng)
-                d_c = selector_accumulate(psi, phi, triplet, config, state)
-
-            gen_loss, components = generator_step(gen_tape, x_gen, y_t, psi, phi, config, state)
-
-            if state.sel_opt is not None and (it + 1) % config["dpl.interval"] == 0:
-                selector_apply(state)
-                phi_norm = param_norm(phi.params())
-
-            f_norm = param_norm(f.params())
-            if not (np.isfinite(f_norm) and np.isfinite(phi_norm)):
-                raise TrainingDiverged(
-                    state, f"non-finite parameters (f_norm {f_norm}, phi_norm {phi_norm})")
-            state.history.append(HistoryRow(
-                iteration=it,
-                generator_loss=gen_loss,
-                components=components,
-                d_c=d_c,
-                f_norm=f_norm,
-                phi_norm=phi_norm,
-            ))
-            if sample_hook is not None:
-                sample_hook(it, f, x_img, y_img)
-    except KeyboardInterrupt:
-        raise TrainingInterrupted(state, "interrupted") from None
-    except OSError as e:
-        raise TrainingFailed(state, str(e)) from e
-    return f, state.history
+                f_norm = param_norm(f.params())
+                if not (np.isfinite(f_norm) and np.isfinite(phi_norm)):
+                    raise TrainingDiverged(
+                        f"non-finite parameters (f_norm {f_norm}, phi_norm {phi_norm})")
+                history.append(HistoryRow(it, gen_loss, components, d_c, f_norm, phi_norm))
+                if sample_hook is not None:
+                    sample_hook(it, f, x_img, y_img)
+        except KeyboardInterrupt:
+            raise TrainingInterrupted("interrupted") from None
+        except OSError as e:
+            raise TrainingFailed(str(e)) from e
+    except TrainingHalted as halt:
+        halt.iteration, halt.history = it, history
+        raise
+    return f, history

@@ -20,6 +20,7 @@ from dpl.checkpoint import load_checkpoint, save_checkpoint
 from dpl.cli import main
 from dpl.config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
 from dpl.image import Image, gaussian_blur, load_image, save_image, to_tensor
+from dpl.losses import FLOAT32_MAX
 from dpl.networks import FeatureNetPsi, GeneratorF
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
@@ -169,6 +170,25 @@ def test_pretrain_gate_miss_writes_no_checkpoint(tmp_path):
     assert not (out / "psi.dplc").exists()
     last = (out / "pretrain_accuracy.log").read_text().splitlines()[-1]
     assert last.startswith("gate failed: held-out accuracy") and "< 80%" in last
+
+
+def test_diverging_pretrain_halts_with_exit_three(tmp_path, capsys):
+    # was exit 2 with "gate failed" and the held-out accuracy of a NaN psi,
+    # whose logits' argmax is class 0
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "psi.dplc").write_bytes(b"an older extractor")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pretrain", *_base_args(out), "--pretrain.samples", "30",
+                     "--pretrain.epochs", "2", "--pretrain.lr", "1e30"])
+    assert code == 3
+    # the halt is reported once, by the finiteness check, not by numpy
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    line = "numerical halt: non-finite loss nan at epoch 1, step 2 of 27; psi.dplc not written"
+    assert capsys.readouterr().out.splitlines()[-1] == line
+    assert (out / "pretrain_accuracy.log").read_text().splitlines()[-1] == line
+    assert not (out / "psi.dplc").exists()
 
 
 def test_train_outputs_and_determinism(prepared_run, tmp_path, pretrained_psi):
@@ -918,11 +938,37 @@ def test_manifest_without_pairs_is_usage_error(prepared_run, capsys, command, pa
      "'dpl.contextual_epsilon' (command line): must be >= 2^-17"),
     (["--dpl.w_contextual", "1", "--dpl.contextual_bandwidth", "1e-4"],
      "dpl.contextual_bandwidth x dpl.contextual_epsilon is 1e-09, below 2^-22"),
+    # was exit 0 with every row's generator_loss 0 and F never moved
+    (["--dpl.w_perceptual", "0", "--dpl.w_texture", "1e-320"],
+     "'dpl.w_texture' (command line): 1e-320 rounds to 0 in float32"),
+    # were numpy's "overflow encountered in cast" and a halt at iteration 0, exit 3
+    (["--dpl.w_pixel_l1", "1e300"],
+     "'dpl.w_pixel_l1' (command line): must be <= 3.403e+38, float32's largest value"),
+    (["--dpl.margin", "1e300"], "'dpl.margin' (command line): must be <= 3.403e+38"),
+    (["--dpl.lr_generator", "1e39"], "'dpl.lr_generator' (command line): must be <= 3.403e+38"),
+    (["--dpl.lr_selector", "1e39"], "'dpl.lr_selector' (command line): must be <= 3.403e+38"),
+    (["--pretrain.lr", "1e39"], "'pretrain.lr' (command line): must be <= 3.403e+38"),
 ])
 def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
     # refused before any data is read: the output directory does not exist
     assert main(["train", *_base_args(tmp_path / "nothing"), *flags]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_float32_bounds_themselves_are_accepted():
+    largest, smallest = repr(FLOAT32_MAX), repr(2.0 ** -149)  # float32's least subnormal
+    config = parse_config(overrides={"dpl.w_texture": smallest, "dpl.w_color": largest,
+                                     "dpl.margin": largest, "dpl.lr_generator": largest,
+                                     "dpl.lr_selector": smallest, "pretrain.lr": largest})
+    assert np.float32(config["dpl.w_texture"]) > 0
+    assert np.isfinite(np.float32(config["dpl.margin"]))
+
+
+def test_equal_blur_sigma_range_is_accepted():
+    # the range check refuses min > max only: one sigma for every blur
+    config = parse_config(overrides={"dpl.distortion": "gaussian_blur",
+                                     "dpl.blur_sigma_min": "1.5", "dpl.blur_sigma_max": "1.5"})
+    assert (config["dpl.blur_sigma_min"], config["dpl.blur_sigma_max"]) == (1.5, 1.5)
 
 
 def test_smallest_contextual_settings_are_accepted():

@@ -9,8 +9,9 @@ from conftest import as_float64, check_gradients, param_hash
 from dpl import tensor as T
 from dpl.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from dpl.image import Image, to_tensor
-from dpl.networks import (FeatureNetPsi, GeneratorF, NetworkError, SelectionPhi,
-                          accuracy, classify, cross_entropy, pretrain_psi)
+from dpl import networks
+from dpl.networks import (FeatureNetPsi, GeneratorF, NetworkError, PretrainingDiverged,
+                          SelectionPhi, accuracy, classify, cross_entropy, pretrain_psi)
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
@@ -337,6 +338,26 @@ def test_pretrained_psi_keeps_its_bytes():
     assert pretrain_psi(psi, data, epochs=2, rng=rng.child(3)) == 0.3
     assert param_hash(psi.params()) == (
         "70dcb3e24fb6b11f40d4487944289e500b61a581a3fe58da1392dbecb0eb6ff5")
+
+
+def test_pretraining_halts_on_parameters_an_epoch_leaves_non_finite(monkeypatch):
+    # the loss of the epoch's last step is finite, and no later step reads
+    # the parameters that step left: the check at the epoch's end reports them
+    rng = Rng(23)
+    data = [(to_tensor(img), label)
+            for img, label in generate_synthetic("textures", 20, 16, rng.child(1))]
+    psi = FeatureNetPsi(rng.child(2))
+
+    class PoisonedAdam(networks.Adam):
+        def step(self):
+            super().step()
+            if self.t == 18:  # the last of the 18 steps of epoch 1
+                self.params[0].data[0, 0, 0, 0] = np.inf
+
+    monkeypatch.setattr(networks, "Adam", PoisonedAdam)
+    with pytest.raises(PretrainingDiverged,
+                       match="^non-finite parameters after epoch 1, step 18 of 18$"):
+        pretrain_psi(psi, data, epochs=2, rng=rng.child(3))
 
 
 def test_classify_and_accuracy_consistent():

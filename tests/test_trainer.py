@@ -9,12 +9,13 @@ from dpl import tensor as T
 from dpl import trainer
 from dpl.config import ConfigError, parse_config
 from dpl.networks import FeatureNetPsi, GeneratorF, SelectionPhi
+from dpl.optim import Adam
 from dpl.rng import Rng
 from dpl.synth import generate_synthetic
 from dpl.tensor import Tensor
-from dpl.trainer import (MODES, TrainerError, TrainingDiverged, _features, build_triplet,
-                         distort, generator_step, param_norm, run_training, selector_accumulate,
-                         selector_apply, start_state, triplet_features)
+from dpl.trainer import (MODES, TrainerError, TrainingDiverged, _features, build_triplet, distort,
+                         generator_step, param_norm, run_training, selector_accumulate,
+                         selector_apply, triplet_features)
 from dpl.image import Image, to_grayscale, to_tensor
 
 
@@ -91,14 +92,15 @@ def test_a_name_no_table_holds_raises():
 def test_generator_step_leaves_extractor_and_selector_untouched():
     f, psi, phi = _nets(2)
     config = train_config(iterations=1)
-    state = start_state(config, f, psi, phi)
     x, y = _pair(3)[0]
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
     before_f = param_hash(f.params())
-    with T.ComputationTape(state.gen_opt.params) as tape:
-        x_gen = f(to_tensor(x))
-    generator_step(tape, x_gen, to_tensor(y), psi, phi, config, state)
+    x_gen, _, _ = generator_step(f, to_tensor(x), to_tensor(y), psi, phi, config,
+                                 Adam(f.params()))
+    # the output returned is F's before the step, a constant
+    assert np.array_equal(x_gen.data, GeneratorF(Rng(2).child(1))(to_tensor(x)).data)
+    assert x_gen.grad is None
     assert param_hash(psi.params()) == before_psi
     assert param_hash(phi.params()) == before_phi
     assert param_hash(f.params()) != before_f
@@ -123,11 +125,8 @@ def test_generator_step_builds_each_feature_set_once(monkeypatch, mode, weights,
     monkeypatch.setattr(FeatureNetPsi, "__call__", counted)
     f, psi, phi = _nets(2)
     config = train_config(mode=mode, **{f"w_{name}": w for name, w in weights.items()})
-    state = start_state(config, f, psi, phi)
     x, y = _pair(3)[0]
-    with T.ComputationTape(state.gen_opt.params) as tape:
-        x_gen = f(to_tensor(x))
-    generator_step(tape, x_gen, to_tensor(y), psi, phi, config, state)
+    generator_step(f, to_tensor(x), to_tensor(y), psi, phi, config, Adam(f.params()))
     assert len(calls) == psi_calls
     assert len({id(t) for t in calls}) == psi_calls
 
@@ -135,16 +134,16 @@ def test_generator_step_builds_each_feature_set_once(monkeypatch, mode, weights,
 def test_selector_accumulate_leaves_generator_and_extractor_untouched():
     f, psi, phi = _nets(4)
     config = train_config(interval=1, strategy="instance_self")
-    state = start_state(config, f, psi, phi)
+    opt = Adam(phi.params())
     x, y = _pair(5)[0]
     trip = build_triplet(config, x, y, x, Rng(6))
     before_f = param_hash(f.params())
     before_psi = param_hash(psi.params())
     before_phi = param_hash(phi.params())
-    selector_accumulate(psi, phi, trip, config, state)
+    selector_accumulate(psi, phi, trip, config, opt)
     # accumulation alone changes no parameters
     assert param_hash(phi.params()) == before_phi
-    selector_apply(state)
+    selector_apply(opt)
     assert param_hash(f.params()) == before_f
     assert param_hash(psi.params()) == before_psi
     assert param_hash(phi.params()) != before_phi
@@ -180,24 +179,40 @@ def test_triplet_features_side_by_side_equal_each_crops_features(mode):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15)
 
 
-def test_selector_accumulate_rejected_in_frozen_mode():
-    f, psi, phi = _nets(7)
-    config = train_config(mode="frozen", strategy="instance_self")
-    state = start_state(config, f, psi, phi)
-    assert state.sel_opt is None
-    x, y = _pair(8)[0]
-    trip = build_triplet(config, x, y, x, Rng(9))
-    with pytest.raises(TrainerError, match="frozen"):
-        selector_accumulate(psi, phi, trip, config, state)
+def _step_optimizers(monkeypatch) -> dict:
+    """Patch the trainer's step functions to record the Adam each is first given."""
+    seen = {}
+
+    def recording(name):
+        step = getattr(trainer, name)
+
+        def wrapper(*args):
+            seen.setdefault(name, args[-1])
+            return step(*args)
+        monkeypatch.setattr(trainer, name, wrapper)
+
+    for name in ("generator_step", "selector_accumulate", "selector_apply"):
+        recording(name)
+    return seen
 
 
-@pytest.mark.parametrize("mode", ["feature_selection", "full"])
-def test_start_state_optimizes_the_network_the_mode_trains(mode):
+@pytest.mark.parametrize("mode", MODES)
+def test_each_optimizer_covers_the_network_its_mode_trains(monkeypatch, mode):
+    # F's Adam at dpl.lr_generator; the selector's over phi (psi in full mode)
+    # at dpl.lr_selector; in frozen mode the selector never accumulates or steps
+    seen = _step_optimizers(monkeypatch)
     f, psi, phi = _nets(10)
-    state = start_state(train_config(mode=mode, lr_generator=3e-4, lr_selector=2e-4),
-                        f, psi, phi)
-    trained = phi if mode == "feature_selection" else psi
-    for opt, net, lr in [(state.gen_opt, f, 3e-4), (state.sel_opt, trained, 2e-4)]:
+    config = train_config(mode=mode, lr_generator=3e-4, lr_selector=2e-4, interval=1,
+                          iterations=1, strategy="instance_self")
+    run_training(config, _pair(8), f, psi, phi, Rng(9))
+    trained = {"feature_selection": phi, "full": psi, "frozen": None}[mode]
+    assert set(seen) == ({"generator_step"} if trained is None else
+                         {"generator_step", "selector_accumulate", "selector_apply"})
+    optimizers = [(seen["generator_step"], f, 3e-4)]
+    if trained is not None:
+        assert seen["selector_accumulate"] is seen["selector_apply"]
+        optimizers.append((seen["selector_apply"], trained, 2e-4))
+    for opt, net, lr in optimizers:
         assert [id(p) for p in opt.params] == [id(p) for p in net.params()]
         assert opt.lr == lr
 
@@ -237,10 +252,9 @@ def test_accumulated_gradient_equals_summed_loss_gradient():
 
     def grads_by_accumulation():
         _, psi, phi = _nets(12)
-        config = train_config(interval=n)
-        state = start_state(config, GeneratorF(Rng(13)), psi, phi)
+        config, opt = train_config(interval=n), Adam(phi.params())
         for trip in trips:
-            selector_accumulate(psi, phi, trip, config, state)
+            selector_accumulate(psi, phi, trip, config, opt)
         return [p.grad.copy() for p in phi.params()]
 
     def grads_by_sum():
@@ -374,16 +388,16 @@ def test_empty_dataset_rejected():
 
 def test_divergence_is_reported_with_iteration():
     f, psi, phi = _nets(30)
-    # poison the generator so its output is NaN
-    f.dec2.weight.data = np.full_like(f.dec2.weight.data, np.nan)
-    config = train_config(iterations=1, mode="frozen")
-    x, y = _pair(31)[0]
-    state = start_state(config, f, psi, phi)
-    state.iteration = 7
-    with T.ComputationTape(state.gen_opt.params) as tape:
-        x_gen = f(to_tensor(x))
-    with pytest.raises(TrainingDiverged, match="at iteration 7$"):
-        generator_step(tape, x_gen, to_tensor(y), psi, phi, config, state)
+
+    def poison(it, gen, *_):
+        # after iteration 6, the generator's output is NaN
+        if it == 6:
+            gen.dec2.weight.data = np.full_like(gen.dec2.weight.data, np.nan)
+
+    config = train_config(iterations=10, mode="frozen")
+    with pytest.raises(TrainingDiverged, match="^non-finite loss nan at iteration 7$") as e:
+        run_training(config, _pair(31), f, psi, phi, Rng(32), sample_hook=poison)
+    assert [r.iteration for r in e.value.history] == list(range(7))
 
 
 def test_param_norm_and_hash_basics():

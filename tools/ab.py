@@ -27,7 +27,9 @@ of optimizer steps, so each tree's held-out accuracy falls in the same
 round's turn; 49 rounds. The phase ends by saying whether the two ψs'
 weights are bitwise equal.
 
-Then each tree trains the recipe with its own ``run_training``, with an
+Then each tree trains the recipe with its own ``run_training`` on the
+workload's training pairs, drawn as ``dpl gen-data`` draws them and
+quantized to 8 bits as its PPMs are, with an
 extractor it pretrains on the workload's texture samples first (so both
 trees are warmed up alike: a tree that pretrained and one that did not
 differ by a few percent). Each of 30 rounds runs one turn of 10 iterations
@@ -182,8 +184,10 @@ class Trainer(Turns):
             overrides={**recipe(work), "seed": str(seed),
                        "dpl.iterations": str((ROUNDS + 1) * TURN)})
         rng = dpl.rng.Rng(seed)
-        pairs = list(dpl.synth.generate_synthetic(config["task"], config["train_count"],
-                                                  config["size"], rng.child(1)))
+        # drawn as ``dpl gen-data`` draws them and read back as ``dpl train`` reads its PPMs
+        pairs = [tuple(map(dpl.image.decode_ppm, pair)) for pair in payloads(
+            dpl.synth.generate_synthetic(config["task"], config["train_count"],
+                                         config["size"], rng.child(10)))]
         psi = dpl.networks.FeatureNetPsi(rng.child(31))
         textures = dpl.synth.generate_synthetic("textures", config["pretrain.samples"],
                                                 config["size"], rng.child(30))
@@ -208,6 +212,13 @@ class Trainer(Turns):
             metrics.psnr(x_gen, y), metrics.ms_ssim(x_gen, y)
             metrics.feature_distance(x_gen, y, self.psi)
         return (time.perf_counter() - start) * 1000.0 / len(payloads)
+
+
+def payloads(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each pair's images quantized to the 8-bit payloads of the PPMs
+    ``dpl gen-data`` writes (a drawn image's pixels are already in [0, 1])."""
+    return [tuple(np.round(image.pixels * 255.0).astype(np.uint8) for image in pair)
+            for pair in pairs]
 
 
 def alternate(rounds: int, a, b) -> dict[str, list[float]]:
@@ -259,10 +270,9 @@ def main() -> int:
 
     val = trees[0].synth.generate_synthetic(work.task, workload.VAL_COUNT, workload.SIZE,
                                             trees[0].rng.Rng(args.seed).child(20))
-    payloads = [tuple(np.round(image.pixels * 255.0).astype(np.uint8) for image in pair)
-                for pair in val]
-    eval_times = alternate(EVAL_ROUNDS, lambda: a.run_eval_turn(payloads),
-                           lambda: b.run_eval_turn(payloads))
+    val_payloads = payloads(val)
+    eval_times = alternate(EVAL_ROUNDS, lambda: a.run_eval_turn(val_payloads),
+                           lambda: b.run_eval_turn(val_payloads))
 
     print(f"{PRETRAIN_ROUNDS} rounds of {PRETRAIN_TURN} pretraining steps per tree, "
           f"seed {args.seed}; psi weights after {PRETRAIN_EPOCHS} epochs bitwise "
