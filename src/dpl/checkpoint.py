@@ -4,7 +4,8 @@ Layout: magic (4 bytes) | version u32 | tensor count u32, then per tensor
 name length u16 + UTF-8 name | rank u8 | dims u32 each | payload as
 little-endian float32. Names are written in lexicographic order so the
 byte output is a pure function of the bundle. A checkpoint is written with
-``atomic_write``, as is every CLI output but the images.
+``atomic_write``, as is every CLI output but the images ``dpl gen-data``
+writes.
 """
 
 from __future__ import annotations
@@ -34,14 +35,18 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     """Open a temporary file beside ``path`` for writing and rename it over
     ``path`` when the block ends without an exception. An interrupted write
     leaves the previous file (or none), never a truncated one, and no
-    temporary file. There is no fsync: this covers an interrupted process,
-    not a power loss."""
+    temporary file; an OSError on the temporary file names ``path``. There is
+    no fsync: this covers an interrupted process, not a power loss."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_kwargs) as f:
             yield f
         os.replace(tmp, path)
+    except OSError as e:
+        if e.filename == os.fspath(tmp):
+            e.filename = os.fspath(path)
+        raise
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -23,10 +23,12 @@ import threading
 from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
-from .config import SCHEMA, ConfigError, ExperimentConfig, emit_config, parse_config
-from .image import (Image, ImageError, decode_ppm, from_tensor, load_image, load_ppm, save_image,
-                    to_tensor)
+from .config import SCHEMA, ConfigError, emit_config, parse_config
+from .image import (ImageError, decode_ppm, from_tensor, load_image, load_ppm, save_image,
+                    to_tensor, write_ppm)
 from .metrics import MS_SSIM_MIN_EXTENT, MetricError, feature_distance, ms_ssim, psnr
 from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, NetworkError,
                        PretrainingDiverged, SelectionPhi, pretrain_psi, takes_extents)
@@ -60,10 +62,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                             help=f"{text} (default: {spec.default})")
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args) -> dict:
     overrides = {key: getattr(args, key) for key in SCHEMA
                  if getattr(args, key, None) is not None}
     return parse_config(args.config, overrides)
+
+
+def _write_image(image: np.ndarray, path) -> None:
+    """Write ``image`` as a PPM through ``atomic_write``: an interrupted write
+    leaves no truncated file."""
+    with atomic_write(path, "wb") as f:
+        write_ppm(image, f)
 
 
 def _write_pairs(directory: Path, pairs, seed: int) -> None:
@@ -90,13 +99,13 @@ class _Pairs(Sequence):
     def __len__(self) -> int:
         return len(self._payloads)
 
-    def __getitem__(self, index) -> tuple[Image, Image]:
+    def __getitem__(self, index) -> tuple[np.ndarray, np.ndarray]:
         x, y = self._payloads[index]
         return decode_ppm(x), decode_ppm(y)
 
 
 def _read_pairs(directory: Path, square: bool = False, min_extent: int = 0,
-                needs: str = "") -> Sequence[tuple[Image, Image]]:
+                needs: str = "") -> Sequence[tuple[np.ndarray, np.ndarray]]:
     """The pairs of ``directory/manifest.txt``; a pair the caller cannot use
     is refused naming its line, a pair under ``min_extent`` as smaller than
     ``needs``."""
@@ -143,7 +152,7 @@ def _load_net(net, path, written_by: str) -> None:
         raise CheckpointError(f"{path}: {e}; `{written_by}` writes it") from None
 
 
-def cmd_gen_data(config: ExperimentConfig, args) -> int:
+def cmd_gen_data(config: dict, args) -> int:
     out = Path(config["out_dir"])
     rng = Rng(config["seed"])
     train = generate_synthetic(config["task"], config["train_count"], config["size"],
@@ -156,7 +165,7 @@ def cmd_gen_data(config: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(config: ExperimentConfig, args) -> int:
+def cmd_pretrain(config: dict, args) -> int:
     out = Path(config["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     rng = Rng(config["seed"])
@@ -213,7 +222,7 @@ def _write_history(path: Path, history) -> None:
             ])
 
 
-def cmd_train(config: ExperimentConfig, args) -> int:
+def cmd_train(config: dict, args) -> int:
     out = Path(config["out_dir"])
     samples_dir = out / "samples"
     sample_every = config["train.sample_every"]
@@ -223,9 +232,9 @@ def cmd_train(config: ExperimentConfig, args) -> int:
             return
         samples_dir.mkdir(parents=True, exist_ok=True)
         x_gen = from_tensor(gen(to_tensor(x_img)).detach())
-        save_image(x_img, samples_dir / f"iter{it + 1:06d}_x.ppm")
-        save_image(x_gen, samples_dir / f"iter{it + 1:06d}_gen.ppm")
-        save_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
+        _write_image(x_img, samples_dir / f"iter{it + 1:06d}_x.ppm")
+        _write_image(x_gen, samples_dir / f"iter{it + 1:06d}_gen.ppm")
+        _write_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
 
     def no_generator(history, message: str, code: int, stream) -> int:
         if out.is_dir():  # an interrupt can come before a missing out_dir is reported
@@ -266,7 +275,7 @@ def cmd_train(config: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _evaluate(config: ExperimentConfig, out: Path, checkpoint_path) -> int:
+def _evaluate(config: dict, out: Path, checkpoint_path) -> int:
     """Score the generator on every validation pair into report.csv;
     returns the number of pairs."""
     metric_names = config["metrics"]
@@ -299,7 +308,7 @@ def _evaluate(config: ExperimentConfig, out: Path, checkpoint_path) -> int:
     return len(rows)
 
 
-def cmd_eval(config: ExperimentConfig, args) -> int:
+def cmd_eval(config: dict, args) -> int:
     out = Path(config["out_dir"])
     try:
         count = _evaluate(config, out, args.f_checkpoint)
@@ -310,16 +319,16 @@ def cmd_eval(config: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_distort(config: ExperimentConfig, args) -> int:
+def cmd_distort(config: dict, args) -> int:
     if config["dpl.distortion"] == "none":
         raise ConfigError("distort requires dpl.distortion != none")
     image = load_image(args.input)
-    save_image(distort(image, config, Rng(config["seed"])), args.output)
+    _write_image(distort(image, config, Rng(config["seed"])), args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
 
 
-def cmd_show_config(config: ExperimentConfig, args) -> int:
+def cmd_show_config(config: dict, args) -> int:
     sys.stdout.write(emit_config(config))
     return EXIT_OK
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import os
 import resource
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,19 +158,6 @@ SCHEMA: dict[str, _Key] = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        full = {k: spec.default for k, spec in SCHEMA.items()}
-        full.update(self.values)
-        self.values = full
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-
 def _set_value(values: dict, key: str, raw: str, where: str) -> None:
     if key not in SCHEMA:
         raise ConfigError(f"unknown key {key!r} ({where})")
@@ -191,8 +178,9 @@ def _memory_bytes() -> int:
     return total if limit == resource.RLIM_INFINITY else min(total, limit)
 
 
-def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Defaults, then file, then DPL_SEED, then command-line overrides.
+def parse_config(path=None, overrides: dict | None = None) -> dict:
+    """Every ``SCHEMA`` key's value: defaults, then file, then DPL_SEED, then
+    command-line overrides.
 
     The merged values must also make a consistent training recipe (a
     distortion for task_oriented triplets, some loss weight above 0, and
@@ -204,7 +192,7 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     value, and a positive weight must not round to float32 0. The datasets
     train, eval and pretrain hold must fit in the memory the process may use.
     """
-    values: dict = {}
+    config = {key: spec.default for key, spec in SCHEMA.items()}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -221,12 +209,11 @@ def parse_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             if "=" not in text:
                 raise ConfigError(f"missing '=' at {path}:{lineno}: {line.strip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            _set_value(values, key, raw, f"{path}:{lineno}")
+            _set_value(config, key, raw, f"{path}:{lineno}")
     if os.environ.get("DPL_SEED"):
-        _set_value(values, "seed", os.environ["DPL_SEED"], "env DPL_SEED")
+        _set_value(config, "seed", os.environ["DPL_SEED"], "env DPL_SEED")
     for key, raw in (overrides or {}).items():
-        _set_value(values, key, raw, "command line")
-    config = ExperimentConfig(values)
+        _set_value(config, key, raw, "command line")
     if "ms_ssim" in config["metrics"] and config["size"] < MS_SSIM_MIN_EXTENT:
         raise ConfigError(f"size {config['size']} is below {MS_SSIM_MIN_EXTENT}, the smallest "
                           "extent ms_ssim accepts; raise size or drop ms_ssim from metrics")
@@ -282,6 +269,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def emit_config(config: ExperimentConfig) -> str:
-    lines = [f"{key} = {_format_value(config.values[key])}" for key in SCHEMA]
+def emit_config(config: dict) -> str:
+    lines = [f"{key} = {_format_value(config[key])}" for key in SCHEMA]
     return "\n".join(lines) + "\n"

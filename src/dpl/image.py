@@ -1,15 +1,15 @@
-"""RGB image type, binary PPM I/O, crops, augmentation, and distortions.
+"""RGB images, binary PPM I/O, crops, augmentation, and distortions.
 
-Images are HxWx3 float64 rasters in [0,1]; constructors clamp on the way
-in so every stored value stays inside the range. Tensor conversion is a
-lossless [3,H,W] transpose.
+An image is an (H, W, 3) float64 array in [0, 1]. ``as_image`` casts and
+clamps an array on the way in; a PPM decode, a crop and a flip or rotation
+keep the values of their input, so they need no clamp. Tensor conversion is
+a lossless [3,H,W] transpose.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,47 +21,42 @@ class ImageError(Exception):
     """Raised on malformed files or invalid image operations."""
 
 
-@dataclass(frozen=True)
-class Image:
-    pixels: np.ndarray  # (H, W, 3) float64 in [0, 1]
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "Image":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ImageError(f"expected (H, W, 3) array, got {arr.shape}")
-        return Image(np.ascontiguousarray(np.clip(arr, 0.0, 1.0)))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+def as_image(arr) -> np.ndarray:
+    """``arr`` as an image: a contiguous (H, W, 3) float64 array clamped to [0, 1]."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ImageError(f"expected (H, W, 3) array, got {arr.shape}")
+    return np.ascontiguousarray(np.clip(arr, 0.0, 1.0))
 
 
-def to_tensor(image: Image) -> Tensor:
+def to_tensor(image: np.ndarray) -> Tensor:
     """Image -> Tensor[3,H,W] in float32, the element type of every network."""
-    return Tensor(image.pixels.transpose(2, 0, 1), np.float32)
+    return Tensor(image.transpose(2, 0, 1), np.float32)
 
 
-def from_tensor(t: Tensor) -> Image:
-    """Tensor[3,H,W] -> Image, clamping to [0,1] on write-out."""
+def from_tensor(t: Tensor) -> np.ndarray:
+    """Tensor[3,H,W] -> image, clamping to [0,1] on write-out."""
     if t.data.ndim != 3 or t.shape[0] != 3:
         raise ImageError(f"expected [3,H,W] tensor, got {t.shape}")
-    return Image.from_array(t.data.transpose(1, 2, 0))
+    return as_image(t.data.transpose(1, 2, 0))
 
 
 # -- PPM (P6, maxval 255) -----------------------------------------------------
 
 
-def save_image(image: Image, path) -> None:
-    h, w = image.height, image.width
-    payload = np.round(np.clip(image.pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
+def write_ppm(image: np.ndarray, f) -> None:
+    """Encode ``image`` as a binary PPM into the open binary file ``f``."""
+    h, w = image.shape[:2]
+    payload = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
+    f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+    f.write(payload.tobytes())
+
+
+def save_image(image: np.ndarray, path) -> None:
+    """Write ``image`` to ``path`` as a binary PPM, in place: an interrupted
+    write can leave a truncated file."""
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(payload.tobytes())
+        write_ppm(image, f)
 
 
 PPM_COMMENT_BYTES = 1024  # the longest '#' header comment read, newline included
@@ -89,7 +84,7 @@ def _read_token(f) -> bytes:
             raise ImageError("malformed PPM header: a token longer than 32 bytes")
 
 
-def load_image(path) -> Image:
+def load_image(path) -> np.ndarray:
     """Read a binary PPM; every error names ``path``."""
     return decode_ppm(load_ppm(path))
 
@@ -106,9 +101,9 @@ def load_ppm(path) -> np.ndarray:
         raise ImageError(f"{path}: {e}") from None
 
 
-def decode_ppm(payload: np.ndarray) -> Image:
+def decode_ppm(payload: np.ndarray) -> np.ndarray:
     """The image a ``load_ppm`` payload holds."""
-    return Image(payload.astype(np.float64) / 255.0)
+    return payload.astype(np.float64) / 255.0
 
 
 def _read_ppm(f) -> np.ndarray:
@@ -141,30 +136,28 @@ def _read_ppm(f) -> np.ndarray:
 # -- crops and augmentation ---------------------------------------------------
 
 
-def random_crop(image: Image, size: int, rng: Rng) -> Image:
+def random_crop(image: np.ndarray, size: int, rng: Rng) -> np.ndarray:
     """Axis-aligned size x size crop at a uniform valid offset."""
-    if size > min(image.height, image.width):
-        raise ImageError(
-            f"crop size {size} exceeds image extent {image.height}x{image.width}"
-        )
-    top = rng.integers(0, image.height - size + 1)
-    left = rng.integers(0, image.width - size + 1)
-    return Image(np.ascontiguousarray(image.pixels[top : top + size, left : left + size]))
+    h, w = image.shape[:2]
+    if size > min(h, w):
+        raise ImageError(f"crop size {size} exceeds image extent {h}x{w}")
+    top = rng.integers(0, h - size + 1)
+    left = rng.integers(0, w - size + 1)
+    return np.ascontiguousarray(image[top : top + size, left : left + size])
 
 
-def augment(image: Image, rng: Rng) -> Image:
+def augment(image: np.ndarray, rng: Rng) -> np.ndarray:
     """Independent 50% horizontal/vertical flips plus a 90-degree rotation."""
-    if image.height != image.width:
+    if image.shape[0] != image.shape[1]:
         raise ImageError("augment requires a square image (rotations)")
-    px = image.pixels
     if rng.uniform() < 0.5:
-        px = px[:, ::-1]
+        image = image[:, ::-1]
     if rng.uniform() < 0.5:
-        px = px[::-1, :]
+        image = image[::-1, :]
     k = rng.integers(0, 4)
     if k:
-        px = np.rot90(px, k)
-    return Image(np.ascontiguousarray(px))
+        image = np.rot90(image, k)
+    return np.ascontiguousarray(image)
 
 
 # -- distortions ---------------------------------------------------------------
@@ -232,10 +225,10 @@ def separable_filter_adjoint(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return mh.T @ g @ mw
 
 
-def gaussian_blur(image: Image, sigma: float) -> Image:
+def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with reflect padding."""
-    planes = separable_filter(image.pixels.transpose(2, 0, 1), gaussian_kernel1d(sigma))
-    return Image.from_array(planes.transpose(1, 2, 0))
+    planes = separable_filter(image.transpose(2, 0, 1), gaussian_kernel1d(sigma))
+    return as_image(planes.transpose(1, 2, 0))
 
 
 def check_jitter_ranges(scale_range: tuple[float, float],
@@ -248,19 +241,18 @@ def check_jitter_ranges(scale_range: tuple[float, float],
         raise ImageError(f"jitter bias range {bias_range} outside [-0.25, 0.25]")
 
 
-def color_jitter(image: Image, rng: Rng,
-                 scale_range: tuple[float, float] = (0.6, 1.4),
-                 bias_range: tuple[float, float] = (-0.1, 0.1)) -> Image:
+def color_jitter(image: np.ndarray, rng: Rng, scale_range: tuple[float, float],
+                 bias_range: tuple[float, float]) -> np.ndarray:
     """Per-channel affine jitter v' = clamp(s*v + b, 0, 1)."""
     check_jitter_ranges(scale_range, bias_range)
     s = rng.uniform(*scale_range, size=3)
     b = rng.uniform(*bias_range, size=3)
-    return Image.from_array(image.pixels * s + b)
+    return as_image(image * s + b)
 
 
 GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])  # BT.601 luma
 
 
-def to_grayscale(image: Image) -> Image:
-    luma = image.pixels @ GRAY_WEIGHTS
-    return Image.from_array(np.repeat(luma[:, :, None], 3, axis=2))
+def to_grayscale(image: np.ndarray) -> np.ndarray:
+    luma = image @ GRAY_WEIGHTS
+    return as_image(np.repeat(luma[:, :, None], 3, axis=2))

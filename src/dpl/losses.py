@@ -248,8 +248,8 @@ def _contextual_tap(a: Tensor, b: Tensor, h: float, eps: float):
     return -np.log(m), rule
 
 
-def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float = 0.5,
-                    epsilon: float = 1e-5) -> Tensor:
+def contextual_loss(fa: FeatureSet, fb: FeatureSet, bandwidth: float,
+                    epsilon: float) -> Tensor:
     """Set-matching loss over per-position feature vectors (Mechrez et al.,
     arXiv:1803.02077), as one tape op: the mean of the taps' losses, rounding
     as ``((t0 + t1) + t2) * (1 / taps)`` does in the element type.
@@ -348,7 +348,7 @@ def _mapped_squared_error(a: Tensor, b: Tensor, op: str, linear, adjoint) -> Ten
     return T._make((d * d).mean(), (a, b), rule)
 
 
-def color_loss(a: Tensor, b: Tensor, sigma: float = 3.0) -> Tensor:
+def color_loss(a: Tensor, b: Tensor, sigma: float) -> Tensor:
     """MSE between Gaussian-blurred images: sensitive to color/brightness only.
     The blur is ``image.separable_filter`` (reflect padding) with the kernel
     in the images' element type."""

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .image import GRAY_WEIGHTS, Image, gaussian_kernel1d, separable_filter, to_tensor
+from .image import GRAY_WEIGHTS, gaussian_kernel1d, separable_filter, to_tensor
 from .networks import FeatureNetPsi
 
 MSSSIM_SCALES = 3
@@ -28,11 +28,11 @@ class MetricError(Exception):
     pass
 
 
-def psnr(a: Image, b: Image) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB against peak 1.0; +inf for equality."""
-    if a.pixels.shape != b.pixels.shape:
-        raise MetricError(f"psnr shape mismatch {a.pixels.shape} vs {b.pixels.shape}")
-    mse = float(np.mean((a.pixels - b.pixels) ** 2))
+    if a.shape != b.shape:
+        raise MetricError(f"psnr shape mismatch {a.shape} vs {b.shape}")
+    mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
@@ -43,15 +43,15 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
     return img[:h, :w].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
-def ms_ssim(a: Image, b: Image) -> float:
+def ms_ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Luminance-channel multi-scale SSIM with 3 dyadic scales."""
-    if a.pixels.shape != b.pixels.shape:
-        raise MetricError(f"ms_ssim shape mismatch {a.pixels.shape} vs {b.pixels.shape}")
-    if min(a.height, a.width) < MS_SSIM_MIN_EXTENT:
-        raise MetricError(f"ms_ssim needs min extent >= {MS_SSIM_MIN_EXTENT}, "
-                          f"got {a.height}x{a.width}")
-    x = a.pixels @ GRAY_WEIGHTS
-    y = b.pixels @ GRAY_WEIGHTS
+    if a.shape != b.shape:
+        raise MetricError(f"ms_ssim shape mismatch {a.shape} vs {b.shape}")
+    h, w = a.shape[:2]
+    if min(h, w) < MS_SSIM_MIN_EXTENT:
+        raise MetricError(f"ms_ssim needs min extent >= {MS_SSIM_MIN_EXTENT}, got {h}x{w}")
+    x = a @ GRAY_WEIGHTS
+    y = b @ GRAY_WEIGHTS
     value = 1.0
     for scale in range(MSSSIM_SCALES):
         mu_x, mu_y, mxx, myy, mxy = separable_filter(np.stack([x, y, x * x, y * y, x * y]), _KERNEL)
@@ -70,11 +70,11 @@ def ms_ssim(a: Image, b: Image) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def feature_distance(a: Image, b: Image, psi: FeatureNetPsi) -> float:
+def feature_distance(a: np.ndarray, b: np.ndarray, psi: FeatureNetPsi) -> float:
     """DFD: mean over taps of the MSE between per-position unit-normalized
     features of the frozen extractor."""
-    if a.pixels.shape != b.pixels.shape:
-        raise MetricError(f"dfd shape mismatch {a.pixels.shape} vs {b.pixels.shape}")
+    if a.shape != b.shape:
+        raise MetricError(f"dfd shape mismatch {a.shape} vs {b.shape}")
     fa = psi(to_tensor(a))
     fb = psi(to_tensor(b))
     total = 0.0

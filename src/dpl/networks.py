@@ -242,8 +242,8 @@ def accuracy(psi: FeatureNetPsi, dataset) -> float:
     return hits / len(dataset)
 
 
-def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng,
-                 lr: float = 1e-3, log=None) -> float:
+def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng, lr: float,
+                 log=None) -> float:
     """Train the texture classifier on all but the first tenth of ``dataset``,
     a list of (image tensor [3,H,W], label) samples (``to_tensor`` of the
     textures), until the accuracy on that tenth reaches ``PRETRAIN_GATE`` or

@@ -8,15 +8,17 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    """Adam over a fixed parameter list: the hyperparameters and the step
-    count are held once, the moments m and v once per parameter."""
+    """Adam over a fixed parameter list at learning rate ``lr``, with the
+    module's ``BETA1``, ``BETA2`` and ``EPSILON``: the step count is held
+    once, the moments m and v once per parameter."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: Iterable[Tensor], lr: float):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
+        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -30,13 +32,13 @@ class Adam:
         with np.errstate(over="ignore", invalid="ignore"):
             for p, m, v in zip(self.params, self.m, self.v):
                 g = p.ensure_grad()
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                update = m / (1.0 - self.beta1**self.t)
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * (g * g)
+                update = m / (1.0 - BETA1**self.t)
                 update *= self.lr
-                update /= np.sqrt(v / (1.0 - self.beta2**self.t)) + self.epsilon
+                update /= np.sqrt(v / (1.0 - BETA2**self.t)) + EPSILON
                 p.data -= update
 
     def zero_grad(self) -> None:

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import Image, color_jitter, gaussian_blur
+from .image import as_image, color_jitter, gaussian_blur
 from .rng import Rng
 
 # paired task: name -> source(y, rng), the degraded X drawn from the clean target Y
 PAIRED_TASKS = {
-    "darken": lambda y, rng: Image.from_array(
-        0.2 * y.pixels + rng.normal(0.0, 0.02, size=y.pixels.shape)),
-    "colorcast": color_jitter,
+    "darken": lambda y, rng: as_image(0.2 * y + rng.normal(0.0, 0.02, size=y.shape)),
+    "colorcast": lambda y, rng: color_jitter(y, rng, (0.6, 1.4), (-0.1, 0.1)),
     "blur": lambda y, rng: gaussian_blur(y, rng.uniform(1.0, 2.0)),
 }
 
@@ -32,11 +31,11 @@ def _two_colors(rng: Rng):
     return dark, bright
 
 
-def _from_mask(mask: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> Image:
-    return Image.from_array(c0 + mask[:, :, None] * (c1 - c0))
+def _from_mask(mask: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    return as_image(c0 + mask[:, :, None] * (c1 - c0))
 
 
-def texture_sample(label: int, size: int, rng: Rng) -> Image:
+def texture_sample(label: int, size: int, rng: Rng) -> np.ndarray:
     ys, xs = _grid(size)
     c0, c1 = _two_colors(rng)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -81,7 +80,7 @@ def texture_sample(label: int, size: int, rng: Rng) -> Image:
     return _from_mask(mask, c0, c1)
 
 
-def _scene(size: int, rng: Rng) -> Image:
+def _scene(size: int, rng: Rng) -> np.ndarray:
     """Colorful procedural target: gradient background plus soft shapes."""
     ys, xs = _grid(size)
     ca = rng.uniform(0.2, 0.9, size=3)
@@ -99,13 +98,13 @@ def _scene(size: int, rng: Rng) -> Image:
     freq = rng.integers(2, 5)
     ripple = 0.04 * np.sin(2 * np.pi * freq * (xs + ys))
     img = img + ripple[:, :, None]
-    return Image.from_array(np.clip(img, 0.02, 0.98))
+    return as_image(np.clip(img, 0.02, 0.98))
 
 
 def generate_synthetic(task: str, count: int, size: int, rng: Rng):
     """Deterministic dataset generation, one draw at a time.
 
-    ``textures`` -> iterator of (Image, label 0..9); paired tasks -> iterator
+    ``textures`` -> iterator of (image, label 0..9); paired tasks -> iterator
     of (X, Y) where X is the degraded source and Y the clean target. A bad
     ``task`` or ``size`` raises here, before anything is drawn.
     """

@@ -10,28 +10,27 @@ writes only F's parameters and its Adam moments; and accumulating moves
 neither psi nor phi. Each step opens its own tape over the parameter list
 of the optimizer it feeds: F's for the generator step, phi's (psi's in
 full mode) for the selector, so everything else is a constant on that tape.
+
+Images are the (H, W, 3) float64 arrays of ``dpl.image``, and ``config`` is
+the dict ``config.parse_config`` returns.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
-from .image import (Image, augment, color_jitter, from_tensor, gaussian_blur, random_crop,
-                    to_grayscale, to_tensor)
+from .image import (augment, color_jitter, from_tensor, gaussian_blur, random_crop, to_grayscale,
+                    to_tensor)
 from .losses import (color_loss, contextual_loss, perceptual_loss, pixel_loss, texture_loss,
                      triplet_loss, weighted_sum)
 from .networks import FeatureNetPsi, GeneratorF, SelectionPhi
 from .optim import Adam
 from .rng import Rng
 from .tensor import Tensor
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import ExperimentConfig
 
 MODES = ("feature_selection", "full", "frozen")
 # dpl.strategy: name -> the images its anchor, positive and negative crops are cut from
@@ -96,27 +95,21 @@ class TrainingFailed(TrainingHalted):
     """An OSError during an iteration, its ``__cause__``: a sample the hook could not write."""
 
 
-def distort(image: Image, config: ExperimentConfig, rng: Rng) -> Image:
+def distort(image: np.ndarray, config: dict, rng: Rng) -> np.ndarray:
     """The configured task-oriented distortion (``dpl.distortion``) of one image."""
     return DISTORTIONS[config["dpl.distortion"]](image, config, rng)
 
 
-@dataclass
-class Triplet:
-    anchor: Image
-    positive: Image
-    negative: Image
-
-
-def build_triplet(config: ExperimentConfig, x: Image, y: Image, x_gen: Image,
-                  rng: Rng) -> Triplet:
-    """Crop each role's image under ``dpl.strategy``: the distortion is drawn
-    first, then each crop offset independently."""
+def build_triplet(config: dict, x: np.ndarray, y: np.ndarray, x_gen: np.ndarray,
+                  rng: Rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (anchor, positive, negative) crops of each role's image under
+    ``dpl.strategy``: the distortion is drawn first, then each crop offset
+    independently."""
     roles, size = STRATEGIES[config["dpl.strategy"]], config["dpl.crop"]
     images = {"x": x, "y": y, "x_gen": x_gen}
     if "distorted" in roles:
         images["distorted"] = distort(y, config, rng)
-    return Triplet(*(random_crop(images[role], size, rng) for role in roles))
+    return tuple(random_crop(images[role], size, rng) for role in roles)
 
 
 @dataclass
@@ -133,7 +126,7 @@ def param_norm(params) -> float:
     return float(np.sqrt(sum(float((p.data**2).sum()) for p in params)))
 
 
-def triplet_crop(config: ExperimentConfig) -> int:
+def triplet_crop(config: dict) -> int:
     """Extent of the triplet crops a run cuts: ``dpl.crop`` when a selector
     trains, 0 in frozen mode, which trains none and cuts no triplets."""
     return 0 if config["dpl.mode"] == "frozen" else config["dpl.crop"]
@@ -152,7 +145,7 @@ def triplet_features(psi: FeatureNetPsi, phi: SelectionPhi, crops: list[Tensor],
 
 
 def generator_step(f: GeneratorF, x: Tensor, y: Tensor, psi: FeatureNetPsi,
-                   phi: SelectionPhi, config: ExperimentConfig,
+                   phi: SelectionPhi, config: dict,
                    opt: Adam) -> tuple[Tensor, float, dict]:
     """One Adam step of ``opt`` on the generator under the configured loss
     recipe: F's output on ``x`` and the terms of ``LOSSES`` whose
@@ -184,12 +177,13 @@ def generator_step(f: GeneratorF, x: Tensor, y: Tensor, psi: FeatureNetPsi,
     return x_gen.detach(), value, components
 
 
-def selector_accumulate(psi: FeatureNetPsi, phi: SelectionPhi, triplet: Triplet,
-                        config: ExperimentConfig, opt: Adam) -> float:
-    """Accumulate the triplet-loss gradient into ``opt``'s parameters without
-    stepping; the generator never appears on this tape."""
+def selector_accumulate(psi: FeatureNetPsi, phi: SelectionPhi, triplet: tuple, config: dict,
+                        opt: Adam) -> float:
+    """Accumulate the triplet-loss gradient of the (anchor, positive,
+    negative) crops ``triplet`` into ``opt``'s parameters without stepping;
+    the generator never appears on this tape."""
     with T.ComputationTape(opt.params) as tape:
-        crops = [to_tensor(c) for c in (triplet.anchor, triplet.positive, triplet.negative)]
+        crops = [to_tensor(c) for c in triplet]
         features = triplet_features(psi, phi, crops, config["dpl.mode"])
         loss = triplet_loss(features, config["dpl.margin"])
         value = loss.item()
@@ -205,10 +199,12 @@ def selector_apply(opt: Adam) -> None:
     opt.zero_grad()
 
 
-def run_training(config: ExperimentConfig, dataset, f: GeneratorF, psi: FeatureNetPsi,
+def run_training(config: dict, dataset, f: GeneratorF, psi: FeatureNetPsi,
                  phi: SelectionPhi, rng: Rng,
                  sample_hook=None) -> tuple[GeneratorF, list[HistoryRow]]:
-    """Full training loop; returns the generator and per-iteration history.
+    """Full training loop over ``dataset``, a sequence of (x, y) image
+    pairs; returns the generator and per-iteration history. After each
+    iteration ``sample_hook(it, f, x, y)``, if given, sees the pair it trained on.
 
     It holds the two optimizers of Algorithm 1: Adam on the generator, and
     Adam on the network the selector trains on the triplets (phi, or psi in

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpl import tensor as T
-from dpl.config import ExperimentConfig
+from dpl.config import SCHEMA
 from dpl.image import to_tensor
 from dpl.networks import FeatureNetPsi, pretrain_psi
 from dpl.rng import Rng
@@ -18,8 +18,10 @@ def _no_env_seed(monkeypatch):
 
 
 def train_config(**settings):
-    """The defaults with ``dpl.<key>`` set for each keyword, as the trainer reads them."""
-    return ExperimentConfig({f"dpl.{key}": value for key, value in settings.items()})
+    """Every ``SCHEMA`` default, with ``dpl.<key>`` set for each keyword, as
+    the trainer reads them."""
+    return {**{key: spec.default for key, spec in SCHEMA.items()},
+            **{f"dpl.{key}": value for key, value in settings.items()}}
 
 
 def as_float64(*nets):
@@ -54,7 +56,7 @@ def pretrained_psi_full():
                 for img, label in generate_synthetic("textures", 2000, 32, rng.child(1))]
         psi = FeatureNetPsi(rng.child(2))
         t0 = time.time()
-        accuracy = pretrain_psi(psi, data, 5, rng.child(3))
+        accuracy = pretrain_psi(psi, data, 5, rng.child(3), lr=1e-3)
         _PRETRAIN_CACHE["psi"] = (psi, accuracy, time.time() - t0)
     return _PRETRAIN_CACHE["psi"]
 

@@ -21,7 +21,7 @@ from dpl import tensor as T
 from dpl.checkpoint import load_checkpoint, save_checkpoint
 from dpl.cli import main
 from dpl.config import parse_config, emit_config
-from dpl.image import Image, load_image, save_image, to_tensor
+from dpl.image import as_image, load_image, save_image, to_tensor
 from dpl.losses import (color_loss, contextual_loss, perceptual_loss, pixel_loss, texture_loss,
                         triplet_loss, weighted_sum)
 from dpl.metrics import feature_distance, ms_ssim, psnr
@@ -207,7 +207,7 @@ def test_criterion_2_algorithm_mechanics():
         assert param_hash(phi.params()) == phi_hash
         assert param_hash(f.params()) != f_hash
         f_hash = param_hash(f.params())
-        x_gen = Image.from_array(np.clip(x_out.data.transpose(1, 2, 0), 0.0, 1.0))
+        x_gen = as_image(np.clip(x_out.data.transpose(1, 2, 0), 0.0, 1.0))
         trip = build_triplet(config, x, y, x_gen, trip_rng)
 
         selector_accumulate(psi, phi, trip, config, sel_opt)
@@ -225,7 +225,7 @@ def test_criterion_2_algorithm_mechanics():
 
     def by_accumulation():
         p = SelectionPhi(Rng(2001))
-        cfg, opt = train_config(interval=4, strategy="instance_self"), Adam(p.params())
+        cfg, opt = train_config(interval=4, strategy="instance_self"), Adam(p.params(), lr=1e-4)
         for tr in trips:
             selector_accumulate(psi, p, tr, cfg, opt)
         return [q.grad.copy() for q in p.params()]
@@ -235,7 +235,7 @@ def test_criterion_2_algorithm_mechanics():
         with T.ComputationTape(p.params()) as tape:
             total = None
             for tr in trips:
-                crops = [to_tensor(c) for c in (tr.anchor, tr.positive, tr.negative)]
+                crops = [to_tensor(c) for c in tr]
                 term = triplet_loss(triplet_features(psi, p, crops, "feature_selection"), 1.0)
                 total = term if total is None else ops.add(total, term)
             T.backward(total, tape)
@@ -280,7 +280,7 @@ def test_criterion_3_loss_properties():
                for _ in range(100)]
     for xs, ys in fixed + randoms:
         got = contextual_loss([Tensor(_vectors_to_tap(xs))],
-                              [Tensor(_vectors_to_tap(ys))]).item()
+                              [Tensor(_vectors_to_tap(ys))], 0.5, 1e-5).item()
         want = contextual_oracle(xs, ys)
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
@@ -302,8 +302,8 @@ def test_criterion_4_pretraining_gate():
 # -- 5/6. directional training claims ---------------------------------------------------
 
 
-def _color_error(a: Image, b: Image) -> float:
-    return float(np.abs(a.pixels.mean(axis=(0, 1)) - b.pixels.mean(axis=(0, 1))).mean())
+def _color_error(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.abs(a.mean(axis=(0, 1)) - b.mean(axis=(0, 1))).mean())
 
 
 def _protocol_run(task: str, mode: str, seed: int, psi: FeatureNetPsi):
@@ -318,7 +318,7 @@ def _protocol_run(task: str, mode: str, seed: int, psi: FeatureNetPsi):
     f, _ = run_training(config, train, f, psi, phi, r.child(42))
     dfd = cerr = ps = 0.0
     for x, y in val:
-        x_gen = Image.from_array(
+        x_gen = as_image(
             np.clip(f(to_tensor(x)).detach().data.transpose(1, 2, 0), 0.0, 1.0))
         dfd += feature_distance(x_gen, y, psi)
         cerr += _color_error(x_gen, y)
@@ -378,15 +378,15 @@ def test_criterion_6_darken_direction(pretrained_psi):
 
 
 def test_criterion_7_metric_sanity():
-    a = Image.from_array(np.full((32, 32, 3), 0.4))
-    b = Image.from_array(np.full((32, 32, 3), 0.5))
+    a = as_image(np.full((32, 32, 3), 0.4))
+    b = as_image(np.full((32, 32, 3), 0.5))
     assert psnr(a, b) == pytest.approx(20.0, abs=1e-6)
     scene = list(generate_synthetic("darken", 1, 32, Rng(7000)))[0][1]
     assert ms_ssim(scene, scene) == 1.0
     f = GeneratorF(Rng(7001))
     as_float64(f)  # float32 would round the pixels on their way through F
-    x = Tensor(scene.pixels.transpose(2, 0, 1))
-    out = Image.from_array(np.clip(f(x).detach().data.transpose(1, 2, 0), 0.0, 1.0))
+    x = Tensor(scene.transpose(2, 0, 1))
+    out = as_image(np.clip(f(x).detach().data.transpose(1, 2, 0), 0.0, 1.0))
     assert psnr(out, scene) == float("inf")
     _report(7, "PSNR offset = 20 dB, ms_ssim identity = 1.0, identity F PSNR = inf")
 
@@ -424,6 +424,6 @@ def test_criterion_8_determinism_and_formats(tmp_path, pretrained_psi):
     # config round trip equality
     cfg = parse_config(overrides={"task": "darken", "dpl.margin": "0.75"})
     (tmp_path / "cfg").write_text(emit_config(cfg))
-    assert parse_config(tmp_path / "cfg").values == cfg.values
+    assert parse_config(tmp_path / "cfg") == cfg
 
     _report(8, "bit-identical reruns; checkpoint/PPM/config round trips exact")

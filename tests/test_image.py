@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpl import image as image_module
-from dpl.image import (Image, ImageError, _read_ppm, augment, color_jitter, from_tensor,
+from dpl.image import (ImageError, _read_ppm, as_image, augment, color_jitter, from_tensor,
                        gaussian_blur, gaussian_kernel1d, load_image, load_ppm, random_crop,
                        save_image, separable_filter, separable_filter_adjoint,
                        to_grayscale, to_tensor)
@@ -16,7 +16,7 @@ from dpl.synth import SynthError, generate_synthetic
 
 def _random_image(seed, size=16):
     rng = np.random.default_rng(seed)
-    return Image.from_array(rng.uniform(size=(size, size, 3)))
+    return as_image(rng.uniform(size=(size, size, 3)))
 
 
 # -- PPM I/O --------------------------------------------------------------------
@@ -27,7 +27,7 @@ def test_ppm_round_trip(tmp_path):
     path = tmp_path / "a.ppm"
     save_image(img, path)
     back = load_image(path)
-    assert np.max(np.abs(back.pixels - img.pixels)) <= 0.5 / 255
+    assert np.max(np.abs(back - img)) <= 0.5 / 255
 
 
 def test_ppm_round_trip_exact_on_quantized(tmp_path):
@@ -37,14 +37,14 @@ def test_ppm_round_trip_exact_on_quantized(tmp_path):
     once = load_image(path)
     save_image(once, path)
     again = load_image(path)
-    assert np.array_equal(once.pixels, again.pixels)
+    assert np.array_equal(once, again)
 
 
 def test_ppm_single_red_pixel(tmp_path):
     path = tmp_path / "red.ppm"
     path.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
     img = load_image(path)
-    assert np.allclose(img.pixels[0, 0], [1.0, 0.0, 0.0])
+    assert np.allclose(img[0, 0], [1.0, 0.0, 0.0])
 
 
 def test_ppm_truncated_payload(tmp_path):
@@ -120,11 +120,19 @@ def test_ppm_overlong_header_comment_is_refused_after_the_bound():
     assert _read_ppm(f).tolist() == [[[1, 2, 3]]]
 
 
+def test_ppm_comment_bound_is_1024_bytes_newline_included():
+    # the bound as literals: a bound read from the module moves with it
+    rest = b"\n1 1\n255\n" + bytes([1, 2, 3])
+    assert _read_ppm(io.BytesIO(b"P6\n#" + b"a" * 1023 + rest)).tolist() == [[[1, 2, 3]]]
+    with pytest.raises(ImageError, match="a comment longer than 1024 bytes"):
+        _read_ppm(io.BytesIO(b"P6\n#" + b"a" * 1024 + rest))
+
+
 def test_ppm_header_comments(tmp_path):
     path = tmp_path / "c.ppm"
     path.write_bytes(b"P6\n# a comment\n1 1\n255\n" + bytes([10, 20, 30]))
     img = load_image(path)
-    assert img.pixels[0, 0, 0] == pytest.approx(10 / 255)
+    assert img[0, 0, 0] == pytest.approx(10 / 255)
 
 
 # -- tensor round trip -----------------------------------------------------------
@@ -132,7 +140,7 @@ def test_ppm_header_comments(tmp_path):
 
 def test_tensor_round_trip():
     img = _random_image(2)
-    assert np.allclose(from_tensor(to_tensor(img)).pixels, img.pixels, atol=1e-6)
+    assert np.allclose(from_tensor(to_tensor(img)), img, atol=1e-6)
 
 
 # -- cropping and augmentation -----------------------------------------------------
@@ -141,7 +149,7 @@ def test_tensor_round_trip():
 def test_crop_full_size_identity():
     img = _random_image(3)
     out = random_crop(img, 16, Rng(0))
-    assert np.array_equal(out.pixels, img.pixels)
+    assert np.array_equal(out, img)
 
 
 def test_crop_too_large_errors():
@@ -150,21 +158,21 @@ def test_crop_too_large_errors():
 
 
 def test_crop_offsets_cover_extremes():
-    img = Image.from_array(np.mgrid[0:64, 0:64][0][:, :, None].repeat(3, 2) / 64.0)
+    img = as_image(np.mgrid[0:64, 0:64][0][:, :, None].repeat(3, 2) / 64.0)
     rng = Rng(5)
     tops = set()
     lefts = set()
     for _ in range(1000):
         crop = random_crop(img, 32, rng)
-        tops.add(int(round(crop.pixels[0, 0, 0] * 64)))
+        tops.add(int(round(crop[0, 0, 0] * 64)))
         lefts.add(crop is not None)
     assert 0 in tops and 32 in tops
 
 
 def test_crop_constant_image_constant():
-    img = Image.from_array(np.full((16, 16, 3), 0.3))
+    img = as_image(np.full((16, 16, 3), 0.3))
     crop = random_crop(img, 5, Rng(6))
-    assert np.allclose(crop.pixels, 0.3)
+    assert np.allclose(crop, 0.3)
 
 
 def test_crop_in_bounds_fuzz():
@@ -173,7 +181,7 @@ def test_crop_in_bounds_fuzz():
     for size in range(1, 10):
         for _ in range(20):
             crop = random_crop(img, size, rng)
-            assert crop.pixels.shape == (size, size, 3)
+            assert crop.shape == (size, size, 3)
 
 
 def test_augment_preserves_pixel_multiset():
@@ -181,27 +189,27 @@ def test_augment_preserves_pixel_multiset():
     rng = Rng(10)
     for _ in range(50):
         out = augment(img, rng)
-        assert np.array_equal(np.sort(out.pixels.ravel()), np.sort(img.pixels.ravel()))
+        assert np.array_equal(np.sort(out.ravel()), np.sort(img.ravel()))
 
 
 def test_augment_same_seed_same_result():
     img = _random_image(11)
     a = augment(img, Rng(12))
     b = augment(img, Rng(12))
-    assert np.array_equal(a.pixels, b.pixels)
+    assert np.array_equal(a, b)
 
 
 def test_augment_rejects_non_square():
-    img = Image.from_array(np.zeros((8, 12, 3)))
+    img = as_image(np.zeros((8, 12, 3)))
     with pytest.raises(ImageError, match="square"):
         augment(img, Rng(0))
 
 
 def test_rot180_twice_is_identity():
     img = _random_image(13)
-    once = Image.from_array(np.rot90(img.pixels, 2))
-    twice = Image.from_array(np.rot90(once.pixels, 2))
-    assert np.array_equal(twice.pixels, img.pixels)
+    once = as_image(np.rot90(img, 2))
+    twice = as_image(np.rot90(once, 2))
+    assert np.array_equal(twice, img)
 
 
 # -- blur -------------------------------------------------------------------------
@@ -223,9 +231,9 @@ def test_blur_kernel_of_a_sigma_whose_variance_underflows_is_refused():
 
 
 def test_blur_constant_invariance():
-    img = Image.from_array(np.full((16, 16, 3), 0.42))
+    img = as_image(np.full((16, 16, 3), 0.42))
     out = gaussian_blur(img, 2.0)
-    assert np.allclose(out.pixels, 0.42, atol=1e-12)
+    assert np.allclose(out, 0.42, atol=1e-12)
 
 
 def test_blur_preserves_channel_means():
@@ -234,8 +242,8 @@ def test_blur_preserves_channel_means():
     img = list(generate_synthetic("colorcast", 1, 128, Rng(14)))[0][1]
     out = gaussian_blur(img, 1.5)
     for c in range(3):
-        assert out.pixels[:, :, c].mean() == pytest.approx(
-            img.pixels[:, :, c].mean(), abs=1e-4)
+        assert out[:, :, c].mean() == pytest.approx(
+            img[:, :, c].mean(), abs=1e-4)
 
 
 def test_blur_matches_dense_kernel_oracle():
@@ -244,14 +252,14 @@ def test_blur_matches_dense_kernel_oracle():
     k = gaussian_kernel1d(sigma)
     dense = np.outer(k, k)
     r = len(k) // 2
-    padded = np.pad(img.pixels, ((r, r), (r, r), (0, 0)), mode="reflect")
-    want = np.zeros_like(img.pixels)
+    padded = np.pad(img, ((r, r), (r, r), (0, 0)), mode="reflect")
+    want = np.zeros_like(img)
     for y in range(12):
         for x in range(12):
             for c in range(3):
                 want[y, x, c] = np.sum(dense * padded[y : y + 2 * r + 1, x : x + 2 * r + 1, c])
     got = gaussian_blur(img, sigma)
-    assert np.allclose(got.pixels, want, atol=1e-6)
+    assert np.allclose(got, want, atol=1e-6)
 
 
 @pytest.mark.parametrize("radius", range(1, 14))
@@ -325,13 +333,13 @@ def test_fresh_sigma_blurs_leave_the_cache_at_its_bound():
 def test_jitter_identity_ranges():
     img = _random_image(16)
     out = color_jitter(img, Rng(17), (1.0, 1.0), (0.0, 0.0))
-    assert np.allclose(out.pixels, img.pixels, atol=1e-12)
+    assert np.allclose(out, img, atol=1e-12)
 
 
 def test_jitter_zero_scale_black():
     img = _random_image(18)
     out = color_jitter(img, Rng(19), (0.0, 0.0), (0.0, 0.0))
-    assert np.allclose(out.pixels, 0.0)
+    assert np.allclose(out, 0.0)
 
 
 def test_jitter_output_in_unit_interval():
@@ -339,28 +347,28 @@ def test_jitter_output_in_unit_interval():
     rng = Rng(21)
     for _ in range(50):
         out = color_jitter(img, rng, (0.5, 1.5), (-0.25, 0.25))
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_grayscale_fixed_point():
-    img = Image.from_array(np.repeat(np.random.default_rng(22).uniform(
+    img = as_image(np.repeat(np.random.default_rng(22).uniform(
         size=(8, 8, 1)), 3, axis=2))
     out = to_grayscale(img)
-    assert np.allclose(out.pixels, img.pixels, atol=1e-12)
+    assert np.allclose(out, img, atol=1e-12)
 
 
 def test_grayscale_pure_red():
-    img = Image.from_array(np.zeros((4, 4, 3)))
-    img.pixels[:, :, 0] = 1.0
-    out = to_grayscale(Image.from_array(img.pixels))
-    assert np.allclose(out.pixels, 0.299, atol=1e-12)
+    img = as_image(np.zeros((4, 4, 3)))
+    img[:, :, 0] = 1.0
+    out = to_grayscale(as_image(img))
+    assert np.allclose(out, 0.299, atol=1e-12)
 
 
 def test_grayscale_idempotent():
     img = _random_image(23)
     once = to_grayscale(img)
     twice = to_grayscale(once)
-    assert np.allclose(once.pixels, twice.pixels, atol=1e-12)
+    assert np.allclose(once, twice, atol=1e-12)
 
 
 # -- synthetic data ------------------------------------------------------------------
@@ -370,13 +378,13 @@ def test_synthetic_deterministic():
     a = generate_synthetic("darken", 3, 32, Rng(24))
     b = generate_synthetic("darken", 3, 32, Rng(24))
     for (xa, ya), (xb, yb) in zip(a, b):
-        assert np.array_equal(xa.pixels, xb.pixels)
-        assert np.array_equal(ya.pixels, yb.pixels)
+        assert np.array_equal(xa, xb)
+        assert np.array_equal(ya, yb)
 
 
 def test_darken_pairs_dimmer():
     for x, y in generate_synthetic("darken", 20, 32, Rng(25)):
-        assert x.pixels.mean() < y.pixels.mean()
+        assert x.mean() < y.mean()
 
 
 def test_size_too_small_rejected():
@@ -395,12 +403,12 @@ def test_textures_nearest_centroid_above_chance():
     centroids = np.zeros((10, 32 * 32 * 3))
     counts = np.zeros(10)
     for img, label in train:
-        centroids[label] += img.pixels.ravel()
+        centroids[label] += img.ravel()
         counts[label] += 1
     centroids /= counts[:, None]
     hits = 0
     for img, label in test:
-        d = np.linalg.norm(centroids - img.pixels.ravel(), axis=1)
+        d = np.linalg.norm(centroids - img.ravel(), axis=1)
         hits += int(np.argmin(d)) == label
     assert hits / len(test) > 0.2  # chance is 0.1
 
@@ -410,4 +418,4 @@ def test_outputs_stay_in_unit_interval():
     for task in ("darken", "colorcast", "blur"):
         for x, y in generate_synthetic(task, 5, 32, rng):
             for im in (x, y):
-                assert im.pixels.min() >= 0.0 and im.pixels.max() <= 1.0
+                assert im.min() >= 0.0 and im.max() <= 1.0

@@ -105,7 +105,7 @@ def contextual_oracle(a_vecs, b_vecs, h=0.5, eps=1e-5):
 def test_contextual_identity_small():
     vecs = np.array([[1.0, 0.2], [0.1, 1.0], [-1.0, 0.5], [0.4, -1.0]])
     f = _featset(_vectors_to_tap(vecs))
-    assert contextual_loss(f, f).item() < 0.01
+    assert contextual_loss(f, f, 0.5, 1e-5).item() < 0.01
 
 
 def test_contextual_orthogonal_uniform_gives_log_n():
@@ -113,7 +113,8 @@ def test_contextual_orthogonal_uniform_gives_log_n():
     e = np.eye(8)
     ys = np.stack([e[0], -e[0], e[1], -e[1]])
     xs = np.stack([e[2], -e[2], e[3], -e[3]])
-    loss = contextual_loss(_featset(_vectors_to_tap(xs)), _featset(_vectors_to_tap(ys)))
+    loss = contextual_loss(_featset(_vectors_to_tap(xs)), _featset(_vectors_to_tap(ys)),
+                           0.5, 1e-5)
     assert loss.item() == pytest.approx(np.log(4.0), rel=1e-3)
 
 
@@ -121,9 +122,10 @@ def test_contextual_permutation_invariant_in_first_set():
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(6, 4))
     ys = rng.normal(size=(5, 4))
-    base = contextual_loss(_featset(_vectors_to_tap(xs)), _featset(_vectors_to_tap(ys)))
+    base = contextual_loss(_featset(_vectors_to_tap(xs)), _featset(_vectors_to_tap(ys)),
+                           0.5, 1e-5)
     perm = contextual_loss(_featset(_vectors_to_tap(xs[::-1].copy())),
-                           _featset(_vectors_to_tap(ys)))
+                           _featset(_vectors_to_tap(ys)), 0.5, 1e-5)
     assert base.item() == pytest.approx(perm.item(), rel=1e-9)
 
 
@@ -134,7 +136,7 @@ def test_contextual_matches_oracle_on_random_sets():
         xs = rng.normal(size=(na, 2))
         ys = rng.normal(size=(nb, 2))
         got = contextual_loss(_featset(_vectors_to_tap(xs)),
-                              _featset(_vectors_to_tap(ys))).item()
+                              _featset(_vectors_to_tap(ys)), 0.5, 1e-5).item()
         assert got == pytest.approx(contextual_oracle(xs, ys), rel=1e-6, abs=1e-9)
 
 
@@ -142,20 +144,20 @@ def test_contextual_handles_zero_norm_vector():
     xs = np.array([[0.0, 0.0], [1.0, 2.0]])
     ys = np.array([[1.0, -1.0], [-1.0, 1.0]])
     value = contextual_loss(_featset(_vectors_to_tap(xs)),
-                            _featset(_vectors_to_tap(ys))).item()
+                            _featset(_vectors_to_tap(ys)), 0.5, 1e-5).item()
     assert np.isfinite(value) and value >= 0.0
 
 
 def test_contextual_channel_mismatch():
     with pytest.raises(LossError, match="channel mismatch"):
-        contextual_loss(_featset(np.zeros((2, 2, 2))), _featset(np.zeros((4, 2, 2))))
+        contextual_loss(_featset(np.zeros((2, 2, 2))), _featset(np.zeros((4, 2, 2))), 0.5, 1e-5)
 
 
 def test_contextual_gradient():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 2, 2))
     b = rng.normal(size=(3, 2, 2))
-    check_gradients(lambda ts: contextual_loss([ts[0]], [Tensor(b)]), [a], rng,
+    check_gradients(lambda ts: contextual_loss([ts[0]], [Tensor(b)], 0.5, 1e-5), [a], rng,
                     n_points=20, rtol=1e-5, atol=1e-7)
 
 
@@ -169,13 +171,13 @@ def test_contextual_refuses_a_tape_that_tracks_the_target_set(derived):
         if derived:  # an output the tape recorded, not the parameter itself
             fb[1] = ops.mul(fb[1], 2.0)
         with pytest.raises(LossError, match="tap 1 target set is tracked"):
-            contextual_loss(fa, fb)
+            contextual_loss(fa, fb, 0.5, 1e-5)
 
 
 def test_contextual_bad_params():
     feats = _featset(np.ones((2, 2, 2)))
     with pytest.raises(LossError):
-        contextual_loss(feats, feats, bandwidth=0.0)
+        contextual_loss(feats, feats, 0.0, 1e-5)
 
 
 def contextual_chain(fa, fb, h=0.5, eps=1e-5):
@@ -201,6 +203,11 @@ def contextual_chain(fa, fb, h=0.5, eps=1e-5):
     return ops.mul(total, 1.0 / len(fa))
 
 
+def _contextual(fa, fb):
+    """The contextual loss at bandwidth 0.5 and epsilon 1e-5, ``contextual_chain``'s."""
+    return contextual_loss(fa, fb, 0.5, 1e-5)
+
+
 def _value_and_grads(fn, arrays_a, arrays_b):
     """The loss and the first set's gradient; the second set is a constant."""
     fa, fb = _featset(*arrays_a), _featset(*arrays_b)
@@ -219,7 +226,7 @@ def test_contextual_matches_taped_chain_at_tap_shapes():
     a = [rng.normal(size=s) for s in TAP_SHAPES]
     b = [x + rng.normal(scale=2.0, size=x.shape) for x in a]
     want, want_grads = _value_and_grads(contextual_chain, a, b)
-    got, got_grads = _value_and_grads(contextual_loss, a, b)
+    got, got_grads = _value_and_grads(_contextual, a, b)
     assert got == pytest.approx(want, rel=1e-14)
     for g, w in zip(got_grads, want_grads):
         assert np.allclose(g, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
@@ -231,7 +238,7 @@ def test_contextual_value_matches_taped_chain_in_float32():
     b64 = [rng.normal(size=s).astype(np.float32).astype(np.float64) for s in TAP_SHAPES]
     a = _featset(*(x.astype(np.float32) for x in a64))
     b = _featset(*(x.astype(np.float32) for x in b64))
-    got = contextual_loss(a, b)
+    got = contextual_loss(a, b, 0.5, 1e-5)
     assert got.dtype == np.float32
     assert got.item() == pytest.approx(contextual_chain(a, b).item(), rel=1e-6)
     assert got.item() == pytest.approx(contextual_chain(_featset(*a64), _featset(*b64)).item(),
@@ -259,9 +266,9 @@ def test_contextual_gradient_with_duplicate_vectors():
     assert list(cx.argmax(axis=0)[[0, 3]]) == [0, 0]
 
     def build(ts):
-        return contextual_loss([ts[0]], [ts[1]])
+        return contextual_loss([ts[0]], [ts[1]], 0.5, 1e-5)
 
-    value, grads = _value_and_grads(contextual_loss, arrays[:1], arrays[1:])
+    value, grads = _value_and_grads(_contextual, arrays[:1], arrays[1:])
     _, chain_grads = _value_and_grads(contextual_chain, arrays[:1], arrays[1:])
     assert np.isfinite(value)
     for g, w in zip(grads, chain_grads):
@@ -314,11 +321,11 @@ def test_contextual_exponent_floor_binds_and_changes_nothing_visible():
     assert (_exponents(a, b) < -60.0).any()
 
     fa, fb = _featset(a.astype(np.float32)), _featset(b.astype(np.float32))
-    got = contextual_loss(fa, fb)
+    got = contextual_loss(fa, fb, 0.5, 1e-5)
     assert got.dtype == np.float32
     assert got.item() == pytest.approx(contextual_chain(fa, fb).item(), rel=1e-6)
     want, want_grads = _value_and_grads(contextual_chain, [a], [b])
-    got, got_grads = _value_and_grads(contextual_loss, [a], [b])
+    got, got_grads = _value_and_grads(_contextual, [a], [b])
     assert got == pytest.approx(want, rel=1e-12)
     for g, w in zip(got_grads, want_grads):
         assert np.allclose(g, w, rtol=1e-9, atol=1e-13)
@@ -355,7 +362,7 @@ def test_contextual_ties_across_row_blocks_keep_the_earliest_row(build):
     assert ((cx[3] == top) & (cx[700] == top)).any()
 
     want, want_grads = _value_and_grads(contextual_chain, [a], [b])
-    got, got_grads = _value_and_grads(contextual_loss, [a], [b])
+    got, got_grads = _value_and_grads(_contextual, [a], [b])
     assert got == pytest.approx(want, rel=1e-14)
     for g, w in zip(got_grads, want_grads):
         assert np.allclose(g, w, rtol=1e-9, atol=1e-13)
@@ -369,7 +376,7 @@ def _column_max_rows(a, b):
 
 def _assert_matches_chain(a, b):
     want, want_grads = _value_and_grads(contextual_chain, [a], [b])
-    got, got_grads = _value_and_grads(contextual_loss, [a], [b])
+    got, got_grads = _value_and_grads(_contextual, [a], [b])
     assert got == pytest.approx(want, rel=1e-14)
     for g, w in zip(got_grads, want_grads):
         assert np.allclose(g, w, rtol=1e-9, atol=1e-12 * np.abs(w).max())
@@ -416,7 +423,7 @@ def test_contextual_untracked_second_set_gets_no_gradient():
     fa = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
     fb = _featset(rng.normal(size=(4, 3, 3)), rng.normal(size=(8, 2, 2)))
     with ComputationTape(fa) as tape:
-        T.backward(contextual_loss(fa, fb), tape)
+        T.backward(contextual_loss(fa, fb, 0.5, 1e-5), tape)
     assert all(t.grad is not None and np.all(np.isfinite(t.grad)) for t in fa)
     assert all(t.grad is None for t in fb)
 
@@ -555,7 +562,8 @@ def test_contextual_one_op_rounds_as_its_per_tap_chain(dtype):
         a = [np.maximum(rng.normal(size=s), 0.0) for s in TAP_SHAPES[:taps]]
         b = [np.maximum(x + rng.normal(size=x.shape), 0.0) for x in a]
         for weight in (None, 0.37):
-            got, want = ((_bytes_and_entries(fn, [Tensor(x, dtype) for x in a],
+            got, want = ((_bytes_and_entries(lambda p, c: fn(p, c, 0.5, 1e-5),
+                                             [Tensor(x, dtype) for x in a],
                                              [Tensor(x, dtype) for x in b], weight))
                          for fn in (contextual_loss, ops.contextual_tap_chain))
             assert got[0] == want[0]
@@ -688,13 +696,13 @@ def _img_tensor(seed, size=16):
 
 def test_color_identity_zero():
     a = _img_tensor(7)
-    assert color_loss(a, a).item() == pytest.approx(0.0, abs=1e-12)
+    assert color_loss(a, a, 3.0).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_color_constant_offset():
     a = Tensor(np.full((3, 16, 16), 0.2))
     b = Tensor(np.full((3, 16, 16), 0.4))
-    assert color_loss(a, b).item() == pytest.approx(0.04, rel=1e-6)
+    assert color_loss(a, b, 3.0).item() == pytest.approx(0.04, rel=1e-6)
 
 
 def test_color_ignores_shared_high_frequency():
@@ -709,7 +717,7 @@ def test_color_ignores_shared_high_frequency():
 
 # each loss as one op and as the chain of generic ops it fuses
 _FUSED = {
-    "color": (color_loss, ops.color_chain),
+    "color": (lambda a, b: color_loss(a, b, 3.0), lambda a, b: ops.color_chain(a, b, 3.0)),
     "color_narrow": (lambda a, b: color_loss(a, b, 0.8), lambda a, b: ops.color_chain(a, b, 0.8)),
     "texture": (texture_loss, ops.texture_chain),
     "pixel": (pixel_loss, ops.pixel_chain),
@@ -753,7 +761,8 @@ def test_image_losses_match_their_chains_bytewise(name, dtype):
 @pytest.mark.parametrize("fn", [color_loss, texture_loss, pixel_loss])
 def test_image_losses_refuse_a_shape_mismatch(fn):
     with pytest.raises(LossError, match=f"{fn.__name__} shape mismatch"):
-        fn(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((3, 4, 5))))
+        fn(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((3, 4, 5))),
+           *([3.0] if fn is color_loss else []))
 
 
 def test_texture_loss_refuses_images_without_three_channels():
@@ -763,11 +772,11 @@ def test_texture_loss_refuses_images_without_three_channels():
 
 
 def test_blur_tensor_matches_image_blur():
-    from dpl.image import Image, gaussian_blur
+    from dpl.image import as_image, gaussian_blur
 
     rng = np.random.default_rng(9)
     arr = rng.uniform(size=(12, 12, 3))
-    want = gaussian_blur(Image.from_array(arr), 1.7).pixels.transpose(2, 0, 1)
+    want = gaussian_blur(as_image(arr), 1.7).transpose(2, 0, 1)
     got = ops.blur_tensor(Tensor(arr.transpose(2, 0, 1)), 1.7).data
     assert np.allclose(got, want, atol=1e-9)
 
@@ -839,9 +848,9 @@ def test_all_losses_non_negative_1000_trials():
         assert triplet_loss(_joined([a], [b], [c]), margin=1.0).item() >= 0.0
         assert pixel_loss(a, b).item() >= 0.0
         if trial % 20 == 0:  # blur/contextual are heavier; sample them
-            assert color_loss(a, b).item() >= 0.0
+            assert color_loss(a, b, 3.0).item() >= 0.0
             assert texture_loss(a, b).item() >= 0.0
-            assert contextual_loss([a], [b]).item() >= -1e-9
+            assert contextual_loss([a], [b], 0.5, 1e-5).item() >= -1e-9
 
 
 def test_symmetric_losses_are_symmetric():
@@ -849,5 +858,5 @@ def test_symmetric_losses_are_symmetric():
     for _ in range(20):
         a = Tensor(rng.uniform(size=(3, 8, 8)))
         b = Tensor(rng.uniform(size=(3, 8, 8)))
-        for fn in (pixel_loss, color_loss, texture_loss):
+        for fn in (pixel_loss, lambda a, b: color_loss(a, b, 3.0), texture_loss):
             assert fn(a, b).item() == pytest.approx(fn(b, a).item(), rel=1e-9)

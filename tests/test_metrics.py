@@ -5,7 +5,7 @@ import pytest
 
 from dpl import image as image_module
 from dpl import metrics
-from dpl.image import GRAY_WEIGHTS, Image, gaussian_blur, gaussian_kernel1d, separable_filter
+from dpl.image import GRAY_WEIGHTS, as_image, gaussian_blur, gaussian_kernel1d, separable_filter
 from dpl.metrics import MetricError, feature_distance, ms_ssim, psnr
 from dpl.networks import FeatureNetPsi
 from dpl.rng import Rng
@@ -13,7 +13,7 @@ from dpl.synth import generate_synthetic
 
 
 def _img(seed, size=32):
-    return Image.from_array(np.random.default_rng(seed).uniform(size=(size, size, 3)))
+    return as_image(np.random.default_rng(seed).uniform(size=(size, size, 3)))
 
 
 def _scene(seed, size=64):
@@ -30,15 +30,15 @@ def test_psnr_identical_is_infinite():
 
 
 def test_psnr_constant_offset_exact():
-    a = Image.from_array(np.full((8, 8, 3), 0.3))
-    b = Image.from_array(np.full((8, 8, 3), 0.4))
+    a = as_image(np.full((8, 8, 3), 0.3))
+    b = as_image(np.full((8, 8, 3), 0.4))
     assert psnr(a, b) == pytest.approx(20.0, rel=1e-9)
 
 
 def test_psnr_symmetric_and_monotone():
     a = _img(1)
-    near = Image.from_array(np.clip(a.pixels + 0.01, 0, 1))
-    far = Image.from_array(np.clip(a.pixels + 0.1, 0, 1))
+    near = as_image(np.clip(a + 0.01, 0, 1))
+    far = as_image(np.clip(a + 0.1, 0, 1))
     assert psnr(a, near) == pytest.approx(psnr(near, a), rel=1e-12)
     assert psnr(a, near) > psnr(a, far)
 
@@ -58,7 +58,7 @@ def test_ms_ssim_identity_is_one():
 
 def test_ms_ssim_inversion_is_low():
     a = _scene(5)
-    b = Image.from_array(1.0 - a.pixels)
+    b = as_image(1.0 - a)
     assert ms_ssim(a, b) < 0.2
 
 
@@ -89,15 +89,15 @@ def test_ms_ssim_minimum_extent():
 def test_ms_ssim_bounded():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        a = Image.from_array(rng.uniform(size=(32, 32, 3)))
-        b = Image.from_array(rng.uniform(size=(32, 32, 3)))
+        a = as_image(rng.uniform(size=(32, 32, 3)))
+        b = as_image(rng.uniform(size=(32, 32, 3)))
         s = ms_ssim(a, b)
         assert 0.0 <= s <= 1.0
 
 
 def ms_ssim_oracle(a, b):
     """ms_ssim with each of the five moment maps filtered on its own."""
-    x, y = a.pixels @ GRAY_WEIGHTS, b.pixels @ GRAY_WEIGHTS
+    x, y = a @ GRAY_WEIGHTS, b @ GRAY_WEIGHTS
     k = gaussian_kernel1d(1.5)
     value = 1.0
     for scale in range(metrics.MSSSIM_SCALES):
@@ -122,11 +122,11 @@ def ms_ssim_oracle(a, b):
 def test_ms_ssim_stacked_filter_is_bitwise_the_oracle(shape):
     rng = np.random.default_rng(list(shape))
     for trial in range(20):
-        a = Image.from_array(rng.uniform(size=(*shape, 3)))
+        a = as_image(rng.uniform(size=(*shape, 3)))
         if trial % 2:
-            b = Image.from_array(rng.uniform(size=(*shape, 3)))
+            b = as_image(rng.uniform(size=(*shape, 3)))
         else:
-            b = gaussian_blur(Image.from_array(a.pixels * rng.uniform(0.3, 1.0)),
+            b = gaussian_blur(as_image(a * rng.uniform(0.3, 1.0)),
                               rng.uniform(0.5, 2.0))
         assert ms_ssim(a, b).hex() == ms_ssim_oracle(a, b).hex()
 

@@ -8,7 +8,7 @@ import tape_ops as ops
 from conftest import as_float64, check_gradients, param_hash
 from dpl import tensor as T
 from dpl.checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
-from dpl.image import Image, to_tensor
+from dpl.image import as_image, to_tensor
 from dpl import networks
 from dpl.networks import (FeatureNetPsi, GeneratorF, NetworkError, PretrainingDiverged,
                           SelectionPhi, accuracy, classify, cross_entropy, pretrain_psi)
@@ -108,7 +108,7 @@ def test_networks_and_images_enter_as_float32():
         assert all(p.dtype == np.float32 for p in net.params())
         net.load_state_dict({k: v.astype(np.float64) for k, v in net.state_dict().items()})
         assert all(p.dtype == np.float32 for p in net.params())
-    assert to_tensor(Image.from_array(np.zeros((8, 8, 3)))).dtype == np.float32
+    assert to_tensor(as_image(np.zeros((8, 8, 3)))).dtype == np.float32
 
 
 def test_cross_entropy_uniform_is_log_k():
@@ -325,7 +325,7 @@ def test_pretrain_smoke_small():
     data = [(to_tensor(img), label)
             for img, label in generate_synthetic("textures", 400, 16, rng.child(1))]
     psi = FeatureNetPsi(rng.child(2))
-    assert pretrain_psi(psi, data, epochs=3, rng=rng.child(3)) >= 0.5
+    assert pretrain_psi(psi, data, epochs=3, rng=rng.child(3), lr=1e-3) >= 0.5
 
 
 def test_pretrained_psi_keeps_its_bytes():
@@ -335,7 +335,7 @@ def test_pretrained_psi_keeps_its_bytes():
     data = [(to_tensor(img), label)
             for img, label in generate_synthetic("textures", 100, 16, rng.child(1))]
     psi = FeatureNetPsi(rng.child(2))
-    assert pretrain_psi(psi, data, epochs=2, rng=rng.child(3)) == 0.3
+    assert pretrain_psi(psi, data, epochs=2, rng=rng.child(3), lr=1e-3) == 0.3
     assert param_hash(psi.params()) == (
         "70dcb3e24fb6b11f40d4487944289e500b61a581a3fe58da1392dbecb0eb6ff5")
 
@@ -357,7 +357,7 @@ def test_pretraining_halts_on_parameters_an_epoch_leaves_non_finite(monkeypatch)
     monkeypatch.setattr(networks, "Adam", PoisonedAdam)
     with pytest.raises(PretrainingDiverged,
                        match="^non-finite parameters after epoch 1, step 18 of 18$"):
-        pretrain_psi(psi, data, epochs=2, rng=rng.child(3))
+        pretrain_psi(psi, data, epochs=2, rng=rng.child(3), lr=1e-3)
 
 
 def test_classify_and_accuracy_consistent():

@@ -48,7 +48,7 @@ _OPERANDS = {
     "matmul": (ops.matmul, [(2, 2), (2, 2)]),
     "conv2d": (T.conv2d, [(1, 3, 3), (1, 1, 1, 1), (1,)]),
     "upsample_conv3x3": (T.upsample_conv3x3, [(1, 2, 2), (1, 1, 3, 3), (1,)]),
-    "color_loss": (color_loss, [(3, 4, 4), (3, 4, 4)]),
+    "color_loss": (lambda a, b: color_loss(a, b, 3.0), [(3, 4, 4), (3, 4, 4)]),
     "texture_loss": (texture_loss, [(3, 4, 4), (3, 4, 4)]),
     "pixel_loss": (pixel_loss, [(3, 4, 4), (3, 4, 4)]),
 }

@@ -16,7 +16,7 @@ from dpl.tensor import Tensor
 from dpl.trainer import (MODES, TrainerError, TrainingDiverged, _features, build_triplet, distort,
                          generator_step, param_norm, run_training, selector_accumulate,
                          selector_apply, triplet_features)
-from dpl.image import Image, to_grayscale, to_tensor
+from dpl.image import as_image, to_grayscale, to_tensor
 
 
 def _nets(seed):
@@ -57,14 +57,14 @@ def test_triplet_roles_per_strategy():
     # constant X and x_gen and a Y with one value per channel: every crop shows
     # its source, and grayscale(Y) differs from all three
     def fill(rgb):
-        return Image.from_array(np.broadcast_to(np.array(rgb, dtype=np.float64), (32, 32, 3)))
+        return as_image(np.broadcast_to(np.array(rgb, dtype=np.float64), (32, 32, 3)))
 
     x, x_gen, y = fill([0.1] * 3), fill([0.9] * 3), fill([0.2, 0.5, 0.8])
     sources = {"X": x, "gen": x_gen, "Y": y, "gray(Y)": to_grayscale(y)}
 
     def source(crop):
         return [name for name, img in sources.items()
-                if np.array_equal(crop.pixels, img.pixels[:16, :16])]
+                if np.array_equal(crop, img[:16, :16])]
 
     cases = [(train_config(strategy="instance_self"), ("Y", "Y", "gen")),
              (train_config(strategy="source_anchored"), ("X", "X", "gen")),
@@ -72,14 +72,14 @@ def test_triplet_roles_per_strategy():
               ("gray(Y)", "gen", "Y"))]
     for config, roles in cases:
         trip = build_triplet(config, x, y, x_gen, Rng(0))
-        got = [source(crop) for crop in (trip.anchor, trip.positive, trip.negative)]
+        got = [source(crop) for crop in trip]
         assert got == [[name] for name in roles], config["dpl.strategy"]
 
 
 def test_a_name_no_table_holds_raises():
     # was grayscale for the task name "blur", and a task_oriented triplet for
     # the misspelled strategy
-    y = Image.from_array(np.full((32, 32, 3), 0.5))
+    y = as_image(np.full((32, 32, 3), 0.5))
     with pytest.raises(KeyError, match="blur"):
         distort(y, train_config(distortion="blur"), Rng(0))
     with pytest.raises(KeyError, match="task-oriented"):
@@ -97,7 +97,7 @@ def test_generator_step_leaves_extractor_and_selector_untouched():
     before_phi = param_hash(phi.params())
     before_f = param_hash(f.params())
     x_gen, _, _ = generator_step(f, to_tensor(x), to_tensor(y), psi, phi, config,
-                                 Adam(f.params()))
+                                 Adam(f.params(), lr=1e-4))
     # the output returned is F's before the step, a constant
     assert np.array_equal(x_gen.data, GeneratorF(Rng(2).child(1))(to_tensor(x)).data)
     assert x_gen.grad is None
@@ -126,7 +126,7 @@ def test_generator_step_builds_each_feature_set_once(monkeypatch, mode, weights,
     f, psi, phi = _nets(2)
     config = train_config(mode=mode, **{f"w_{name}": w for name, w in weights.items()})
     x, y = _pair(3)[0]
-    generator_step(f, to_tensor(x), to_tensor(y), psi, phi, config, Adam(f.params()))
+    generator_step(f, to_tensor(x), to_tensor(y), psi, phi, config, Adam(f.params(), lr=1e-4))
     assert len(calls) == psi_calls
     assert len({id(t) for t in calls}) == psi_calls
 
@@ -134,7 +134,7 @@ def test_generator_step_builds_each_feature_set_once(monkeypatch, mode, weights,
 def test_selector_accumulate_leaves_generator_and_extractor_untouched():
     f, psi, phi = _nets(4)
     config = train_config(interval=1, strategy="instance_self")
-    opt = Adam(phi.params())
+    opt = Adam(phi.params(), lr=1e-4)
     x, y = _pair(5)[0]
     trip = build_triplet(config, x, y, x, Rng(6))
     before_f = param_hash(f.params())
@@ -252,7 +252,7 @@ def test_accumulated_gradient_equals_summed_loss_gradient():
 
     def grads_by_accumulation():
         _, psi, phi = _nets(12)
-        config, opt = train_config(interval=n), Adam(phi.params())
+        config, opt = train_config(interval=n), Adam(phi.params(), lr=1e-4)
         for trip in trips:
             selector_accumulate(psi, phi, trip, config, opt)
         return [p.grad.copy() for p in phi.params()]
@@ -262,7 +262,7 @@ def test_accumulated_gradient_equals_summed_loss_gradient():
         with T.ComputationTape(phi.params()) as tape:
             total = None
             for trip in trips:
-                crops = [to_tensor(c) for c in (trip.anchor, trip.positive, trip.negative)]
+                crops = [to_tensor(c) for c in trip]
                 term = triplet_loss(triplet_features(psi, phi, crops, "feature_selection"), 1.0)
                 total = term if total is None else ops.add(total, term)
             T.backward(total, tape)

@@ -65,6 +65,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import statistics
@@ -168,7 +169,9 @@ class Pretrainer(Turns):
         rng = dpl.rng.Rng(seed)
         self.networks, self.psi = networks, networks.FeatureNetPsi(rng.child(31))
         samples = [(dpl.image.to_tensor(x), y) for x, y in textures]
-        super().__init__(PRETRAIN_TURN, networks.pretrain_psi,
+        pretrain = functools.partial(networks.pretrain_psi,
+                                     lr=dpl.config.SCHEMA["pretrain.lr"].default)
+        super().__init__(PRETRAIN_TURN, pretrain,
                          (self.psi, samples, PRETRAIN_EPOCHS, rng.child(32)))
 
     def finish(self) -> None:
@@ -215,9 +218,10 @@ class Trainer(Turns):
 
 
 def payloads(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each pair's images quantized to the 8-bit payloads of the PPMs
-    ``dpl gen-data`` writes (a drawn image's pixels are already in [0, 1])."""
-    return [tuple(np.round(image.pixels * 255.0).astype(np.uint8) for image in pair)
+    """Each pair's images, (H, W, 3) float64 arrays, quantized to the 8-bit
+    payloads of the PPMs ``dpl gen-data`` writes (a drawn image is already in
+    [0, 1])."""
+    return [tuple(np.round(image * 255.0).astype(np.uint8) for image in pair)
             for pair in pairs]
 
 
