@@ -4,8 +4,7 @@ Layout: magic (4 bytes) | version u32 | tensor count u32, then per tensor
 name length u16 + UTF-8 name | rank u8 | dims u32 each | payload as
 little-endian float32. Names are written in lexicographic order so the
 byte output is a pure function of the bundle. A checkpoint is written with
-``atomic_write``, as is every CLI output but the images ``dpl gen-data``
-writes.
+``atomic_write``, as is every CLI output.
 """
 
 from __future__ import annotations

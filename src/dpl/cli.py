@@ -28,7 +28,7 @@ import numpy as np
 from .checkpoint import CheckpointError, atomic_write, load_checkpoint, save_checkpoint
 from .config import SCHEMA, ConfigError, emit_config, parse_config
 from .image import (ImageError, decode_ppm, from_tensor, load_image, load_ppm, save_image,
-                    to_tensor, write_ppm)
+                    to_tensor)
 from .metrics import MS_SSIM_MIN_EXTENT, MetricError, feature_distance, ms_ssim, psnr
 from .networks import (EXTENTS_RULE, PRETRAIN_GATE, FeatureNetPsi, GeneratorF, NetworkError,
                        PretrainingDiverged, SelectionPhi, pretrain_psi, takes_extents)
@@ -66,13 +66,6 @@ def _load_config(args) -> dict:
     overrides = {key: getattr(args, key) for key in SCHEMA
                  if getattr(args, key, None) is not None}
     return parse_config(args.config, overrides)
-
-
-def _write_image(image: np.ndarray, path) -> None:
-    """Write ``image`` as a PPM through ``atomic_write``: an interrupted write
-    leaves no truncated file."""
-    with atomic_write(path, "wb") as f:
-        write_ppm(image, f)
 
 
 def _write_pairs(directory: Path, pairs, seed: int) -> None:
@@ -232,9 +225,9 @@ def cmd_train(config: dict, args) -> int:
             return
         samples_dir.mkdir(parents=True, exist_ok=True)
         x_gen = from_tensor(gen(to_tensor(x_img)).detach())
-        _write_image(x_img, samples_dir / f"iter{it + 1:06d}_x.ppm")
-        _write_image(x_gen, samples_dir / f"iter{it + 1:06d}_gen.ppm")
-        _write_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
+        save_image(x_img, samples_dir / f"iter{it + 1:06d}_x.ppm")
+        save_image(x_gen, samples_dir / f"iter{it + 1:06d}_gen.ppm")
+        save_image(y_img, samples_dir / f"iter{it + 1:06d}_y.ppm")
 
     def no_generator(history, message: str, code: int, stream) -> int:
         if out.is_dir():  # an interrupt can come before a missing out_dir is reported
@@ -323,7 +316,7 @@ def cmd_distort(config: dict, args) -> int:
     if config["dpl.distortion"] == "none":
         raise ConfigError("distort requires dpl.distortion != none")
     image = load_image(args.input)
-    _write_image(distort(image, config, Rng(config["seed"])), args.output)
+    save_image(distort(image, config, Rng(config["seed"])), args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
 

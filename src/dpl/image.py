@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .rng import Rng
 from .tensor import Tensor
 
@@ -44,19 +45,14 @@ def from_tensor(t: Tensor) -> np.ndarray:
 # -- PPM (P6, maxval 255) -----------------------------------------------------
 
 
-def write_ppm(image: np.ndarray, f) -> None:
-    """Encode ``image`` as a binary PPM into the open binary file ``f``."""
+def save_image(image: np.ndarray, path) -> None:
+    """Write ``image`` to ``path`` as a binary PPM through ``atomic_write``:
+    an interrupted write leaves no truncated file."""
     h, w = image.shape[:2]
     payload = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
-    f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-    f.write(payload.tobytes())
-
-
-def save_image(image: np.ndarray, path) -> None:
-    """Write ``image`` to ``path`` as a binary PPM, in place: an interrupted
-    write can leave a truncated file."""
-    with open(path, "wb") as f:
-        write_ppm(image, f)
+    with atomic_write(path, "wb") as f:
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(payload.tobytes())
 
 
 PPM_COMMENT_BYTES = 1024  # the longest '#' header comment read, newline included

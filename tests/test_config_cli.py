@@ -434,6 +434,15 @@ def test_interrupted_sample_write_leaves_no_truncated_sample(prepared_run, monke
     assert list((prepared_run / "samples").iterdir()) == []
 
 
+def test_interrupted_gen_data_leaves_no_truncated_image(tmp_path, monkeypatch, capsys):
+    # was train/0001_x.ppm cut short after half its header
+    out = tmp_path / "out"
+    _cut_ppm_writes(monkeypatch)
+    assert _main_interrupted(["gen-data", *_base_args(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert list((out / "train").iterdir()) == []
+
+
 def test_metric_error_is_usage_error(prepared_run, capsys):
     assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "1"]) == 0
     # a 16x16 target beside a 32x32 input: no metric can compare the pair
@@ -599,7 +608,7 @@ def test_train_interrupted_in_its_sample_hook_counts_the_rows_it_keeps(prepared_
                                                                        monkeypatch):
     # was "history.csv holds the 5 iterations before it" of iteration 4, whose
     # row is written before the hook runs
-    monkeypatch.setattr(cli, "_write_image", _interrupting(cli._write_image, 2, "ctrl_c"))
+    monkeypatch.setattr(cli, "save_image", _interrupting(cli.save_image, 2, "ctrl_c"))
     code = _main_interrupted(["train", *_base_args(prepared_run), "--dpl.mode", "frozen",
                               "--dpl.iterations", "10", "--train.sample_every", "5"])
     assert code == 130
@@ -636,7 +645,7 @@ def test_train_on_a_full_disk_removes_older_generator_even_without_a_history(
     # a sample, then history.csv, cannot be written: the older f.dplc still goes
     args = [*_base_args(prepared_run), "--dpl.mode", "frozen"]
     assert main(["train", *args, "--dpl.iterations", "4"]) == 0
-    monkeypatch.setattr(cli, "_write_image", _disk_full)
+    monkeypatch.setattr(cli, "save_image", _disk_full)
     monkeypatch.setattr(cli, "_write_history", _disk_full)
     capsys.readouterr()
     assert main(["train", *args, "--dpl.iterations", "10", "--train.sample_every", "5"]) == 1
