@@ -148,12 +148,10 @@ def _load_net(net, path, written_by: str) -> None:
 def cmd_gen_data(config: dict, args) -> int:
     out = Path(config["out_dir"])
     rng = Rng(config["seed"])
-    train = generate_synthetic(config["task"], config["train_count"], config["size"],
-                               rng.child(10))
-    val = generate_synthetic(config["task"], config["val_count"], config["size"],
-                             rng.child(20))
-    _write_pairs(out / "train", train, config["seed"])
-    _write_pairs(out / "val", val, config["seed"])
+    for split, child in (("train", 10), ("val", 20)):
+        pairs = generate_synthetic(config["task"], config[f"{split}_count"], config["size"],
+                                   rng.child(child))
+        _write_pairs(out / split, pairs, config["seed"])
     print(f"wrote {config['train_count']} train and {config['val_count']} val pairs under {out}")
     return EXIT_OK
 

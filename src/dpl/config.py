@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import ImageError, check_jitter_ranges, gaussian_kernel1d
-from .losses import CONTEXTUAL_BANDWIDTH_EPSILON_MIN, CONTEXTUAL_EPSILON_MIN, FLOAT32_MAX
+from .losses import (CONTEXTUAL_BANDWIDTH_EPSILON_MIN, CONTEXTUAL_BANDWIDTH_Q_MAX,
+                     CONTEXTUAL_EPSILON_MAX, CONTEXTUAL_EPSILON_MIN, FLOAT32_MAX)
 from .metrics import MS_SSIM_MIN_EXTENT
 from .synth import PAIRED_TASKS
 from .trainer import DISTORTIONS, LOSSES, MODES, STRATEGIES
@@ -41,11 +42,14 @@ def _float(text: str) -> float:
 
 
 def _float32(text: str) -> float:
-    """A finite float the runtime casts to float32 (a loss weight, the margin
-    or a learning rate), so at most float32's largest value."""
+    """A finite float the runtime casts to float32 (a loss weight, the margin,
+    a learning rate or the contextual bandwidth): at most float32's largest
+    value, and not a positive value that rounds to float32 0."""
     value = _float(text)
     if value > FLOAT32_MAX:
         raise ValueError(f"must be <= {FLOAT32_MAX:.4g}, float32's largest value")
+    if value > 0 and np.float32(value) == 0:
+        raise ValueError(f"{value:.3g} rounds to 0 in float32")
     return value
 
 
@@ -88,16 +92,13 @@ def _non_negative(v):
         raise ValueError("must be >= 0")
 
 
-def _weight_check(v):
-    _non_negative(v)
-    if v > 0 and np.float32(v) == 0:
-        raise ValueError(f"{v:.3g} rounds to 0 in float32; set 0 to leave the term out")
-
-
 def _contextual_epsilon_check(v):
     if v < CONTEXTUAL_EPSILON_MIN:
         raise ValueError(f"must be >= 2^-17 = {CONTEXTUAL_EPSILON_MIN:.4g}, or the float32 "
                          "contextual loss can be NaN")
+    if v > CONTEXTUAL_EPSILON_MAX:
+        raise ValueError(f"must be <= 2^32 = {CONTEXTUAL_EPSILON_MAX:.4g}, or its square "
+                         "can overflow the float32 contextual loss")
 
 
 def _sigma_check(v):
@@ -148,10 +149,10 @@ SCHEMA: dict[str, _Key] = {
     "dpl.iterations": _Key(int, 2000, _positive),
     "dpl.lr_generator": _Key(_float32, 1e-4, _positive),
     "dpl.lr_selector": _Key(_float32, 1e-4, _positive),
-    **{f"dpl.w_{name}": _Key(_float32, weight, _weight_check)
+    **{f"dpl.w_{name}": _Key(_float32, weight, _non_negative)
        for name, (weight, _) in LOSSES.items()},
     "dpl.color_sigma": _Key(_float, 3.0, _sigma_check),
-    "dpl.contextual_bandwidth": _Key(_float, 0.5, _positive),
+    "dpl.contextual_bandwidth": _Key(_float32, 0.5, _positive),
     "dpl.contextual_epsilon": _Key(_float, 1e-5, _contextual_epsilon_check),
     "dpl.augment": _Key(_parse_bool, True, help="joint pair augmentation"),
     "train.sample_every": _Key(int, 500, _positive, "iterations between sample triptychs"),
@@ -188,9 +189,10 @@ def parse_config(path=None, overrides: dict | None = None) -> dict:
     a triplet crop and blur widths that fit in the image, and a contextual
     bandwidth and epsilon that keep the float32 loss finite, so
     combinations the runtime rejects fail here. Floats must be finite; loss
-    weights, the margin and learning rates must be at most float32's largest
-    value, and a positive weight must not round to float32 0. The datasets
-    train, eval and pretrain hold must fit in the memory the process may use.
+    weights, the margin, learning rates and the contextual bandwidth must be
+    at most float32's largest value and, when positive, not round to float32
+    0. The datasets train, eval and pretrain hold must fit in the memory the
+    process may use.
     """
     config = {key: spec.default for key, spec in SCHEMA.items()}
     if path is not None:
@@ -238,11 +240,14 @@ def parse_config(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"{keys} at size {config['size']} need {need / 2**30:.3g} GiB "
                               f"of images, more than the {memory / 2**30:.3g} GiB of memory "
                               "this process may use")
-    h_eps = config["dpl.contextual_bandwidth"] * config["dpl.contextual_epsilon"]
-    if h_eps < CONTEXTUAL_BANDWIDTH_EPSILON_MIN:
-        raise ConfigError(f"dpl.contextual_bandwidth x dpl.contextual_epsilon is {h_eps:.4g}, "
+    h, eps = config["dpl.contextual_bandwidth"], config["dpl.contextual_epsilon"]
+    if h * eps < CONTEXTUAL_BANDWIDTH_EPSILON_MIN:
+        raise ConfigError(f"dpl.contextual_bandwidth x dpl.contextual_epsilon is {h * eps:.4g}, "
                           f"below 2^-22 = {CONTEXTUAL_BANDWIDTH_EPSILON_MIN:.4g}, where the "
                           "float32 contextual loss can overflow to NaN")
+    if (hq := h * (eps + 2)) > CONTEXTUAL_BANDWIDTH_Q_MAX:
+        raise ConfigError(f"dpl.contextual_bandwidth x (dpl.contextual_epsilon + 2) is {hq:.4g}, "
+                          "above 2^127, where the float32 contextual loss overflows")
     if "distorted" in STRATEGIES[config["dpl.strategy"]] and config["dpl.distortion"] == "none":
         raise ConfigError("task_oriented triplets require a distortion; set dpl.distortion")
     if not any(config[f"dpl.w_{name}"] > 0 for name in LOSSES):

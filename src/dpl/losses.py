@@ -80,6 +80,11 @@ _EXP_FLOOR = -60.0
 #   value, ~e^88.7.
 CONTEXTUAL_EPSILON_MIN = 2.0 ** -17
 CONTEXTUAL_BANDWIDTH_EPSILON_MIN = 2.0 ** -22
+# And the largest: eps^2 enters each squared norm, and eps <= 2^32 keeps it far
+# below float32's largest value, ~2^128; q <= 2 + eps up to rounding (a cosine
+# similarity is at least -1), so h (eps + 2) <= 2^127 keeps h q = 1 / alpha finite.
+CONTEXTUAL_EPSILON_MAX = 2.0 ** 32
+CONTEXTUAL_BANDWIDTH_Q_MAX = 2.0 ** 127
 # Elements in one row block of the (Na, Nb) affinities: 512 KB in float32,
 # so a block stays in cache from its first GEMM to its column maxima.
 _BLOCK = 2 ** 17

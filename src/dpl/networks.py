@@ -242,6 +242,9 @@ def accuracy(psi: FeatureNetPsi, dataset) -> float:
     return hits / len(dataset)
 
 
+# a diverging step overflows to inf/nan; the finiteness checks report that, so
+# numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng, lr: float,
                  log=None) -> float:
     """Train the texture classifier on all but the first tenth of ``dataset``,
@@ -257,20 +260,16 @@ def pretrain_psi(psi: FeatureNetPsi, dataset, epochs: int, rng: Rng, lr: float,
     if log is not None:
         log(f"epoch 0 heldout_accuracy {acc:.4f}")
     for epoch in range(1, epochs + 1):
-        # a diverging step overflows; the finiteness checks report that, so
-        # numpy's warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step, idx in enumerate(rng.permutation(len(train)), start=1):
-                x, label = train[int(idx)]
-                with T.ComputationTape(opt.params) as tape:
-                    loss = cross_entropy(psi, x, label)
-                    value = loss.item()
-                    if not math.isfinite(value):
-                        raise PretrainingDiverged(f"non-finite loss {value} at epoch {epoch}, "
-                                                  f"step {step} of {len(train)}")
-                    T.backward(loss, tape)
-                opt.step()
-                opt.zero_grad()
+        for step, idx in enumerate(rng.permutation(len(train)), start=1):
+            x, label = train[int(idx)]
+            with T.ComputationTape(opt.params) as tape:
+                loss = cross_entropy(psi, x, label)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise PretrainingDiverged(f"non-finite loss {value} at epoch {epoch}, "
+                                              f"step {step} of {len(train)}")
+                T.backward(loss, tape)
+            opt.step()
         # a step that made psi non-finite shows in the next step's loss; the
         # epoch's last step is caught here
         if not all(np.isfinite(p.data).all() for p in psi.params()):

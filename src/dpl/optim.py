@@ -24,23 +24,18 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        """One bias-corrected update of every parameter and moment in place. A
-        parameter without a gradient gets a zero one; gradients are left intact."""
+        """One bias-corrected update of every parameter and moment in place,
+        which consumes the gradients: each is zero after its update, ready to
+        accumulate the next. A parameter without a gradient gets a zero one."""
         self.t += 1
-        # a diverging step overflows to inf/nan; the caller's finiteness
-        # check reports that, so numpy's warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p, m, v in zip(self.params, self.m, self.v):
-                g = p.ensure_grad()
-                m *= BETA1
-                m += (1.0 - BETA1) * g
-                v *= BETA2
-                v += (1.0 - BETA2) * (g * g)
-                update = m / (1.0 - BETA1**self.t)
-                update *= self.lr
-                update /= np.sqrt(v / (1.0 - BETA2**self.t)) + EPSILON
-                p.data -= update
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.ensure_grad()
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = m / (1.0 - BETA1**self.t)
+            update *= self.lr
+            update /= np.sqrt(v / (1.0 - BETA2**self.t)) + EPSILON
+            p.data -= update
+            g.fill(0.0)

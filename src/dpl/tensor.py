@@ -11,7 +11,7 @@ backward rule only when one of its inputs is one of those parameters or an
 output the tape recorded; everything else is a constant on that tape.
 Replaying the tape in reverse accumulates d(loss)/d(param) into the
 ``grad`` buffer of each parameter. Gradients accumulate additively across
-backward calls until explicitly zeroed.
+backward calls until an ``optim.Adam`` step consumes them.
 
 The ops do only the work a call needs: conv2d's im2col is one strided view,
 copied once, and its input gradient one matmul (a transposed convolution,
@@ -72,10 +72,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         return self.grad
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
 
 
 class ComputationTape:

@@ -173,7 +173,6 @@ def generator_step(f: GeneratorF, x: Tensor, y: Tensor, psi: FeatureNetPsi,
             raise TrainingDiverged(f"non-finite loss {value}")
         T.backward(total, tape)
     opt.step()
-    opt.zero_grad()
     return x_gen.detach(), value, components
 
 
@@ -194,11 +193,13 @@ def selector_accumulate(psi: FeatureNetPsi, phi: SelectionPhi, triplet: tuple, c
 
 
 def selector_apply(opt: Adam) -> None:
-    """One Adam step on the accumulated selector gradient, then reset it."""
+    """One Adam step on the accumulated selector gradient, which the step consumes."""
     opt.step()
-    opt.zero_grad()
 
 
+# a diverging run overflows to inf/nan; the finiteness checks report that, so
+# numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def run_training(config: dict, dataset, f: GeneratorF, psi: FeatureNetPsi,
                  phi: SelectionPhi, rng: Rng,
                  sample_hook=None) -> tuple[GeneratorF, list[HistoryRow]]:

@@ -7,6 +7,7 @@ import io
 import os
 import shutil
 import signal
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1013,6 +1014,22 @@ def test_manifest_without_pairs_is_usage_error(prepared_run, capsys, command, pa
     (["--dpl.lr_generator", "1e39"], "'dpl.lr_generator' (command line): must be <= 3.403e+38"),
     (["--dpl.lr_selector", "1e39"], "'dpl.lr_selector' (command line): must be <= 3.403e+38"),
     (["--pretrain.lr", "1e39"], "'pretrain.lr' (command line): must be <= 3.403e+38"),
+    # were exit 0 with f_norm, or phi_norm at interval 1, the same on every row
+    (["--dpl.lr_generator", "1e-50"], "'dpl.lr_generator' (command line): 1e-50 rounds to 0"),
+    (["--dpl.lr_selector", "1e-300"], "'dpl.lr_selector' (command line): 1e-300 rounds to 0"),
+    # was every epoch run at a rate of 0, then "gate failed" (exit 2)
+    (["--pretrain.lr", "1e-50"], "'pretrain.lr' (command line): 1e-50 rounds to 0 in float32"),
+    # was a triplet margin of 0
+    (["--dpl.margin", "1e-50"], "'dpl.margin' (command line): 1e-50 rounds to 0 in float32"),
+    # were numpy's "overflow encountered in cast" from the contextual loss
+    (["--dpl.w_contextual", "1", "--dpl.contextual_bandwidth", "1e300"],
+     "'dpl.contextual_bandwidth' (command line): must be <= 3.403e+38"),
+    (["--dpl.w_contextual", "1", "--dpl.contextual_epsilon", "1e300"],
+     "'dpl.contextual_epsilon' (command line): must be <= 2^32"),
+    # was numpy's "overflow encountered in multiply" from the contextual loss
+    (["--dpl.w_contextual", "1", "--dpl.contextual_epsilon", "2",
+      "--dpl.contextual_bandwidth", "1e38"],
+     "dpl.contextual_bandwidth x (dpl.contextual_epsilon + 2) is 4e+38, above 2^127"),
 ])
 def test_combinations_the_trainer_rejects_fail_at_parse_time(tmp_path, capsys, flags, message):
     # refused before any data is read: the output directory does not exist
@@ -1027,6 +1044,73 @@ def test_float32_bounds_themselves_are_accepted():
                                      "dpl.lr_selector": smallest, "pretrain.lr": largest})
     assert np.float32(config["dpl.w_texture"]) > 0
     assert np.isfinite(np.float32(config["dpl.margin"]))
+
+
+# float64's least value that rounds to a positive float32, and the least sigma
+# whose Gaussian kernel is finite
+TINY, SIGMA_MIN = float(np.nextafter(2.0 ** -150, 1.0)), 1.111379374742539e-162
+# Every float key of SCHEMA: its smallest and largest accepted values, under
+# the settings that put it to use
+FLOAT_EXTREMES = {
+    "pretrain.lr": (TINY, FLOAT32_MAX, {}),
+    "dpl.blur_sigma_min": (SIGMA_MIN, 32.0, {"dpl.distortion": "gaussian_blur",
+                                             "dpl.blur_sigma_max": "32"}),
+    "dpl.blur_sigma_max": (SIGMA_MIN, 32.0, {"dpl.distortion": "gaussian_blur",
+                                             "dpl.blur_sigma_min": repr(SIGMA_MIN)}),
+    "dpl.jitter_scale_min": (0.0, 1.5, {"dpl.jitter_scale_max": "1.5"}),
+    "dpl.jitter_scale_max": (0.0, 1.5, {"dpl.jitter_scale_min": "0"}),
+    "dpl.jitter_bias_min": (-0.25, 0.25, {"dpl.jitter_bias_max": "0.25"}),
+    "dpl.jitter_bias_max": (-0.25, 0.25, {"dpl.jitter_bias_min": "-0.25"}),
+    "dpl.margin": (0.0, FLOAT32_MAX, {}),
+    "dpl.lr_generator": (TINY, FLOAT32_MAX, {}),
+    "dpl.lr_selector": (TINY, FLOAT32_MAX, {"dpl.interval": "1"}),
+    "dpl.w_perceptual": (0.0, FLOAT32_MAX, {"dpl.w_pixel_l1": "1"}),
+    "dpl.w_contextual": (0.0, FLOAT32_MAX, {}),
+    "dpl.w_pixel_l1": (0.0, FLOAT32_MAX, {}),
+    "dpl.w_color": (0.0, FLOAT32_MAX, {}),
+    "dpl.w_texture": (0.0, FLOAT32_MAX, {}),
+    "dpl.color_sigma": (SIGMA_MIN, 32.0, {"dpl.w_color": "1"}),
+    "dpl.contextual_bandwidth": (2.0 ** -23, 2.0 ** 125, {"dpl.w_contextual": "1",
+                                                          "dpl.contextual_epsilon": "2"}),
+    "dpl.contextual_epsilon": (2.0 ** -17, 2.0 ** 32, {"dpl.w_contextual": "1"}),
+}
+
+
+def test_float_extremes_lists_every_float_key_at_its_bounds():
+    assert sorted(FLOAT_EXTREMES) == sorted(
+        key for key, spec in SCHEMA.items() if isinstance(spec.default, float))
+    for key, (low, high, settings) in FLOAT_EXTREMES.items():
+        for value in (low, high):
+            parse_config(overrides={**settings, key: repr(value)})
+        for value in (np.nextafter(low, -np.inf), np.nextafter(high, np.inf)):
+            with pytest.raises(ConfigError):
+                parse_config(overrides={**settings, key: repr(float(value))})
+
+
+def test_float_extremes_run_without_overflow(prepared_run, tmp_path, capsys):
+    # a positive weight or margin at float32's least value runs too. The
+    # 30-sample pretraining cannot reach the gate at any rate, so its end is
+    # the gate miss (2) or a numerical halt (3)
+    for key, (low, high, settings) in FLOAT_EXTREMES.items():
+        pretrain = key.startswith("pretrain.")
+        out = tmp_path / "pretrain" if pretrain else prepared_run
+        command, budget = (("pretrain", ["--pretrain.samples", "30", "--pretrain.epochs", "1"])
+                           if pretrain else ("train", ["--dpl.iterations", "2"]))
+        for value in (low, high, *([TINY] if low == 0 else [])):
+            flags = [arg for k, v in {**settings, key: repr(value)}.items()
+                     for arg in (f"--{k}", v)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([command, *_base_args(out), *budget, *flags])
+            err = capsys.readouterr().err
+            where = f"{key} = {value!r}: exit {code}, {err}"
+            assert code in ((2, 3) if pretrain else (0, 3)), where
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], where
+            assert "Traceback" not in err and "RuntimeWarning" not in err, where
+            if code == 0:
+                rows = (out / "history.csv").read_text().splitlines()[1:]
+                assert len(rows) == 2, where
+                assert all(np.isfinite(float(v)) for row in rows for v in row.split(",")), where
 
 
 def test_equal_blur_sigma_range_is_accepted():
@@ -1228,13 +1312,41 @@ def test_config_fuzz_exits_with_a_documented_code(fuzz_run, command, overrides, 
     assert "Traceback" not in err.getvalue(), argv
 
 
-def _benchmark_tracer():
-    """A ``Tracer`` of the benchmark's ``perfbench/tracing.py``, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_module(name: str):
+    """The benchmark's ``perfbench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
     spec.loader.exec_module(module)
-    return module.Tracer()
+    return module
+
+
+def _benchmark_tracer():
+    """A ``Tracer`` of the benchmark's ``perfbench/tracing.py``."""
+    return _benchmark_module("tracing").Tracer()
+
+
+def test_benchmark_call_counts_hold(prepared_run, tmp_path, monkeypatch):
+    # the benchmark times pretraining samples by Adam.step calls, eval pairs by
+    # cli.psnr calls and iterations by the sample hook; a change to what they
+    # count shows here, not only as a failed benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workload.py imports checks.py
+    workload = _benchmark_module("workload")
+    samples, epochs, holdout = 30, 2, 3
+    with workload.call_stamps(dpl.optim.Adam, "step") as steps:
+        assert main(["pretrain", *_base_args(tmp_path / "pretrain"), "--pretrain.samples",
+                     str(samples), "--pretrain.epochs", str(epochs)]) == 2  # the gate's miss
+    log = (tmp_path / "pretrain" / "pretrain_accuracy.log").read_text()
+    assert f"epoch {epochs} heldout_accuracy" in log
+    assert len(steps) == epochs * (samples - holdout)
+    with workload.TrainClock(cli) as clock:
+        assert main(["train", *_base_args(prepared_run), "--dpl.iterations", "5"]) == 0
+    assert len(clock.ticks) == 5
+    with workload.call_stamps(cli, "psnr") as pairs:
+        assert main(["eval", *_base_args(prepared_run)]) == 0
+    assert len(pairs) == 2  # val_count
 
 
 def test_benchmark_tracer_records_a_traced_train_and_eval(prepared_run):

@@ -682,6 +682,19 @@ def test_triplet_matches_composed_chain_for_every_role(active):
             assert np.any(t.grad) == active
 
 
+def test_triplet_hinge_of_exactly_zero_gives_zero_gradient():
+    # integer taps: d(a, p) = 0 and each tap's d(a, n) = 1 exactly, so a margin
+    # of one per tap leaves the hinge at exactly 0, which passes no gradient
+    rng = np.random.default_rng(31)
+    anchor = [rng.integers(-3, 4, size=s).astype(np.float32) for s in TAP_SHAPES]
+    sets = [_featset(*arrays) for arrays in (anchor, anchor, [a + 1 for a in anchor])]
+    with ComputationTape([t for fs in sets for t in fs]) as tape:
+        loss = triplet_loss(_joined(*sets), margin=float(len(TAP_SHAPES)))
+        T.backward(loss, tape)
+    assert loss.item() == 0.0
+    assert all(not np.any(t.grad) for fs in sets for t in fs)
+
+
 def test_triplet_refuses_a_tap_that_is_not_three_crops_wide():
     with pytest.raises(LossError, match="tap 0 width 4 is not three crops wide"):
         triplet_loss(_featset(np.zeros((2, 2, 4))), margin=1.0)

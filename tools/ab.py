@@ -48,7 +48,8 @@ interval of that median (2000 resamples), and the number of rounds B was
 faster. A ratio below 1 means B is faster; an interval that excludes 1
 resolves the difference. Running one tree against itself (the same path
 twice) is the A/A check of the method. BLAS is pinned to one thread, as
-perfbench pins it. Only the standard library and numpy are used.
+perfbench pins it, and glibc's malloc to one arena for both trees' threads
+(see below). Only the standard library and numpy are used.
 
 It times and nothing else. An in-process A/B cannot show memory: both trees
 allocate from one heap, so peak RSS and page faults belong to neither tree,
@@ -59,17 +60,26 @@ memory is allocated needs fresh-process runs, such as perfbench's.
 from __future__ import annotations
 
 import os
+import sys
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
+# glibc gives each thread that allocates its own malloc arena, and the tree
+# whose thread ran first trained ~10% slower in its arena: an A/A read B/A at
+# 0.87-0.90 in training whatever order the trees were built and their threads
+# started in, and 1.13 with the order of their turns swapped. With one arena
+# both trees' threads allocate from the main heap, as the CLI does. glibc reads
+# MALLOC_ARENA_MAX once, at start-up, so the script starts itself again with it.
+if os.environ.get("MALLOC_ARENA_MAX") != "1":
+    os.environ["MALLOC_ARENA_MAX"] = "1"
+    os.execv(sys.executable, [sys.executable, *sys.argv])
 
 import argparse
 import functools
 import importlib
 import importlib.util
 import statistics
-import sys
 import threading
 import time
 from pathlib import Path
